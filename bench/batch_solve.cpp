@@ -2,17 +2,16 @@
 //
 // Serving many right-hand sides against one factorization is the repeated
 // case the batched layer exists for. This harness compares, per (threads,
-// k) configuration, three ways of pushing k RHS through the same
+// k) configuration, two ways of pushing k RHS through the same
 // TrisolvePlan:
 //
 //   sequential  — k solve() calls: k pool dispatches, k full fused L+U
-//                 doacrosses (the PR 1 baseline a server would run today).
-//   batch-cols  — solve_batch kColumnSequential: ONE dispatch; thread 0
-//                 re-arms the epoch tables between columns in-region.
-//   batch-ilv   — solve_batch kWavefrontInterleaved: ONE dispatch, ONE
-//                 doacross per factor; each row carries all k columns, so
+//                 solves (what a server without batching would run).
+//   batch-ilv   — solve_batch: ONE dispatch, ONE wavefront-interleaved
+//                 pass per factor; each row carries all k columns, so
 //                 synchronization is amortized k-fold and each matrix row
-//                 is read once per batch.
+//                 is read once per batch. At k == 1 it is the fused
+//                 solve itself.
 //
 // Every batched result is verified bitwise against the sequential solves
 // before timing. `--json <path>` additionally writes the table as a JSON
@@ -46,9 +45,8 @@ namespace {
 struct Row {
   unsigned threads;
   index_t k;
-  double us_seq;   // per RHS
-  double us_cols;  // per RHS
-  double us_ilv;   // per RHS
+  double us_seq;  // per RHS
+  double us_ilv;  // per RHS
   std::uint64_t disp_seq;
   std::uint64_t disp_batch;
 };
@@ -86,9 +84,8 @@ int main(int argc, char** argv) {
   for (auto& v : b) v = rng.next_double(-1.0, 1.0);
   std::vector<double> x_seq(b.size()), x_batch(b.size());
 
-  bench::Table table({"threads", "k", "seq(us/rhs)", "batch-cols(us/rhs)",
-                      "batch-ilv(us/rhs)", "speedup-cols", "speedup-ilv",
-                      "dispatches seq", "dispatches batch"});
+  bench::Table table({"threads", "k", "seq(us/rhs)", "batch-ilv(us/rhs)",
+                      "speedup-ilv", "dispatches seq", "dispatches batch"});
   std::vector<Row> rows;
   bool all_exact = true;
   sp::PlanLayout layout = sp::PlanLayout::kPacked;  // resolved below
@@ -109,32 +106,27 @@ int main(int argc, char** argv) {
                                        static_cast<std::size_t>(n)));
         }
       };
-      auto batch_apply = [&](sp::BatchMode mode) {
+      auto batch_apply = [&] {
         plan.solve_batch(std::span<const double>(b.data(),
                                                  static_cast<std::size_t>(n * k)),
                          std::span<double>(x_batch.data(),
                                            static_cast<std::size_t>(n * k)),
-                         k, mode);
+                         k);
       };
 
-      // Correctness gate: both batch modes bitwise-match the k sequential
+      // Correctness gate: the batch bitwise-matches the k sequential
       // solves before any timing is trusted.
       seq_apply();
-      for (sp::BatchMode mode : {sp::BatchMode::kColumnSequential,
-                                 sp::BatchMode::kWavefrontInterleaved}) {
-        std::fill(x_batch.begin(),
-                  x_batch.begin() + static_cast<std::ptrdiff_t>(n * k), 0.0);
-        batch_apply(mode);
-        for (index_t i = 0; i < n * k; ++i) {
-          if (x_seq[static_cast<std::size_t>(i)] !=
-              x_batch[static_cast<std::size_t>(i)]) {
-            all_exact = false;
-            std::fprintf(stderr,
-                         "MISMATCH nth=%u k=%lld mode=%d at %lld\n", nth,
-                         static_cast<long long>(k), static_cast<int>(mode),
-                         static_cast<long long>(i));
-            break;
-          }
+      std::fill(x_batch.begin(),
+                x_batch.begin() + static_cast<std::ptrdiff_t>(n * k), 0.0);
+      batch_apply();
+      for (index_t i = 0; i < n * k; ++i) {
+        if (x_seq[static_cast<std::size_t>(i)] !=
+            x_batch[static_cast<std::size_t>(i)]) {
+          all_exact = false;
+          std::fprintf(stderr, "MISMATCH nth=%u k=%lld at %lld\n", nth,
+                       static_cast<long long>(k), static_cast<long long>(i));
+          break;
         }
       }
 
@@ -142,16 +134,11 @@ int main(int argc, char** argv) {
       seq_apply();
       const std::uint64_t disp_seq = probe.delta();
       probe.rebase();
-      batch_apply(sp::BatchMode::kWavefrontInterleaved);
+      batch_apply();
       const std::uint64_t disp_batch = probe.delta();
 
       const auto t_seq = bench::time_samples(reps, 1, seq_apply);
-      const auto t_cols = bench::time_samples(reps, 1, [&] {
-        batch_apply(sp::BatchMode::kColumnSequential);
-      });
-      const auto t_ilv = bench::time_samples(reps, 1, [&] {
-        batch_apply(sp::BatchMode::kWavefrontInterleaved);
-      });
+      const auto t_ilv = bench::time_samples(reps, 1, batch_apply);
 
       const double kd = static_cast<double>(k);
       Row r;
@@ -159,8 +146,6 @@ int main(int argc, char** argv) {
       r.k = k;
       r.us_seq =
           *std::min_element(t_seq.begin(), t_seq.end()) / kd * 1e6;
-      r.us_cols =
-          *std::min_element(t_cols.begin(), t_cols.end()) / kd * 1e6;
       r.us_ilv =
           *std::min_element(t_ilv.begin(), t_ilv.end()) / kd * 1e6;
       r.disp_seq = disp_seq;
@@ -171,9 +156,7 @@ int main(int argc, char** argv) {
           .cell(nth)
           .cell(static_cast<long long>(k))
           .cell(r.us_seq, 1)
-          .cell(r.us_cols, 1)
           .cell(r.us_ilv, 1)
-          .cell(r.us_seq / (r.us_cols > 0 ? r.us_cols : 1e-300), 2)
           .cell(r.us_seq / (r.us_ilv > 0 ? r.us_ilv : 1e-300), 2)
           .cell(static_cast<unsigned>(disp_seq))
           .cell(static_cast<unsigned>(disp_batch));
@@ -182,7 +165,7 @@ int main(int argc, char** argv) {
   table.print();
   std::printf(
       "\nPer-RHS wall time; 'speedup-*' is sequential/batched throughput. A "
-      "batch is ONE pool dispatch in either mode (k for sequential). "
+      "batch is ONE pool dispatch (k for sequential). "
       "Bitwise check vs sequential solves: %s.\n",
       all_exact ? "exact" : "FAILED");
 
@@ -197,10 +180,7 @@ int main(int argc, char** argv) {
       const Row& r = rows[i];
       out << "    {\"threads\": " << r.threads << ", \"k\": " << r.k
           << ", \"us_per_rhs_seq\": " << r.us_seq
-          << ", \"us_per_rhs_batch_cols\": " << r.us_cols
           << ", \"us_per_rhs_batch_ilv\": " << r.us_ilv
-          << ", \"speedup_cols\": "
-          << r.us_seq / (r.us_cols > 0 ? r.us_cols : 1e-300)
           << ", \"speedup_ilv\": "
           << r.us_seq / (r.us_ilv > 0 ? r.us_ilv : 1e-300)
           << ", \"dispatches_seq\": " << r.disp_seq

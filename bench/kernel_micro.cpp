@@ -168,13 +168,13 @@ int main(int argc, char** argv) {
         scalar->solve_batch(bk,
                             std::span<double>(x_s.data(),
                                               static_cast<std::size_t>(n * k)),
-                            k, sp::BatchMode::kWavefrontInterleaved);
+                            k);
       };
       auto run_vector = [&] {
         vector->solve_batch(bk,
                             std::span<double>(x_v.data(),
                                               static_cast<std::size_t>(n * k)),
-                            k, sp::BatchMode::kWavefrontInterleaved);
+                            k);
       };
 
       // Bitwise gate before timing: the lane kernels promise per-column

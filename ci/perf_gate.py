@@ -25,8 +25,6 @@ that already divide out the machine:
                             override PDX_AUTO_BEST_FLOOR). Uncalibrated
                             cells (one thread, or budget 0) carry the
                             heuristic pick and are not gated.
-  batch.speedup_cols    sequential / batched-column-sequential per-RHS
-                        time (batch_solve)
   batch.speedup_ilv     sequential / batched-wavefront-interleaved
                         per-RHS time (batch_solve)
   refactor.factor_speedup   sequential ilu0 / planned parallel numeric
@@ -134,14 +132,12 @@ def strategy_metrics(doc):
 
 def batch_metrics(doc):
     """Metric-class -> {row_key: ratio} for a batch_solve artifact."""
-    cols, ilv = {}, {}
+    ilv = {}
     for row in doc.get("results", []):
         key = (row.get("threads"), row.get("k"))
-        if row.get("speedup_cols", 0) > 0:
-            cols[key] = row["speedup_cols"]
         if row.get("speedup_ilv", 0) > 0:
             ilv[key] = row["speedup_ilv"]
-    return {"batch.speedup_cols": cols, "batch.speedup_ilv": ilv}
+    return {"batch.speedup_ilv": ilv}
 
 
 def refactor_metrics(doc):

@@ -19,6 +19,7 @@
 //                                   [--backpressure=block|shed|reject]
 //        (PDX_QUICK=1 shrinks the grid and step count — the CI smoke
 //        mode.)
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -39,14 +40,23 @@ using pdx::index_t;
 
 namespace {
 
-/// K(t)'s conductivity modulation: smooth in time and space, bounded away
-/// from flipping a sign so A(t) stays diagonally dominant.
-void assemble(const sp::Csr& base, sp::Csr& a, double t) {
-  for (std::size_t k = 0; k < a.val.size(); ++k) {
-    a.val[k] = base.val[k] *
-               (1.0 + 0.25 * std::sin(0.0007 * static_cast<double>(k) + t));
+/// A(t) = I + dt·K(t), where K(t) is the base operator with a
+/// conductivity modulation that is smooth in time and space and bounded
+/// away from flipping a sign, so A(t) stays diagonally dominant.
+void assemble(const sp::Csr& base, sp::Csr& a, double dt, double t) {
+  for (index_t r = 0; r < base.rows; ++r) {
+    for (index_t p = base.row_begin(r); p < base.row_end(r); ++p) {
+      const auto k = static_cast<std::size_t>(p);
+      a.val[k] = (base.idx[k] == r ? 1.0 : 0.0) +
+                 dt * base.val[k] *
+                     (1.0 + 0.25 * std::sin(0.0007 * static_cast<double>(k) +
+                                            t));
+    }
   }
 }
+
+/// Backward Euler on a diffusion operator never amplifies the field.
+constexpr double kMaxGrowth = 1.01;
 
 }  // namespace
 
@@ -84,7 +94,7 @@ int main(int argc, char** argv) {
   const sp::Csr base = gen::five_point(grid, grid);
   sp::Csr a = base;  // pattern fixed for the whole run; values per step
   const index_t n = a.rows;
-  assemble(base, a, 0.0);
+  assemble(base, a, dt, 0.0);
 
   rt::ThreadPool pool;  // hardware width
   solve::Service svc(pool, opts);
@@ -98,8 +108,8 @@ int main(int argc, char** argv) {
       static_cast<long long>(n), pool.width(), dt, register_ms,
       deadline_ms > 0 ? (std::to_string(deadline_ms) + " ms").c_str()
                       : "none");
-  std::printf("%-5s %-9s %-10s %-10s %-9s %-10s\n", "step", "iters",
-              "queue(ms)", "solve(ms)", "degraded", "step(ms)");
+  std::printf("%-5s %-9s %-10s %-10s %-9s %-10s %-10s\n", "step", "iters",
+              "queue(ms)", "solve(ms)", "degraded", "step(ms)", "max|u|");
 
   // u evolves under backward Euler: (I + dt K(t)) u_next = u. The rhs of
   // each step is the previous solution — real time-stepping traffic, not
@@ -109,7 +119,7 @@ int main(int argc, char** argv) {
 
   for (int s = 1; s <= steps; ++s) {
     pdx::bench::WallTimer step_timer;
-    assemble(base, a, dt * s);
+    assemble(base, a, dt, dt * s);
     svc.update_values(id, a);  // applied as a value-only refresh
 
     const solve::JobResult res = svc.solve(id, u, u_next, deadline_ms);
@@ -118,9 +128,17 @@ int main(int argc, char** argv) {
                   res.error.c_str());
       return 1;
     }
-    std::printf("%-5d %-9d %-10.2f %-10.2f %-9s %-10.1f\n", s,
+    double max_u = 0.0;
+    for (const double v : u_next) max_u = std::max(max_u, std::abs(v));
+    std::printf("%-5d %-9d %-10.2f %-10.2f %-9s %-10.1f %-10.6f\n", s,
                 res.report.iterations, res.queue_ms, res.solve_ms,
-                res.degraded ? "yes" : "no", step_timer.millis());
+                res.degraded ? "yes" : "no", step_timer.millis(), max_u);
+    if (!(max_u <= kMaxGrowth)) {
+      std::printf("step %d: max|u| = %g exceeds %.2f — the implicit step "
+                  "amplified the field — FAIL\n",
+                  s, max_u, kMaxGrowth);
+      return 1;
+    }
     std::swap(u, u_next);
   }
 

@@ -62,9 +62,11 @@ ScheduleAdvice advise_schedule(const DepGraph& g, unsigned procs) {
     // Dependences are short relative to the block: at most 1/8 of each
     // block chains across the boundary, the rest is intra-block and free
     // (bench E6: static-block beat every alternative on the Fig. 4 loop).
+    // Still the flag-based doacross — the executor DoacrossEngine runs —
+    // just on a static-block schedule in source order.
     a.schedule = rt::Schedule::static_block();
     a.use_reordering = false;
-    a.strategy = ExecStrategy::kBlockedHybrid;
+    a.strategy = ExecStrategy::kDoacross;
     a.rationale =
         "max dependence distance is small versus the per-processor block: "
         "static-block keeps dependences intra-thread";
@@ -89,17 +91,14 @@ namespace {
 /// The factorization's looser thresholds encode its heavier rows —
 /// every elimination row does ~nnz/row of a solve row's work, so
 /// synchronization amortizes sooner (serial cutoff 1.2 vs 1.5, a
-/// barrier hidden by 1 row/processor vs 2, boundary waits tolerated at
-/// twice the dependence distance).
+/// barrier hidden by 1 row/processor vs 2).
 struct StrategyLadder {
-  double serial_width;    ///< below this avg wavefront width: serial
-  double wide_per_proc;   ///< width >= max(4, this * procs): level-barrier
-  index_t dist_multiple;  ///< max_distance * this <= block: blocked-hybrid
+  double serial_width;   ///< below this avg wavefront width: serial
+  double wide_per_proc;  ///< width >= max(4, this * procs): level-barrier
   const char* empty_rationale;
   const char* one_proc_rationale;
   const char* serial_rationale;
   const char* level_rationale;
-  const char* blocked_rationale;
   const char* doacross_rationale;
 };
 
@@ -153,23 +152,9 @@ ScheduleAdvice advise_trisolve_shaped(const TrisolveStructure& s,
     return a;
   }
 
-  // Short-distance dependences: a static block split keeps almost every
-  // dependence inside one thread's contiguous range, where program order
-  // resolves it for free; only the few boundary-crossing edges need
-  // flags (the core/blocked_doacross.hpp realization).
-  const index_t block =
-      std::max<index_t>(1, s.n / static_cast<index_t>(procs));
-  if (s.max_distance * l.dist_multiple <= block) {
-    a.schedule = rt::Schedule::static_block();
-    a.use_reordering = false;  // source order keeps blocks contiguous
-    a.strategy = ExecStrategy::kBlockedHybrid;
-    a.rationale = l.blocked_rationale;
-    return a;
-  }
-
-  // Long-distance sparse dependences with moderate level widths: the
-  // flag-based doacross in doconsider order pipelines across wavefronts
-  // where barriers would serialize on the narrow levels (Table 1).
+  // Moderate level widths: the flag-based doacross in doconsider order
+  // pipelines across wavefronts where barriers would serialize on the
+  // narrow levels (Table 1).
   a.schedule = rt::Schedule::dynamic(1);
   a.use_reordering = true;
   a.strategy = ExecStrategy::kDoacross;
@@ -183,7 +168,6 @@ ScheduleAdvice advise_schedule(const TrisolveStructure& s, unsigned procs) {
   static constexpr StrategyLadder kSolveLadder{
       1.5,
       2.0,
-      8,
       "empty system: nothing to schedule",
       "single processor: every parallel executor only adds "
       "synchronization; run the plain sequential solve",
@@ -191,10 +175,8 @@ ScheduleAdvice advise_schedule(const TrisolveStructure& s, unsigned procs) {
       "effectively serial; run sequentially",
       "wide shallow wavefronts (avg width >= 2 rows/processor): "
       "bulk-synchronous level execution, no per-row flags",
-      "short-distance dependences versus the per-processor block: "
-      "static blocks with flags only across block boundaries",
-      "long-distance dependences and narrow wavefronts: flag-based "
-      "doacross in doconsider order with dynamic single-iteration issue",
+      "narrow wavefronts: flag-based doacross in doconsider order with "
+      "dynamic single-iteration issue",
   };
   return advise_trisolve_shaped(s, procs, kSolveLadder);
 }
@@ -204,18 +186,14 @@ ScheduleAdvice advise_factor_schedule(const TrisolveStructure& s,
   static constexpr StrategyLadder kFactorLadder{
       1.2,
       1.0,
-      4,
       "empty system: nothing to factor",
       "single processor: run the plain sequential elimination",
       "average wavefront width < 1.2: the elimination chain is "
       "effectively serial; factor sequentially",
       "wide wavefronts (avg width >= 1 row/processor of elimination "
       "work): bulk-synchronous level factorization, no per-row flags",
-      "short-distance dependences versus the per-processor block: "
-      "static blocks with flags only across block boundaries",
-      "long-distance dependences and narrow wavefronts: flag-based "
-      "doacross elimination in doconsider order with dynamic "
-      "single-iteration issue",
+      "narrow wavefronts: flag-based doacross elimination in doconsider "
+      "order with dynamic single-iteration issue",
   };
   return advise_trisolve_shaped(s, procs, kFactorLadder);
 }

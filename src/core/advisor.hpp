@@ -9,12 +9,13 @@
 //   * no dependences            -> static-block (doall; locality wins);
 //   * negligible parallelism    -> don't parallelize (serial chain);
 //   * short-distance deps       -> static-block (deps stay intra-block;
-//                                  only block boundaries chain);
+//                                  only block boundaries chain; DepGraph
+//                                  advice for the paper engines only);
 //   * otherwise                 -> doconsider reordering + dynamic/1
 //                                  (spread each wavefront; paper ref [4]).
 //
 // Beyond schedules, the advisor names a whole *executor strategy*
-// (ExecStrategy): the triangular-solve stack instantiates one of four
+// (ExecStrategy): the triangular-solve stack instantiates one of three
 // execution schemes per plan from the same measured structure — the seam
 // sparse::TrisolvePlan selects through at build time (DESIGN.md §9).
 #pragma once
@@ -32,13 +33,12 @@ namespace pdx::core {
 
 /// Executor strategy families the trisolve stack can instantiate. kAuto
 /// is a *request* (measure, then decide); the advisor only ever returns
-/// one of the four concrete strategies.
+/// one of the three concrete strategies.
 enum class ExecStrategy : std::uint8_t {
-  kAuto,           ///< decide from inspector-measured structure
-  kDoacross,       ///< busy-wait flags, doconsider order (paper executor)
-  kLevelBarrier,   ///< bulk-synchronous wavefronts, no per-row flags
-  kSerial,         ///< sequential chain — parallelism would only add cost
-  kBlockedHybrid,  ///< static blocks; flags only across block boundaries
+  kAuto,          ///< decide from inspector-measured structure
+  kDoacross,      ///< busy-wait flags, any schedule (paper executor)
+  kLevelBarrier,  ///< bulk-synchronous wavefronts, no per-row flags
+  kSerial,        ///< sequential chain — parallelism would only add cost
 };
 
 inline const char* to_string(ExecStrategy s) noexcept {
@@ -47,7 +47,6 @@ inline const char* to_string(ExecStrategy s) noexcept {
     case ExecStrategy::kDoacross: return "doacross";
     case ExecStrategy::kLevelBarrier: return "level-barrier";
     case ExecStrategy::kSerial: return "serial";
-    case ExecStrategy::kBlockedHybrid: return "blocked-hybrid";
   }
   return "?";
 }
@@ -96,9 +95,8 @@ ScheduleAdvice advise_schedule(const TrisolveStructure& s, unsigned procs);
 /// the triangular solve's — row i waits on every earlier row its lower
 /// pattern stores — but each row carries roughly nnz/row times the work
 /// of a solve row (every lower entry triggers a row-length update), so
-/// synchronization amortizes sooner: the serial cutoff drops, the
-/// level-barrier width threshold relaxes, and blocked-hybrid tolerates
-/// longer boundary-crossing dependences. Same procs convention.
+/// synchronization amortizes sooner: the serial cutoff drops and the
+/// level-barrier width threshold relaxes. Same procs convention.
 ScheduleAdvice advise_factor_schedule(const TrisolveStructure& s,
                                       unsigned procs);
 

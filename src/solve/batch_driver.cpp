@@ -85,30 +85,8 @@ void BatchDriver::refactor(const sparse::Csr& a) {
 BatchReport BatchDriver::drain() {
   BatchReport rep;
   rep.jobs = queue_.size();
-  // Plan telemetry is captured AFTER the solves below: under kAuto the
-  // shared plan may calibrate across this very drain (racing strategies
-  // on the first preconditioner applications), so the decision the
-  // report carries must be the one the drain ended on.
-  const auto snapshot_plan = [this, &rep] {
-    rep.strategy = m_.plan().strategy();
-    rep.strategy_rationale = m_.plan().telemetry().rationale;
-    rep.strategy_calibrated = m_.plan().telemetry().race.calibrated;
-    rep.tuning_cache_hit = m_.plan().telemetry().race.cache_hit;
-    rep.exploration_epochs = m_.plan().telemetry().race.exploration_epochs;
-    rep.layout = m_.plan().layout();
-    rep.packed_bytes = m_.plan().packed_bytes();
-    rep.factor_ms = m_.plan().telemetry().factor_ms;
-    rep.factor_strategy = m_.plan().telemetry().factor_strategy;
-    rep.refresh_ms = m_.plan().telemetry().refresh_ms;
-    rep.isa = m_.plan().telemetry().isa;
-    rep.kernel = m_.plan().telemetry().kernel;
-    rep.kernel_calibrated = m_.plan().telemetry().kernel_race.calibrated;
-  };
   rep.reports.resize(queue_.size());
-  if (queue_.empty()) {
-    snapshot_plan();
-    return rep;
-  }
+  if (queue_.empty()) return rep;
 
   const rt::DispatchProbe dispatches(*pool_);
   const std::uint64_t plan_solves0 = m_.plan().solves();
@@ -208,7 +186,6 @@ BatchReport BatchDriver::drain() {
   rep.precond_solves = m_.plan().solves() - plan_solves0;
   rep.pool_dispatches = dispatches.delta();
   rep.degraded_serial = m_.degraded();
-  snapshot_plan();
   queue_.clear();
   return rep;
 }

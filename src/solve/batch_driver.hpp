@@ -51,8 +51,8 @@ struct BatchDriverOptions {
   /// heuristic advisor seeds the pick, the first preconditioner
   /// applications race every strategy, and the plan locks in the
   /// measured winner — consulting the process-wide tuning cache first
-  /// (DESIGN.md §13; the decision and race telemetry appear in every
-  /// BatchReport).
+  /// (DESIGN.md §13; the decision and race telemetry are in the plan's
+  /// PlanTelemetry).
   sparse::ExecutionStrategy strategy = sparse::ExecutionStrategy::kAuto;
   /// Numeric-factorization strategy of the shared FactorPlan
   /// (FactorPlanOptions::strategy). Deliberately independent of the
@@ -104,7 +104,10 @@ struct BatchDriverOptions {
   bool screen_nonfinite = false;
 };
 
-/// What one drain() did, plus per-job reports in enqueue order.
+/// What one drain() did, plus per-job reports in enqueue order. The
+/// shared plan's strategy, race, layout, kernel and refactor telemetry
+/// is not copied here: read preconditioner().plan().telemetry() after
+/// drain() (under kAuto the race may finish during the drain).
 struct BatchReport {
   std::size_t jobs = 0;
   std::size_t converged = 0;
@@ -117,36 +120,6 @@ struct BatchReport {
   std::uint64_t precond_solves = 0;
   /// Pool fork/joins consumed by this drain (rt::DispatchProbe delta).
   std::uint64_t pool_dispatches = 0;
-  /// Execution strategy the shared plan resolved to, and why (the plan's
-  /// PlanTelemetry — serving reports carry the decision with the data).
-  sparse::ExecutionStrategy strategy = sparse::ExecutionStrategy::kDoacross;
-  std::string strategy_rationale;
-  /// Calibration telemetry of the shared plan (PlanTelemetry::race):
-  /// whether the strategy was locked in by measurement, whether the
-  /// process-wide tuning cache answered without racing, and how many
-  /// exploration solves the race consumed (0 on a cache hit).
-  bool strategy_calibrated = false;
-  bool tuning_cache_hit = false;
-  int exploration_epochs = 0;
-  /// Factor layout the shared plan resolved to, and the packed stream
-  /// bytes it owns (0 under kCsrView) — also from PlanTelemetry.
-  sparse::PlanLayout layout = sparse::PlanLayout::kCsrView;
-  std::size_t packed_bytes = 0;
-  /// Time-stepping telemetry (PlanTelemetry::factor_* / refresh_ms): the
-  /// last refactor()'s numeric factorization time, the FactorPlan
-  /// strategy that ran it (kAuto until the first refactor), and the last
-  /// value-only plan refresh — so serving reports carry the refactor
-  /// cost next to the solve cost it buys.
-  double factor_ms = 0.0;
-  sparse::ExecutionStrategy factor_strategy = sparse::ExecutionStrategy::kAuto;
-  double refresh_ms = 0.0;
-  /// Kernel dispatch of the shared trisolve plan (PlanTelemetry; DESIGN.md
-  /// §14): the process-wide dispatched ISA, the scalar/vector choice the
-  /// drain ended on, and whether a kernel race locked it in by
-  /// measurement.
-  sparse::kernels::KernelIsa isa = sparse::kernels::KernelIsa::kScalar;
-  sparse::kernels::KernelChoice kernel = sparse::kernels::KernelChoice::kScalar;
-  bool kernel_calibrated = false;
   /// Jobs whose FINAL attempt stopped on a numerical breakdown (the
   /// per-job SolveReport carries the reason).
   std::size_t breakdowns = 0;

@@ -112,11 +112,11 @@ void DoacrossIlu0Preconditioner::apply(std::span<const double> r,
 }
 
 void DoacrossIlu0Preconditioner::apply_batch(std::span<const double> r,
-                                             std::span<double> z, index_t k,
-                                             sparse::BatchMode mode) const {
+                                             std::span<double> z,
+                                             index_t k) const {
   if (!plan_.poisoned()) {
     try {
-      plan_.solve_batch(r, z, k, mode);
+      plan_.solve_batch(r, z, k);
       return;
     } catch (...) {
       if (!plan_.poisoned()) throw;
@@ -132,11 +132,11 @@ void DoacrossIlu0Preconditioner::apply_batch(std::span<const double> r,
 }
 
 void DoacrossIlu0Preconditioner::apply_batch(const double* const* r_cols,
-                                             double* const* z_cols, index_t k,
-                                             sparse::BatchMode mode) const {
+                                             double* const* z_cols,
+                                             index_t k) const {
   if (!plan_.poisoned()) {
     try {
-      plan_.solve_batch(r_cols, z_cols, k, mode);
+      plan_.solve_batch(r_cols, z_cols, k);
       return;
     } catch (...) {
       if (!plan_.poisoned()) throw;

@@ -104,16 +104,11 @@ class DoacrossIlu0Preconditioner final : public Preconditioner {
 
   /// Batched application: Z[c] = M⁻¹ R[c] for k column-major columns in
   /// ONE pool dispatch through the shared plan (TrisolvePlan::solve_batch).
-  void apply_batch(std::span<const double> r, std::span<double> z, index_t k,
-                   sparse::BatchMode mode =
-                       sparse::BatchMode::kWavefrontInterleaved) const;
+  void apply_batch(std::span<const double> r, std::span<double> z,
+                   index_t k) const;
   /// Pointer-per-column batched application for non-contiguous columns.
   void apply_batch(const double* const* r_cols, double* const* z_cols,
-                   index_t k,
-                   sparse::BatchMode mode =
-                       sparse::BatchMode::kWavefrontInterleaved) const;
-  /// Pre-size the plan's batch scratch so serving loops allocate nothing.
-  void reserve_batch(index_t max_k) const { plan_.reserve_batch(max_k); }
+                   index_t k) const;
 
   /// Re-factorize for new matrix VALUES over the ctor matrix's pattern —
   /// the time-stepping hot path (DESIGN.md §11). The first call builds a

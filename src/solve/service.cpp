@@ -657,8 +657,6 @@ void Service::ensure_driver(Tenant& t) {
     // needed here either.
     auto d = std::make_unique<BatchDriver>(*pool_, t.a, planned_driver_opts());
     if (t.injector) d->set_fault_injector(t.injector);
-    d->preconditioner().reserve_batch(
-        static_cast<index_t>(std::min<std::size_t>(opts_.max_batch, 64)));
     t.driver = std::move(d);
     std::lock_guard<std::mutex> lk(tenants_mu_);
     ++live_plans_;

@@ -157,7 +157,6 @@ FactorPlan::FactorPlan(rt::ThreadPool& pool, const Csr& a,
         candidates_ = {telemetry_.strategy};
         for (const ExecutionStrategy s :
              {ExecutionStrategy::kSerial, ExecutionStrategy::kDoacross,
-              ExecutionStrategy::kBlockedHybrid,
               ExecutionStrategy::kLevelBarrier}) {
           if (s != candidates_.front()) candidates_.push_back(s);
         }
@@ -186,7 +185,7 @@ FactorPlan::FactorPlan(rt::ThreadPool& pool, const Csr& a,
     order_ = std::make_unique<core::Reordering>(lower_solve_reordering(a));
   }
   if (!needs_order) {
-    order_.reset();  // kSerial / kBlockedHybrid run in source order
+    order_.reset();  // kSerial runs in source order
   }
 
   ready_.ensure_size(n_);
@@ -450,34 +449,6 @@ void FactorPlan::bind_region() {
         }
         episodes_[tid].value = 0;
         rounds_[tid].value = 0;
-      };
-      break;
-    case ExecutionStrategy::kBlockedHybrid:
-      region_ = [this](unsigned tid, unsigned nthreads) {
-        // Static contiguous blocks in source order: an intra-block pivot
-        // row already retired (rows run in increasing order), so only
-        // boundary-crossing pivots consult a flag.
-        std::uint64_t eps = 0, rds = 0;
-        const rt::IterRange range = rt::static_block_range(n_, tid, nthreads);
-        index_t cur = -1;
-        auto boundary_wait = [&](index_t k) {
-          if (k < range.begin) {
-            const std::uint64_t rounds =
-                core::wait_done_guarded(ready_, k, cur, guard_);
-            if (rounds != 0) {
-              ++eps;
-              rds += rounds;
-            }
-          }
-        };
-        for (index_t i = range.begin; i < range.end; ++i) {
-          cur = i;
-          if (injector_) injector_->on_row(tid, i, &latch_);
-          factor_row(i, boundary_wait);
-          ready_.mark_done(i);
-        }
-        episodes_[tid].value = eps;
-        rounds_[tid].value = rds;
       };
       break;
     case ExecutionStrategy::kSerial:

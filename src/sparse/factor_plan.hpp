@@ -25,9 +25,9 @@
 //    (core::advise_factor_schedule)
 //
 // and then runs parallel numeric factorizations through the ThreadPool
-// with the same epoch-flag / level-barrier / blocked-hybrid / serial
-// executor family TrisolvePlan uses (DESIGN.md §11). Results are bitwise
-// identical to ilu0() under every strategy because each row's arithmetic
+// with the same epoch-flag / level-barrier / serial executor family
+// TrisolvePlan uses (DESIGN.md §11). Results are bitwise identical to
+// ilu0() under every strategy because each row's arithmetic
 // — the step order, the update order within a step, the divisions — is
 // exactly the sequential IKJ loop's, and a row only ever reads rows that
 // have fully retired.

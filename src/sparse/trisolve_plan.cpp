@@ -68,7 +68,7 @@ CsrUpperSrc csr_upper(const Csr& m, const core::Reordering* ord,
 
 /// kPacked, statically owned slab: positions arrive consecutively, so
 /// the position argument is implicit in the cursor — the pure linear
-/// walk (serial, level-barrier, blocked-hybrid).
+/// walk (serial, level-barrier).
 struct PackedWalkSrc {
   PackedFactorStream::Cursor c;
   PackedRow at(index_t) noexcept { return c.next(); }
@@ -256,7 +256,7 @@ void TrisolvePlan::resolve_kernel() noexcept {
       set_lanes(&kernels::dispatched_ops());
       telemetry_.kernel = have_vector ? kernels::KernelChoice::kVector
                                       : kernels::KernelChoice::kScalar;
-      // The strategy race stays a pure 4-strategy race (its budget and
+      // The strategy race times strategies only (its budget and
       // winner bookkeeping are contractual — DESIGN.md §13); the kernel
       // dimension races separately on the dispatches that actually run
       // lane kernels, which only begin once strategy exploration is
@@ -333,7 +333,7 @@ void TrisolvePlan::resolve_strategy() {
   candidates_ = {telemetry_.strategy};
   for (const ExecutionStrategy s :
        {ExecutionStrategy::kSerial, ExecutionStrategy::kDoacross,
-        ExecutionStrategy::kBlockedHybrid, ExecutionStrategy::kLevelBarrier}) {
+        ExecutionStrategy::kLevelBarrier}) {
     if (s != candidates_.front()) candidates_.push_back(s);
   }
   telemetry_.race.timings.resize(candidates_.size());
@@ -424,22 +424,6 @@ void TrisolvePlan::build_packed() {
         useq.resize(1);
         useq[0].reserve(static_cast<std::size_t>(n_));
         for (index_t i = n_ - 1; i >= 0; --i) useq[0].push_back(i);
-      }
-      break;
-    }
-    case ExecutionStrategy::kBlockedHybrid: {
-      lseq.resize(slabs);
-      if (u_) useq.resize(slabs);
-      for (unsigned t = 0; t < slabs; ++t) {
-        const rt::IterRange r = rt::static_block_range(n_, t, slabs);
-        lseq[t].reserve(static_cast<std::size_t>(r.size()));
-        for (index_t i = r.begin; i < r.end; ++i) lseq[t].push_back(i);
-        if (u_) {
-          useq[t].reserve(static_cast<std::size_t>(r.size()));
-          for (index_t k = r.begin; k < r.end; ++k) {
-            useq[t].push_back(n_ - 1 - k);
-          }
-        }
       }
       break;
     }
@@ -539,20 +523,6 @@ void TrisolvePlan::bind_lower_region() {
         rounds_[tid].value = 0;
       };
       break;
-    case ExecutionStrategy::kBlockedHybrid:
-      lower_region_ = [this](unsigned tid, unsigned nthreads) {
-        std::uint64_t eps = 0, rds = 0;
-        if (packed_l_.packed()) {
-          lower_blocked_k(PackedWalkSrc{packed_l_.cursor(tid)}, lo_rhs_,
-                          lo_y_, tid, nthreads, eps, rds);
-        } else {
-          lower_blocked_k(csr_lower(*l_, nullptr), lo_rhs_, lo_y_, tid,
-                          nthreads, eps, rds);
-        }
-        episodes_[tid].value = eps;
-        rounds_[tid].value = rds;
-      };
-      break;
     case ExecutionStrategy::kSerial:
       lower_region_ = [this](unsigned, unsigned) {
         if (packed_l_.packed()) {
@@ -606,51 +576,20 @@ void TrisolvePlan::bind_upper_regions() {
         rounds_[tid].value = rds;
       };
       batch_region_ = [this](unsigned tid, unsigned nthreads) {
+        // One doacross pass per factor; every row carries all k columns.
         std::uint64_t eps = 0, rds = 0;
-        const bool packed = packed_l_.packed();
-        if (batch_mode_ == BatchMode::kWavefrontInterleaved) {
-          // One doacross pass per factor; every row carries all k columns.
-          if (packed) {
-            lower_flags_multi_k(PackedSeekSrc{&packed_l_}, tid, nthreads,
-                                eps, rds);
-            barrier_.arrive_and_wait();
-            upper_flags_multi_k(PackedSeekSrc{&packed_u_}, tid, nthreads,
-                                eps, rds);
-          } else {
-            lower_flags_multi_k(csr_lower(*l_, l_order_.get()), tid,
-                                nthreads, eps, rds);
-            barrier_.arrive_and_wait();
-            upper_flags_multi_k(csr_upper(*u_, u_order_.get(), n_), tid,
-                                nthreads, eps, rds);
-          }
+        if (packed_l_.packed()) {
+          lower_flags_multi_k(PackedSeekSrc{&packed_l_}, tid, nthreads, eps,
+                              rds);
+          barrier_.arrive_and_wait();
+          upper_flags_multi_k(PackedSeekSrc{&packed_u_}, tid, nthreads, eps,
+                              rds);
         } else {
-          for (index_t c = 0; c < batch_k_; ++c) {
-            if (c > 0) {
-              // Column boundary: the first barrier guarantees every
-              // thread is done with column c-1's flags; thread 0 re-arms
-              // both epoch tables and cursors; the second barrier
-              // publishes the new epoch before any thread of column c
-              // waits on a flag.
-              barrier_.arrive_and_wait();
-              if (tid == 0) reset_for_call(/*lower=*/true, /*upper=*/true);
-              barrier_.arrive_and_wait();
-            }
-            const double* bc = batch_b_[static_cast<std::size_t>(c)];
-            double* xc = batch_x_[static_cast<std::size_t>(c)];
-            if (packed) {
-              lower_flags_k(PackedSeekSrc{&packed_l_}, bc, tmp_.data(), tid,
-                            nthreads, eps, rds);
-              barrier_.arrive_and_wait();
-              upper_flags_k(PackedSeekSrc{&packed_u_}, tmp_.data(), xc, tid,
-                            nthreads, eps, rds);
-            } else {
-              lower_flags_k(csr_lower(*l_, l_order_.get()), bc, tmp_.data(),
-                            tid, nthreads, eps, rds);
-              barrier_.arrive_and_wait();
-              upper_flags_k(csr_upper(*u_, u_order_.get(), n_), tmp_.data(),
-                            xc, tid, nthreads, eps, rds);
-            }
-          }
+          lower_flags_multi_k(csr_lower(*l_, l_order_.get()), tid, nthreads,
+                              eps, rds);
+          barrier_.arrive_and_wait();
+          upper_flags_multi_k(csr_upper(*u_, u_order_.get(), n_), tid,
+                              nthreads, eps, rds);
         }
         episodes_[tid].value = eps;
         rounds_[tid].value = rds;
@@ -658,9 +597,8 @@ void TrisolvePlan::bind_upper_regions() {
       break;
     case ExecutionStrategy::kLevelBarrier:
       // No flags anywhere: the trailing barrier of each level loop is
-      // also the L→U handoff and the column boundary, so neither the
-      // fused nor the batched region needs any extra synchronization or
-      // epoch re-arming.
+      // also the L→U handoff, so neither the fused nor the batched region
+      // needs any extra synchronization.
       upper_region_ = [this](unsigned tid, unsigned nthreads) {
         if (packed_u_.packed()) {
           upper_levels_k(PackedWalkSrc{packed_u_.cursor(tid)}, up_rhs_,
@@ -688,114 +626,18 @@ void TrisolvePlan::bind_upper_regions() {
         rounds_[tid].value = 0;
       };
       batch_region_ = [this](unsigned tid, unsigned nthreads) {
-        const bool packed = packed_l_.packed();
-        if (batch_mode_ == BatchMode::kWavefrontInterleaved) {
-          if (packed) {
-            lower_levels_multi_k(PackedWalkSrc{packed_l_.cursor(tid)}, tid,
-                                 nthreads);
-            upper_levels_multi_k(PackedWalkSrc{packed_u_.cursor(tid)}, tid,
-                                 nthreads);
-          } else {
-            lower_levels_multi_k(csr_lower(*l_, l_order_.get()), tid,
-                                 nthreads);
-            upper_levels_multi_k(csr_upper(*u_, u_order_.get(), n_), tid,
-                                 nthreads);
-          }
+        if (packed_l_.packed()) {
+          lower_levels_multi_k(PackedWalkSrc{packed_l_.cursor(tid)}, tid,
+                               nthreads);
+          upper_levels_multi_k(PackedWalkSrc{packed_u_.cursor(tid)}, tid,
+                               nthreads);
         } else {
-          for (index_t c = 0; c < batch_k_; ++c) {
-            const double* bc = batch_b_[static_cast<std::size_t>(c)];
-            double* xc = batch_x_[static_cast<std::size_t>(c)];
-            if (packed) {
-              lower_levels_k(PackedWalkSrc{packed_l_.cursor(tid)}, bc,
-                             tmp_.data(), tid, nthreads);
-              upper_levels_k(PackedWalkSrc{packed_u_.cursor(tid)},
-                             tmp_.data(), xc, tid, nthreads);
-            } else {
-              lower_levels_k(csr_lower(*l_, l_order_.get()), bc,
-                             tmp_.data(), tid, nthreads);
-              upper_levels_k(csr_upper(*u_, u_order_.get(), n_),
-                             tmp_.data(), xc, tid, nthreads);
-            }
-          }
+          lower_levels_multi_k(csr_lower(*l_, l_order_.get()), tid, nthreads);
+          upper_levels_multi_k(csr_upper(*u_, u_order_.get(), n_), tid,
+                               nthreads);
         }
         episodes_[tid].value = 0;
         rounds_[tid].value = 0;
-      };
-      break;
-    case ExecutionStrategy::kBlockedHybrid:
-      upper_region_ = [this](unsigned tid, unsigned nthreads) {
-        std::uint64_t eps = 0, rds = 0;
-        if (packed_u_.packed()) {
-          upper_blocked_k(PackedWalkSrc{packed_u_.cursor(tid)}, up_rhs_,
-                          up_y_, tid, nthreads, eps, rds);
-        } else {
-          upper_blocked_k(csr_upper(*u_, nullptr, n_), up_rhs_, up_y_, tid,
-                          nthreads, eps, rds);
-        }
-        episodes_[tid].value = eps;
-        rounds_[tid].value = rds;
-      };
-      fused_region_ = [this](unsigned tid, unsigned nthreads) {
-        std::uint64_t eps = 0, rds = 0;
-        if (packed_l_.packed()) {
-          lower_blocked_k(PackedWalkSrc{packed_l_.cursor(tid)}, lo_rhs_,
-                          lo_y_, tid, nthreads, eps, rds);
-          barrier_.arrive_and_wait();
-          upper_blocked_k(PackedWalkSrc{packed_u_.cursor(tid)}, up_rhs_,
-                          up_y_, tid, nthreads, eps, rds);
-        } else {
-          lower_blocked_k(csr_lower(*l_, nullptr), lo_rhs_, lo_y_, tid,
-                          nthreads, eps, rds);
-          barrier_.arrive_and_wait();
-          upper_blocked_k(csr_upper(*u_, nullptr, n_), up_rhs_, up_y_, tid,
-                          nthreads, eps, rds);
-        }
-        episodes_[tid].value = eps;
-        rounds_[tid].value = rds;
-      };
-      batch_region_ = [this](unsigned tid, unsigned nthreads) {
-        std::uint64_t eps = 0, rds = 0;
-        const bool packed = packed_l_.packed();
-        if (batch_mode_ == BatchMode::kWavefrontInterleaved) {
-          if (packed) {
-            lower_blocked_multi_k(PackedWalkSrc{packed_l_.cursor(tid)}, tid,
-                                  nthreads, eps, rds);
-            barrier_.arrive_and_wait();
-            upper_blocked_multi_k(PackedWalkSrc{packed_u_.cursor(tid)}, tid,
-                                  nthreads, eps, rds);
-          } else {
-            lower_blocked_multi_k(csr_lower(*l_, nullptr), tid, nthreads,
-                                  eps, rds);
-            barrier_.arrive_and_wait();
-            upper_blocked_multi_k(csr_upper(*u_, nullptr, n_), tid,
-                                  nthreads, eps, rds);
-          }
-        } else {
-          for (index_t c = 0; c < batch_k_; ++c) {
-            if (c > 0) {
-              barrier_.arrive_and_wait();
-              if (tid == 0) reset_for_call(/*lower=*/true, /*upper=*/true);
-              barrier_.arrive_and_wait();
-            }
-            const double* bc = batch_b_[static_cast<std::size_t>(c)];
-            double* xc = batch_x_[static_cast<std::size_t>(c)];
-            if (packed) {
-              lower_blocked_k(PackedWalkSrc{packed_l_.cursor(tid)}, bc,
-                              tmp_.data(), tid, nthreads, eps, rds);
-              barrier_.arrive_and_wait();
-              upper_blocked_k(PackedWalkSrc{packed_u_.cursor(tid)},
-                              tmp_.data(), xc, tid, nthreads, eps, rds);
-            } else {
-              lower_blocked_k(csr_lower(*l_, nullptr), bc, tmp_.data(), tid,
-                              nthreads, eps, rds);
-              barrier_.arrive_and_wait();
-              upper_blocked_k(csr_upper(*u_, nullptr, n_), tmp_.data(), xc,
-                              tid, nthreads, eps, rds);
-            }
-          }
-        }
-        episodes_[tid].value = eps;
-        rounds_[tid].value = rds;
       };
       break;
     case ExecutionStrategy::kSerial:
@@ -818,32 +660,15 @@ void TrisolvePlan::bind_upper_regions() {
         }
       };
       batch_region_ = [this](unsigned, unsigned) {
-        const bool packed = packed_l_.packed();
-        if (batch_mode_ == BatchMode::kWavefrontInterleaved) {
-          // One pass per factor with all k columns in the strip: even
-          // with nothing to overlap across threads, each nonzero now
-          // retires k right-hand sides through one lane kernel.
-          if (packed) {
-            serial_lower_multi_k(PackedWalkSrc{packed_l_.cursor(0)});
-            serial_upper_multi_k(PackedWalkSrc{packed_u_.cursor(0)});
-          } else {
-            serial_lower_multi_k(csr_lower(*l_, nullptr));
-            serial_upper_multi_k(csr_upper(*u_, nullptr, n_));
-          }
-          return;
-        }
-        for (index_t c = 0; c < batch_k_; ++c) {
-          const double* bc = batch_b_[static_cast<std::size_t>(c)];
-          double* xc = batch_x_[static_cast<std::size_t>(c)];
-          if (packed) {
-            serial_lower_k(PackedWalkSrc{packed_l_.cursor(0)}, bc,
-                           tmp_.data());
-            serial_upper_k(PackedWalkSrc{packed_u_.cursor(0)}, tmp_.data(),
-                           xc);
-          } else {
-            serial_lower_k(csr_lower(*l_, nullptr), bc, tmp_.data());
-            serial_upper_k(csr_upper(*u_, nullptr, n_), tmp_.data(), xc);
-          }
+        // One pass per factor with all k columns in the strip: even with
+        // nothing to overlap across threads, each nonzero retires k
+        // right-hand sides through one lane kernel.
+        if (packed_l_.packed()) {
+          serial_lower_multi_k(PackedWalkSrc{packed_l_.cursor(0)});
+          serial_upper_multi_k(PackedWalkSrc{packed_u_.cursor(0)});
+        } else {
+          serial_lower_multi_k(csr_lower(*l_, nullptr));
+          serial_upper_multi_k(csr_upper(*u_, nullptr, n_));
         }
       };
       break;
@@ -885,7 +710,7 @@ TrisolvePlan::TrisolvePlan(rt::ThreadPool& pool, const Csr& l, const Csr* u,
     l_order_ = std::make_unique<core::Reordering>(lower_solve_reordering(l));
   }
   if (!needs_reordering()) {
-    l_order_.reset();  // kSerial / kBlockedHybrid run in source order
+    l_order_.reset();  // kSerial runs in source order
   }
   if (u) {
     ready_u_.ensure_size(n_);
@@ -1208,185 +1033,6 @@ void TrisolvePlan::upper_levels_multi_k(Src src, unsigned tid,
 }
 
 template <class Src>
-void TrisolvePlan::lower_blocked_k(Src src, const double* rhs_p, double* yp,
-                                   unsigned tid, unsigned nthreads,
-                                   std::uint64_t& episodes,
-                                   std::uint64_t& rounds) {
-  // Static contiguous blocks in source order: a dependence on a row this
-  // thread owns was already retired (rows run in increasing order), so
-  // only boundary-crossing dependences — c before my block's first row —
-  // consult a flag. Every row is still published — marking is one release
-  // store, and whether a consumer exists in another block is not worth a
-  // build-time scan to know.
-  const int work_reps = opts_.work_reps;
-  const bool ulp = ulp_dot_;
-  std::uint64_t my_episodes = 0, my_rounds = 0;
-  const rt::IterRange range = rt::static_block_range(n_, tid, nthreads);
-  for (index_t pos = range.begin; pos < range.end; ++pos) {
-    const PackedRow r = src.at(pos);  // r.row == pos
-    if (injector_) injector_->on_row(tid, r.row, &latch_);
-    double acc = rhs_p[r.row];
-    if (ulp) {
-      for (index_t j = 0; j < r.cnt; ++j) {
-        const index_t c = r.cols[j];
-        if (c < range.begin) {
-          const std::uint64_t w =
-              core::wait_done_guarded(ready_l_, c, r.row, guard_);
-          if (w != 0) {
-            ++my_episodes;
-            my_rounds += w;
-          }
-        }
-      }
-      acc -= lanes_->dot(r.vals, r.cols, yp, r.cnt);
-    } else {
-      for (index_t j = 0; j < r.cnt; ++j) {
-        const index_t c = r.cols[j];
-        if (c < range.begin) {  // cross-block: the only flag traffic
-          const std::uint64_t w =
-              core::wait_done_guarded(ready_l_, c, r.row, guard_);
-          if (w != 0) {
-            ++my_episodes;
-            my_rounds += w;
-          }
-        }
-        acc -= r.vals[j] * yp[c];
-        if (work_reps > 0) acc = machine_emulation_work(acc, work_reps);
-      }
-    }
-    yp[r.row] = acc / r.diag;
-    ready_l_.mark_done(r.row);
-  }
-  episodes += my_episodes;
-  rounds += my_rounds;
-}
-
-template <class Src>
-void TrisolvePlan::upper_blocked_k(Src src, const double* rhs_p, double* yp,
-                                   unsigned tid, unsigned nthreads,
-                                   std::uint64_t& episodes,
-                                   std::uint64_t& rounds) {
-  std::uint64_t my_episodes = 0, my_rounds = 0;
-  // Position space of the backward solve: position k is row n-1-k, so
-  // this thread's block is a contiguous run of *descending* rows topped
-  // by row n-1-range.begin; every intra-block dependence (c > i up to
-  // that top row) is already retired, only rows above it need the flag.
-  const bool ulp = ulp_dot_;
-  const rt::IterRange range = rt::static_block_range(n_, tid, nthreads);
-  const index_t top = n_ - 1 - range.begin;
-  for (index_t pos = range.begin; pos < range.end; ++pos) {
-    const PackedRow r = src.at(pos);  // r.row == n_-1-pos
-    if (injector_) injector_->on_row(tid, r.row, &latch_);
-    double acc = rhs_p[r.row];
-    if (ulp) {
-      for (index_t j = 0; j < r.cnt; ++j) {
-        const index_t c = r.cols[j];
-        if (c > top) {
-          const std::uint64_t w =
-              core::wait_done_guarded(ready_u_, c, r.row, guard_);
-          if (w != 0) {
-            ++my_episodes;
-            my_rounds += w;
-          }
-        }
-      }
-      acc -= lanes_->dot(r.vals, r.cols, yp, r.cnt);
-    } else {
-      for (index_t j = 0; j < r.cnt; ++j) {
-        const index_t c = r.cols[j];
-        if (c > top) {
-          const std::uint64_t w =
-              core::wait_done_guarded(ready_u_, c, r.row, guard_);
-          if (w != 0) {
-            ++my_episodes;
-            my_rounds += w;
-          }
-        }
-        acc -= r.vals[j] * yp[c];
-      }
-    }
-    yp[r.row] = acc / r.diag;
-    ready_u_.mark_done(r.row);
-  }
-  episodes += my_episodes;
-  rounds += my_rounds;
-}
-
-template <class Src>
-void TrisolvePlan::lower_blocked_multi_k(Src src, unsigned tid,
-                                         unsigned nthreads,
-                                         std::uint64_t& episodes,
-                                         std::uint64_t& rounds) {
-  const index_t k = batch_k_;
-  const double* const* b_cols = batch_b_.data();
-  double* tp = batch_tmp_.data();
-  const int work_reps = opts_.work_reps;
-  std::uint64_t my_episodes = 0, my_rounds = 0;
-  const rt::IterRange range = rt::static_block_range(n_, tid, nthreads);
-  for (index_t pos = range.begin; pos < range.end; ++pos) {
-    const PackedRow r = src.at(pos);
-    if (injector_) injector_->on_row(tid, r.row, &latch_);
-    double* ti = tp + r.row * k;
-    for (index_t c = 0; c < k; ++c) ti[c] = b_cols[c][r.row];
-    // Cross-block waits retire first; intra-block dependences already
-    // did (rows run in increasing order within the block).
-    for (index_t j = 0; j < r.cnt; ++j) {
-      const index_t col = r.cols[j];
-      if (col < range.begin) {
-        const std::uint64_t w =
-            core::wait_done_guarded(ready_l_, col, r.row, guard_);
-        if (w != 0) {
-          ++my_episodes;
-          my_rounds += w;
-        }
-      }
-      prefetch_strip_row(lanes_, tp, col, k);
-    }
-    lane_row_update(lanes_, ti, tp, r, k, work_reps);
-    lane_div(lanes_, ti, r.diag, k);
-    ready_l_.mark_done(r.row);
-  }
-  episodes += my_episodes;
-  rounds += my_rounds;
-}
-
-template <class Src>
-void TrisolvePlan::upper_blocked_multi_k(Src src, unsigned tid,
-                                         unsigned nthreads,
-                                         std::uint64_t& episodes,
-                                         std::uint64_t& rounds) {
-  const index_t k = batch_k_;
-  double* const* x_cols = batch_x_.data();
-  double* tp = batch_tmp_.data();
-  std::uint64_t my_episodes = 0, my_rounds = 0;
-  const rt::IterRange range = rt::static_block_range(n_, tid, nthreads);
-  const index_t top = n_ - 1 - range.begin;
-  for (index_t pos = range.begin; pos < range.end; ++pos) {
-    const PackedRow r = src.at(pos);
-    if (injector_) injector_->on_row(tid, r.row, &latch_);
-    double* ti = tp + r.row * k;
-    for (index_t j = 0; j < r.cnt; ++j) {
-      const index_t col = r.cols[j];
-      if (col > top) {
-        const std::uint64_t w =
-            core::wait_done_guarded(ready_u_, col, r.row, guard_);
-        if (w != 0) {
-          ++my_episodes;
-          my_rounds += w;
-        }
-      }
-      prefetch_strip_row(lanes_, tp, col, k);
-    }
-    lane_row_update(lanes_, ti, tp, r, k, /*work_reps=*/0);
-    lane_div(lanes_, ti, r.diag, k);
-    for (index_t c = 0; c < k; ++c) x_cols[c][r.row] = ti[c];
-    ready_u_.mark_done(r.row);
-  }
-  episodes += my_episodes;
-  rounds += my_rounds;
-}
-
-template <class Src>
 void TrisolvePlan::serial_lower_k(Src src, const double* rhs_p,
                                   double* yp) {
   // The strategy for chains is to pay NOTHING — no flags, no barrier, no
@@ -1435,7 +1081,7 @@ void TrisolvePlan::serial_lower_multi_k(Src src) {
   // no dispatch — but the k columns of each strip row still retire
   // through one lane kernel per nonzero, which is where a single-core
   // batch server earns its vector units (bitwise equal per column to the
-  // column-sequential walk; same term order, same division).
+  // single-RHS walk; same term order, same division).
   const index_t k = batch_k_;
   const double* const* b_cols = batch_b_.data();
   double* tp = batch_tmp_.data();
@@ -1620,6 +1266,16 @@ core::DoacrossStats TrisolvePlan::solve_upper(std::span<const double> rhs,
   return dispatch(upper_region_);
 }
 
+core::DoacrossStats TrisolvePlan::run_fused(const double* rhs, double* z) {
+  if (n_ == 0) return {};
+  reset_for_call(/*lower=*/true, /*upper=*/true);
+  lo_rhs_ = rhs;
+  lo_y_ = tmp_.data();
+  up_rhs_ = tmp_.data();
+  up_y_ = z;
+  return dispatch(fused_region_);
+}
+
 core::DoacrossStats TrisolvePlan::solve(std::span<const double> rhs,
                                         std::span<double> z) {
   if (!u_) {
@@ -1629,16 +1285,10 @@ core::DoacrossStats TrisolvePlan::solve(std::span<const double> rhs,
       static_cast<index_t>(z.size()) < n_) {
     throw std::invalid_argument("TrisolvePlan::solve: size mismatch");
   }
-  if (n_ == 0) return {};
-  reset_for_call(/*lower=*/true, /*upper=*/true);
-  lo_rhs_ = rhs.data();
-  lo_y_ = tmp_.data();
-  up_rhs_ = tmp_.data();
-  up_y_ = z.data();
-  return dispatch(fused_region_);
+  return run_fused(rhs.data(), z.data());
 }
 
-void TrisolvePlan::reserve_batch(index_t max_k, BatchMode mode) {
+void TrisolvePlan::reserve_batch(index_t max_k) {
   if (max_k < 1) {
     throw std::invalid_argument("TrisolvePlan::reserve_batch: max_k < 1");
   }
@@ -1647,29 +1297,28 @@ void TrisolvePlan::reserve_batch(index_t max_k, BatchMode mode) {
     batch_b_.resize(k);
     batch_x_.resize(k);
   }
-  // The n-by-k strip backs only the interleaved mode; column-sequential
-  // batches keep the documented O(n) scratch (the plan's tmp_). Serial
-  // plans run the interleaved walk too since the lane kernels landed —
-  // a single core still retires k columns per nonzero through one
-  // vector op — so every strategy needs the strip in this mode.
-  if (mode == BatchMode::kWavefrontInterleaved) {
-    const std::size_t strip = static_cast<std::size_t>(n_) * k;
-    if (batch_tmp_.size() < strip) batch_tmp_.resize(strip);
-  }
+  const std::size_t strip = static_cast<std::size_t>(n_) * k;
+  if (batch_tmp_.size() < strip) batch_tmp_.resize(strip);
 }
 
-core::DoacrossStats TrisolvePlan::run_batch(index_t k, BatchMode mode) {
+core::DoacrossStats TrisolvePlan::run_column(const double* b, double* x) {
+  // A one-column strip would be the fused solve over an n-by-1 copy of
+  // tmp_: the same bits, plus an allocation and a slower walk.
+  const core::DoacrossStats stats = run_fused(b, x);
+  if (n_ > 0) ++batch_columns_;
+  return stats;
+}
+
+core::DoacrossStats TrisolvePlan::run_batch(index_t k) {
   if (n_ == 0) return {};
   batch_k_ = k;
-  batch_mode_ = mode;
   // Scalar-vs-vector kernel race (DESIGN.md §14): fed only by dispatches
-  // that actually execute lane kernels — interleaved batches at least one
-  // vector wide, after the strategy race locked in (so the timing
-  // compares kernels, not strategies) and never under machine emulation
-  // (which pins the instrumented scalar loop). Both candidates are
-  // bitwise identical per column, so exploring is invisible to callers.
+  // that actually execute lane kernels — batches at least one vector
+  // wide, after the strategy race locked in (so the timing compares
+  // kernels, not strategies) and never under machine emulation (which
+  // pins the instrumented scalar loop). Both candidates are bitwise
+  // identical per column, so exploring is invisible to callers.
   const bool kernel_epoch = kernel_race_.active() && !calibrating_ &&
-                            mode == BatchMode::kWavefrontInterleaved &&
                             k >= kernels::kLaneMin && opts_.work_reps == 0;
   if (kernel_epoch) {
     const kernels::KernelChoice cand = kernel_race_.candidate();
@@ -1703,8 +1352,8 @@ core::DoacrossStats TrisolvePlan::run_batch(index_t k, BatchMode mode) {
 }
 
 core::DoacrossStats TrisolvePlan::solve_batch(std::span<const double> b,
-                                              std::span<double> x, index_t k,
-                                              BatchMode mode) {
+                                              std::span<double> x,
+                                              index_t k) {
   if (!u_) {
     throw std::logic_error("TrisolvePlan::solve_batch: lower-only plan");
   }
@@ -1719,29 +1368,31 @@ core::DoacrossStats TrisolvePlan::solve_batch(std::span<const double> b,
         " entries but n*k = " + std::to_string(n_) + "*" + std::to_string(k) +
         " = " + std::to_string(n_ * k) + " are required");
   }
-  reserve_batch(k, mode);
+  if (k == 1) return run_column(b.data(), x.data());
+  reserve_batch(k);
   for (index_t c = 0; c < k; ++c) {
     batch_b_[static_cast<std::size_t>(c)] = b.data() + c * n_;
     batch_x_[static_cast<std::size_t>(c)] = x.data() + c * n_;
   }
-  return run_batch(k, mode);
+  return run_batch(k);
 }
 
 core::DoacrossStats TrisolvePlan::solve_batch(const double* const* b_cols,
                                               double* const* x_cols,
-                                              index_t k, BatchMode mode) {
+                                              index_t k) {
   if (!u_) {
     throw std::logic_error("TrisolvePlan::solve_batch: lower-only plan");
   }
   if (k < 1) {
     throw std::invalid_argument("TrisolvePlan::solve_batch: k must be >= 1");
   }
-  reserve_batch(k, mode);
+  if (k == 1) return run_column(b_cols[0], x_cols[0]);
+  reserve_batch(k);
   for (index_t c = 0; c < k; ++c) {
     batch_b_[static_cast<std::size_t>(c)] = b_cols[c];
     batch_x_[static_cast<std::size_t>(c)] = x_cols[c];
   }
-  return run_batch(k, mode);
+  return run_batch(k);
 }
 
 }  // namespace pdx::sparse

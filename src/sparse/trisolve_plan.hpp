@@ -26,7 +26,7 @@
 //
 // Plans are *strategy-polymorphic* (DESIGN.md §9): the same build-time
 // analysis that makes the dependence structure measurable also selects
-// the execution scheme. Four strategies share the plan's state and
+// the execution scheme. Three strategies share the plan's state and
 // invariants; `ExecutionStrategy::kAuto` measures the factor's structure
 // at build time and asks core::advise_schedule which to instantiate.
 // Every strategy is bitwise identical to the sequential Fig. 7 solves;
@@ -74,11 +74,6 @@ namespace pdx::sparse {
 ///   kSerial        — the plain sequential solves on the calling thread:
 ///                    zero pool dispatches, zero synchronization. Chosen
 ///                    when the dependence chain leaves nothing to overlap.
-///   kBlockedHybrid — static contiguous blocks in source order; a
-///                    dependence inside a block is resolved by program
-///                    order for free, flags are consulted only across
-///                    block boundaries (core/blocked_doacross.hpp's idea
-///                    applied to the triangular solve).
 ///   kAuto          — measure the factor at build time and let
 ///                    core::advise_schedule pick one of the above.
 using ExecutionStrategy = core::ExecStrategy;
@@ -156,8 +151,8 @@ struct PlanOptions {
   /// Region width; 0 → the pool's full width. Fixed at build time (the
   /// plan's barrier and wait-stat slots are sized once).
   unsigned nthreads = 0;
-  /// Executor schedule for both solves (kDoacross only; kLevelBarrier and
-  /// kBlockedHybrid are static-block by construction).
+  /// Executor schedule for both solves (kDoacross only; kLevelBarrier is
+  /// static-block by construction).
   rt::Schedule schedule = rt::Schedule::dynamic();
   /// Build doconsider (level-order) reorderings for both factors
   /// (kDoacross; kLevelBarrier builds them regardless — the levels ARE
@@ -185,7 +180,7 @@ struct PlanOptions {
   PlanLayout layout = PlanLayout::kAuto;
   /// Calibration budget under ExecutionStrategy::kAuto: timed solves per
   /// candidate strategy before the race locks in (the whole race costs
-  /// 4 * calibration_epochs solves — all of them REAL solves the caller
+  /// 3 * calibration_epochs solves — all of them REAL solves the caller
   /// needed anyway, each bitwise identical to the locked-in plan). 0
   /// disables the race: Auto keeps the heuristic advisor's pick, the
   /// historical behavior. Ignored for pinned strategies, single-threaded
@@ -220,19 +215,6 @@ struct PlanOptions {
   /// table is scalar or work_reps > 0. Multi-RHS batch lane kernels are
   /// unaffected: they are bitwise per column regardless.
   double ulp_tolerance = 0.0;
-};
-
-/// How solve_batch walks its k right-hand-side columns inside the single
-/// parallel region (DESIGN.md §8; bench/batch_solve.cpp measures both).
-enum class BatchMode : std::uint8_t {
-  /// One fused L+U solve per column, columns back-to-back. Flag-based
-  /// strategies re-arm the epoch tables between columns (two barrier
-  /// episodes per column boundary). Scratch stays O(n).
-  kColumnSequential,
-  /// One pass over rows per factor; each row carries all k columns, so
-  /// per-dependence synchronization covers all k values via a row-major
-  /// n×k strip: sync cost amortized k-fold. Scratch is O(n*k).
-  kWavefrontInterleaved,
 };
 
 /// Persistent execution plan for L y = rhs / U z = y triangular solves.
@@ -271,29 +253,30 @@ class TrisolvePlan {
                             std::span<double> z);
 
   /// Batched fused solve: X[c] = U⁻¹ (L⁻¹ B[c]) for k right-hand-side
-  /// columns in ONE pool dispatch. B and X are column-major n-by-k
-  /// (column c contiguous at data() + c * rows()); each column's result
-  /// is bitwise identical to solve() on that column. Scratch grows on the
-  /// first call with a larger k — pre-size with reserve_batch for a
-  /// zero-allocation hot path.
-  core::DoacrossStats solve_batch(
-      std::span<const double> b, std::span<double> x, index_t k,
-      BatchMode mode = BatchMode::kWavefrontInterleaved);
+  /// columns in ONE pool dispatch (zero for kSerial). B and X are
+  /// column-major n-by-k (column c contiguous at data() + c * rows());
+  /// each column's result is bitwise identical to solve() on that
+  /// column. One wavefront-interleaved pass per factor carries all k
+  /// columns through a row-major n-by-k strip (DESIGN.md §8); the strip
+  /// grows on the first call with a larger k — pre-size with
+  /// reserve_batch for a zero-allocation hot path. A k == 1 batch IS
+  /// solve(): the fused region over the plan's O(n) scratch, no strip,
+  /// no allocation (and, like solve(), the opt-in ulp dot when the
+  /// caller set PlanOptions::ulp_tolerance).
+  core::DoacrossStats solve_batch(std::span<const double> b,
+                                  std::span<double> x, index_t k);
 
   /// Pointer-per-column batched solve for columns that are not contiguous
   /// (e.g. a queue of caller-owned vectors): x_cols[c] = U⁻¹ L⁻¹
   /// b_cols[c]. Every column must hold at least rows() elements; columns
   /// must not alias each other or the plan's scratch.
-  core::DoacrossStats solve_batch(
-      const double* const* b_cols, double* const* x_cols, index_t k,
-      BatchMode mode = BatchMode::kWavefrontInterleaved);
+  core::DoacrossStats solve_batch(const double* const* b_cols,
+                                  double* const* x_cols, index_t k);
 
-  /// Pre-size batch scratch so subsequent solve_batch calls with
-  /// k <= max_k in the given mode allocate nothing. Column pointer tables
-  /// are always sized; the n-by-max_k interleaved strip is only allocated
-  /// for kWavefrontInterleaved (column-sequential scratch stays O(n)).
-  void reserve_batch(index_t max_k,
-                     BatchMode mode = BatchMode::kWavefrontInterleaved);
+  /// Pre-size batch scratch (column pointer tables and the n-by-max_k
+  /// strip) so subsequent solve_batch calls with k <= max_k allocate
+  /// nothing.
+  void reserve_batch(index_t max_k);
 
   /// Value-only plan refresh for time-stepping workloads (DESIGN.md §11):
   /// given factors with the SAME pattern as the plan's (e.g. the same
@@ -356,7 +339,7 @@ class TrisolvePlan {
   }
 
   /// Build-time reorderings (nullptr when the strategy does not use
-  /// them — kSerial and kBlockedHybrid run in source order).
+  /// them — kSerial runs in source order).
   const core::Reordering* lower_reordering() const noexcept {
     return l_order_.get();
   }
@@ -403,23 +386,6 @@ class TrisolvePlan {
   void lower_levels_multi_k(Src src, unsigned tid, unsigned nthreads);
   template <class Src>
   void upper_levels_multi_k(Src src, unsigned tid, unsigned nthreads);
-  // static-block hybrid (kBlockedHybrid):
-  template <class Src>
-  void lower_blocked_k(Src src, const double* rhs, double* y, unsigned tid,
-                       unsigned nthreads, std::uint64_t& episodes,
-                       std::uint64_t& rounds);
-  template <class Src>
-  void upper_blocked_k(Src src, const double* rhs, double* y, unsigned tid,
-                       unsigned nthreads, std::uint64_t& episodes,
-                       std::uint64_t& rounds);
-  template <class Src>
-  void lower_blocked_multi_k(Src src, unsigned tid, unsigned nthreads,
-                             std::uint64_t& episodes,
-                             std::uint64_t& rounds);
-  template <class Src>
-  void upper_blocked_multi_k(Src src, unsigned tid, unsigned nthreads,
-                             std::uint64_t& episodes,
-                             std::uint64_t& rounds);
   // sequential (kSerial; run inline on the calling thread):
   template <class Src>
   void serial_lower_k(Src src, const double* rhs, double* y);
@@ -469,7 +435,11 @@ class TrisolvePlan {
   void bind_lower_region();
   void bind_upper_regions();
   void reset_for_call(bool lower, bool upper) noexcept;
-  core::DoacrossStats run_batch(index_t k, BatchMode mode);
+  /// The fused single-RHS solve z = U⁻¹ L⁻¹ rhs through tmp_ (solve()).
+  core::DoacrossStats run_fused(const double* rhs, double* z);
+  /// A k == 1 batch: run_fused, counted as a batch column.
+  core::DoacrossStats run_column(const double* b, double* x);
+  core::DoacrossStats run_batch(index_t k);
   core::DoacrossStats dispatch(const rt::ThreadPool::RegionFn& region);
 
   rt::ThreadPool* pool_;
@@ -522,10 +492,9 @@ class TrisolvePlan {
   double* up_y_ = nullptr;
 
   // Batch state: per-call column pointer tables and the row-major n-by-k
-  // mid-value strip of the interleaved mode. Published to the pre-bound
-  // batch region functor through members, like the single-RHS endpoints.
+  // mid-value strip. Published to the pre-bound batch region functor
+  // through members, like the single-RHS endpoints.
   index_t batch_k_ = 0;
-  BatchMode batch_mode_ = BatchMode::kWavefrontInterleaved;
   std::vector<const double*> batch_b_;
   std::vector<double*> batch_x_;
   std::vector<double, rt::CacheAlignedAllocator<double>> batch_tmp_;

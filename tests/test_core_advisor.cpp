@@ -136,8 +136,8 @@ TEST(Advisor, ZeroProcsMeansHardwareWidth) {
 }
 
 TEST(Advisor, DepGraphAdviceNamesAStrategy) {
-  // The DepGraph overload's four outcomes map onto the executor
-  // strategies the trisolve stack instantiates.
+  // The DepGraph overload's four outcomes map onto the three executor
+  // strategies.
   const auto doall = core::advise_schedule(
       graph_from_lists(
           std::vector<std::vector<index_t>>(64, std::vector<index_t>{})),
@@ -150,13 +150,16 @@ TEST(Advisor, DepGraphAdviceNamesAStrategy) {
                 .strategy,
             core::ExecStrategy::kSerial);
 
+  // Short distances: still the paper's flag-based executor (the one
+  // DoacrossEngine runs), configured static-block in source order.
   std::vector<std::vector<index_t>> shortd(10000);
   for (index_t i = 3; i < 10000; i += 2) {
     shortd[static_cast<std::size_t>(i)] = {i - 3};
   }
-  EXPECT_EQ(core::advise_schedule(graph_from_lists(std::move(shortd)), 8)
-                .strategy,
-            core::ExecStrategy::kBlockedHybrid);
+  const auto sd = core::advise_schedule(graph_from_lists(std::move(shortd)), 8);
+  EXPECT_EQ(sd.strategy, core::ExecStrategy::kDoacross);
+  EXPECT_EQ(sd.schedule.kind, rt::SchedKind::StaticBlock);
+  EXPECT_FALSE(sd.use_reordering);
 
   std::vector<std::vector<index_t>> longd(1024);
   for (index_t i = 256; i < 1024; ++i) {
@@ -189,21 +192,20 @@ TEST(Advisor, TrisolveStructureOverload) {
   EXPECT_EQ(ser.strategy, core::ExecStrategy::kSerial);
   EXPECT_FALSE(ser.worth_parallelizing);
 
-  // Moderate width, short distances: blocked-hybrid.
+  // Moderate width: flag-based doacross in doconsider order, whatever
+  // the dependence distance.
   core::TrisolveStructure banded = wide;
   banded.levels = 250;
   banded.avg_level_width = 4.0;
   banded.max_distance = 4;
-  const auto bh = core::advise_schedule(banded, 4);
-  EXPECT_EQ(bh.strategy, core::ExecStrategy::kBlockedHybrid);
-
-  // Moderate width, long distances: flag-based doacross.
   core::TrisolveStructure scattered = banded;
   scattered.max_distance = 700;
-  const auto da = core::advise_schedule(scattered, 4);
-  EXPECT_EQ(da.strategy, core::ExecStrategy::kDoacross);
-  EXPECT_EQ(da.schedule.kind, rt::SchedKind::Dynamic);
-  EXPECT_TRUE(da.use_reordering);
+  for (const core::TrisolveStructure& s : {banded, scattered}) {
+    const auto da = core::advise_schedule(s, 4);
+    EXPECT_EQ(da.strategy, core::ExecStrategy::kDoacross);
+    EXPECT_EQ(da.schedule.kind, rt::SchedKind::Dynamic);
+    EXPECT_TRUE(da.use_reordering);
+  }
 
   // Single processor: nothing to overlap, serial regardless of shape.
   EXPECT_EQ(core::advise_schedule(wide, 1).strategy,
@@ -265,13 +267,13 @@ TEST(Advisor, FactorAdvisorFollowsEliminationWorkRatio) {
   EXPECT_EQ(core::advise_factor_schedule(medium, 8).strategy,
             core::ExecStrategy::kLevelBarrier);
 
-  // Short-distance dependences: static blocks, flags only at boundaries.
+  // Short-distance dependences below the level-barrier width: doacross.
   core::TrisolveStructure banded = wide;
   banded.levels = 500;
   banded.avg_level_width = 2.0;
   banded.max_distance = 4;
   EXPECT_EQ(core::advise_factor_schedule(banded, 4).strategy,
-            core::ExecStrategy::kBlockedHybrid);
+            core::ExecStrategy::kDoacross);
 
   // Single processor / empty system: serial, nothing to overlap.
   EXPECT_EQ(core::advise_factor_schedule(wide, 1).strategy,

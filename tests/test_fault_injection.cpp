@@ -81,11 +81,10 @@ void expect_pool_reusable() {
 
 constexpr sp::ExecutionStrategy kAllStrategies[] = {
     sp::ExecutionStrategy::kDoacross, sp::ExecutionStrategy::kLevelBarrier,
-    sp::ExecutionStrategy::kBlockedHybrid, sp::ExecutionStrategy::kSerial};
+    sp::ExecutionStrategy::kSerial};
 
 constexpr sp::ExecutionStrategy kParallelStrategies[] = {
-    sp::ExecutionStrategy::kDoacross, sp::ExecutionStrategy::kLevelBarrier,
-    sp::ExecutionStrategy::kBlockedHybrid};
+    sp::ExecutionStrategy::kDoacross, sp::ExecutionStrategy::kLevelBarrier};
 
 constexpr sp::PlanLayout kLayouts[] = {sp::PlanLayout::kPacked,
                                        sp::PlanLayout::kCsrView};
@@ -157,10 +156,9 @@ TEST(FaultInjection, StalledProducerTripsWatchdogEveryParallelExecutor) {
       sp::TrisolvePlan plan(pool(), f.l, f.u, opts);
       rt::FaultInjector inj;
       plan.set_fault_injector(&inj);
-      // Row n/2-1 is the last row of thread 0's static block (nth=2), so
-      // blocked-hybrid's only cross-block flag also stalls; the safety
-      // valve is far beyond the watchdog budget, so the watchdog fires
-      // first and the latch (not the valve) wakes the stalled producer.
+      // Row n/2-1 stalls mid-solve; the safety valve is far beyond the
+      // watchdog budget, so the watchdog fires first and the latch (not
+      // the valve) wakes the stalled producer.
       // "Far beyond" is measured in wall time, not rounds: on a loaded
       // one-core CI box each post-pause watchdog round is a yield that
       // can burn a scheduling quantum, so the budget's worst-case burn
@@ -239,7 +237,7 @@ TEST(FaultInjection, CorruptedPivotUnderThrowNamesRowAndRecovers) {
   const sp::IluFactors ref = sp::ilu0(a);
 
   sp::FactorPlanOptions opts;
-  opts.strategy = sp::ExecutionStrategy::kBlockedHybrid;
+  opts.strategy = sp::ExecutionStrategy::kDoacross;
   opts.nthreads = 4;
   sp::FactorPlan fp(pool(), a, opts);
   sp::IluFactors f = fp.allocate_factors();

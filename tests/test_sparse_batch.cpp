@@ -1,12 +1,15 @@
 // Tests for the batched multi-RHS execution layer: solve_batch is bitwise
-// identical to k sequential solve() calls across thread counts, schedules,
-// batch modes and k; a whole batch costs exactly ONE pool dispatch
-// (asserted with rt::DispatchProbe); spmv_batch matches per-column spmv;
-// and the row-major multi-RHS upper doacross completes the par_trisolve
-// API pair.
+// identical to k sequential solve() calls across strategies, layouts,
+// thread counts, schedules and k; a whole batch costs exactly ONE pool
+// dispatch (zero serial; asserted with rt::DispatchProbe); a k == 1 batch
+// allocates nothing; spmv_batch matches per-column spmv; and the row-major
+// multi-RHS upper doacross completes the par_trisolve API pair.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <stdexcept>
 #include <vector>
 
@@ -28,6 +31,45 @@ namespace rt = pdx::rt;
 namespace core = pdx::core;
 using pdx::index_t;
 
+// --- global allocation probe -----------------------------------------
+//
+// Counts every route into the heap this binary has (plain and aligned
+// operator new — the plan's scratch uses the aligned forms). Read only
+// while the pool is idle.
+namespace {
+
+std::atomic<std::uint64_t> g_allocs{0};
+
+}  // namespace
+
+void* operator new(std::size_t sz) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(sz ? sz : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t sz) { return ::operator new(sz); }
+void* operator new(std::size_t sz, std::align_val_t al) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t a = static_cast<std::size_t>(al);
+  if (void* p = std::aligned_alloc(a, (sz + a - 1) / a * a)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t sz, std::align_val_t al) {
+  return ::operator new(sz, al);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+
 namespace {
 
 rt::ThreadPool& pool() {
@@ -43,55 +85,128 @@ std::vector<double> random_columns(index_t n, index_t k, std::uint64_t seed) {
   return m;
 }
 
-constexpr sp::BatchMode kModes[] = {sp::BatchMode::kColumnSequential,
-                                    sp::BatchMode::kWavefrontInterleaved};
+constexpr sp::ExecutionStrategy kStrategies[] = {
+    sp::ExecutionStrategy::kSerial, sp::ExecutionStrategy::kDoacross,
+    sp::ExecutionStrategy::kLevelBarrier};
 
-const char* mode_name(sp::BatchMode m) {
-  return m == sp::BatchMode::kColumnSequential ? "column-sequential"
-                                               : "wavefront-interleaved";
+constexpr sp::PlanLayout kLayouts[] = {sp::PlanLayout::kPacked,
+                                       sp::PlanLayout::kCsrView};
+
+/// Per-call pool dispatches of a plan: one for a parallel strategy, none
+/// for serial (it runs inline on the caller).
+std::uint64_t dispatch_budget(const sp::TrisolvePlan& plan) {
+  return plan.strategy() == sp::ExecutionStrategy::kSerial ? 0u : 1u;
 }
 
 }  // namespace
 
-TEST(SolveBatch, BitwiseIdentityAcrossModesThreadsSchedulesAndK) {
+TEST(SolveBatch, BitwiseIdentityAcrossStrategiesLayoutsThreadsAndK) {
   const sp::IluFactors f = sp::ilu0(gen::five_point(16, 16));
   const index_t n = f.l.rows;
 
-  for (unsigned nth : {1u, 2u, 4u}) {
-    for (const auto& sched :
-         {rt::Schedule::static_block(), rt::Schedule::dynamic(8)}) {
-      sp::PlanOptions opts;
-      opts.nthreads = nth;
-      opts.schedule = sched;
-      sp::TrisolvePlan plan(pool(), f.l, f.u, opts);
-      for (index_t k : {1, 3, 8, 33}) {
-        const auto b = random_columns(n, k, 1000 + static_cast<unsigned>(k));
-        // Reference: k sequential fused solves through the SAME plan.
-        std::vector<double> x_seq(static_cast<std::size_t>(n * k));
-        rt::DispatchProbe probe(pool());
-        for (index_t c = 0; c < k; ++c) {
-          plan.solve(std::span<const double>(b.data() + c * n,
-                                             static_cast<std::size_t>(n)),
-                     std::span<double>(x_seq.data() + c * n,
-                                       static_cast<std::size_t>(n)));
+  for (sp::ExecutionStrategy strategy : kStrategies) {
+    for (sp::PlanLayout layout : kLayouts) {
+      for (unsigned nth : {1u, 2u, 4u}) {
+        // Only the flag-based executor takes a schedule.
+        std::vector<rt::Schedule> scheds{rt::Schedule::static_block()};
+        if (strategy == sp::ExecutionStrategy::kDoacross) {
+          scheds.push_back(rt::Schedule::dynamic(8));
         }
-        EXPECT_EQ(probe.delta(), static_cast<std::uint64_t>(k))
-            << "sequential path: one dispatch per RHS";
+        for (const auto& sched : scheds) {
+          sp::PlanOptions opts;
+          opts.nthreads = nth;
+          opts.schedule = sched;
+          opts.strategy = strategy;
+          opts.layout = layout;
+          sp::TrisolvePlan plan(pool(), f.l, f.u, opts);
+          const std::uint64_t budget = dispatch_budget(plan);
+          for (index_t k : {1, 3, 8, 33}) {
+            const auto b =
+                random_columns(n, k, 1000 + static_cast<unsigned>(k));
+            // Reference: the sequential Fig. 7 solves per column — what
+            // solve() is itself bitwise equal to.
+            std::vector<double> x_seq(static_cast<std::size_t>(n * k)),
+                t(static_cast<std::size_t>(n));
+            for (index_t c = 0; c < k; ++c) {
+              sp::trisolve_lower_seq(
+                  f.l,
+                  std::span<const double>(b.data() + c * n,
+                                          static_cast<std::size_t>(n)),
+                  t);
+              sp::trisolve_upper_seq(
+                  f.u, t,
+                  std::span<double>(x_seq.data() + c * n,
+                                    static_cast<std::size_t>(n)));
+            }
 
-        for (sp::BatchMode mode : kModes) {
-          std::vector<double> x(static_cast<std::size_t>(n * k), 0.0);
-          probe.rebase();
-          plan.solve_batch(b, x, k, mode);
-          EXPECT_EQ(probe.delta(), 1u)
-              << mode_name(mode) << " batch of " << k
-              << " must cost exactly one pool dispatch";
-          for (index_t i = 0; i < n * k; ++i) {
-            ASSERT_EQ(x_seq[static_cast<std::size_t>(i)],
-                      x[static_cast<std::size_t>(i)])
-                << "nth=" << nth << " " << rt::to_string(sched) << " k=" << k
-                << " " << mode_name(mode) << " col " << i / n << " row "
-                << i % n;
+            std::vector<double> x(static_cast<std::size_t>(n * k), 0.0);
+            rt::DispatchProbe probe(pool());
+            plan.solve_batch(b, x, k);
+            EXPECT_EQ(probe.delta(), budget)
+                << core::to_string(strategy) << " batch of " << k
+                << " must cost exactly one pool dispatch (zero serial)";
+            for (index_t i = 0; i < n * k; ++i) {
+              ASSERT_EQ(x_seq[static_cast<std::size_t>(i)],
+                        x[static_cast<std::size_t>(i)])
+                  << core::to_string(strategy) << " "
+                  << sp::to_string(layout) << " nth=" << nth << " "
+                  << rt::to_string(sched) << " k=" << k << " col " << i / n
+                  << " row " << i % n;
+            }
           }
+        }
+      }
+    }
+  }
+}
+
+TEST(SolveBatch, OneColumnBatchIsTheFusedSolveAndAllocatesNothing) {
+  // k == 1 runs the fused single-RHS region over the plan's O(n) scratch:
+  // bitwise equal to solve(), same dispatch budget, and not one operator
+  // new — not even on the plan's first batch (no n-by-1 strip, no column
+  // pointer tables).
+  const sp::IluFactors f = sp::ilu0(gen::five_point(15, 17));
+  const index_t n = f.l.rows;
+  const auto b = random_columns(n, 1, 4242);
+
+  for (sp::ExecutionStrategy strategy : kStrategies) {
+    for (sp::PlanLayout layout : kLayouts) {
+      for (unsigned nth : {1u, 2u, 4u}) {
+        sp::PlanOptions opts;
+        opts.nthreads = nth;
+        opts.strategy = strategy;
+        opts.layout = layout;
+        sp::TrisolvePlan plan(pool(), f.l, f.u, opts);
+        const std::uint64_t budget = dispatch_budget(plan);
+        std::vector<double> x_solve(static_cast<std::size_t>(n)),
+            x_batch(static_cast<std::size_t>(n), 0.0),
+            x_ptr(static_cast<std::size_t>(n), 0.0);
+        plan.solve(b, x_solve);
+
+        const rt::DispatchProbe probe(pool());
+        const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+        plan.solve_batch(b, x_batch, 1);
+        const std::uint64_t allocs =
+            g_allocs.load(std::memory_order_relaxed) - a0;
+        const std::uint64_t dispatches = probe.delta();
+
+        const double* b_col = b.data();
+        double* x_col = x_ptr.data();
+        plan.solve_batch(&b_col, &x_col, 1);
+
+        EXPECT_EQ(allocs, 0u) << core::to_string(strategy) << " "
+                              << sp::to_string(layout) << " nth=" << nth;
+        EXPECT_EQ(dispatches, budget) << core::to_string(strategy) << " "
+                                      << sp::to_string(layout) << " nth=" << nth;
+        EXPECT_EQ(plan.batch_columns(), 2u);
+        for (index_t i = 0; i < n; ++i) {
+          ASSERT_EQ(x_solve[static_cast<std::size_t>(i)],
+                    x_batch[static_cast<std::size_t>(i)])
+              << core::to_string(strategy) << " " << sp::to_string(layout)
+              << " nth=" << nth << " row " << i;
+          ASSERT_EQ(x_solve[static_cast<std::size_t>(i)],
+                    x_ptr[static_cast<std::size_t>(i)])
+              << "pointer overload, row " << i;
         }
       }
     }
@@ -120,21 +235,18 @@ TEST(SolveBatch, PointerColumnsNeedNotBeContiguous) {
     x_ptrs[static_cast<std::size_t>(c)] = x[static_cast<std::size_t>(c)].data();
   }
 
-  for (sp::BatchMode mode : kModes) {
-    for (auto& col : x) std::fill(col.begin(), col.end(), 0.0);
-    rt::DispatchProbe probe(pool());
-    plan.solve_batch(b_ptrs.data(), x_ptrs.data(), k, mode);
-    EXPECT_EQ(probe.delta(), 1u);
-    for (index_t c = 0; c < k; ++c) {
-      std::vector<double> t(static_cast<std::size_t>(n)),
-          z(static_cast<std::size_t>(n));
-      sp::trisolve_lower_seq(f.l, b[static_cast<std::size_t>(c)], t);
-      sp::trisolve_upper_seq(f.u, t, z);
-      for (index_t i = 0; i < n; ++i) {
-        ASSERT_EQ(z[static_cast<std::size_t>(i)],
-                  x[static_cast<std::size_t>(c)][static_cast<std::size_t>(i)])
-            << mode_name(mode) << " col " << c << " row " << i;
-      }
+  rt::DispatchProbe probe(pool());
+  plan.solve_batch(b_ptrs.data(), x_ptrs.data(), k);
+  EXPECT_EQ(probe.delta(), 1u);
+  for (index_t c = 0; c < k; ++c) {
+    std::vector<double> t(static_cast<std::size_t>(n)),
+        z(static_cast<std::size_t>(n));
+    sp::trisolve_lower_seq(f.l, b[static_cast<std::size_t>(c)], t);
+    sp::trisolve_upper_seq(f.u, t, z);
+    for (index_t i = 0; i < n; ++i) {
+      ASSERT_EQ(z[static_cast<std::size_t>(i)],
+                x[static_cast<std::size_t>(c)][static_cast<std::size_t>(i)])
+          << "col " << c << " row " << i;
     }
   }
 }
@@ -214,7 +326,6 @@ TEST(SolveBatch, PreconditionerApplyBatchMatchesSequentialApplications) {
       sp::FactorPlanOptions{});
   const index_t n = a.rows;
   const index_t k = 7;
-  m.reserve_batch(k);
 
   const auto r = random_columns(n, k, 91);
   std::vector<double> z_seq(static_cast<std::size_t>(n * k));
@@ -224,16 +335,14 @@ TEST(SolveBatch, PreconditionerApplyBatchMatchesSequentialApplications) {
             std::span<double>(z_seq.data() + c * n,
                               static_cast<std::size_t>(n)));
   }
-  for (sp::BatchMode mode : kModes) {
-    std::vector<double> z(static_cast<std::size_t>(n * k), 0.0);
-    rt::DispatchProbe probe(pool());
-    m.apply_batch(r, z, k, mode);
-    EXPECT_EQ(probe.delta(), 1u) << mode_name(mode);
-    for (index_t i = 0; i < n * k; ++i) {
-      ASSERT_EQ(z_seq[static_cast<std::size_t>(i)],
-                z[static_cast<std::size_t>(i)])
-          << mode_name(mode) << " " << i;
-    }
+  std::vector<double> z(static_cast<std::size_t>(n * k), 0.0);
+  rt::DispatchProbe probe(pool());
+  m.apply_batch(r, z, k);
+  EXPECT_EQ(probe.delta(), 1u);
+  for (index_t i = 0; i < n * k; ++i) {
+    ASSERT_EQ(z_seq[static_cast<std::size_t>(i)],
+              z[static_cast<std::size_t>(i)])
+        << i;
   }
 }
 

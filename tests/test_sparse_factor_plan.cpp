@@ -115,8 +115,7 @@ std::vector<double> random_vec(index_t n, std::uint64_t seed) {
 
 constexpr sp::ExecutionStrategy kStrategies[] = {
     sp::ExecutionStrategy::kSerial, sp::ExecutionStrategy::kDoacross,
-    sp::ExecutionStrategy::kLevelBarrier,
-    sp::ExecutionStrategy::kBlockedHybrid};
+    sp::ExecutionStrategy::kLevelBarrier};
 
 sp::FactorPlanOptions factor_opts(sp::ExecutionStrategy s, unsigned nth) {
   sp::FactorPlanOptions o;
@@ -191,6 +190,32 @@ TEST(FactorPlan, AutoConsultsTheFactorAdvisor) {
             f.l.memory_bytes() + f.u.memory_bytes());
 }
 
+TEST(FactorPlan, WidthTwoRaceSpendsThreeCandidateBudgets) {
+  // Serial, doacross and level-barrier each get calibration_epochs timed
+  // factorizations; nothing else is raced.
+  core::tuning_cache().clear();
+  const sp::Csr a = gen::five_point(12, 12);
+  const sp::FactorPlanOptions o = factor_opts(sp::ExecutionStrategy::kAuto, 2);
+  sp::FactorPlan plan(pool(), a, o);
+  ASSERT_TRUE(plan.calibrating());
+  sp::IluFactors f = plan.allocate_factors();
+  int epochs = 0;
+  while (plan.calibrating()) {
+    ASSERT_LT(epochs, 64);
+    plan.factorize(a, f);
+    ++epochs;
+  }
+  EXPECT_EQ(epochs, 3 * o.calibration_epochs);
+  EXPECT_EQ(plan.telemetry().race.exploration_epochs,
+            3 * o.calibration_epochs);
+  ASSERT_EQ(plan.telemetry().race.timings.size(), 3u);
+  for (const core::StrategyTiming& t : plan.telemetry().race.timings) {
+    EXPECT_EQ(t.epochs, o.calibration_epochs) << core::to_string(t.strategy);
+  }
+  expect_factors_bitwise(sp::ilu0(a), f, "width-2 race");
+  core::tuning_cache().clear();
+}
+
 TEST(FactorPlan, CalibrationRacesFactorizationsAndCacheSkipsSecondRace) {
   // The factor-side calibration race (DESIGN.md §13): exploration
   // factorizations stay bitwise identical to ilu0(), the plan locks in
@@ -205,9 +230,10 @@ TEST(FactorPlan, CalibrationRacesFactorizationsAndCacheSkipsSecondRace) {
   ASSERT_NE(plan.strategy(), sp::ExecutionStrategy::kAuto);
   sp::IluFactors f = plan.allocate_factors();
 
+  // Three candidates — serial, doacross, level-barrier.
   const std::size_t budget =
-      plan.telemetry().race.timings.size() *
-      static_cast<std::size_t>(o.calibration_epochs);
+      3 * static_cast<std::size_t>(o.calibration_epochs);
+  ASSERT_EQ(plan.telemetry().race.timings.size(), 3u);
   std::size_t epochs = 0;
   while (plan.calibrating()) {
     ASSERT_LT(epochs, budget) << "race must lock in after its budget";
@@ -467,9 +493,10 @@ TEST(Refactor, BatchDriverHookForwardsTelemetryAndStaysBitwise) {
   driver.enqueue(b, x_s);
   const solve::BatchReport rep = driver.drain();
   EXPECT_EQ(rep.converged, rep.jobs);
-  EXPECT_NE(rep.factor_strategy, sp::ExecutionStrategy::kAuto);
-  EXPECT_GE(rep.factor_ms, 0.0);
-  EXPECT_GE(rep.refresh_ms, 0.0);
+  const sp::PlanTelemetry& t = driver.preconditioner().plan().telemetry();
+  EXPECT_NE(t.factor_strategy, sp::ExecutionStrategy::kAuto);
+  EXPECT_GE(t.factor_ms, 0.0);
+  EXPECT_GE(t.refresh_ms, 0.0);
 
   // Bitwise identical to a driver built from scratch over a1.
   solve::BatchDriver fresh(p, a1);

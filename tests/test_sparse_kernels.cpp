@@ -46,8 +46,7 @@ std::vector<double> random_vec(std::size_t n, std::uint64_t seed) {
 
 constexpr sp::ExecutionStrategy kStrategies[] = {
     sp::ExecutionStrategy::kSerial, sp::ExecutionStrategy::kDoacross,
-    sp::ExecutionStrategy::kLevelBarrier,
-    sp::ExecutionStrategy::kBlockedHybrid};
+    sp::ExecutionStrategy::kLevelBarrier};
 
 sp::PlanOptions plan_opts(sp::ExecutionStrategy s, unsigned nth,
                           sp::PlanLayout layout, kn::KernelChoice kernel) {
@@ -265,8 +264,8 @@ TEST(KernelPlans, BatchSolvesBitwiseAcrossKernelChoices) {
                                 plan_opts(s, nth, layout,
                                           kn::KernelChoice::kVector));
         std::vector<double> x_s(b.size(), 0.0), x_v(b.size(), 0.0);
-        scalar.solve_batch(b, x_s, k, sp::BatchMode::kWavefrontInterleaved);
-        vector.solve_batch(b, x_v, k, sp::BatchMode::kWavefrontInterleaved);
+        scalar.solve_batch(b, x_s, k);
+        vector.solve_batch(b, x_v, k);
         for (index_t i = 0; i < n * k; ++i) {
           ASSERT_EQ(x_ref[static_cast<std::size_t>(i)],
                     x_s[static_cast<std::size_t>(i)])
@@ -301,8 +300,8 @@ TEST(KernelPlans, AutoDispatchBitwiseMatchesForcedScalarAcrossEpochs) {
                                      kn::KernelChoice::kAuto));
     std::vector<double> x_f(b.size()), x_a(b.size());
     for (int epoch = 0; epoch < 8; ++epoch) {  // spans the whole race
-      fixed.solve_batch(b, x_f, k, sp::BatchMode::kWavefrontInterleaved);
-      autod.solve_batch(b, x_a, k, sp::BatchMode::kWavefrontInterleaved);
+      fixed.solve_batch(b, x_f, k);
+      autod.solve_batch(b, x_a, k);
       for (index_t i = 0; i < n * k; ++i) {
         ASSERT_EQ(x_f[static_cast<std::size_t>(i)],
                   x_a[static_cast<std::size_t>(i)])
@@ -445,7 +444,7 @@ TEST(KernelRace, PlanTelemetryRecordsDispatchAndRace) {
     // is scalar from construction.
     EXPECT_EQ(plan.telemetry().kernel, kn::KernelChoice::kScalar);
     for (int e = 0; e < 6; ++e) {
-      plan.solve_batch(b, x, k, sp::BatchMode::kWavefrontInterleaved);
+      plan.solve_batch(b, x, k);
     }
     EXPECT_FALSE(plan.telemetry().kernel_race.calibrated);
     return;
@@ -454,7 +453,7 @@ TEST(KernelRace, PlanTelemetryRecordsDispatchAndRace) {
   // batches and locks in a measured winner (2 epochs per choice by
   // default).
   for (int e = 0; e < 6; ++e) {
-    plan.solve_batch(b, x, k, sp::BatchMode::kWavefrontInterleaved);
+    plan.solve_batch(b, x, k);
   }
   const sp::PlanTelemetry& t = plan.telemetry();
   EXPECT_TRUE(t.kernel_race.calibrated);
@@ -471,15 +470,15 @@ TEST(KernelRace, PlanTelemetryRecordsDispatchAndRace) {
                                     sp::PlanLayout::kPacked,
                                     kn::KernelChoice::kVector));
   for (int e = 0; e < 6; ++e) {
-    pinned.solve_batch(b, x, k, sp::BatchMode::kWavefrontInterleaved);
+    pinned.solve_batch(b, x, k);
   }
   EXPECT_FALSE(pinned.telemetry().kernel_race.calibrated);
   EXPECT_EQ(pinned.telemetry().kernel, kn::KernelChoice::kVector);
 }
 
 TEST(KernelRace, SingleRhsAndNarrowBatchesNeverFeedTheRace) {
-  // Only wavefront-interleaved batches with k >= kLaneMin execute lane
-  // kernels; single-RHS solves and narrow batches must leave the race
+  // Only batches with k >= kLaneMin execute lane kernels; single-RHS
+  // solves and narrow (including one-column) batches must leave the race
   // untouched (their timings would be meaningless for it).
   const sp::IluFactors f = sp::ilu0(gen::five_point(12, 12));
   const index_t n = f.l.rows;
@@ -492,8 +491,8 @@ TEST(KernelRace, SingleRhsAndNarrowBatchesNeverFeedTheRace) {
                                   kn::KernelChoice::kAuto));
   for (int e = 0; e < 8; ++e) {
     plan.solve(b1, x1);
-    plan.solve_batch(b2, x2, 2, sp::BatchMode::kWavefrontInterleaved);
-    plan.solve_batch(b2, x2, 2, sp::BatchMode::kColumnSequential);
+    plan.solve_batch(b2, x2, 2);
+    plan.solve_batch(b2, x2, 1);
   }
   EXPECT_FALSE(plan.telemetry().kernel_race.calibrated);
   EXPECT_EQ(plan.telemetry().kernel_race.exploration_epochs, 0);
@@ -509,9 +508,10 @@ TEST(KernelRace, BatchDriverForwardsKnobsAndReportsDispatch) {
   std::vector<double> x(b.size(), 0.0);
   driver.enqueue(b, x);
   const solve::BatchReport rep = driver.drain();
-  EXPECT_EQ(rep.isa, kn::dispatched_isa());
-  EXPECT_EQ(rep.kernel, kn::KernelChoice::kScalar);
-  EXPECT_FALSE(rep.kernel_calibrated);
+  const sp::PlanTelemetry& t = driver.preconditioner().plan().telemetry();
+  EXPECT_EQ(t.isa, kn::dispatched_isa());
+  EXPECT_EQ(t.kernel, kn::KernelChoice::kScalar);
+  EXPECT_FALSE(t.kernel_race.calibrated);
 
   // And the scalar-pinned drain answers bitwise like the default drain.
   solve::BatchDriver driver2(pool(), a, solve::BatchDriverOptions{});

@@ -87,11 +87,7 @@ std::vector<double> random_columns(index_t n, index_t k, std::uint64_t seed) {
 
 constexpr sp::ExecutionStrategy kStrategies[] = {
     sp::ExecutionStrategy::kSerial, sp::ExecutionStrategy::kDoacross,
-    sp::ExecutionStrategy::kLevelBarrier,
-    sp::ExecutionStrategy::kBlockedHybrid};
-
-constexpr sp::BatchMode kModes[] = {sp::BatchMode::kColumnSequential,
-                                    sp::BatchMode::kWavefrontInterleaved};
+    sp::ExecutionStrategy::kLevelBarrier};
 
 sp::PlanOptions plan_opts(sp::ExecutionStrategy s, unsigned nth,
                           sp::PlanLayout layout) {
@@ -195,22 +191,18 @@ TEST(PackedLayout, BatchSolvesBitwiseAcrossStrategiesModesAndK) {
               std::span<double>(x_ref.data() + c * n,
                                 static_cast<std::size_t>(n)));
         }
-        for (sp::BatchMode mode : kModes) {
-          std::vector<double> x_p(b.size(), 0.0), x_c(b.size(), 0.0);
-          packed.solve_batch(b, x_p, k, mode);
-          csr.solve_batch(b, x_c, k, mode);
-          for (index_t i = 0; i < n * k; ++i) {
-            ASSERT_EQ(x_ref[static_cast<std::size_t>(i)],
-                      x_p[static_cast<std::size_t>(i)])
-                << core::to_string(s) << " nth=" << nth << " k=" << k
-                << " mode=" << static_cast<int>(mode) << " at " << i
-                << " (packed vs sequential)";
-            ASSERT_EQ(x_c[static_cast<std::size_t>(i)],
-                      x_p[static_cast<std::size_t>(i)])
-                << core::to_string(s) << " nth=" << nth << " k=" << k
-                << " mode=" << static_cast<int>(mode) << " at " << i
-                << " (packed vs csr-view)";
-          }
+        std::vector<double> x_p(b.size(), 0.0), x_c(b.size(), 0.0);
+        packed.solve_batch(b, x_p, k);
+        csr.solve_batch(b, x_c, k);
+        for (index_t i = 0; i < n * k; ++i) {
+          ASSERT_EQ(x_ref[static_cast<std::size_t>(i)],
+                    x_p[static_cast<std::size_t>(i)])
+              << core::to_string(s) << " nth=" << nth << " k=" << k << " at "
+              << i << " (packed vs sequential)";
+          ASSERT_EQ(x_c[static_cast<std::size_t>(i)],
+                    x_p[static_cast<std::size_t>(i)])
+              << core::to_string(s) << " nth=" << nth << " k=" << k << " at "
+              << i << " (packed vs csr-view)";
         }
       }
     }
@@ -231,8 +223,7 @@ TEST(PackedLayout, PackedSolvesAreZeroAllocAndOneDispatch) {
     // Warm-up grows nothing afterwards: scratch, flag tables and streams
     // are all build-time state.
     plan.solve(b, x);
-    plan.solve_batch(b, x, k, sp::BatchMode::kWavefrontInterleaved);
-    plan.solve_batch(b, x, k, sp::BatchMode::kColumnSequential);
+    plan.solve_batch(b, x, k);
 
     const std::uint64_t expected_dispatches =
         s == sp::ExecutionStrategy::kSerial ? 0u : 1u;
@@ -245,7 +236,7 @@ TEST(PackedLayout, PackedSolvesAreZeroAllocAndOneDispatch) {
 
     const rt::DispatchProbe probe2(pool());
     const std::uint64_t a1 = g_allocs.load(std::memory_order_relaxed);
-    plan.solve_batch(b, x, k, sp::BatchMode::kWavefrontInterleaved);
+    plan.solve_batch(b, x, k);
     const std::uint64_t alloc_batch =
         g_allocs.load(std::memory_order_relaxed) - a1;
     const std::uint64_t disp_batch = probe2.delta();
@@ -263,8 +254,7 @@ TEST(PackedLayout, BuildCostsExactlyOneExtraDispatchForParallelPlans) {
   // Parallel strategies: the first-touch packing pass is ONE pool
   // dispatch covering BOTH factors; a kCsrView build dispatches nothing.
   for (sp::ExecutionStrategy s : {sp::ExecutionStrategy::kDoacross,
-                                  sp::ExecutionStrategy::kLevelBarrier,
-                                  sp::ExecutionStrategy::kBlockedHybrid}) {
+                                  sp::ExecutionStrategy::kLevelBarrier}) {
     rt::DispatchProbe probe(pool());
     sp::TrisolvePlan packed(pool(), f.l, f.u,
                             plan_opts(s, 4, sp::PlanLayout::kPacked));
@@ -363,13 +353,13 @@ TEST(PackedLayout, LayoutKnobThreadsThroughPreconditionerAndDriver) {
   EXPECT_EQ(rep_p.iterations, rep_c.iterations);
   for (std::size_t i = 0; i < x_p.size(); ++i) ASSERT_EQ(x_p[i], x_c[i]) << i;
 
-  // BatchDriver reports the layout decision alongside the strategy.
+  // BatchDriver forwards the layout knob to its shared plan.
   solve::BatchDriverOptions dopts;
   dopts.layout = sp::PlanLayout::kPacked;
   solve::BatchDriver driver(pool(), a, dopts);
   std::vector<double> x(b.size(), 0.0);
   driver.enqueue(b, x);
-  const solve::BatchReport rep = driver.drain();
-  EXPECT_EQ(rep.layout, sp::PlanLayout::kPacked);
-  EXPECT_GT(rep.packed_bytes, 0u);
+  driver.drain();
+  EXPECT_EQ(driver.preconditioner().plan().layout(), sp::PlanLayout::kPacked);
+  EXPECT_GT(driver.preconditioner().plan().packed_bytes(), 0u);
 }
