@@ -1,0 +1,266 @@
+#include "core/dag_plan.hpp"
+
+#include <chrono>
+#include <exception>
+#include <string>
+
+namespace pdx::core {
+
+DagPlan::DagPlan(rt::ThreadPool& pool, index_t n, unsigned dags,
+                 const DagPlanConfig& cfg, ExecTelemetry& tel)
+    : pool_(&pool),
+      cfg_(cfg),
+      tel_(&tel),
+      n_(n),
+      nth_(pool.clamp_threads(cfg.nthreads)),
+      dags_(std::make_unique<Dag[]>(dags)),
+      dag_count_(dags),
+      barrier_(nth_ == 0 ? 1 : nth_) {
+  for (unsigned i = 0; i < dags; ++i) dags_[i].ready.ensure_size(n_);
+  episodes_.resize(nth_);
+  rounds_.resize(nth_);
+  // Fault containment: every flag wait and barrier wait polls the latch
+  // (and the optional stall budget); see DESIGN.md §12.
+  barrier_.watch(&latch_, cfg_.stall_budget);
+  resolve_kernel();
+  tel_->requested = cfg_.strategy;
+  tel_->procs = nth_;
+  if (cfg_.strategy != ExecStrategy::kAuto) {
+    tel_->strategy = cfg_.strategy;
+    tel_->rationale = "strategy fixed by caller";
+  }
+  set_guard();
+}
+
+void DagPlan::decide(const TrisolveStructure& s, const ScheduleAdvice& advice) {
+  tel_->structure = s;
+  // The heuristic pick is the opening bid; with a viable race below it
+  // only decides which strategy explores first.
+  tel_->strategy = advice.strategy;
+  tel_->rationale = advice.rationale;
+  if (advice.strategy == ExecStrategy::kDoacross) {
+    cfg_.schedule = advice.schedule;
+    cfg_.reorder = advice.use_reordering;
+  }
+  set_guard();
+  // Empirical calibration (DESIGN.md §13). The heuristic ladder sees DAG
+  // shape, never synchronization cost on the actual machine, and the
+  // strategy baselines prove it can mispick by orders of magnitude. Every
+  // walk runs the same row bodies, so every candidate is bitwise
+  // identical: the first runs time each candidate invisibly.
+  const bool can_calibrate = cfg_.calibration_epochs > 0 && nth_ > 1 && n_ > 0;
+  if (!can_calibrate) return;
+  if (cfg_.use_tuning_cache) {
+    tuning_key_ = make_tuning_key(s, nth_, cfg_.factor);
+    have_tuning_key_ = true;
+    ExecStrategy cached;
+    if (tuning_cache().lookup(tuning_key_, cached)) {
+      set_strategy_state(cached);
+      tel_->rationale = std::string("tuning cache hit: ") +
+                        to_string(cached) +
+                        " measured fastest earlier for this (pattern, threads)";
+      tel_->race.calibrated = true;
+      tel_->race.cache_hit = true;
+      return;
+    }
+  }
+  calibrating_ = true;
+  candidates_ = {tel_->strategy};
+  for (const ExecStrategy c : {ExecStrategy::kSerial, ExecStrategy::kDoacross,
+                               ExecStrategy::kLevelBarrier}) {
+    if (c != candidates_.front()) candidates_.push_back(c);
+  }
+  tel_->race.timings.resize(candidates_.size());
+  for (std::size_t i = 0; i < candidates_.size(); ++i) {
+    tel_->race.timings[i].strategy = candidates_[i];
+  }
+  set_strategy_state(candidates_.front());
+  tel_->rationale += std::string(" — calibrating: racing every strategy on "
+                                 "the first live ") +
+                     cfg_.epoch + "s";
+}
+
+bool DagPlan::needs_order() const noexcept {
+  // Level-barrier executes the levels themselves; doacross uses the order
+  // only when asked to. A calibration race keeps the orders alive — the
+  // level-barrier and doacross candidates need them; the winner drops
+  // what it does not use at lock-in.
+  return calibrating_ || tel_->strategy == ExecStrategy::kLevelBarrier ||
+         (tel_->strategy == ExecStrategy::kDoacross && cfg_.reorder);
+}
+
+void DagPlan::set_guard() noexcept {
+  guard_ = rt::WaitGuard{&latch_, cfg_.stall_budget, to_string(tel_->strategy)};
+}
+
+void DagPlan::set_strategy_state(ExecStrategy s) {
+  tel_->strategy = s;
+  if (s == ExecStrategy::kDoacross && cfg_.strategy == ExecStrategy::kAuto) {
+    // The advisor's canonical flag-based configuration: dynamic
+    // single-iteration issue in doconsider order. Fixing it here keeps
+    // raced doacross epochs and cache-hit plans configured identically.
+    cfg_.schedule = rt::Schedule::dynamic(1);
+    cfg_.reorder = true;
+  }
+  set_guard();
+}
+
+bool DagPlan::note_calibration_epoch(double seconds) {
+  StrategyTiming& t = tel_->race.timings[cand_idx_];
+  const double us = seconds * 1e6;
+  if (t.epochs == 0 || us < t.best_us) t.best_us = us;
+  ++t.epochs;
+  ++tel_->race.exploration_epochs;
+  if (++cand_epoch_ < cfg_.calibration_epochs) return false;
+  cand_epoch_ = 0;
+  if (++cand_idx_ < candidates_.size()) {
+    set_strategy_state(candidates_[cand_idx_]);
+    return false;
+  }
+  finish_calibration();
+  return true;
+}
+
+void DagPlan::finish_calibration() {
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < tel_->race.timings.size(); ++i) {
+    if (tel_->race.timings[i].best_us < tel_->race.timings[best].best_us) {
+      best = i;
+    }
+  }
+  const ExecStrategy winner = candidates_[best];
+  calibrating_ = false;
+  set_strategy_state(winner);
+  tel_->race.calibrated = true;
+  tel_->rationale = std::string("calibrated: ") + to_string(winner) +
+                    " measured fastest (" +
+                    std::to_string(tel_->race.timings[best].best_us) +
+                    " us/" + cfg_.epoch + " over " +
+                    std::to_string(tel_->race.exploration_epochs) +
+                    " exploration " + cfg_.epoch + "s)";
+  if (have_tuning_key_) tuning_cache().store(tuning_key_, winner);
+  if (!needs_order()) {
+    for (unsigned i = 0; i < dag_count_; ++i) dags_[i].order.reset();
+  }
+}
+
+void DagPlan::set_lanes(const kernels::LaneOps* ops) noexcept {
+  lanes_ = ops;
+  // The ulp kernels reassociate or re-round, so they are only reachable
+  // when the caller opted in AND the table is a vector one — a
+  // forced-scalar plan stays bitwise even with a tolerance set.
+  ulp_ = cfg_.ulp_tolerance > 0.0 && ops->isa != kernels::KernelIsa::kScalar;
+}
+
+void DagPlan::resolve_kernel() noexcept {
+  tel_->isa = kernels::dispatched_isa();
+  const bool have_vector = tel_->isa != kernels::KernelIsa::kScalar;
+  if (cfg_.kernel == kernels::KernelChoice::kScalar) {
+    set_lanes(&kernels::scalar_ops());
+    tel_->kernel = kernels::KernelChoice::kScalar;
+    return;
+  }
+  set_lanes(&kernels::dispatched_ops());
+  tel_->kernel = have_vector ? kernels::KernelChoice::kVector
+                             : kernels::KernelChoice::kScalar;
+  // The strategy race times strategies only (its budget and winner
+  // bookkeeping are contractual — DESIGN.md §13); the kernel dimension
+  // races separately on the runs that actually execute lane kernels,
+  // which only begin once strategy exploration is done. Same epoch
+  // budget per choice as the strategy race.
+  if (cfg_.kernel == kernels::KernelChoice::kAuto && have_vector &&
+      cfg_.calibration_epochs > 0 && n_ > 0) {
+    kernel_race_.arm(cfg_.calibration_epochs);
+  }
+}
+
+bool DagPlan::begin_kernel_epoch(bool eligible) noexcept {
+  // Fed only after the strategy race locked in, so the timing compares
+  // kernels, not strategies. Both candidates are bitwise identical on
+  // the lane paths, so exploring is invisible to callers.
+  if (!kernel_race_.active() || calibrating_ || !eligible) return false;
+  const kernels::KernelChoice cand = kernel_race_.candidate();
+  set_lanes(cand == kernels::KernelChoice::kScalar ? &kernels::scalar_ops()
+                                                   : &kernels::dispatched_ops());
+  tel_->kernel = cand;
+  return true;
+}
+
+bool DagPlan::end_epoch(double seconds, bool kernel_epoch, index_t columns) {
+  if (calibrating_) return note_calibration_epoch(seconds);
+  if (kernel_epoch) {
+    // Normalize per column so epochs of different batch widths compare.
+    if (kernel_race_.note_epoch(seconds * 1e6 / static_cast<double>(columns))) {
+      set_lanes(kernel_race_.winner() == kernels::KernelChoice::kScalar
+                    ? &kernels::scalar_ops()
+                    : &kernels::dispatched_ops());
+      tel_->kernel = kernel_race_.winner();
+    }
+    tel_->kernel_race = kernel_race_.state();
+  }
+  return false;
+}
+
+rt::ThreadPool::RegionFn DagPlan::contained(rt::ThreadPool::RegionFn raw) {
+  return [this, raw = std::move(raw)](unsigned tid, unsigned nthreads) {
+    try {
+      raw(tid, nthreads);
+    } catch (rt::WorkerAbort&) {
+      // A peer faulted first; this thread drained its waits and joins.
+    } catch (...) {
+      latch_.raise(std::current_exception());
+    }
+  };
+}
+
+void DagPlan::throw_if_poisoned() const {
+  if (poisoned_) {
+    throw rt::PlanPoisonedError(
+        std::string(cfg_.name) +
+        ": plan poisoned by an earlier in-region fault; rebuild the plan "
+        "before running it again");
+  }
+}
+
+DoacrossStats DagPlan::dispatch(const rt::ThreadPool::RegionFn& region) {
+  throw_if_poisoned();
+  using clock = std::chrono::steady_clock;
+  const bool serial = tel_->strategy == ExecStrategy::kSerial;
+  clock::time_point t0;
+  if (serial) {
+    // The serial strategy's entire value is paying zero parallel
+    // overhead: the region runs inline on the calling thread and the
+    // pool is never woken.
+    t0 = clock::now();
+    region(0, 1);
+  } else {
+    for (unsigned t = 0; t < nth_; ++t) {
+      episodes_[t].value = 0;
+      rounds_[t].value = 0;
+    }
+    t0 = clock::now();
+    pool_->parallel_region(nth_, region);
+  }
+  const clock::time_point t1 = clock::now();
+  if (latch_.raised()) {
+    // A worker faulted inside the region; its peers drained their waits
+    // via the latch and joined. Partial results are garbage — poison so
+    // every later run fails fast instead of reading them.
+    poisoned_ = true;
+    latch_.rethrow_and_reset();
+  }
+  // Preprocessing was amortized at plan build and there is no
+  // postprocessing sweep, so the whole call is executor time (pool
+  // wake-up included — the number a repeated caller actually pays).
+  DoacrossStats stats;
+  stats.execute_seconds = std::chrono::duration<double>(t1 - t0).count();
+  if (!serial) {
+    for (unsigned t = 0; t < nth_; ++t) {
+      stats.wait_episodes += episodes_[t].value;
+      stats.wait_rounds += rounds_[t].value;
+    }
+  }
+  return stats;
+}
+
+}  // namespace pdx::core

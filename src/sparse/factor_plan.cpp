@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "runtime/schedule.hpp"
 #include "sparse/levels.hpp"
 
 namespace pdx::sparse {
@@ -106,99 +105,51 @@ void FactorPlan::build_symbolic(const Csr& a) {
   w_.resize(static_cast<std::size_t>(a.nnz()));
 }
 
+namespace {
+
+core::DagPlanConfig core_config(const FactorPlanOptions& o) noexcept {
+  return {.nthreads = o.nthreads,
+          .strategy = o.strategy,
+          .schedule = o.schedule,
+          .reorder = o.reorder,
+          .calibration_epochs = o.calibration_epochs,
+          .use_tuning_cache = o.use_tuning_cache,
+          .stall_budget = o.stall_budget,
+          .kernel = o.kernel,
+          .ulp_tolerance = o.ulp_tolerance,
+          .factor = true,
+          .name = "FactorPlan",
+          .epoch = "factorization"};
+}
+
+}  // namespace
+
 FactorPlan::FactorPlan(rt::ThreadPool& pool, const Csr& a,
                        const FactorPlanOptions& opts)
-    : pool_(&pool),
-      opts_(opts),
-      nth_(pool.clamp_threads(opts.nthreads)),
-      barrier_(pool.clamp_threads(opts.nthreads) == 0
-                   ? 1
-                   : pool.clamp_threads(opts.nthreads)) {
+    : opts_(opts), core_(pool, a.rows, 1, core_config(opts), telemetry_) {
   build_symbolic(a);
-  resolve_kernel();
-
-  telemetry_.requested = opts_.strategy;
-  telemetry_.procs = nth_;
+  core::Dag& d = core_.dag(0);
   if (opts_.strategy == ExecutionStrategy::kAuto) {
-    order_ = std::make_unique<core::Reordering>(lower_solve_reordering(a));
-    telemetry_.structure = measure_lower_solve(a, *order_);
-    core::ScheduleAdvice advice =
-        core::advise_factor_schedule(telemetry_.structure, nth_);
-    // Heuristic opening bid; a viable race below times every strategy on
-    // the first real factorizations and locks in the measured winner —
-    // same calibration protocol as TrisolvePlan (DESIGN.md §13).
-    telemetry_.strategy = advice.strategy;
-    telemetry_.rationale = advice.rationale;
-    if (advice.strategy == ExecutionStrategy::kDoacross) {
-      opts_.schedule = advice.schedule;
-      opts_.reorder = advice.use_reordering;
-    }
-    const bool can_calibrate =
-        opts_.calibration_epochs > 0 && nth_ > 1 && n_ > 0;
-    if (can_calibrate) {
-      bool cache_hit = false;
-      if (opts_.use_tuning_cache) {
-        tuning_key_ = core::make_tuning_key(telemetry_.structure, nth_,
-                                            /*factor=*/true);
-        have_tuning_key_ = true;
-        ExecutionStrategy cached;
-        if (core::tuning_cache().lookup(tuning_key_, cached)) {
-          set_strategy_state(cached);
-          telemetry_.rationale =
-              std::string("tuning cache hit: ") + core::to_string(cached) +
-              " measured fastest earlier for this (pattern, threads)";
-          telemetry_.race.calibrated = true;
-          telemetry_.race.cache_hit = true;
-          cache_hit = true;
-        }
-      }
-      if (!cache_hit) {
-        calibrating_ = true;
-        candidates_ = {telemetry_.strategy};
-        for (const ExecutionStrategy s :
-             {ExecutionStrategy::kSerial, ExecutionStrategy::kDoacross,
-              ExecutionStrategy::kLevelBarrier}) {
-          if (s != candidates_.front()) candidates_.push_back(s);
-        }
-        telemetry_.race.timings.resize(candidates_.size());
-        for (std::size_t i = 0; i < candidates_.size(); ++i) {
-          telemetry_.race.timings[i].strategy = candidates_[i];
-        }
-        set_strategy_state(candidates_.front());
-        telemetry_.rationale +=
-            " — calibrating: racing every strategy on the first "
-            "factorizations";
-      }
-    }
-  } else {
-    telemetry_.strategy = opts_.strategy;
-    telemetry_.rationale = "strategy fixed by caller";
+    // Factorization rows carry ~nnz/row times the work of a solve row, so
+    // the factor advisor's heuristic opening bid differs from the solve
+    // advisor's; the race protocol is the same (DESIGN.md §13).
+    d.order = std::make_unique<core::Reordering>(lower_solve_reordering(a));
+    const core::TrisolveStructure s = measure_lower_solve(a, *d.order);
+    core_.decide(s, core::advise_factor_schedule(s, core_.nthreads()));
   }
-  // A calibration race keeps the doconsider order alive — the
-  // level-barrier and doacross candidates execute through it; the winner
-  // drops it at lock-in if unused.
-  const bool needs_order =
-      calibrating_ ||
-      telemetry_.strategy == ExecutionStrategy::kLevelBarrier ||
-      (telemetry_.strategy == ExecutionStrategy::kDoacross && opts_.reorder);
-  if (needs_order && !order_) {
-    order_ = std::make_unique<core::Reordering>(lower_solve_reordering(a));
+  if (core_.needs_order() && !d.order) {
+    d.order = std::make_unique<core::Reordering>(lower_solve_reordering(a));
   }
-  if (!needs_order) {
-    order_.reset();  // kSerial runs in source order
+  if (!core_.needs_order()) {
+    d.order.reset();  // kSerial runs in source order
   }
 
-  ready_.ensure_size(n_);
-  episodes_.resize(nth_);
-  rounds_.resize(nth_);
-  // Fault containment (DESIGN.md §12): every in-region wait — flag or
-  // barrier — polls this latch so a faulting worker's peers drain and
-  // join instead of deadlocking; a non-zero budget arms the stall
-  // watchdog on the same loops.
-  barrier_.watch(&latch_, opts_.stall_budget);
-  guard_ = rt::WaitGuard{&latch_, opts_.stall_budget,
-                         core::to_string(telemetry_.strategy)};
-  bind_region();
+  // Bound once; per-call inputs travel through aval_/lval_/uval_ so
+  // factorize() never constructs (= heap-allocates) a std::function.
+  region_ = core_.contained([this](unsigned tid, unsigned nthreads) {
+    core_.walk_rows(core_.dag(0), tid, nthreads,
+                    [this](index_t i, auto& wait) { factor_row(i, wait); });
+  });
 
   telemetry_.symbolic_bytes =
       (ptr_.size() + idx_.size() + diag_.size() + lptr_.size() +
@@ -217,110 +168,6 @@ FactorPlan::FactorPlan(rt::ThreadPool& pool, const Csr& a,
         2 * (static_cast<std::size_t>(n_) + 1) * sizeof(index_t) +
         (lnnz + unnz) * (sizeof(index_t) + sizeof(double));
   }
-}
-
-void FactorPlan::set_strategy_state(ExecutionStrategy s) {
-  telemetry_.strategy = s;
-  if (s == ExecutionStrategy::kDoacross &&
-      opts_.strategy == ExecutionStrategy::kAuto) {
-    // The factor advisor's canonical flag-based configuration; keeps
-    // raced doacross epochs and cache-hit plans configured identically.
-    opts_.schedule = rt::Schedule::dynamic(1);
-    opts_.reorder = true;
-  }
-  guard_ = rt::WaitGuard{&latch_, opts_.stall_budget, core::to_string(s)};
-}
-
-void FactorPlan::note_calibration_epoch(double seconds) {
-  core::StrategyTiming& t = telemetry_.race.timings[cand_idx_];
-  const double us = seconds * 1e6;
-  if (t.epochs == 0 || us < t.best_us) t.best_us = us;
-  ++t.epochs;
-  ++telemetry_.race.exploration_epochs;
-  if (++cand_epoch_ < opts_.calibration_epochs) return;
-  cand_epoch_ = 0;
-  if (++cand_idx_ < candidates_.size()) {
-    set_strategy_state(candidates_[cand_idx_]);
-    bind_region();
-    return;
-  }
-  finish_calibration();
-}
-
-void FactorPlan::finish_calibration() {
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < telemetry_.race.timings.size(); ++i) {
-    if (telemetry_.race.timings[i].best_us <
-        telemetry_.race.timings[best].best_us) {
-      best = i;
-    }
-  }
-  const ExecutionStrategy winner = candidates_[best];
-  calibrating_ = false;
-  set_strategy_state(winner);
-  telemetry_.race.calibrated = true;
-  telemetry_.rationale =
-      std::string("calibrated: ") + core::to_string(winner) +
-      " measured fastest (" +
-      std::to_string(telemetry_.race.timings[best].best_us) +
-      " us/factorization over " +
-      std::to_string(telemetry_.race.exploration_epochs) +
-      " exploration factorizations)";
-  if (have_tuning_key_) core::tuning_cache().store(tuning_key_, winner);
-  const bool needs_order =
-      telemetry_.strategy == ExecutionStrategy::kLevelBarrier ||
-      (telemetry_.strategy == ExecutionStrategy::kDoacross && opts_.reorder);
-  if (!needs_order) order_.reset();
-  bind_region();
-}
-
-void FactorPlan::set_lanes(const kernels::LaneOps* ops) noexcept {
-  lanes_ = ops;
-  // The fused scatter update re-rounds, so it is only reachable when the
-  // caller opted into ulp_tolerance AND the table is a vector one — a
-  // forced-scalar plan stays bitwise even with a tolerance set.
-  gather_ = (opts_.ulp_tolerance > 0.0 &&
-             ops->isa != kernels::KernelIsa::kScalar)
-                ? ops->gather_axpy_fma
-                : ops->gather_axpy;
-}
-
-void FactorPlan::resolve_kernel() noexcept {
-  telemetry_.isa = kernels::dispatched_isa();
-  const bool have_vector = telemetry_.isa != kernels::KernelIsa::kScalar;
-  switch (opts_.kernel) {
-    case kernels::KernelChoice::kScalar:
-      set_lanes(&kernels::scalar_ops());
-      telemetry_.kernel = kernels::KernelChoice::kScalar;
-      return;
-    case kernels::KernelChoice::kVector:
-      set_lanes(&kernels::dispatched_ops());
-      telemetry_.kernel = have_vector ? kernels::KernelChoice::kVector
-                                      : kernels::KernelChoice::kScalar;
-      return;
-    case kernels::KernelChoice::kAuto:
-      set_lanes(&kernels::dispatched_ops());
-      telemetry_.kernel = have_vector ? kernels::KernelChoice::kVector
-                                      : kernels::KernelChoice::kScalar;
-      // Separate race from the strategy race (DESIGN.md §13 budgets are
-      // contractual): scalar-vs-vector is timed on the factorizations
-      // that run after strategy calibration finishes. Both candidates
-      // produce bitwise-identical factors, so exploring is invisible.
-      if (have_vector && opts_.calibration_epochs > 0 && n_ > 0) {
-        kernel_race_.arm(opts_.calibration_epochs);
-      }
-      return;
-  }
-}
-
-void FactorPlan::note_kernel_epoch(double seconds) noexcept {
-  if (kernel_race_.note_epoch(seconds * 1e6)) {
-    set_lanes(kernel_race_.winner() == kernels::KernelChoice::kScalar
-                  ? &kernels::scalar_ops()
-                  : &kernels::dispatched_ops());
-    telemetry_.kernel = kernel_race_.winner();
-  }
-  telemetry_.kernel_race = kernel_race_.state();
 }
 
 IluFactors FactorPlan::allocate_factors() const {
@@ -371,7 +218,9 @@ void FactorPlan::factor_row(index_t i, WaitFn&& wait) {
   // seen by every later row and lands in U — thread-order independent,
   // hence bitwise identical to ilu0(a, pivot) under every strategy.
   double piv = w[d];
-  if (injector_) piv = injector_->filter_pivot(i, piv);
+  if (rt::FaultInjector* inj = core_.injector()) {
+    piv = inj->filter_pivot(i, piv);
+  }
   if (piv == 0.0 || !std::isfinite(piv)) {
     switch (opts_.pivot.policy) {
       case PivotPolicy::kThrow:
@@ -395,88 +244,6 @@ void FactorPlan::factor_row(index_t i, WaitFn&& wait) {
               static_cast<std::size_t>(d - rb) * sizeof(double));
   std::memcpy(uval_ + uptr_[static_cast<std::size_t>(i)], w + d,
               static_cast<std::size_t>(re - d) * sizeof(double));
-}
-
-void FactorPlan::bind_region() {
-  // Bound once; per-call inputs travel through aval_/lval_/uval_ so
-  // factorize() never constructs (= heap-allocates) a std::function.
-  switch (telemetry_.strategy) {
-    case ExecutionStrategy::kDoacross: {
-      const index_t* ord = order_ ? order_->order.data() : nullptr;
-      region_ = [this, ord](unsigned tid, unsigned nthreads) {
-        std::uint64_t eps = 0, rds = 0;
-        index_t cur = -1;  // row being factored, for stall diagnostics
-        auto flag_wait = [&](index_t k) {
-          const std::uint64_t rounds =
-              core::wait_done_guarded(ready_, k, cur, guard_);
-          if (rounds != 0) {
-            ++eps;
-            rds += rounds;
-          }
-        };
-        auto run_pos = [&](index_t pos) {
-          const index_t i = ord ? ord[pos] : pos;
-          cur = i;
-          if (injector_) injector_->on_row(tid, i, &latch_);
-          factor_row(i, flag_wait);
-          ready_.mark_done(i);  // release-publishes row i's w slice
-        };
-        rt::schedule_run(opts_.schedule, n_, tid, nthreads, &cursor_,
-                         run_pos);
-        episodes_[tid].value = eps;
-        rounds_[tid].value = rds;
-      };
-      break;
-    }
-    case ExecutionStrategy::kLevelBarrier:
-      region_ = [this](unsigned tid, unsigned nthreads) {
-        // Every producer of level l retired before the barrier that opens
-        // level l+1 — no flags consulted or published.
-        const core::Reordering& ord = *order_;
-        auto no_wait = [](index_t) noexcept {};
-        for (index_t lvl = 0; lvl < ord.num_levels(); ++lvl) {
-          const index_t lo = ord.level_ptr[static_cast<std::size_t>(lvl)];
-          const index_t hi =
-              ord.level_ptr[static_cast<std::size_t>(lvl) + 1];
-          const rt::IterRange r =
-              rt::static_block_range(hi - lo, tid, nthreads);
-          for (index_t pos = lo + r.begin; pos < lo + r.end; ++pos) {
-            const index_t i = ord.order[static_cast<std::size_t>(pos)];
-            if (injector_) injector_->on_row(tid, i, &latch_);
-            factor_row(i, no_wait);
-          }
-          barrier_.arrive_and_wait();
-        }
-        episodes_[tid].value = 0;
-        rounds_[tid].value = 0;
-      };
-      break;
-    case ExecutionStrategy::kSerial:
-      region_ = [this](unsigned, unsigned) {
-        auto no_wait = [](index_t) noexcept {};
-        for (index_t i = 0; i < n_; ++i) {
-          if (injector_) injector_->on_row(0, i, &latch_);
-          factor_row(i, no_wait);
-        }
-      };
-      break;
-    case ExecutionStrategy::kAuto:
-      break;  // unreachable: the constructor never leaves kAuto
-  }
-  // Containment wrapper (applied once — factorize() still never
-  // allocates): a faulting worker records its exception in the latch and
-  // joins; peers observe the latch in their guarded waits, throw
-  // WorkerAbort, and drain here.
-  region_ = [this, raw = std::move(region_)](unsigned tid,
-                                             unsigned nthreads) {
-    try {
-      raw(tid, nthreads);
-    } catch (rt::WorkerAbort&) {
-      // A peer faulted first; this thread drained its waits and joins.
-    } catch (...) {
-      latch_.raise(std::current_exception());
-    }
-  };
 }
 
 bool FactorPlan::split_idx_matches(const IluFactors& f) const noexcept {
@@ -506,11 +273,7 @@ bool FactorPlan::split_idx_matches(const IluFactors& f) const noexcept {
 }
 
 FactorStats FactorPlan::factorize(const Csr& a, IluFactors& f) {
-  if (poisoned_) {
-    throw rt::PlanPoisonedError(
-        "FactorPlan: plan poisoned by an earlier in-region fault; rebuild "
-        "the plan before factorizing again");
-  }
+  core_.throw_if_poisoned();
   // The O(nnz) idx comparisons run once per distinct buffer set: a
   // time-stepping caller re-assembles VALUES into the same Csr / factor
   // objects every step, so steady-state validation drops to the O(n)
@@ -558,16 +321,10 @@ FactorStats FactorPlan::factorize(const Csr& a, IluFactors& f) {
 
   // The kernel race feeds only on factorizations after the strategy race
   // locked in, so strategy exploration noise never pollutes the
-  // scalar-vs-vector timings. The candidate table is set per
-  // factorization (both candidates are bitwise identical).
-  const bool kernel_epoch = kernel_race_.active() && !calibrating_;
-  if (kernel_epoch) {
-    const kernels::KernelChoice cand = kernel_race_.candidate();
-    set_lanes(cand == kernels::KernelChoice::kScalar
-                  ? &kernels::scalar_ops()
-                  : &kernels::dispatched_ops());
-    telemetry_.kernel = cand;
-  }
+  // scalar-vs-vector timings (both candidates are bitwise identical).
+  const bool kernel_epoch = core_.begin_kernel_epoch(/*eligible=*/true);
+  gather_ = core_.ulp() ? core_.lanes()->gather_axpy_fma
+                        : core_.lanes()->gather_axpy;
 
   using clock = std::chrono::steady_clock;
   const clock::time_point t0 = clock::now();
@@ -580,25 +337,14 @@ FactorStats FactorPlan::factorize(const Csr& a, IluFactors& f) {
   int pass = 0;
   for (;;) {
     ++pass;
-    ready_.begin_epoch();
-    cursor_.store(0, std::memory_order_relaxed);
+    core_.reset(core_.dag(0));
     bad_row_.store(-1, std::memory_order_relaxed);
     shift_count_.store(0, std::memory_order_relaxed);
-    if (telemetry_.strategy == ExecutionStrategy::kSerial) {
-      region_(0, 1);
-    } else {
-      pool_->parallel_region(nth_, region_);
-      for (unsigned t = 0; t < nth_; ++t) {
-        stats.wait_episodes += episodes_[t].value;
-        stats.wait_rounds += rounds_[t].value;
-      }
-    }
-    if (latch_.raised()) {
-      // A worker faulted (injected fault, stall watchdog, ...) and its
-      // peers drained; partial factors are garbage, so poison the plan.
-      poisoned_ = true;
-      latch_.rethrow_and_reset();
-    }
+    // A worker fault (injected fault, stall watchdog, ...) poisons the
+    // plan and rethrows here: partial factors are garbage.
+    const core::DoacrossStats pass_stats = core_.dispatch(region_);
+    stats.wait_episodes += pass_stats.wait_episodes;
+    stats.wait_rounds += pass_stats.wait_rounds;
 
     // Pivot failures under kThrow are recorded in-region (throwing there
     // would strand peers spinning on the bad row's flag) and reported
@@ -636,11 +382,7 @@ FactorStats FactorPlan::factorize(const Csr& a, IluFactors& f) {
   // Race bookkeeping only after a fully successful numeric phase: a
   // fault poisons the plan above without touching the race, and a pivot
   // throw returns before this point — neither feeds the cache.
-  if (calibrating_) {
-    note_calibration_epoch(stats.factor_seconds);
-  } else if (kernel_epoch) {
-    note_kernel_epoch(stats.factor_seconds);
-  }
+  core_.end_epoch(stats.factor_seconds, kernel_epoch);
   stats.pivot_shifts = shifts;
   stats.pivot_shift =
       shifts != 0 ? (opts_.pivot.policy == PivotPolicy::kReplace

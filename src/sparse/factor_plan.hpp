@@ -24,9 +24,9 @@
 //   strategy selection
 //    (core::advise_factor_schedule)
 //
-// and then runs parallel numeric factorizations through the ThreadPool
-// with the same epoch-flag / level-barrier / serial executor family
-// TrisolvePlan uses (DESIGN.md §11). Results are bitwise identical to
+// and then runs parallel numeric factorizations on the executor core
+// TrisolvePlan runs on (core::DagPlan — flags, levels or serial; DESIGN.md
+// §11): the plan supplies only the row body. Results are bitwise identical to
 // ilu0() under every strategy because each row's arithmetic
 // — the step order, the update order within a step, the divisions — is
 // exactly the sequential IKJ loop's, and a row only ever reads rows that
@@ -40,14 +40,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/advisor.hpp"
-#include "core/doconsider.hpp"
-#include "core/ready_table.hpp"
+#include "core/dag_plan.hpp"
 #include "runtime/aligned.hpp"
-#include "runtime/barrier.hpp"
 #include "runtime/failure.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sparse/csr.hpp"
@@ -118,20 +115,11 @@ struct FactorStats {
 };
 
 /// What the plan decided and owns — reported by benches and forwarded
-/// (as PlanTelemetry::factor_*) by the solve layer.
-struct FactorTelemetry {
-  ExecutionStrategy requested = ExecutionStrategy::kAuto;
-  /// The resolved strategy (never kAuto).
-  ExecutionStrategy strategy = ExecutionStrategy::kSerial;
-  /// The advisor's reason under kAuto; "strategy fixed by caller"
-  /// otherwise. Rewritten when a calibration race locks in its winner.
-  std::string rationale;
-  /// The empirical calibration record (DESIGN.md §13).
-  core::StrategyRace race;
-  /// Measured structure of the lower pattern (populated under kAuto).
-  core::TrisolveStructure structure;
-  /// Processor count the decision assumed.
-  unsigned procs = 0;
+/// (as PlanTelemetry::factor_*) by the solve layer. The decision, race
+/// and kernel fields come from core::ExecTelemetry, which the plan's
+/// executor core writes (the kernel race feeds on the factorizations
+/// after the strategy race locks in).
+struct FactorTelemetry : core::ExecTelemetry {
   /// Bytes of the symbolic products (scatter maps, step tables, pattern
   /// copy, working array) the plan owns.
   std::size_t symbolic_bytes = 0;
@@ -143,16 +131,6 @@ struct FactorTelemetry {
   /// Substitute value of the most recent factorize that shifted (0.0 if
   /// the plan has never shifted a pivot).
   double last_shift = 0.0;
-  /// The process-wide dispatched ISA (CPUID + PDX_KERNEL; DESIGN.md §14).
-  kernels::KernelIsa isa = kernels::KernelIsa::kScalar;
-  /// The resolved kernel choice the scatter updates run (never kAuto
-  /// after construction; the current race candidate while a kernel race
-  /// is exploring, the measured winner once locked in).
-  kernels::KernelChoice kernel = kernels::KernelChoice::kScalar;
-  /// The scalar-vs-vector kernel race record (armed only for kAuto
-  /// kernels on machines with a vector ISA; fed by the factorizations
-  /// after the strategy race locks in).
-  kernels::KernelRaceState kernel_race;
 };
 
 /// Persistent ILU(0) plan over one sparsity pattern: symbolic phase at
@@ -192,14 +170,14 @@ class FactorPlan {
   FactorStats factorize(const Csr& a, IluFactors& f);
 
   index_t rows() const noexcept { return n_; }
-  unsigned nthreads() const noexcept { return nth_; }
+  unsigned nthreads() const noexcept { return core_.nthreads(); }
   /// The resolved execution strategy (never kAuto; the current race
   /// candidate while calibrating()).
   ExecutionStrategy strategy() const noexcept { return telemetry_.strategy; }
   /// True while a kAuto calibration race is still exploring — the next
   /// factorize() calls time the remaining candidates (bitwise identical
   /// factors throughout) before the plan locks in.
-  bool calibrating() const noexcept { return calibrating_; }
+  bool calibrating() const noexcept { return core_.calibrating(); }
   const FactorTelemetry& telemetry() const noexcept { return telemetry_; }
   /// Completed factorize() calls.
   std::uint64_t factorizations() const noexcept { return factorizations_; }
@@ -207,40 +185,24 @@ class FactorPlan {
   /// stalled mid-factorization); every later factorize() throws
   /// rt::PlanPoisonedError. A clean pivot throw does NOT poison — a
   /// refactorize with good values recovers the plan.
-  bool poisoned() const noexcept { return poisoned_; }
+  bool poisoned() const noexcept { return core_.poisoned(); }
   /// Attach a fault-injection harness (tests only); nullptr detaches.
   void set_fault_injector(rt::FaultInjector* injector) noexcept {
-    injector_ = injector;
+    core_.set_fault_injector(injector);
   }
 
  private:
+  /// The row body: eliminate row i in place in w_ and split it into the
+  /// factors. `wait(k)` is called before row k's values are read.
   template <class WaitFn>
   void factor_row(index_t i, WaitFn&& wait);
   bool split_idx_matches(const IluFactors& f) const noexcept;
-  void bind_region();
   void build_symbolic(const Csr& a);
-  /// Resolve FactorPlanOptions::kernel against the dispatched ISA and arm
-  /// the scalar-vs-vector race for kAuto kernels (DESIGN.md §14).
-  void resolve_kernel() noexcept;
-  /// Swap the active LaneOps table and re-resolve the scatter-update
-  /// entry point (gather_axpy, or gather_axpy_fma under ulp_tolerance).
-  void set_lanes(const kernels::LaneOps* ops) noexcept;
-  /// Kernel-race bookkeeping after a successful non-exploration
-  /// factorize(); locks in the measured winner at budget end.
-  void note_kernel_epoch(double seconds) noexcept;
-  /// Point the plan at strategy `s` (telemetry, doacross configuration,
-  /// guard site); callers rebind the region after.
-  void set_strategy_state(ExecutionStrategy s);
-  /// Race bookkeeping after each SUCCESSFUL factorize() while exploring;
-  /// mirrors TrisolvePlan::note_calibration_epoch (DESIGN.md §13).
-  void note_calibration_epoch(double seconds);
-  void finish_calibration();
 
-  rt::ThreadPool* pool_;
   FactorPlanOptions opts_;
   index_t n_ = 0;
-  unsigned nth_ = 0;
   FactorTelemetry telemetry_;
+  core::DagPlan core_;  // writes telemetry_'s decision fields
 
   // --- symbolic products (pattern-derived, built once) ---
   std::vector<index_t> ptr_, idx_;     // pattern copy (validation + kernel)
@@ -254,37 +216,15 @@ class FactorPlan {
   // flat stream.
   std::vector<index_t> row_step_ptr_, lik_pos_, pivot_pos_;
   std::vector<index_t> upd_ptr_, upd_tgt_, upd_src_;
-  std::unique_ptr<core::Reordering> order_;  // doconsider levels (lower pattern)
 
   // --- numeric scratch (allocated once, reused every factorize) ---
   std::vector<double, rt::CacheAlignedAllocator<double>> w_;
-  core::EpochReadyTable ready_;
-  rt::Barrier barrier_;
-  std::atomic<index_t> cursor_{0};
-  std::vector<rt::Padded<std::uint64_t>> episodes_, rounds_;
   std::atomic<index_t> bad_row_{-1};
-  rt::FailureLatch latch_;
-  rt::WaitGuard guard_;  // latch + stall budget shared by every flag wait
-  bool poisoned_ = false;
-  rt::FaultInjector* injector_ = nullptr;
-
-  // kAuto calibration race state (DESIGN.md §13), advanced by successful
-  // factorize() calls.
-  bool calibrating_ = false;
-  std::vector<ExecutionStrategy> candidates_;
-  std::size_t cand_idx_ = 0;
-  int cand_epoch_ = 0;
-  core::TuningKey tuning_key_{};
-  bool have_tuning_key_ = false;
-
-  // Lane-kernel state (DESIGN.md §14): the active table, the resolved
-  // scatter-update entry point (bitwise gather_axpy, or gather_axpy_fma
-  // when the caller opted into ulp_tolerance on a vector table), and the
-  // scalar-vs-vector race fed by post-lock-in factorizations.
-  const kernels::LaneOps* lanes_ = nullptr;
+  /// The scatter-update entry point for this factorization: bitwise
+  /// gather_axpy, or gather_axpy_fma when the caller opted into
+  /// ulp_tolerance on a vector table (DESIGN.md §14).
   void (*gather_)(double*, const index_t*, const index_t*, index_t,
                   double) = nullptr;
-  kernels::Race kernel_race_;
 
   /// Substituted pivots of the current pass (kShift/kReplace).
   std::atomic<std::uint64_t> shift_count_{0};

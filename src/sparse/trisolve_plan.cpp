@@ -5,10 +5,10 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "runtime/schedule.hpp"
 #include "sparse/levels.hpp"
-#include "sparse/trisolve.hpp"
 
 namespace pdx::sparse {
 
@@ -23,8 +23,8 @@ void check_factor(const Csr& m, const char* what) {
 
 // --- row sources -----------------------------------------------------
 //
-// The layout-generic kernels read rows only through src.at(position);
-// these adapters supply the two layouts. The CSR views reproduce the
+// The row bodies read rows only through src.at(position); these
+// adapters supply the two layouts. The CSR views reproduce the
 // historical access path exactly (position -> row via the order array,
 // row -> entries via row_ptr); the packed sources walk the plan-owned
 // execution-ordered record streams of DESIGN.md §10.
@@ -57,15 +57,6 @@ struct CsrUpperSrc {
   }
 };
 
-CsrLowerSrc csr_lower(const Csr& m, const core::Reordering* ord) noexcept {
-  return {&m, ord ? ord->order.data() : nullptr};
-}
-
-CsrUpperSrc csr_upper(const Csr& m, const core::Reordering* ord,
-                      index_t n) noexcept {
-  return {&m, ord ? ord->order.data() : nullptr, n};
-}
-
 /// kPacked, statically owned slab: positions arrive consecutively, so
 /// the position argument is implicit in the cursor — the pure linear
 /// walk (serial, level-barrier).
@@ -89,23 +80,8 @@ struct PackedSeekSrc {
 // op retires k right-hand sides per nonzero, and because column c's
 // element never mixes with column c''s, the vector forms are bitwise
 // identical to the scalar per-column arithmetic (DESIGN.md §14). Narrow
-// batches (k < kLaneMin) and machine-emulation runs keep the inline
-// scalar loops — same bits, no indirect-call overhead.
-
-inline void lane_update(const kernels::LaneOps* lanes, double* ti,
-                        const double* tc, double a, index_t k,
-                        int work_reps) noexcept {
-  if (work_reps > 0) {
-    for (index_t c = 0; c < k; ++c) {
-      ti[c] -= a * tc[c];
-      ti[c] = machine_emulation_work(ti[c], work_reps);
-    }
-  } else if (k >= kernels::kLaneMin) {
-    lanes->axpy(ti, tc, a, k);
-  } else {
-    for (index_t c = 0; c < k; ++c) ti[c] -= a * tc[c];
-  }
-}
+// batches (k < kLaneMin) keep the inline scalar loops — same bits, no
+// indirect-call overhead.
 
 inline void lane_div(const kernels::LaneOps* lanes, double* ti, double d,
                      index_t k) noexcept {
@@ -113,16 +89,6 @@ inline void lane_div(const kernels::LaneOps* lanes, double* ti, double d,
     lanes->div_inplace(ti, d, k);
   } else {
     for (index_t c = 0; c < k; ++c) ti[c] /= d;
-  }
-}
-
-/// Prefetch the strip row of the NEXT dependence while the lane kernel
-/// computes on the current one: the gathered x-entries of the packed
-/// dot, one dependence ahead (DESIGN.md §14 discusses the distance).
-inline void prefetch_next_dep(const PackedRow& r, index_t j,
-                              const double* tp, index_t k) noexcept {
-  if (j + 1 < r.cnt) {
-    kernels::prefetch_read(tp + r.cols[j + 1] * k);
   }
 }
 
@@ -141,9 +107,9 @@ inline void prefetch_strip_row(const kernels::LaneOps* lanes,
 /// The NEXT record's gathered strip rows, issued while the lane kernels
 /// chew the current record — one full record of distance, enough to
 /// cover a last-level-cache hit on the spilled factors the packed
-/// layout targets. Only the walk-order executors (serial, level) use
-/// this: their lookahead row's dependences are all final, so the
-/// prefetch never tugs a line another thread is writing.
+/// layout targets. Only the walk-order walks (serial, level) use this:
+/// their lookahead row's dependences are all final, so the prefetch
+/// never tugs a line another thread is writing.
 inline void prefetch_row_deps(const PackedRow& r, const double* tp,
                               index_t k) noexcept {
   for (index_t j = 0; j < r.cnt; ++j) {
@@ -154,247 +120,336 @@ inline void prefetch_row_deps(const PackedRow& r, const double* tp,
 
 /// The lookahead pipeline (parse the next record, prefetch its strip
 /// rows, then compute the current one) only pays when the lane kernels
-/// are actually in play: wide batches on a vector table. Narrow batches,
-/// machine-emulation runs, and the scalar table keep the plain walk —
-/// the scalar candidate the kernel race times IS the pre-kernel-layer
-/// executor, prefetch-free.
-inline bool want_lookahead(const kernels::LaneOps* lanes, index_t k,
-                           int work_reps) noexcept {
-  return lanes->isa != kernels::KernelIsa::kScalar &&
-         k >= kernels::kLaneMin && work_reps == 0;
+/// are actually in play: wide batches on a vector table. Narrow batches
+/// and the scalar table keep the plain walk — the scalar candidate the
+/// kernel race times IS the pre-kernel-layer executor, prefetch-free.
+inline bool want_lookahead(const kernels::LaneOps* lanes,
+                           index_t k) noexcept {
+  return lanes->isa != kernels::KernelIsa::kScalar && k >= kernels::kLaneMin;
 }
 
-/// One record's WHOLE dependence list against the strip. Wide un-emulated
-/// batches take the fused row kernel — one indirect call per row,
-/// accumulators register-resident across the dependence list; everything
-/// else keeps the per-dependence loops. All callers retire their waits
-/// BEFORE this runs (the fused kernel reads every dependence's strip
-/// row). Bitwise equal either way: per column the j-ordered mul+sub
-/// sequence is identical.
+/// One record's WHOLE dependence list against the strip. Wide batches
+/// take the fused row kernel — one indirect call per row, accumulators
+/// register-resident across the dependence list; narrow ones keep the
+/// per-dependence loop, prefetching the next dependence's strip row.
+/// Every wait retires BEFORE this runs (the fused kernel reads every
+/// dependence's strip row). Bitwise equal either way: per column the
+/// j-ordered mul+sub sequence is identical.
 inline void lane_row_update(const kernels::LaneOps* lanes, double* ti,
-                            const double* tp, const PackedRow& r, index_t k,
-                            int work_reps) noexcept {
-  if (work_reps == 0 && k >= kernels::kLaneMin) {
+                            const double* tp, const PackedRow& r,
+                            index_t k) noexcept {
+  if (k >= kernels::kLaneMin) {
     lanes->row_axpy(ti, r.vals, r.cols, r.cnt, tp, k);
     return;
   }
   for (index_t j = 0; j < r.cnt; ++j) {
-    prefetch_next_dep(r, j, tp, k);
-    lane_update(lanes, ti, tp + r.cols[j] * k, r.vals[j], k, work_reps);
+    if (j + 1 < r.cnt) kernels::prefetch_read(tp + r.cols[j + 1] * k);
+    const double* tc = tp + r.cols[j] * k;
+    const double a = r.vals[j];
+    for (index_t c = 0; c < k; ++c) ti[c] -= a * tc[c];
   }
+}
+
+/// Keeps a short in-order reduction a scalar loop. Vectorizing it is
+/// legal (the term order is kept), but rows are a few terms long and the
+/// vector form puts a lane shuffle on the row-to-row dependence chain of
+/// a serial solve — measured ~6% slower single-RHS serial solves at -O3.
+/// The empty asm makes the index opaque to the vectorizer and emits no
+/// instruction.
+inline void scalar_loop(index_t& j) noexcept {
+#if defined(__GNUC__)
+  asm("" : "+r"(j));
+#else
+  (void)j;
+#endif
+}
+
+// --- row bodies -------------------------------------------------------
+//
+// What one row computes, independent of how the core schedules it: the
+// core calls body(pos, wait) for execution position pos, and the body
+// calls wait(dep) before reading a dependence's result (a no-op outside
+// the flag walk). Lower and upper solves share the bodies; they differ
+// only in the DAG and the row Source. Arithmetic is identical to the
+// sequential Fig. 7 solves in every instantiation.
+
+/// The single-RHS row: y[i] = (rhs[i] - sum_j a_ij y[j]) / a_ii, terms
+/// in stored order. The opt-in ulp path retires every wait first, then
+/// runs the reassociated vector dot over the whole row.
+template <class Src>
+struct VecRow {
+  Src src;
+  const double* rhs;
+  double* y;
+  const kernels::LaneOps* lanes;
+  bool ulp;
+
+  template <class Wait>
+  void operator()(index_t pos, Wait& wait) {
+    const PackedRow r = src.at(pos);
+    double acc = rhs[r.row];
+    if (ulp) {
+      for (index_t j = 0; j < r.cnt; ++j) wait(r.cols[j]);
+      acc -= lanes->dot(r.vals, r.cols, y, r.cnt);
+    } else {
+      for (index_t j = 0; j < r.cnt; ++j) {
+        scalar_loop(j);
+        const index_t c = r.cols[j];
+        wait(c);
+        acc -= r.vals[j] * y[c];
+      }
+    }
+    y[r.row] = acc / r.diag;
+  }
+};
+
+/// The k-wide strip row: column c runs the exact arithmetic of VecRow on
+/// its own right-hand side (term order, division) — bitwise equal per
+/// column. One ready flag per row covers all k columns: a dependence is
+/// waited on once, not k times, and the record is read once for the
+/// whole batch. Row i's k values live in place in the row-major strip,
+/// where consumers read them contiguously. The forward solve loads the
+/// strip row from b_cols; the backward solve updates it in place and
+/// mirrors it into x_cols before the row is published.
+template <class Src>
+struct StripRow {
+  Src src;
+  const double* const* b_cols;  // lower: the caller's right-hand sides
+  double* const* x_cols;        // upper: the caller's solutions
+  double* tp;
+  index_t k;
+  const kernels::LaneOps* lanes;
+
+  template <class Wait>
+  void operator()(index_t pos, Wait& wait) {
+    const PackedRow r = src.at(pos);
+    double* ti = tp + r.row * k;
+    if (b_cols) {
+      for (index_t c = 0; c < k; ++c) ti[c] = b_cols[c][r.row];
+    }
+    if constexpr (Wait::kWaits) {
+      // Waits retire first, pulling each ready dependence's strip row
+      // toward L1 as it lands; then the whole dependence list runs
+      // through one fused lane-kernel call.
+      for (index_t j = 0; j < r.cnt; ++j) {
+        wait(r.cols[j]);
+        prefetch_strip_row(lanes, tp, r.cols[j], k);
+      }
+    }
+    lane_row_update(lanes, ti, tp, r, k);
+    lane_div(lanes, ti, r.diag, k);
+    if (x_cols) {
+      for (index_t c = 0; c < k; ++c) x_cols[c][r.row] = ti[c];
+    }
+  }
+
+  /// The core's lookahead hook, present only over an AheadSrc.
+  void look(index_t pos, index_t end) noexcept
+    requires requires(Src s) { s.look(pos, end); }
+  {
+    src.look(pos, end);
+  }
+};
+
+/// Walk-order lookahead over a row Source: look(pos, end), called by the
+/// core through StripRow, parses record pos (or takes it from the
+/// previous call) and, when
+/// the thread's run continues, parses record pos+1 and prefetches its
+/// gathered strip rows — then the body's at(pos) returns record pos.
+/// Each record is parsed exactly once, in walk order, which is what the
+/// cursor-driven packed sources require.
+template <class Src>
+struct AheadSrc {
+  Src src;
+  const double* tp;
+  index_t k;
+  PackedRow cur{}, nxt{};
+  bool ahead = false;
+
+  void look(index_t pos, index_t end) noexcept {
+    cur = ahead ? nxt : src.at(pos);
+    ahead = pos + 1 < end;
+    if (ahead) {
+      nxt = src.at(pos + 1);
+      prefetch_row_deps(nxt, tp, k);
+    }
+  }
+  PackedRow at(index_t) const noexcept { return cur; }
+};
+
+core::DagPlanConfig core_config(const PlanOptions& o) noexcept {
+  return {.nthreads = o.nthreads,
+          .strategy = o.strategy,
+          .schedule = o.schedule,
+          .reorder = o.reorder,
+          .calibration_epochs = o.calibration_epochs,
+          .use_tuning_cache = o.use_tuning_cache,
+          .stall_budget = o.stall_budget,
+          .kernel = o.kernel,
+          .ulp_tolerance = o.ulp_tolerance,
+          .factor = false,
+          .name = "TrisolvePlan",
+          .epoch = "solve"};
 }
 
 }  // namespace
 
-rt::ThreadPool::RegionFn TrisolvePlan::contained(
-    rt::ThreadPool::RegionFn raw) {
-  return [this, raw = std::move(raw)](unsigned tid, unsigned nthreads) {
-    try {
-      raw(tid, nthreads);
-    } catch (rt::WorkerAbort&) {
-      // A peer faulted first; this thread drained its waits and joins.
-    } catch (...) {
-      latch_.raise(std::current_exception());
+template <bool kLook, class MakeRow>
+void TrisolvePlan::walk(bool upper, unsigned tid, unsigned nthreads,
+                        MakeRow&& row) {
+  // Walk-order walks visit each thread's positions consecutively; with
+  // kLook their rows read through an AheadSrc, whose hook the core calls.
+  auto in_order = [&](auto src) {
+    if constexpr (kLook) {
+      return row(AheadSrc<decltype(src)>{src, batch_tmp_.data(), batch_k_});
+    } else {
+      return row(src);
     }
   };
-}
-
-bool TrisolvePlan::needs_reordering() const noexcept {
-  // Both factors build (or skip) their doconsider analyses by the same
-  // rule: level-barrier executes the levels themselves; doacross uses
-  // the order only when asked to. A calibration race keeps both orders
-  // alive — the level-barrier and doacross candidates need them; the
-  // winner drops what it does not use at lock-in.
-  return calibrating_ ||
-         telemetry_.strategy == ExecutionStrategy::kLevelBarrier ||
-         (telemetry_.strategy == ExecutionStrategy::kDoacross &&
-          opts_.reorder);
-}
-
-void TrisolvePlan::set_strategy_state(ExecutionStrategy s) {
-  telemetry_.strategy = s;
-  if (s == ExecutionStrategy::kDoacross &&
-      opts_.strategy == ExecutionStrategy::kAuto) {
-    // The advisor's canonical flag-based configuration: dynamic
-    // single-iteration issue in doconsider order. Fixing it here keeps
-    // raced doacross epochs and cache-hit plans configured identically.
-    opts_.schedule = rt::Schedule::dynamic(1);
-    opts_.reorder = true;
-  }
-  guard_ = rt::WaitGuard{&latch_, opts_.stall_budget, core::to_string(s)};
-}
-
-void TrisolvePlan::rebind_regions() {
-  bind_lower_region();
-  if (u_) bind_upper_regions();
-}
-
-void TrisolvePlan::set_lanes(const kernels::LaneOps* ops) noexcept {
-  lanes_ = ops;
-  // The ulp dot is a horizontal reduction only the vector tables
-  // implement differently; forced-scalar plans stay bitwise even when
-  // the caller set a tolerance, and the machine-emulation knob pins the
-  // scalar per-term loop it instruments.
-  ulp_dot_ = opts_.ulp_tolerance > 0.0 && opts_.work_reps == 0 &&
-             ops->isa != kernels::KernelIsa::kScalar;
-}
-
-void TrisolvePlan::resolve_kernel() noexcept {
-  telemetry_.isa = kernels::dispatched_isa();
-  const bool have_vector = telemetry_.isa != kernels::KernelIsa::kScalar;
-  switch (opts_.kernel) {
-    case kernels::KernelChoice::kScalar:
-      set_lanes(&kernels::scalar_ops());
-      telemetry_.kernel = kernels::KernelChoice::kScalar;
-      return;
-    case kernels::KernelChoice::kVector:
-      set_lanes(&kernels::dispatched_ops());
-      telemetry_.kernel = have_vector ? kernels::KernelChoice::kVector
-                                      : kernels::KernelChoice::kScalar;
-      return;
-    case kernels::KernelChoice::kAuto:
-      set_lanes(&kernels::dispatched_ops());
-      telemetry_.kernel = have_vector ? kernels::KernelChoice::kVector
-                                      : kernels::KernelChoice::kScalar;
-      // The strategy race times strategies only (its budget and
-      // winner bookkeeping are contractual — DESIGN.md §13); the kernel
-      // dimension races separately on the dispatches that actually run
-      // lane kernels, which only begin once strategy exploration is
-      // done. Same epoch budget per choice as the strategy race.
-      if (have_vector && opts_.calibration_epochs > 0 && n_ > 0) {
-        kernel_race_.arm(opts_.calibration_epochs);
-      }
-      return;
-  }
-}
-
-void TrisolvePlan::note_kernel_epoch(double seconds, index_t k) noexcept {
-  // Normalize per column so epochs of different batch widths compare.
-  const double us = seconds * 1e6 / static_cast<double>(k);
-  if (kernel_race_.note_epoch(us)) {
-    set_lanes(kernel_race_.winner() == kernels::KernelChoice::kScalar
-                  ? &kernels::scalar_ops()
-                  : &kernels::dispatched_ops());
-    telemetry_.kernel = kernel_race_.winner();
-  }
-  telemetry_.kernel_race = kernel_race_.state();
-}
-
-void TrisolvePlan::resolve_strategy() {
-  telemetry_.requested = opts_.strategy;
-  telemetry_.procs = nth_;
-  if (opts_.strategy != ExecutionStrategy::kAuto) {
-    telemetry_.strategy = opts_.strategy;
-    telemetry_.rationale = "strategy fixed by caller";
-    return;
-  }
-  // The inspector pass of the strategy decision: the doconsider
-  // analysis (levels, widths) plus an O(nnz) distance scan. The
-  // reordering is kept — if the plan lands on doacross or
-  // level-barrier it is the execution order.
-  l_order_ =
-      std::make_unique<core::Reordering>(lower_solve_reordering(*l_));
-  telemetry_.structure = measure_lower_solve(*l_, *l_order_);
-  core::ScheduleAdvice advice =
-      core::advise_schedule(telemetry_.structure, nth_);
-  // The heuristic pick is the opening bid; with a viable race below it
-  // only decides which strategy explores first.
-  telemetry_.strategy = advice.strategy;
-  telemetry_.rationale = advice.rationale;
-  if (advice.strategy == ExecutionStrategy::kDoacross) {
-    opts_.schedule = advice.schedule;
-    opts_.reorder = advice.use_reordering;
-  }
-  // Empirical calibration (DESIGN.md §13). The heuristic ladder sees DAG
-  // shape, never synchronization cost on the actual machine, and the
-  // strategy baselines prove it can mispick by orders of magnitude. A
-  // race is viable whenever more than one strategy is plausible — with
-  // parallel width and a budget — because all executors are bitwise
-  // identical: the first solves time each candidate invisibly.
-  const bool can_calibrate =
-      opts_.calibration_epochs > 0 && nth_ > 1 && n_ > 0;
-  if (!can_calibrate) return;
-  if (opts_.use_tuning_cache) {
-    tuning_key_ = core::make_tuning_key(telemetry_.structure, nth_,
-                                        /*factor=*/false);
-    have_tuning_key_ = true;
-    ExecutionStrategy cached;
-    if (core::tuning_cache().lookup(tuning_key_, cached)) {
-      set_strategy_state(cached);
-      telemetry_.rationale =
-          std::string("tuning cache hit: ") + core::to_string(cached) +
-          " measured fastest earlier for this (pattern, threads)";
-      telemetry_.race.calibrated = true;
-      telemetry_.race.cache_hit = true;
-      return;
+  // Packed slabs are read linearly by the walk-order walks and through
+  // the position index by the flag walk (any schedule may claim any
+  // position). CSR views read rows through the DAG's order — except the
+  // serial walk, which runs in source order.
+  auto go = [&](core::Dag& d, const PackedFactorStream& packed, auto csr) {
+    switch (core_.strategy()) {
+      case ExecutionStrategy::kDoacross:
+        csr.order = d.order_data();
+        if (packed.packed()) {
+          core_.walk_flags(d, tid, nthreads, row(PackedSeekSrc{&packed}));
+        } else {
+          core_.walk_flags(d, tid, nthreads, row(csr));
+        }
+        return;
+      case ExecutionStrategy::kLevelBarrier:
+        csr.order = d.order_data();
+        if (packed.packed()) {
+          core_.walk_levels(d, tid, nthreads,
+                            in_order(PackedWalkSrc{packed.cursor(tid)}));
+        } else {
+          core_.walk_levels(d, tid, nthreads, in_order(csr));
+        }
+        return;
+      case ExecutionStrategy::kSerial:
+        if (packed.packed()) {
+          core_.walk_serial(d, in_order(PackedWalkSrc{packed.cursor(0)}));
+        } else {
+          core_.walk_serial(d, in_order(csr));
+        }
+        return;
+      case ExecutionStrategy::kAuto:
+        return;  // unreachable: the core never leaves kAuto
     }
+  };
+  if (upper) {
+    go(core_.dag(kUpper), packed_u_, CsrUpperSrc{u_, nullptr, n_});
+  } else {
+    go(core_.dag(kLower), packed_l_, CsrLowerSrc{l_, nullptr});
   }
-  calibrating_ = true;
-  candidates_ = {telemetry_.strategy};
-  for (const ExecutionStrategy s :
-       {ExecutionStrategy::kSerial, ExecutionStrategy::kDoacross,
-        ExecutionStrategy::kLevelBarrier}) {
-    if (s != candidates_.front()) candidates_.push_back(s);
-  }
-  telemetry_.race.timings.resize(candidates_.size());
-  for (std::size_t i = 0; i < candidates_.size(); ++i) {
-    telemetry_.race.timings[i].strategy = candidates_[i];
-  }
-  set_strategy_state(candidates_.front());
-  telemetry_.rationale +=
-      " — calibrating: racing every strategy on the first live solves";
 }
 
-void TrisolvePlan::note_calibration_epoch(double seconds) {
-  core::StrategyTiming& t = telemetry_.race.timings[cand_idx_];
-  const double us = seconds * 1e6;
-  if (t.epochs == 0 || us < t.best_us) t.best_us = us;
-  ++t.epochs;
-  ++telemetry_.race.exploration_epochs;
-  if (++cand_epoch_ < opts_.calibration_epochs) return;
-  cand_epoch_ = 0;
-  if (++cand_idx_ < candidates_.size()) {
-    set_strategy_state(candidates_[cand_idx_]);
-    rebind_regions();
-    return;
-  }
-  finish_calibration();
-}
-
-void TrisolvePlan::finish_calibration() {
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < telemetry_.race.timings.size(); ++i) {
-    if (telemetry_.race.timings[i].best_us <
-        telemetry_.race.timings[best].best_us) {
-      best = i;
+TrisolvePlan::TrisolvePlan(rt::ThreadPool& pool, const Csr& l, const Csr* u,
+                           const PlanOptions& opts)
+    : l_(&l),
+      u_(u),
+      opts_(opts),
+      n_(l.rows),
+      core_(pool, l.rows, u ? 2 : 1, core_config(opts), telemetry_) {
+  check_factor(l, "lower");
+  if (u) {
+    check_factor(*u, "upper");
+    if (u->rows != l.rows) {
+      throw std::invalid_argument("TrisolvePlan: L/U dimension mismatch");
     }
+    core_.dag(kUpper).reverse = true;  // the backward solve
+    tmp_.resize(static_cast<std::size_t>(n_));
   }
-  const ExecutionStrategy winner = candidates_[best];
-  calibrating_ = false;
-  set_strategy_state(winner);
-  telemetry_.race.calibrated = true;
-  telemetry_.rationale =
-      std::string("calibrated: ") + core::to_string(winner) +
-      " measured fastest (" +
-      std::to_string(telemetry_.race.timings[best].best_us) +
-      " us/solve over " + std::to_string(telemetry_.race.exploration_epochs) +
-      " exploration solves)";
-  if (have_tuning_key_) core::tuning_cache().store(tuning_key_, winner);
-  // Lock-in: drop the orders the winner does not read, resolve the
-  // deferred layout (pack the winner's execution order), and rebind the
-  // regions to the winner's kernels.
-  if (!needs_reordering()) {
-    l_order_.reset();
-    u_order_.reset();
+  core::Dag& dl = core_.dag(kLower);
+  if (opts_.strategy == ExecutionStrategy::kAuto) {
+    // The inspector pass of the strategy decision: the doconsider
+    // analysis (levels, widths) plus an O(nnz) distance scan. The
+    // reordering is kept — if the plan lands on doacross or
+    // level-barrier it is the execution order. One decision covers both
+    // factors.
+    dl.order = std::make_unique<core::Reordering>(lower_solve_reordering(l));
+    const core::TrisolveStructure s = measure_lower_solve(l, *dl.order);
+    core_.decide(s, core::advise_schedule(s, core_.nthreads()));
+  }
+  if (core_.needs_order()) {
+    if (!dl.order) {
+      dl.order = std::make_unique<core::Reordering>(lower_solve_reordering(l));
+    }
+    if (u) {
+      core_.dag(kUpper).order =
+          std::make_unique<core::Reordering>(upper_solve_reordering(*u));
+    }
+  } else {
+    dl.order.reset();  // kSerial runs in source order
   }
   build_packed();
-  rebind_regions();
+
+  // Regions are bound once, here: the core reads the strategy when a
+  // region runs, and per-call inputs travel through the lo_/up_/batch_
+  // members. This is what makes solve_* allocation free: a fresh
+  // capturing lambda would not fit std::function's small buffer and
+  // would heap-allocate on every call.
+  const auto vec = [this](const double* rhs, double* y) {
+    return [this, rhs, y](auto src) {
+      return VecRow<decltype(src)>{src, rhs, y, core_.lanes(), core_.ulp()};
+    };
+  };
+  lower_region_ = core_.contained([this, vec](unsigned tid, unsigned nth) {
+    walk<false>(false, tid, nth, vec(lo_rhs_, lo_y_));
+  });
+  if (!u) return;
+  upper_region_ = core_.contained([this, vec](unsigned tid, unsigned nth) {
+    walk<false>(true, tid, nth, vec(up_rhs_, up_y_));
+  });
+  fused_region_ = core_.contained([this, vec](unsigned tid, unsigned nth) {
+    // The forward solve flows into the backward solve without returning
+    // to the pool; the handoff publishes every tmp_ element before any
+    // thread consumes it.
+    walk<false>(false, tid, nth, vec(lo_rhs_, lo_y_));
+    core_.handoff();
+    walk<false>(true, tid, nth, vec(up_rhs_, up_y_));
+  });
+  batch_region_ = core_.contained([this](unsigned tid, unsigned nth) {
+    // One pass per factor with all k columns in the strip: even the
+    // serial walk retires k right-hand sides per nonzero through one
+    // lane kernel.
+    const auto strip = [this](bool upper) {
+      return [this, upper](auto src) {
+        return StripRow<decltype(src)>{src,
+                                       upper ? nullptr : batch_b_.data(),
+                                       upper ? batch_x_.data() : nullptr,
+                                       batch_tmp_.data(), batch_k_,
+                                       core_.lanes()};
+      };
+    };
+    const auto both = [&](auto look) {
+      walk<decltype(look)::value>(false, tid, nth, strip(false));
+      core_.handoff();
+      walk<decltype(look)::value>(true, tid, nth, strip(true));
+    };
+    if (want_lookahead(core_.lanes(), batch_k_)) {
+      both(std::true_type{});
+    } else {
+      both(std::false_type{});
+    }
+  });
 }
+
+TrisolvePlan::TrisolvePlan(rt::ThreadPool& pool, const Csr& l,
+                           const PlanOptions& opts)
+    : TrisolvePlan(pool, l, nullptr, opts) {}
+
+TrisolvePlan::TrisolvePlan(rt::ThreadPool& pool, const Csr& l, const Csr& u,
+                           const PlanOptions& opts)
+    : TrisolvePlan(pool, l, &u, opts) {}
 
 void TrisolvePlan::build_packed() {
   // Packed slab sequences are strategy-specific, so a calibrating plan
   // defers packing to lock-in and explores through CSR-view sources.
-  if (calibrating_ || n_ == 0) return;
+  if (core_.calibrating() || n_ == 0) return;
   PlanLayout want = opts_.layout;
   if (want == PlanLayout::kAuto) {
     // A serial plan walks each factor once per solve with no cross-thread
@@ -406,11 +461,14 @@ void TrisolvePlan::build_packed() {
                : PlanLayout::kPacked;
   }
   if (want != PlanLayout::kPacked) return;
-  const unsigned width = nth_ == 0 ? 1 : nth_;
+  const unsigned nth = core_.nthreads();
+  const unsigned width = nth == 0 ? 1 : nth;
   const unsigned slabs =
       telemetry_.strategy == ExecutionStrategy::kSerial ? 1 : width;
-  const index_t* lord = l_order_ ? l_order_->order.data() : nullptr;
-  const index_t* uord = u_order_ ? u_order_->order.data() : nullptr;
+  const core::Reordering* lorder = core_.dag(kLower).order.get();
+  const core::Reordering* uorder = u_ ? core_.dag(kUpper).order.get() : nullptr;
+  const index_t* lord = lorder ? lorder->order.data() : nullptr;
+  const index_t* uord = uorder ? uorder->order.data() : nullptr;
 
   // Per-slab row sequences: the exact order each thread's kernel walks.
   std::vector<std::vector<index_t>> lseq, useq;
@@ -428,8 +486,8 @@ void TrisolvePlan::build_packed() {
       break;
     }
     case ExecutionStrategy::kLevelBarrier: {
-      lseq = level_schedule_sequences(*l_order_, slabs);
-      if (u_) useq = level_schedule_sequences(*u_order_, slabs);
+      lseq = level_schedule_sequences(*lorder, slabs);
+      if (u_) useq = level_schedule_sequences(*uorder, slabs);
       break;
     }
     case ExecutionStrategy::kDoacross: {
@@ -452,7 +510,7 @@ void TrisolvePlan::build_packed() {
       break;
     }
     case ExecutionStrategy::kAuto:
-      return;  // unreachable: resolve_strategy() never leaves kAuto
+      return;  // unreachable: the core never leaves kAuto
   }
 
   packed_l_.prepare(*l_, /*diag_first=*/false, std::move(lseq),
@@ -469,7 +527,7 @@ void TrisolvePlan::build_packed() {
     packed_l_.pack(0);
     if (u_) packed_u_.pack(0);
   } else {
-    pool_->parallel_region(nth_, [this](unsigned tid, unsigned) {
+    core_.pool().parallel_region(nth, [this](unsigned tid, unsigned) {
       packed_l_.pack(tid);
       if (u_) packed_u_.pack(tid);
     });
@@ -489,654 +547,8 @@ void TrisolvePlan::build_packed() {
   }
 }
 
-void TrisolvePlan::bind_lower_region() {
-  // Region functors are bound once, here; per-call inputs travel through
-  // the lo_/up_ pointer members. This is what makes solve_* allocation
-  // free: a fresh capturing lambda would not fit std::function's small
-  // buffer and would heap-allocate on every call. The layout branch runs
-  // once per kernel invocation, not per row.
-  switch (telemetry_.strategy) {
-    case ExecutionStrategy::kDoacross:
-      lower_region_ = [this](unsigned tid, unsigned nthreads) {
-        std::uint64_t eps = 0, rds = 0;
-        if (packed_l_.packed()) {
-          lower_flags_k(PackedSeekSrc{&packed_l_}, lo_rhs_, lo_y_, tid,
-                        nthreads, eps, rds);
-        } else {
-          lower_flags_k(csr_lower(*l_, l_order_.get()), lo_rhs_, lo_y_, tid,
-                        nthreads, eps, rds);
-        }
-        episodes_[tid].value = eps;
-        rounds_[tid].value = rds;
-      };
-      break;
-    case ExecutionStrategy::kLevelBarrier:
-      lower_region_ = [this](unsigned tid, unsigned nthreads) {
-        if (packed_l_.packed()) {
-          lower_levels_k(PackedWalkSrc{packed_l_.cursor(tid)}, lo_rhs_,
-                         lo_y_, tid, nthreads);
-        } else {
-          lower_levels_k(csr_lower(*l_, l_order_.get()), lo_rhs_, lo_y_,
-                         tid, nthreads);
-        }
-        episodes_[tid].value = 0;
-        rounds_[tid].value = 0;
-      };
-      break;
-    case ExecutionStrategy::kSerial:
-      lower_region_ = [this](unsigned, unsigned) {
-        if (packed_l_.packed()) {
-          serial_lower_k(PackedWalkSrc{packed_l_.cursor(0)}, lo_rhs_, lo_y_);
-        } else {
-          serial_lower_k(csr_lower(*l_, nullptr), lo_rhs_, lo_y_);
-        }
-      };
-      break;
-    case ExecutionStrategy::kAuto:
-      break;  // unreachable: resolve_strategy() never leaves kAuto
-  }
-  lower_region_ = contained(std::move(lower_region_));
-}
-
-void TrisolvePlan::bind_upper_regions() {
-  switch (telemetry_.strategy) {
-    case ExecutionStrategy::kDoacross:
-      upper_region_ = [this](unsigned tid, unsigned nthreads) {
-        std::uint64_t eps = 0, rds = 0;
-        if (packed_u_.packed()) {
-          upper_flags_k(PackedSeekSrc{&packed_u_}, up_rhs_, up_y_, tid,
-                        nthreads, eps, rds);
-        } else {
-          upper_flags_k(csr_upper(*u_, u_order_.get(), n_), up_rhs_, up_y_,
-                        tid, nthreads, eps, rds);
-        }
-        episodes_[tid].value = eps;
-        rounds_[tid].value = rds;
-      };
-      fused_region_ = [this](unsigned tid, unsigned nthreads) {
-        std::uint64_t eps = 0, rds = 0;
-        if (packed_l_.packed()) {
-          lower_flags_k(PackedSeekSrc{&packed_l_}, lo_rhs_, lo_y_, tid,
-                        nthreads, eps, rds);
-          // The one synchronization point of a fused preconditioner
-          // application: every tmp_ element is published before any
-          // thread starts consuming it in the backward solve. The
-          // busy-wait flags handle everything else on both sides.
-          barrier_.arrive_and_wait();
-          upper_flags_k(PackedSeekSrc{&packed_u_}, up_rhs_, up_y_, tid,
-                        nthreads, eps, rds);
-        } else {
-          lower_flags_k(csr_lower(*l_, l_order_.get()), lo_rhs_, lo_y_, tid,
-                        nthreads, eps, rds);
-          barrier_.arrive_and_wait();
-          upper_flags_k(csr_upper(*u_, u_order_.get(), n_), up_rhs_, up_y_,
-                        tid, nthreads, eps, rds);
-        }
-        episodes_[tid].value = eps;
-        rounds_[tid].value = rds;
-      };
-      batch_region_ = [this](unsigned tid, unsigned nthreads) {
-        // One doacross pass per factor; every row carries all k columns.
-        std::uint64_t eps = 0, rds = 0;
-        if (packed_l_.packed()) {
-          lower_flags_multi_k(PackedSeekSrc{&packed_l_}, tid, nthreads, eps,
-                              rds);
-          barrier_.arrive_and_wait();
-          upper_flags_multi_k(PackedSeekSrc{&packed_u_}, tid, nthreads, eps,
-                              rds);
-        } else {
-          lower_flags_multi_k(csr_lower(*l_, l_order_.get()), tid, nthreads,
-                              eps, rds);
-          barrier_.arrive_and_wait();
-          upper_flags_multi_k(csr_upper(*u_, u_order_.get(), n_), tid,
-                              nthreads, eps, rds);
-        }
-        episodes_[tid].value = eps;
-        rounds_[tid].value = rds;
-      };
-      break;
-    case ExecutionStrategy::kLevelBarrier:
-      // No flags anywhere: the trailing barrier of each level loop is
-      // also the L→U handoff, so neither the fused nor the batched region
-      // needs any extra synchronization.
-      upper_region_ = [this](unsigned tid, unsigned nthreads) {
-        if (packed_u_.packed()) {
-          upper_levels_k(PackedWalkSrc{packed_u_.cursor(tid)}, up_rhs_,
-                         up_y_, tid, nthreads);
-        } else {
-          upper_levels_k(csr_upper(*u_, u_order_.get(), n_), up_rhs_, up_y_,
-                         tid, nthreads);
-        }
-        episodes_[tid].value = 0;
-        rounds_[tid].value = 0;
-      };
-      fused_region_ = [this](unsigned tid, unsigned nthreads) {
-        if (packed_l_.packed()) {
-          lower_levels_k(PackedWalkSrc{packed_l_.cursor(tid)}, lo_rhs_,
-                         lo_y_, tid, nthreads);
-          upper_levels_k(PackedWalkSrc{packed_u_.cursor(tid)}, up_rhs_,
-                         up_y_, tid, nthreads);
-        } else {
-          lower_levels_k(csr_lower(*l_, l_order_.get()), lo_rhs_, lo_y_,
-                         tid, nthreads);
-          upper_levels_k(csr_upper(*u_, u_order_.get(), n_), up_rhs_, up_y_,
-                         tid, nthreads);
-        }
-        episodes_[tid].value = 0;
-        rounds_[tid].value = 0;
-      };
-      batch_region_ = [this](unsigned tid, unsigned nthreads) {
-        if (packed_l_.packed()) {
-          lower_levels_multi_k(PackedWalkSrc{packed_l_.cursor(tid)}, tid,
-                               nthreads);
-          upper_levels_multi_k(PackedWalkSrc{packed_u_.cursor(tid)}, tid,
-                               nthreads);
-        } else {
-          lower_levels_multi_k(csr_lower(*l_, l_order_.get()), tid, nthreads);
-          upper_levels_multi_k(csr_upper(*u_, u_order_.get(), n_), tid,
-                               nthreads);
-        }
-        episodes_[tid].value = 0;
-        rounds_[tid].value = 0;
-      };
-      break;
-    case ExecutionStrategy::kSerial:
-      // These run inline on the calling thread (dispatch() never enters
-      // the pool for a serial plan); tid/nthreads are (0, 1).
-      upper_region_ = [this](unsigned, unsigned) {
-        if (packed_u_.packed()) {
-          serial_upper_k(PackedWalkSrc{packed_u_.cursor(0)}, up_rhs_, up_y_);
-        } else {
-          serial_upper_k(csr_upper(*u_, nullptr, n_), up_rhs_, up_y_);
-        }
-      };
-      fused_region_ = [this](unsigned, unsigned) {
-        if (packed_l_.packed()) {
-          serial_lower_k(PackedWalkSrc{packed_l_.cursor(0)}, lo_rhs_, lo_y_);
-          serial_upper_k(PackedWalkSrc{packed_u_.cursor(0)}, up_rhs_, up_y_);
-        } else {
-          serial_lower_k(csr_lower(*l_, nullptr), lo_rhs_, lo_y_);
-          serial_upper_k(csr_upper(*u_, nullptr, n_), up_rhs_, up_y_);
-        }
-      };
-      batch_region_ = [this](unsigned, unsigned) {
-        // One pass per factor with all k columns in the strip: even with
-        // nothing to overlap across threads, each nonzero retires k
-        // right-hand sides through one lane kernel.
-        if (packed_l_.packed()) {
-          serial_lower_multi_k(PackedWalkSrc{packed_l_.cursor(0)});
-          serial_upper_multi_k(PackedWalkSrc{packed_u_.cursor(0)});
-        } else {
-          serial_lower_multi_k(csr_lower(*l_, nullptr));
-          serial_upper_multi_k(csr_upper(*u_, nullptr, n_));
-        }
-      };
-      break;
-    case ExecutionStrategy::kAuto:
-      break;  // unreachable
-  }
-  upper_region_ = contained(std::move(upper_region_));
-  fused_region_ = contained(std::move(fused_region_));
-  batch_region_ = contained(std::move(batch_region_));
-}
-
-TrisolvePlan::TrisolvePlan(rt::ThreadPool& pool, const Csr& l, const Csr* u,
-                           const PlanOptions& opts)
-    : pool_(&pool),
-      l_(&l),
-      u_(u),
-      opts_(opts),
-      n_(l.rows),
-      nth_(pool.clamp_threads(opts.nthreads)),
-      barrier_(nth_ == 0 ? 1 : nth_) {
-  check_factor(l, "lower");
-  if (u) {
-    check_factor(*u, "upper");
-    if (u->rows != l.rows) {
-      throw std::invalid_argument("TrisolvePlan: L/U dimension mismatch");
-    }
-  }
-  ready_l_.ensure_size(n_);
-  episodes_.resize(nth_);
-  rounds_.resize(nth_);
-  resolve_kernel();
-  resolve_strategy();
-  // Fault containment: every flag wait and barrier wait of this plan
-  // polls the latch (and the optional stall budget); see DESIGN.md §12.
-  barrier_.watch(&latch_, opts_.stall_budget);
-  guard_ = rt::WaitGuard{&latch_, opts_.stall_budget,
-                         core::to_string(telemetry_.strategy)};
-  if (needs_reordering() && !l_order_) {
-    l_order_ = std::make_unique<core::Reordering>(lower_solve_reordering(l));
-  }
-  if (!needs_reordering()) {
-    l_order_.reset();  // kSerial runs in source order
-  }
-  if (u) {
-    ready_u_.ensure_size(n_);
-    tmp_.resize(static_cast<std::size_t>(n_));
-    if (needs_reordering()) {
-      u_order_ =
-          std::make_unique<core::Reordering>(upper_solve_reordering(*u));
-    }
-  }
-  build_packed();
-  bind_lower_region();
-  if (u) bind_upper_regions();
-}
-
-TrisolvePlan::TrisolvePlan(rt::ThreadPool& pool, const Csr& l,
-                           const PlanOptions& opts)
-    : TrisolvePlan(pool, l, nullptr, opts) {}
-
-TrisolvePlan::TrisolvePlan(rt::ThreadPool& pool, const Csr& l, const Csr& u,
-                           const PlanOptions& opts)
-    : TrisolvePlan(pool, l, &u, opts) {}
-
-template <class Src>
-void TrisolvePlan::lower_flags_k(Src src, const double* rhs_p, double* yp,
-                                 unsigned tid, unsigned nthreads,
-                                 std::uint64_t& episodes,
-                                 std::uint64_t& rounds) {
-  const int work_reps = opts_.work_reps;
-  const bool ulp = ulp_dot_;
-  std::uint64_t my_episodes = 0, my_rounds = 0;
-  // Identical arithmetic (term order, division) to trisolve_lower_seq —
-  // results are bitwise equal; the ready flags only sequence the reads.
-  // The opt-in ulp path retires every wait first, then runs the
-  // reassociated vector dot over the whole row.
-  auto solve_row = [&](index_t k) {
-    const PackedRow r = src.at(k);
-    if (injector_) injector_->on_row(tid, r.row, &latch_);
-    double acc = rhs_p[r.row];
-    if (ulp) {
-      for (index_t j = 0; j < r.cnt; ++j) {
-        const std::uint64_t w =
-            core::wait_done_guarded(ready_l_, r.cols[j], r.row, guard_);
-        if (w != 0) {
-          ++my_episodes;
-          my_rounds += w;
-        }
-      }
-      acc -= lanes_->dot(r.vals, r.cols, yp, r.cnt);
-    } else {
-      for (index_t j = 0; j < r.cnt; ++j) {
-        const index_t c = r.cols[j];
-        const std::uint64_t w =
-            core::wait_done_guarded(ready_l_, c, r.row, guard_);
-        if (w != 0) {
-          ++my_episodes;
-          my_rounds += w;
-        }
-        acc -= r.vals[j] * yp[c];
-        if (work_reps > 0) acc = machine_emulation_work(acc, work_reps);
-      }
-    }
-    yp[r.row] = acc / r.diag;
-    ready_l_.mark_done(r.row);  // release-publishes the y store
-  };
-  rt::schedule_run(opts_.schedule, n_, tid, nthreads, &cursor_l_, solve_row);
-  episodes += my_episodes;
-  rounds += my_rounds;
-}
-
-template <class Src>
-void TrisolvePlan::upper_flags_k(Src src, const double* rhs_p, double* yp,
-                                 unsigned tid, unsigned nthreads,
-                                 std::uint64_t& episodes,
-                                 std::uint64_t& rounds) {
-  const bool ulp = ulp_dot_;
-  std::uint64_t my_episodes = 0, my_rounds = 0;
-  auto solve_row = [&](index_t k) {
-    const PackedRow r = src.at(k);
-    if (injector_) injector_->on_row(tid, r.row, &latch_);
-    double acc = rhs_p[r.row];
-    if (ulp) {
-      for (index_t j = 0; j < r.cnt; ++j) {
-        const std::uint64_t w =
-            core::wait_done_guarded(ready_u_, r.cols[j], r.row, guard_);
-        if (w != 0) {
-          ++my_episodes;
-          my_rounds += w;
-        }
-      }
-      acc -= lanes_->dot(r.vals, r.cols, yp, r.cnt);
-    } else {
-      for (index_t j = 0; j < r.cnt; ++j) {
-        const index_t c = r.cols[j];
-        const std::uint64_t w =
-            core::wait_done_guarded(ready_u_, c, r.row, guard_);
-        if (w != 0) {
-          ++my_episodes;
-          my_rounds += w;
-        }
-        acc -= r.vals[j] * yp[c];
-      }
-    }
-    yp[r.row] = acc / r.diag;
-    ready_u_.mark_done(r.row);
-  };
-  rt::schedule_run(opts_.schedule, n_, tid, nthreads, &cursor_u_, solve_row);
-  episodes += my_episodes;
-  rounds += my_rounds;
-}
-
-template <class Src>
-void TrisolvePlan::lower_flags_multi_k(Src src, unsigned tid,
-                                       unsigned nthreads,
-                                       std::uint64_t& episodes,
-                                       std::uint64_t& rounds) {
-  const index_t k = batch_k_;
-  const double* const* b_cols = batch_b_.data();
-  double* tp = batch_tmp_.data();
-  const int work_reps = opts_.work_reps;
-  std::uint64_t my_episodes = 0, my_rounds = 0;
-  // Column c runs the exact arithmetic of the single-RHS kernel on
-  // b_cols[c] (term order, division) — bitwise equal per column. One
-  // ready flag per row covers all k columns: a dependence is waited on
-  // once, not k times, and the row's record is read once for the whole
-  // batch. Row i's k results accumulate in place in the row-major strip,
-  // where consumers read them contiguously.
-  auto solve_row = [&](index_t pos) {
-    const PackedRow r = src.at(pos);
-    if (injector_) injector_->on_row(tid, r.row, &latch_);
-    double* ti = tp + r.row * k;
-    for (index_t c = 0; c < k; ++c) ti[c] = b_cols[c][r.row];
-    // Waits retire first (pulling each ready dependence's strip row
-    // toward L1 as it lands), then the whole dependence list runs
-    // through one fused lane-kernel call.
-    for (index_t j = 0; j < r.cnt; ++j) {
-      const index_t col = r.cols[j];
-      const std::uint64_t w = core::wait_done_guarded(ready_l_, col, r.row, guard_);
-      if (w != 0) {
-        ++my_episodes;
-        my_rounds += w;
-      }
-      prefetch_strip_row(lanes_, tp, col, k);
-    }
-    lane_row_update(lanes_, ti, tp, r, k, work_reps);
-    lane_div(lanes_, ti, r.diag, k);
-    ready_l_.mark_done(r.row);  // release-publishes all k stores of this row
-  };
-  rt::schedule_run(opts_.schedule, n_, tid, nthreads, &cursor_l_, solve_row);
-  episodes += my_episodes;
-  rounds += my_rounds;
-}
-
-template <class Src>
-void TrisolvePlan::upper_flags_multi_k(Src src, unsigned tid,
-                                       unsigned nthreads,
-                                       std::uint64_t& episodes,
-                                       std::uint64_t& rounds) {
-  const index_t k = batch_k_;
-  double* const* x_cols = batch_x_.data();
-  double* tp = batch_tmp_.data();
-  std::uint64_t my_episodes = 0, my_rounds = 0;
-  // Row i's strip holds the forward-solve results on entry and is updated
-  // in place into the backward-solve solution; the solution stays
-  // resident in the strip (consumers read it contiguously) and is
-  // mirrored into the caller's column vectors before the row is marked.
-  auto solve_row = [&](index_t pos) {
-    const PackedRow r = src.at(pos);
-    if (injector_) injector_->on_row(tid, r.row, &latch_);
-    double* ti = tp + r.row * k;
-    for (index_t j = 0; j < r.cnt; ++j) {
-      const index_t col = r.cols[j];
-      const std::uint64_t w = core::wait_done_guarded(ready_u_, col, r.row, guard_);
-      if (w != 0) {
-        ++my_episodes;
-        my_rounds += w;
-      }
-      prefetch_strip_row(lanes_, tp, col, k);
-    }
-    lane_row_update(lanes_, ti, tp, r, k, /*work_reps=*/0);
-    lane_div(lanes_, ti, r.diag, k);
-    for (index_t c = 0; c < k; ++c) x_cols[c][r.row] = ti[c];
-    ready_u_.mark_done(r.row);
-  };
-  rt::schedule_run(opts_.schedule, n_, tid, nthreads, &cursor_u_, solve_row);
-  episodes += my_episodes;
-  rounds += my_rounds;
-}
-
-template <class Src>
-void TrisolvePlan::lower_levels_k(Src src, const double* rhs_p, double* yp,
-                                  unsigned tid, unsigned nthreads) {
-  // Bulk-synchronous wavefronts: every producer of level l finished
-  // before the barrier that opens level l+1, so no flags are consulted
-  // or published. Row arithmetic is identical to the flag kernels.
-  const core::Reordering& ord = *l_order_;
-  const int work_reps = opts_.work_reps;
-  const bool ulp = ulp_dot_;
-  for (index_t lvl = 0; lvl < ord.num_levels(); ++lvl) {
-    const index_t lo = ord.level_ptr[static_cast<std::size_t>(lvl)];
-    const index_t hi = ord.level_ptr[static_cast<std::size_t>(lvl) + 1];
-    const rt::IterRange r = rt::static_block_range(hi - lo, tid, nthreads);
-    for (index_t pos = lo + r.begin; pos < lo + r.end; ++pos) {
-      const PackedRow row = src.at(pos);
-      if (injector_) injector_->on_row(tid, row.row, &latch_);
-      double acc = rhs_p[row.row];
-      if (ulp) {
-        acc -= lanes_->dot(row.vals, row.cols, yp, row.cnt);
-      } else {
-        for (index_t j = 0; j < row.cnt; ++j) {
-          acc -= row.vals[j] * yp[row.cols[j]];
-          if (work_reps > 0) acc = machine_emulation_work(acc, work_reps);
-        }
-      }
-      yp[row.row] = acc / row.diag;
-    }
-    // The trailing episode doubles as the L→U handoff of a fused solve.
-    barrier_.arrive_and_wait();
-  }
-}
-
-template <class Src>
-void TrisolvePlan::upper_levels_k(Src src, const double* rhs_p, double* yp,
-                                  unsigned tid, unsigned nthreads) {
-  const core::Reordering& ord = *u_order_;
-  const bool ulp = ulp_dot_;
-  for (index_t lvl = 0; lvl < ord.num_levels(); ++lvl) {
-    const index_t lo = ord.level_ptr[static_cast<std::size_t>(lvl)];
-    const index_t hi = ord.level_ptr[static_cast<std::size_t>(lvl) + 1];
-    const rt::IterRange r = rt::static_block_range(hi - lo, tid, nthreads);
-    for (index_t pos = lo + r.begin; pos < lo + r.end; ++pos) {
-      const PackedRow row = src.at(pos);
-      if (injector_) injector_->on_row(tid, row.row, &latch_);
-      double acc = rhs_p[row.row];
-      if (ulp) {
-        acc -= lanes_->dot(row.vals, row.cols, yp, row.cnt);
-      } else {
-        for (index_t j = 0; j < row.cnt; ++j) {
-          acc -= row.vals[j] * yp[row.cols[j]];
-        }
-      }
-      yp[row.row] = acc / row.diag;
-    }
-    barrier_.arrive_and_wait();
-  }
-}
-
-template <class Src>
-void TrisolvePlan::lower_levels_multi_k(Src src, unsigned tid,
-                                        unsigned nthreads) {
-  const core::Reordering& ord = *l_order_;
-  const index_t k = batch_k_;
-  const double* const* b_cols = batch_b_.data();
-  double* tp = batch_tmp_.data();
-  const int work_reps = opts_.work_reps;
-  auto body = [&](const PackedRow& row) {
-    if (injector_) injector_->on_row(tid, row.row, &latch_);
-    double* ti = tp + row.row * k;
-    for (index_t c = 0; c < k; ++c) ti[c] = b_cols[c][row.row];
-    lane_row_update(lanes_, ti, tp, row, k, work_reps);
-    lane_div(lanes_, ti, row.diag, k);
-  };
-  const bool look = want_lookahead(lanes_, k, work_reps);
-  for (index_t lvl = 0; lvl < ord.num_levels(); ++lvl) {
-    const index_t lo = ord.level_ptr[static_cast<std::size_t>(lvl)];
-    const index_t hi = ord.level_ptr[static_cast<std::size_t>(lvl) + 1];
-    const rt::IterRange r = rt::static_block_range(hi - lo, tid, nthreads);
-    const index_t end = lo + r.end;
-    index_t pos = lo + r.begin;
-    if (look && pos < end) {
-      // Pipelined within the level: the lookahead row's dependences are
-      // all in earlier levels, so prefetching them is always final data.
-      PackedRow row = src.at(pos);
-      for (; pos < end; ++pos) {
-        const PackedRow nxt = pos + 1 < end ? src.at(pos + 1) : PackedRow{};
-        prefetch_row_deps(nxt, tp, k);
-        body(row);
-        row = nxt;
-      }
-    } else {
-      for (; pos < end; ++pos) body(src.at(pos));
-    }
-    barrier_.arrive_and_wait();
-  }
-}
-
-template <class Src>
-void TrisolvePlan::upper_levels_multi_k(Src src, unsigned tid,
-                                        unsigned nthreads) {
-  const core::Reordering& ord = *u_order_;
-  const index_t k = batch_k_;
-  double* const* x_cols = batch_x_.data();
-  double* tp = batch_tmp_.data();
-  auto body = [&](const PackedRow& row) {
-    if (injector_) injector_->on_row(tid, row.row, &latch_);
-    double* ti = tp + row.row * k;
-    lane_row_update(lanes_, ti, tp, row, k, /*work_reps=*/0);
-    lane_div(lanes_, ti, row.diag, k);
-    for (index_t c = 0; c < k; ++c) x_cols[c][row.row] = ti[c];
-  };
-  const bool look = want_lookahead(lanes_, k, /*work_reps=*/0);
-  for (index_t lvl = 0; lvl < ord.num_levels(); ++lvl) {
-    const index_t lo = ord.level_ptr[static_cast<std::size_t>(lvl)];
-    const index_t hi = ord.level_ptr[static_cast<std::size_t>(lvl) + 1];
-    const rt::IterRange r = rt::static_block_range(hi - lo, tid, nthreads);
-    const index_t end = lo + r.end;
-    index_t pos = lo + r.begin;
-    if (look && pos < end) {
-      PackedRow row = src.at(pos);
-      for (; pos < end; ++pos) {
-        const PackedRow nxt = pos + 1 < end ? src.at(pos + 1) : PackedRow{};
-        prefetch_row_deps(nxt, tp, k);
-        body(row);
-        row = nxt;
-      }
-    } else {
-      for (; pos < end; ++pos) body(src.at(pos));
-    }
-    barrier_.arrive_and_wait();
-  }
-}
-
-template <class Src>
-void TrisolvePlan::serial_lower_k(Src src, const double* rhs_p,
-                                  double* yp) {
-  // The strategy for chains is to pay NOTHING — no flags, no barrier, no
-  // pool wake-up: the sequential Fig. 7 arithmetic the bitwise contract
-  // is defined against, read through whichever layout the plan owns.
-  const int work_reps = opts_.work_reps;
-  const bool ulp = ulp_dot_;
-  for (index_t k = 0; k < n_; ++k) {
-    const PackedRow r = src.at(k);
-    if (injector_) injector_->on_row(0, r.row, &latch_);
-    double acc = rhs_p[r.row];
-    if (ulp) {
-      acc -= lanes_->dot(r.vals, r.cols, yp, r.cnt);
-    } else {
-      for (index_t j = 0; j < r.cnt; ++j) {
-        acc -= r.vals[j] * yp[r.cols[j]];
-        if (work_reps > 0) acc = machine_emulation_work(acc, work_reps);
-      }
-    }
-    yp[r.row] = acc / r.diag;
-  }
-}
-
-template <class Src>
-void TrisolvePlan::serial_upper_k(Src src, const double* rhs_p,
-                                  double* yp) {
-  const bool ulp = ulp_dot_;
-  for (index_t k = 0; k < n_; ++k) {
-    const PackedRow r = src.at(k);
-    if (injector_) injector_->on_row(0, r.row, &latch_);
-    double acc = rhs_p[r.row];
-    if (ulp) {
-      acc -= lanes_->dot(r.vals, r.cols, yp, r.cnt);
-    } else {
-      for (index_t j = 0; j < r.cnt; ++j) {
-        acc -= r.vals[j] * yp[r.cols[j]];
-      }
-    }
-    yp[r.row] = acc / r.diag;
-  }
-}
-
-template <class Src>
-void TrisolvePlan::serial_lower_multi_k(Src src) {
-  // The interleaved batch through the serial walk: no flags, no barrier,
-  // no dispatch — but the k columns of each strip row still retire
-  // through one lane kernel per nonzero, which is where a single-core
-  // batch server earns its vector units (bitwise equal per column to the
-  // single-RHS walk; same term order, same division).
-  const index_t k = batch_k_;
-  const double* const* b_cols = batch_b_.data();
-  double* tp = batch_tmp_.data();
-  const int work_reps = opts_.work_reps;
-  auto body = [&](const PackedRow& r) {
-    if (injector_) injector_->on_row(0, r.row, &latch_);
-    double* ti = tp + r.row * k;
-    for (index_t c = 0; c < k; ++c) ti[c] = b_cols[c][r.row];
-    lane_row_update(lanes_, ti, tp, r, k, work_reps);
-    lane_div(lanes_, ti, r.diag, k);
-  };
-  if (want_lookahead(lanes_, k, work_reps) && n_ > 0) {
-    PackedRow r = src.at(0);
-    for (index_t pos = 0; pos < n_; ++pos) {
-      const PackedRow nxt = pos + 1 < n_ ? src.at(pos + 1) : PackedRow{};
-      prefetch_row_deps(nxt, tp, k);
-      body(r);
-      r = nxt;
-    }
-  } else {
-    for (index_t pos = 0; pos < n_; ++pos) body(src.at(pos));
-  }
-}
-
-template <class Src>
-void TrisolvePlan::serial_upper_multi_k(Src src) {
-  const index_t k = batch_k_;
-  double* const* x_cols = batch_x_.data();
-  double* tp = batch_tmp_.data();
-  auto body = [&](const PackedRow& r) {
-    if (injector_) injector_->on_row(0, r.row, &latch_);
-    double* ti = tp + r.row * k;
-    lane_row_update(lanes_, ti, tp, r, k, /*work_reps=*/0);
-    lane_div(lanes_, ti, r.diag, k);
-    for (index_t c = 0; c < k; ++c) x_cols[c][r.row] = ti[c];
-  };
-  if (want_lookahead(lanes_, k, /*work_reps=*/0) && n_ > 0) {
-    PackedRow r = src.at(0);
-    for (index_t pos = 0; pos < n_; ++pos) {
-      const PackedRow nxt = pos + 1 < n_ ? src.at(pos + 1) : PackedRow{};
-      prefetch_row_deps(nxt, tp, k);
-      body(r);
-      r = nxt;
-    }
-  } else {
-    for (index_t pos = 0; pos < n_; ++pos) body(src.at(pos));
-  }
-}
-
 void TrisolvePlan::refresh_values(const IluFactors& f) {
-  if (poisoned_) {
-    throw rt::PlanPoisonedError(
-        "TrisolvePlan::refresh_values: plan poisoned by an earlier "
-        "in-region fault; rebuild the plan");
-  }
+  core_.throw_if_poisoned();
   if (!u_) {
     throw std::logic_error("TrisolvePlan::refresh_values: lower-only plan");
   }
@@ -1163,7 +575,7 @@ void TrisolvePlan::refresh_values(const IluFactors& f) {
       packed_l_.repack_values(*l_, 0);
       packed_u_.repack_values(*u_, 0);
     } else {
-      pool_->parallel_region(nth_, refresh_region_);
+      core_.pool().parallel_region(core_.nthreads(), refresh_region_);
     }
   }
   const clock::time_point t1 = clock::now();
@@ -1172,68 +584,17 @@ void TrisolvePlan::refresh_values(const IluFactors& f) {
   ++refreshes_;
 }
 
-void TrisolvePlan::reset_for_call(bool lower, bool upper) noexcept {
-  // The whole per-call reset: two O(1) epoch bumps and two counter
-  // stores. Compare trisolve_doacross's per-call Barrier + two vector
-  // allocations + O(n/p) flag sweep + extra barrier. (Flag-free
-  // strategies pay the bumps too — they are two relaxed stores.)
-  if (lower) {
-    ready_l_.begin_epoch();
-    cursor_l_.store(0, std::memory_order_relaxed);
-  }
-  if (upper) {
-    ready_u_.begin_epoch();
-    cursor_u_.store(0, std::memory_order_relaxed);
-  }
-}
-
-core::DoacrossStats TrisolvePlan::dispatch(
-    const rt::ThreadPool::RegionFn& region) {
-  if (poisoned_) {
-    throw rt::PlanPoisonedError(
-        "TrisolvePlan: plan poisoned by an earlier in-region fault; "
-        "rebuild the plan before solving again");
-  }
-  using clock = std::chrono::steady_clock;
-  core::DoacrossStats stats;
-  if (telemetry_.strategy == ExecutionStrategy::kSerial) {
-    // The serial strategy's entire value is paying zero parallel
-    // overhead: the region runs inline on the calling thread, the pool
-    // is never woken, and there are no wait episodes to sum.
-    const clock::time_point t0 = clock::now();
-    region(0, 1);
-    const clock::time_point t1 = clock::now();
-    if (latch_.raised()) {
-      poisoned_ = true;
-      latch_.rethrow_and_reset();
-    }
-    stats.execute_seconds = std::chrono::duration<double>(t1 - t0).count();
-    ++solves_;
-    // Race bookkeeping only after a SUCCESSFUL epoch: a fault above
-    // poisons the plan without corrupting the race or feeding the cache.
-    if (calibrating_) note_calibration_epoch(stats.execute_seconds);
-    return stats;
-  }
-  const clock::time_point t0 = clock::now();
-  pool_->parallel_region(nth_, region);
-  const clock::time_point t1 = clock::now();
-  if (latch_.raised()) {
-    // A worker faulted inside the region; its peers drained their flag
-    // waits via the latch and joined. Partial y/x contents are garbage —
-    // poison so every later solve fails fast instead of reading them.
-    poisoned_ = true;
-    latch_.rethrow_and_reset();
-  }
-  // Preprocessing was amortized at plan build and the postprocessing
-  // sweep no longer exists, so the whole call is executor time (pool
-  // wake-up included — the number a repeated caller actually pays).
-  stats.execute_seconds = std::chrono::duration<double>(t1 - t0).count();
-  for (unsigned t = 0; t < nth_; ++t) {
-    stats.wait_episodes += episodes_[t].value;
-    stats.wait_rounds += rounds_[t].value;
-  }
+core::DoacrossStats TrisolvePlan::run(const rt::ThreadPool::RegionFn& region,
+                                      bool kernel_epoch, index_t columns) {
+  const core::DoacrossStats stats = core_.dispatch(region);
   ++solves_;
-  if (calibrating_) note_calibration_epoch(stats.execute_seconds);
+  // Race bookkeeping only after a SUCCESSFUL run: a fault threw out of
+  // dispatch() after poisoning the plan, without feeding either race or
+  // the cache. When the strategy race locks in, resolve the deferred
+  // layout: pack the winner's execution order.
+  if (core_.end_epoch(stats.execute_seconds, kernel_epoch, columns)) {
+    build_packed();
+  }
   return stats;
 }
 
@@ -1244,10 +605,10 @@ core::DoacrossStats TrisolvePlan::solve_lower(std::span<const double> rhs,
     throw std::invalid_argument("TrisolvePlan::solve_lower: size mismatch");
   }
   if (n_ == 0) return {};
-  reset_for_call(/*lower=*/true, /*upper=*/false);
+  core_.reset(core_.dag(kLower));
   lo_rhs_ = rhs.data();
   lo_y_ = y.data();
-  return dispatch(lower_region_);
+  return run(lower_region_);
 }
 
 core::DoacrossStats TrisolvePlan::solve_upper(std::span<const double> rhs,
@@ -1260,20 +621,21 @@ core::DoacrossStats TrisolvePlan::solve_upper(std::span<const double> rhs,
     throw std::invalid_argument("TrisolvePlan::solve_upper: size mismatch");
   }
   if (n_ == 0) return {};
-  reset_for_call(/*lower=*/false, /*upper=*/true);
+  core_.reset(core_.dag(kUpper));
   up_rhs_ = rhs.data();
   up_y_ = z.data();
-  return dispatch(upper_region_);
+  return run(upper_region_);
 }
 
 core::DoacrossStats TrisolvePlan::run_fused(const double* rhs, double* z) {
   if (n_ == 0) return {};
-  reset_for_call(/*lower=*/true, /*upper=*/true);
+  core_.reset(core_.dag(kLower));
+  core_.reset(core_.dag(kUpper));
   lo_rhs_ = rhs;
   lo_y_ = tmp_.data();
   up_rhs_ = tmp_.data();
   up_y_ = z;
-  return dispatch(fused_region_);
+  return run(fused_region_);
 }
 
 core::DoacrossStats TrisolvePlan::solve(std::span<const double> rhs,
@@ -1314,29 +676,19 @@ core::DoacrossStats TrisolvePlan::run_batch(index_t k) {
   batch_k_ = k;
   // Scalar-vs-vector kernel race (DESIGN.md §14): fed only by dispatches
   // that actually execute lane kernels — batches at least one vector
-  // wide, after the strategy race locked in (so the timing compares
-  // kernels, not strategies) and never under machine emulation (which
-  // pins the instrumented scalar loop). Both candidates are bitwise
-  // identical per column, so exploring is invisible to callers.
-  const bool kernel_epoch = kernel_race_.active() && !calibrating_ &&
-                            k >= kernels::kLaneMin && opts_.work_reps == 0;
-  if (kernel_epoch) {
-    const kernels::KernelChoice cand = kernel_race_.candidate();
-    set_lanes(cand == kernels::KernelChoice::kScalar
-                  ? &kernels::scalar_ops()
-                  : &kernels::dispatched_ops());
-    telemetry_.kernel = cand;
-  }
-  reset_for_call(/*lower=*/true, /*upper=*/true);
+  // wide.
+  const bool kernel_epoch = core_.begin_kernel_epoch(k >= kernels::kLaneMin);
+  core_.reset(core_.dag(kLower));
+  core_.reset(core_.dag(kUpper));
 #ifndef NDEBUG
-  // A calibration epoch may advance the race inside dispatch() —
-  // switching the strategy the budget is defined by, and a lock-in can
-  // spend an extra dispatch packing the winner — so the budget assert
-  // only covers locked-in plans.
-  const bool was_calibrating = calibrating_;
-  const rt::DispatchProbe probe(*pool_);
+  // A calibration epoch may advance the race inside run() — switching
+  // the strategy the budget is defined by, and a lock-in can spend an
+  // extra dispatch packing the winner — so the budget assert only covers
+  // locked-in plans.
+  const bool was_calibrating = core_.calibrating();
+  const rt::DispatchProbe probe(core_.pool());
 #endif
-  const core::DoacrossStats stats = dispatch(batch_region_);
+  const core::DoacrossStats stats = run(batch_region_, kernel_epoch, k);
 #ifndef NDEBUG
   assert((was_calibrating ||
           probe.delta() ==
@@ -1344,9 +696,6 @@ core::DoacrossStats TrisolvePlan::run_batch(index_t k) {
                                                                  : 1u)) &&
          "solve_batch must cost exactly one pool dispatch (zero serial)");
 #endif
-  // Only a SUCCESSFUL epoch feeds the race — a fault above threw out of
-  // dispatch() after poisoning the plan.
-  if (kernel_epoch) note_kernel_epoch(stats.execute_seconds, k);
   batch_columns_ += static_cast<std::uint64_t>(k);
   return stats;
 }

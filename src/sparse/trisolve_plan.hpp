@@ -26,10 +26,11 @@
 //
 // Plans are *strategy-polymorphic* (DESIGN.md §9): the same build-time
 // analysis that makes the dependence structure measurable also selects
-// the execution scheme. Three strategies share the plan's state and
-// invariants; `ExecutionStrategy::kAuto` measures the factor's structure
-// at build time and asks core::advise_schedule which to instantiate.
-// Every strategy is bitwise identical to the sequential Fig. 7 solves;
+// the execution scheme. The schedules, waits, dispatch and strategy race
+// live in the executor core (core::DagPlan) shared with FactorPlan; this
+// plan supplies the row bodies — one single-RHS row and one k-wide strip
+// row, shared by L and U — plus packing and its public API. Every
+// strategy is bitwise identical to the sequential Fig. 7 solves;
 // the parallel strategies keep the one-dispatch-per-solve budget, and the
 // serial strategy costs zero dispatches (the whole point of choosing it).
 //
@@ -39,19 +40,15 @@
 // Epoch semantics and the deadlock-freedom argument are in DESIGN.md.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/advisor.hpp"
+#include "core/dag_plan.hpp"
 #include "core/doacross_stats.hpp"
 #include "core/doconsider.hpp"
-#include "core/ready_table.hpp"
 #include "runtime/aligned.hpp"
-#include "runtime/barrier.hpp"
 #include "runtime/failure.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sparse/csr.hpp"
@@ -105,24 +102,9 @@ inline const char* to_string(PlanLayout l) noexcept {
 }
 
 /// What the plan decided and why — reported by benches and BatchDriver.
-struct PlanTelemetry {
-  ExecutionStrategy requested = ExecutionStrategy::kDoacross;
-  /// The resolved strategy (never kAuto). Under a calibration race this
-  /// is the strategy the NEXT solve will run — the current candidate
-  /// while exploring, the measured winner once locked in.
-  ExecutionStrategy strategy = ExecutionStrategy::kDoacross;
-  /// The advisor's reason under kAuto; "strategy fixed by caller"
-  /// otherwise. Never empty after construction. Rewritten when a
-  /// calibration race locks in its measured winner.
-  std::string rationale;
-  /// The empirical calibration record (DESIGN.md §13): whether a measured
-  /// winner is locked in, whether it came from the TuningCache, and the
-  /// per-strategy race timings.
-  core::StrategyRace race;
-  /// Inspector-measured structure of L (populated under kAuto).
-  core::TrisolveStructure structure;
-  /// Processor count the decision assumed (the plan's region width).
-  unsigned procs = 0;
+/// The decision, race and kernel fields come from core::ExecTelemetry,
+/// which the plan's executor core writes.
+struct PlanTelemetry : core::ExecTelemetry {
   /// Resolved factor layout (kCsrView for empty plans even when packing
   /// was requested — there is nothing to pack).
   PlanLayout layout = PlanLayout::kCsrView;
@@ -135,16 +117,6 @@ struct PlanTelemetry {
   ExecutionStrategy factor_strategy = ExecutionStrategy::kAuto;
   /// Last refresh_values() sweep, in milliseconds (0 until the first).
   double refresh_ms = 0.0;
-  /// The process-wide dispatched ISA (CPUID + PDX_KERNEL; DESIGN.md §14).
-  kernels::KernelIsa isa = kernels::KernelIsa::kScalar;
-  /// The resolved kernel choice this plan's lane executors run (never
-  /// kAuto after construction; the current race candidate's table while
-  /// a kernel race is exploring, the measured winner once locked in).
-  kernels::KernelChoice kernel = kernels::KernelChoice::kScalar;
-  /// The scalar-vs-vector kernel race record (armed only for kAuto
-  /// kernels on machines with a vector ISA; fed by wavefront-interleaved
-  /// batch dispatches wide enough to execute lane kernels).
-  kernels::KernelRaceState kernel_race;
 };
 
 struct PlanOptions {
@@ -158,8 +130,6 @@ struct PlanOptions {
   /// (kDoacross; kLevelBarrier builds them regardless — the levels ARE
   /// its schedule).
   bool reorder = true;
-  /// Machine-emulation knob for the lower solve (see sparse/trisolve.hpp).
-  int work_reps = 0;
   /// Execution scheme. kAuto measures the LOWER factor's dependence
   /// structure at build time, takes core::advise_schedule's heuristic
   /// pick as the opening bid, then — when a race is viable (parallel
@@ -212,7 +182,7 @@ struct PlanOptions {
   /// dot kernel (gather + FMA + vector-width accumulators); the value
   /// itself is the caller's error budget and is not consumed by the
   /// plan. Ignored — solves stay bitwise — when the resolved kernel
-  /// table is scalar or work_reps > 0. Multi-RHS batch lane kernels are
+  /// table is scalar. Multi-RHS batch lane kernels are
   /// unaffected: they are bitwise per column regardless.
   double ulp_tolerance = 0.0;
 };
@@ -305,7 +275,7 @@ class TrisolvePlan {
   }
 
   index_t rows() const noexcept { return n_; }
-  unsigned nthreads() const noexcept { return nth_; }
+  unsigned nthreads() const noexcept { return core_.nthreads(); }
   bool has_upper() const noexcept { return u_ != nullptr; }
   /// The resolved factor layout (kCsrView when nothing was packed).
   PlanLayout layout() const noexcept { return telemetry_.layout; }
@@ -317,7 +287,7 @@ class TrisolvePlan {
   /// True while a kAuto calibration race is still exploring — the next
   /// solves time the remaining candidates before the plan locks in.
   /// Every exploration solve is bitwise identical to the final plan.
-  bool calibrating() const noexcept { return calibrating_; }
+  bool calibrating() const noexcept { return core_.calibrating(); }
   /// Chosen strategy, rationale and the measured structure behind it.
   const PlanTelemetry& telemetry() const noexcept { return telemetry_; }
   /// Completed solve_* calls (one per pool dispatch; a whole solve_batch
@@ -325,161 +295,67 @@ class TrisolvePlan {
   std::uint64_t solves() const noexcept { return solves_; }
   /// Total right-hand-side columns completed through solve_batch.
   std::uint64_t batch_columns() const noexcept { return batch_columns_; }
-  std::uint32_t lower_epoch() const noexcept { return ready_l_.epoch(); }
+  std::uint32_t lower_epoch() const noexcept {
+    return core_.dag(kLower).ready.epoch();
+  }
 
   /// True once a fault escaped a worker inside this plan's parallel
   /// region. A poisoned plan's flag tables, cursors and barrier may be
   /// mid-episode, so every subsequent solve_*/refresh_values call throws
   /// rt::PlanPoisonedError — rebuild the plan (or let the solve layer
   /// degrade to the sequential trisolves, see solve/precond.hpp).
-  bool poisoned() const noexcept { return poisoned_; }
+  bool poisoned() const noexcept { return core_.poisoned(); }
   /// Wire a test-only fault source into the executors (nullptr disarms).
   void set_fault_injector(rt::FaultInjector* injector) noexcept {
-    injector_ = injector;
+    core_.set_fault_injector(injector);
   }
 
   /// Build-time reorderings (nullptr when the strategy does not use
   /// them — kSerial runs in source order).
   const core::Reordering* lower_reordering() const noexcept {
-    return l_order_.get();
+    return core_.dag(kLower).order.get();
   }
   const core::Reordering* upper_reordering() const noexcept {
-    return u_order_.get();
+    return u_ ? core_.dag(kUpper).order.get() : nullptr;
   }
 
  private:
-  // --- layout-generic kernels ---
-  // Every kernel is a template over a row Source: src.at(k) yields the
-  // PackedRow record for execution position k. bind_*_region instantiates
-  // each kernel twice — over a packed-stream source (kPacked: a linear
-  // slab walk, or the position index for dynamically claimed doacross
-  // chunks) and over a CSR view (kCsrView: the historical access path).
-  // Per-thread positions arrive in increasing order, which is what lets
-  // the packed walks advance a bare cursor. Arithmetic is identical to
-  // the sequential Fig. 7 solves in every instantiation.
-  //
-  // flag-based doacross (ExecutionStrategy::kDoacross):
-  template <class Src>
-  void lower_flags_k(Src src, const double* rhs, double* y, unsigned tid,
-                     unsigned nthreads, std::uint64_t& episodes,
-                     std::uint64_t& rounds);
-  template <class Src>
-  void upper_flags_k(Src src, const double* rhs, double* y, unsigned tid,
-                     unsigned nthreads, std::uint64_t& episodes,
-                     std::uint64_t& rounds);
-  template <class Src>
-  void lower_flags_multi_k(Src src, unsigned tid, unsigned nthreads,
-                           std::uint64_t& episodes,
-                           std::uint64_t& rounds);
-  template <class Src>
-  void upper_flags_multi_k(Src src, unsigned tid, unsigned nthreads,
-                           std::uint64_t& episodes,
-                           std::uint64_t& rounds);
-  // bulk-synchronous wavefronts (kLevelBarrier):
-  template <class Src>
-  void lower_levels_k(Src src, const double* rhs, double* y, unsigned tid,
-                      unsigned nthreads);
-  template <class Src>
-  void upper_levels_k(Src src, const double* rhs, double* y, unsigned tid,
-                      unsigned nthreads);
-  template <class Src>
-  void lower_levels_multi_k(Src src, unsigned tid, unsigned nthreads);
-  template <class Src>
-  void upper_levels_multi_k(Src src, unsigned tid, unsigned nthreads);
-  // sequential (kSerial; run inline on the calling thread):
-  template <class Src>
-  void serial_lower_k(Src src, const double* rhs, double* y);
-  template <class Src>
-  void serial_upper_k(Src src, const double* rhs, double* y);
-  template <class Src>
-  void serial_lower_multi_k(Src src);
-  template <class Src>
-  void serial_upper_multi_k(Src src);
+  // The core's DAG instances: L, then U on a full plan.
+  static constexpr unsigned kLower = 0;
+  static constexpr unsigned kUpper = 1;
 
   TrisolvePlan(rt::ThreadPool& pool, const Csr& l, const Csr* u,
                const PlanOptions& opts);
 
-  bool needs_reordering() const noexcept;
-  void resolve_strategy();
-  /// Resolve PlanOptions::kernel against the dispatched ISA: pick the
-  /// plan's LaneOps table, record ISA + choice in telemetry, and arm the
-  /// scalar-vs-vector race for kAuto kernels (DESIGN.md §14).
-  void resolve_kernel() noexcept;
-  /// Swap the active LaneOps table and recompute whether the single-RHS
-  /// kernels run the opt-in ulp dot (requires ulp_tolerance > 0, a
-  /// vector table, and work_reps == 0).
-  void set_lanes(const kernels::LaneOps* ops) noexcept;
-  /// Kernel-race bookkeeping after a successful lane-kernel dispatch:
-  /// per-column-normalized time in, candidate table out; locks in the
-  /// measured winner when both choices spent their budget.
-  void note_kernel_epoch(double seconds, index_t k) noexcept;
-  /// Point the plan at strategy `s`: telemetry, the doacross executor
-  /// configuration (the advisor's canonical dynamic/1 + doconsider
-  /// order), and the wait-guard site name. Callers rebind regions after.
-  void set_strategy_state(ExecutionStrategy s);
-  void rebind_regions();
-  /// Calibration bookkeeping, run after each SUCCESSFUL dispatch while
-  /// exploring: record the epoch's time, advance to the next candidate
-  /// after the per-candidate budget, and lock in the winner at race end.
-  void note_calibration_epoch(double seconds);
-  void finish_calibration();
-  /// Wrap a region functor in the abort protocol: a fault records its
-  /// exception in the latch (raising it); WorkerAbort — a peer draining
-  /// after observing the latch — is discarded. Bound once per region, so
-  /// the per-solve cost is one extra call, not a per-call allocation.
-  rt::ThreadPool::RegionFn contained(rt::ThreadPool::RegionFn raw);
+  /// Run one factor's solve (L, or U when `upper`) under the plan's
+  /// current strategy: pick the row source the strategy and layout read
+  /// (DESIGN.md §10) and hand `row(src)` — the row body over it — to the
+  /// core's walk. kLook runs walk-order walks with the next-record
+  /// lookahead.
+  template <bool kLook, class MakeRow>
+  void walk(bool upper, unsigned tid, unsigned nthreads, MakeRow&& row);
   /// Stream both factors into execution-ordered slabs (PlanLayout::
   /// kPacked): lay the slabs out, then run ONE pool dispatch in which
   /// each thread packs — first-touches — its own slab for both factors.
   void build_packed();
-  void bind_lower_region();
-  void bind_upper_regions();
-  void reset_for_call(bool lower, bool upper) noexcept;
+  /// One core dispatch plus the per-run bookkeeping: solve count and the
+  /// races (packing the winner when the strategy race locks in).
+  core::DoacrossStats run(const rt::ThreadPool::RegionFn& region,
+                          bool kernel_epoch = false, index_t columns = 1);
   /// The fused single-RHS solve z = U⁻¹ L⁻¹ rhs through tmp_ (solve()).
   core::DoacrossStats run_fused(const double* rhs, double* z);
   /// A k == 1 batch: run_fused, counted as a batch column.
   core::DoacrossStats run_column(const double* b, double* x);
   core::DoacrossStats run_batch(index_t k);
-  core::DoacrossStats dispatch(const rt::ThreadPool::RegionFn& region);
 
-  rt::ThreadPool* pool_;
   const Csr* l_;
   const Csr* u_;  // nullptr for a lower-only plan
   PlanOptions opts_;
   index_t n_;
-  unsigned nth_;
   PlanTelemetry telemetry_;
+  core::DagPlan core_;  // writes telemetry_'s decision fields
 
-  std::unique_ptr<core::Reordering> l_order_, u_order_;
   PackedFactorStream packed_l_, packed_u_;
-  core::EpochReadyTable ready_l_, ready_u_;
-  rt::Barrier barrier_;
-  rt::FailureLatch latch_;
-  rt::WaitGuard guard_;  // latch + stall budget shared by every flag wait
-  bool poisoned_ = false;
-  rt::FaultInjector* injector_ = nullptr;
-
-  // kAuto calibration race state (DESIGN.md §13). While calibrating_ the
-  // plan serves solves through the current candidate's executor (bitwise
-  // identical to every other candidate) over CSR-view sources — packed
-  // slabs are strategy-specific, so packing waits for the winner.
-  bool calibrating_ = false;
-  std::vector<ExecutionStrategy> candidates_;
-  std::size_t cand_idx_ = 0;
-  int cand_epoch_ = 0;
-  core::TuningKey tuning_key_{};
-  bool have_tuning_key_ = false;
-
-  // Lane-kernel state (DESIGN.md §14): the active dispatch table, the
-  // pre-resolved "single-RHS solves run the ulp dot" flag, and the
-  // scalar-vs-vector race fed by wide interleaved batch dispatches once
-  // the strategy race is done.
-  const kernels::LaneOps* lanes_ = nullptr;
-  bool ulp_dot_ = false;
-  kernels::Race kernel_race_;
-
-  std::atomic<index_t> cursor_l_{0}, cursor_u_{0};
-  std::vector<rt::Padded<std::uint64_t>> episodes_, rounds_;
   std::vector<double, rt::CacheAlignedAllocator<double>> tmp_;
 
   // Per-call vector endpoints, published to the pre-bound region functors

@@ -333,6 +333,62 @@ TEST(FactorPlan, BadPivotThrowsAfterTheRegionCompletes) {
   }
 }
 
+TEST(FactorPlan, FaultDuringExplorationPoisonsWithoutFeedingCache) {
+  // The factor-side mirror of StrategyCalibration's fault test: a worker
+  // fault mid-race poisons the plan, and the aborted factorization
+  // neither enters the race bookkeeping nor stores a winner.
+  core::tuning_cache().clear();
+  const sp::Csr a = gen::five_point(16, 16);
+  sp::FactorPlan plan(pool(), a,
+                      factor_opts(sp::ExecutionStrategy::kAuto, 2));
+  ASSERT_TRUE(plan.calibrating());
+  rt::FaultInjector inj;
+  plan.set_fault_injector(&inj);
+  sp::IluFactors f = plan.allocate_factors();
+  plan.factorize(a, f);  // one healthy epoch: bookkeeping advances
+  ASSERT_EQ(plan.telemetry().race.exploration_epochs, 1);
+
+  inj.arm_throw(rt::FaultInjector::kAnyTid, a.rows / 2);
+  EXPECT_THROW(plan.factorize(a, f), rt::InjectedFault);
+  EXPECT_EQ(inj.faults_fired(), 1);
+  EXPECT_TRUE(plan.poisoned());
+  EXPECT_THROW(plan.factorize(a, f), rt::PlanPoisonedError);
+
+  EXPECT_EQ(plan.telemetry().race.exploration_epochs, 1);
+  EXPECT_FALSE(plan.telemetry().race.calibrated);
+  EXPECT_EQ(core::tuning_cache().stats().stores, 0u);
+  EXPECT_EQ(core::tuning_cache().stats().entries, 0u);
+  core::tuning_cache().clear();
+}
+
+TEST(FactorPlan, PivotFailureDuringExplorationIsNotAnEpoch) {
+  // A kThrow pivot failure mid-race is a clean error, not a fault: the
+  // plan throws without counting the epoch, stays unpoisoned, and the
+  // next good factorization resumes the race where it stood.
+  core::tuning_cache().clear();
+  const sp::Csr a = gen::five_point(16, 16);
+  sp::FactorPlan plan(pool(), a,
+                      factor_opts(sp::ExecutionStrategy::kAuto, 2));
+  ASSERT_TRUE(plan.calibrating());
+  rt::FaultInjector inj;
+  plan.set_fault_injector(&inj);
+  sp::IluFactors f = plan.allocate_factors();
+  plan.factorize(a, f);
+  ASSERT_EQ(plan.telemetry().race.exploration_epochs, 1);
+
+  inj.arm_pivot_corruption(a.rows / 2);
+  EXPECT_THROW(plan.factorize(a, f), std::runtime_error);
+  EXPECT_EQ(inj.pivots_corrupted(), 1);
+  EXPECT_FALSE(plan.poisoned());
+  EXPECT_EQ(plan.telemetry().race.exploration_epochs, 1);
+  EXPECT_TRUE(plan.calibrating());
+
+  plan.factorize(a, f);
+  EXPECT_EQ(plan.telemetry().race.exploration_epochs, 2);
+  expect_factors_bitwise(sp::ilu0(a), f, "after pivot failure");
+  core::tuning_cache().clear();
+}
+
 TEST(TrisolvePlanRefresh, BitwiseMatchesFullRebuildAcrossStrategiesAndLayouts) {
   const sp::Csr base = gen::five_point(15, 17);
   const index_t n = base.rows;

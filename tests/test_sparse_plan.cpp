@@ -192,20 +192,3 @@ TEST(TrisolvePlan, RejectsBadArgumentsAndLowerOnlyMisuse) {
   EXPECT_THROW(plan.solve(small, z), std::invalid_argument);
   EXPECT_THROW(plan.solve_lower(rhs, small), std::invalid_argument);
 }
-
-TEST(TrisolvePlan, WorkRepsMatchesSequentialKnob) {
-  const sp::Csr l = sp::ilu0(gen::five_point(9, 9)).l;
-  const int work = 13;
-  sp::PlanOptions opts;
-  opts.work_reps = work;
-  sp::TrisolvePlan plan(pool(), l, opts);
-  const auto rhs = random_rhs(l.rows, 46);
-  std::vector<double> y_seq(static_cast<std::size_t>(l.rows)),
-      y(static_cast<std::size_t>(l.rows));
-  sp::trisolve_lower_seq(l, rhs, y_seq, work);
-  plan.solve_lower(rhs, y);
-  for (index_t i = 0; i < l.rows; ++i) {
-    ASSERT_EQ(y_seq[static_cast<std::size_t>(i)],
-              y[static_cast<std::size_t>(i)]);
-  }
-}
