@@ -9,9 +9,11 @@
 //   burst    — open-loop flood: every job of the round-robin schedule is
 //              submitted up front (arrival rate >> service rate), then
 //              the drain is timed. The scheduler packs same-matrix jobs
-//              into solve_batch strips, so jobs/sec here over jobs/sec
-//              sync is the served batching gain ("batch_gain" — the
-//              ratio the perf gate holds).
+//              into strips, each one lockstep CG solve, so jobs/sec here
+//              over jobs/sec sync is the served batching gain
+//              ("batch_gain" — the ratio the perf gate holds), and
+//              jobs/strip (ServiceReport strip_jobs / strips over the
+//              burst) says how wide those strips ran.
 //   overload — a deliberately small bounded queue under the shed-oldest
 //              policy with per-job deadlines: checks the service keeps
 //              exact accounting (every job terminal, shed + expired +
@@ -111,6 +113,7 @@ int main(int argc, char** argv) {
     unsigned threads = 0;
     double sync_jps = 0.0;
     double burst_jps = 0.0;
+    double jobs_per_strip = 0.0;
     solve::ServiceReport burst_rep;
   };
   std::vector<Row> rows;
@@ -158,6 +161,7 @@ int main(int argc, char** argv) {
         solve::Service svc(pool, opts);
         const Tenants t = register_tenants(svc, grids);
         warm(svc, t);
+        const solve::ServiceReport before = svc.report();
         std::vector<solve::JobHandle> jobs;
         jobs.reserve(static_cast<std::size_t>(jobs_burst));
         bench::WallTimer timer;
@@ -179,6 +183,12 @@ int main(int argc, char** argv) {
         if (jps > row.burst_jps) {
           row.burst_jps = jps;
           row.burst_rep = svc.report();
+          const std::uint64_t strips = row.burst_rep.strips - before.strips;
+          row.jobs_per_strip =
+              strips ? static_cast<double>(row.burst_rep.strip_jobs -
+                                           before.strip_jobs) /
+                           static_cast<double>(strips)
+                     : 0.0;
         }
         svc.shutdown(10000.0);
       }
@@ -221,8 +231,8 @@ int main(int argc, char** argv) {
   }
 
   bench::Table table({"threads", "tenants", "sync(jobs/s)", "burst(jobs/s)",
-                      "batch_gain", "p50(ms)", "p99(ms)", "max(ms)",
-                      "high-water"});
+                      "batch_gain", "jobs/strip", "p50(ms)", "p99(ms)",
+                      "max(ms)", "high-water"});
   for (const Row& r : rows) {
     table.row()
         .cell(r.threads)
@@ -230,6 +240,7 @@ int main(int argc, char** argv) {
         .cell(r.sync_jps, 1)
         .cell(r.burst_jps, 1)
         .cell(r.sync_jps > 0 ? r.burst_jps / r.sync_jps : 0.0, 2)
+        .cell(r.jobs_per_strip, 1)
         .cell(r.burst_rep.p50_ms, 2)
         .cell(r.burst_rep.p99_ms, 2)
         .cell(r.burst_rep.max_ms, 2)
@@ -265,6 +276,7 @@ int main(int argc, char** argv) {
           << ", \"jobs_per_sec_sync\": " << r.sync_jps
           << ", \"jobs_per_sec_burst\": " << r.burst_jps
           << ", \"batch_gain\": " << gain
+          << ", \"jobs_per_strip\": " << r.jobs_per_strip
           << ", \"p50_ms\": " << r.burst_rep.p50_ms
           << ", \"p99_ms\": " << r.burst_rep.p99_ms
           << ", \"max_ms\": " << r.burst_rep.max_ms

@@ -35,10 +35,14 @@ that already divide out the machine:
                         through the same solve::Service (service_load) —
                         what the scheduler's same-matrix strip packing
                         buys over serial request handling, measured
-                        within one run. The gate also re-checks the
-                        artifact's overload accounting verdict: every
-                        flooded job must have landed in exactly one
-                        terminal state.
+                        within one run. The threads-1 row additionally
+                        carries an absolute 1.5x floor: a served strip
+                        is one lockstep CG solve, and a relative compare
+                        alone would let a baseline captured without
+                        lockstep ratchet that promise away. The gate
+                        also re-checks the artifact's overload
+                        accounting verdict: every flooded job must have
+                        landed in exactly one terminal state.
   kernel.lane_speedup   scalar-table / vector-table time per row with
                         k >= lane_min (kernel_micro; both solve-level
                         and kernel-only *_kern rows). The spilled_kern
@@ -75,6 +79,9 @@ import json
 import math
 import os
 import sys
+
+# Absolute floor on the threads-1 service.batch_gain row.
+SERVICE_GAIN_FLOOR = 1.5
 
 
 def geomean(values):
@@ -263,6 +270,14 @@ def main():
                   "an overloaded job ended in no (or more than one) "
                   "terminal state")
             ok = False
+        # Absolute floor on the one-thread row, where the gain is pure
+        # lockstep amortization (no thread-count effects to argue about).
+        for key, v in sorted(classes["service.batch_gain"][0].items()):
+            if key[0] == 1 and v < SERVICE_GAIN_FLOOR:
+                print(f"service.batch_gain: row {key} = {v:.3f} below "
+                      f"floor {SERVICE_GAIN_FLOOR:.2f} — served strips no longer "
+                      f"amortize one lockstep solve over their jobs")
+                ok = False
 
     if args.kernel:
         fresh_doc = load(args.kernel[0])

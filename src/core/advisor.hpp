@@ -115,7 +115,7 @@ ScheduleAdvice advise_factor_schedule(const TrisolveStructure& s,
 /// One lane of a calibration race: the best time a strategy measured.
 struct StrategyTiming {
   ExecStrategy strategy = ExecStrategy::kSerial;
-  double best_us = 0.0;  ///< fastest observed epoch, microseconds
+  double best_us = 0.0;  ///< fastest observed epoch per column, microseconds
   int epochs = 0;        ///< timed epochs this strategy ran
 };
 

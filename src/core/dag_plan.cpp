@@ -105,9 +105,8 @@ void DagPlan::set_strategy_state(ExecStrategy s) {
   set_guard();
 }
 
-bool DagPlan::note_calibration_epoch(double seconds) {
+bool DagPlan::note_calibration_epoch(double us) {
   StrategyTiming& t = tel_->race.timings[cand_idx_];
-  const double us = seconds * 1e6;
   if (t.epochs == 0 || us < t.best_us) t.best_us = us;
   ++t.epochs;
   ++tel_->race.exploration_epochs;
@@ -187,10 +186,13 @@ bool DagPlan::begin_kernel_epoch(bool eligible) noexcept {
 }
 
 bool DagPlan::end_epoch(double seconds, bool kernel_epoch, index_t columns) {
-  if (calibrating_) return note_calibration_epoch(seconds);
+  // Normalize per column so epochs of different batch widths compare: a
+  // lockstep strip narrows as its systems converge, so candidates raced
+  // later would otherwise be timed on fewer columns.
+  const double us = seconds * 1e6 / static_cast<double>(columns);
+  if (calibrating_) return note_calibration_epoch(us);
   if (kernel_epoch) {
-    // Normalize per column so epochs of different batch widths compare.
-    if (kernel_race_.note_epoch(seconds * 1e6 / static_cast<double>(columns))) {
+    if (kernel_race_.note_epoch(us)) {
       set_lanes(kernel_race_.winner() == kernels::KernelChoice::kScalar
                     ? &kernels::scalar_ops()
                     : &kernels::dispatched_ops());

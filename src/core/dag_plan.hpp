@@ -243,7 +243,8 @@ class DagPlan {
   bool begin_kernel_epoch(bool eligible) noexcept;
   /// After a SUCCESSFUL run (a faulted one threw out of dispatch before
   /// this): feeds the strategy race while it explores, else the kernel
-  /// race when `kernel_epoch` (time normalized per `columns`). Returns
+  /// race when `kernel_epoch` — either race with the time normalized per
+  /// `columns`, so runs of different batch widths compare. Returns
   /// true exactly when the strategy race locked in its winner — the
   /// caller then resolves whatever it deferred to lock-in.
   bool end_epoch(double seconds, bool kernel_epoch, index_t columns = 1);
@@ -272,7 +273,7 @@ class DagPlan {
   /// under kAuto), and the wait-guard site name.
   void set_strategy_state(ExecStrategy s);
   void set_guard() noexcept;
-  bool note_calibration_epoch(double seconds);
+  bool note_calibration_epoch(double us);
   void finish_calibration();
   void resolve_kernel() noexcept;
   void set_lanes(const kernels::LaneOps* ops) noexcept;

@@ -143,25 +143,37 @@ BatchReport BatchDriver::drain() {
     }
   }
 
-  // Krylov drain: every system shares m_'s plan, so each preconditioner
-  // application — each iteration of each system — is one fused dispatch
-  // with zero allocation inside the plan. Jobs that fail climb the retry
-  // ladder (DESIGN.md §12): attempt 2 widens the iteration budget on the
-  // same method, attempts 3+ escalate kCg → kBicgstab → kGmres, every
-  // attempt warm-started from the previous one's x.
+  // First attempt. kCg runs every live system in lockstep: one batched
+  // SpMV and one apply_batch per iteration over the systems still
+  // running, each bitwise equal to pcg alone (pcg_lockstep). BiCGSTAB
+  // and GMRES run job by job, every application still through m_'s plan.
+  if (opts_.method == KrylovMethod::kCg) {
+    cg_systems_.clear();
+    for (index_t j : live) {
+      const Job& job = queue_[static_cast<std::size_t>(j)];
+      cg_systems_.push_back({job.b, job.x, screen_r_.data() + j * n,
+                             &rep.reports[static_cast<std::size_t>(j)]});
+    }
+    pcg_lockstep(*a_, cg_systems_, m_, cg_options(opts_.max_iterations),
+                 cg_scratch_, pool_, opts_.nthreads);
+  } else {
+    for (index_t j : live) {
+      const Job& job = queue_[static_cast<std::size_t>(j)];
+      rep.reports[static_cast<std::size_t>(j)] =
+          run_attempt(opts_.method, job.b, job.x, opts_.max_iterations);
+    }
+  }
+
+  // Retry ladder (DESIGN.md §12) for the jobs the first attempt left
+  // unconverged: attempt 2 widens the iteration budget on the same
+  // method, attempts 3+ escalate kCg → kBicgstab → kGmres, every attempt
+  // warm-started from the previous one's x.
   for (index_t j : live) {
     const Job& job = queue_[static_cast<std::size_t>(j)];
     SolveReport& out = rep.reports[static_cast<std::size_t>(j)];
     KrylovMethod method = opts_.method;
-    int attempt = 0;
-    for (;;) {
-      ++attempt;
-      const int budget = attempt == 1 ? opts_.max_iterations
-                                      : opts_.max_iterations *
-                                            opts_.retry_iteration_factor;
-      out = run_attempt(method, job.b, job.x, budget);
-      out.attempts = attempt;
-      if (out.converged || attempt >= opts_.max_attempts) break;
+    int attempt = 1;
+    while (!out.converged && attempt < opts_.max_attempts) {
       if (attempt >= 2) {
         switch (method) {
           case KrylovMethod::kCg:
@@ -174,7 +186,11 @@ BatchReport BatchDriver::drain() {
             break;  // top of the ladder: re-run at the widened budget
         }
       }
+      ++attempt;
+      out = run_attempt(method, job.b, job.x,
+                        opts_.max_iterations * opts_.retry_iteration_factor);
     }
+    out.attempts = attempt;
     if (attempt > 1) ++rep.retried;
     if (out.breakdown) ++rep.breakdowns;
   }
@@ -190,18 +206,21 @@ BatchReport BatchDriver::drain() {
   return rep;
 }
 
+CgOptions BatchDriver::cg_options(int max_iterations) const {
+  CgOptions o;
+  o.max_iterations = max_iterations;
+  o.rel_tolerance = opts_.rel_tolerance;
+  o.record_history = opts_.record_history;
+  return o;
+}
+
 SolveReport BatchDriver::run_attempt(KrylovMethod method,
                                      std::span<const double> b,
                                      std::span<double> x,
                                      int max_iterations) {
   switch (method) {
-    case KrylovMethod::kCg: {
-      CgOptions o;
-      o.max_iterations = max_iterations;
-      o.rel_tolerance = opts_.rel_tolerance;
-      o.record_history = opts_.record_history;
-      return pcg(*a_, b, x, m_, o);
-    }
+    case KrylovMethod::kCg:
+      return pcg(*a_, b, x, m_, cg_options(max_iterations));
     case KrylovMethod::kBicgstab: {
       BicgstabOptions o;
       o.max_iterations = max_iterations;

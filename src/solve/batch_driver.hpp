@@ -8,9 +8,14 @@
 //     batched SpMV pass (sparse::spmv_batch_parallel — a single pool
 //     dispatch), so already-converged systems are answered without
 //     entering a Krylov loop at all;
-//   * the rest run through PCG or BiCGSTAB sharing ONE
-//     DoacrossIlu0Preconditioner, so every Krylov iteration of every
-//     queued system reuses the same zero-allocation fused L+U plan.
+//   * under kCg the rest advance in lockstep (pcg_lockstep): every
+//     iteration is one batched SpMV and one apply_batch — one
+//     wavefront-interleaved solve_batch through the shared
+//     DoacrossIlu0Preconditioner — over the systems still running, and a
+//     system leaves the strip when it converges, breaks down or runs out
+//     of iterations. BiCGSTAB and GMRES run job by job on the same plan;
+//   * jobs the first attempt leaves unconverged climb the per-job retry
+//     ladder (max_attempts), warm-started from the first attempt's x.
 //
 // Results are bitwise identical to solving each system alone with
 // pcg/bicgstab over a DoacrossIlu0Preconditioner (which is itself bitwise
@@ -116,7 +121,8 @@ struct BatchReport {
   std::size_t screened = 0;
   std::uint64_t total_iterations = 0;
   /// Plan solves consumed by this drain — the preconditioner
-  /// applications the shared TrisolvePlan amortized.
+  /// applications the shared TrisolvePlan amortized. A lockstep CG
+  /// iteration is one solve however many systems it carries.
   std::uint64_t precond_solves = 0;
   /// Pool fork/joins consumed by this drain (rt::DispatchProbe delta).
   std::uint64_t pool_dispatches = 0;
@@ -172,6 +178,7 @@ class BatchDriver {
  private:
   SolveReport run_attempt(KrylovMethod method, std::span<const double> b,
                           std::span<double> x, int max_iterations);
+  CgOptions cg_options(int max_iterations) const;
 
   struct Job {
     std::span<const double> b;
@@ -188,6 +195,10 @@ class BatchDriver {
   std::vector<double> screen_r_;
   std::vector<const double*> screen_x_cols_;
   std::vector<double*> screen_r_cols_;
+  // Lockstep CG state, grown once like the screen scratch; each system's
+  // residual column is its screen_r_ column.
+  std::vector<CgSystem> cg_systems_;
+  CgScratch cg_scratch_;
 };
 
 }  // namespace pdx::solve

@@ -9,6 +9,15 @@
 
 namespace pdx::solve {
 
+void Preconditioner::apply_batch(index_t n, const double* const* r_cols,
+                                 double* const* z_cols, index_t k) const {
+  const std::size_t len = static_cast<std::size_t>(n);
+  for (index_t c = 0; c < k; ++c) {
+    apply(std::span<const double>(r_cols[c], len),
+          std::span<double>(z_cols[c], len));
+  }
+}
+
 JacobiPreconditioner::JacobiPreconditioner(const sparse::Csr& a) {
   if (a.rows != a.cols) throw std::invalid_argument("jacobi: not square");
   inv_diag_.resize(static_cast<std::size_t>(a.rows));
@@ -131,9 +140,15 @@ void DoacrossIlu0Preconditioner::apply_batch(std::span<const double> r,
   }
 }
 
-void DoacrossIlu0Preconditioner::apply_batch(const double* const* r_cols,
+void DoacrossIlu0Preconditioner::apply_batch(index_t n,
+                                             const double* const* r_cols,
                                              double* const* z_cols,
                                              index_t k) const {
+  if (n != plan_.rows()) {
+    throw std::invalid_argument(
+        "DoacrossIlu0Preconditioner::apply_batch: column length differs "
+        "from the plan's row count");
+  }
   if (!plan_.poisoned()) {
     try {
       plan_.solve_batch(r_cols, z_cols, k);
@@ -142,10 +157,10 @@ void DoacrossIlu0Preconditioner::apply_batch(const double* const* r_cols,
       if (!plan_.poisoned()) throw;
     }
   }
-  const std::size_t n = static_cast<std::size_t>(plan_.rows());
+  const std::size_t len = static_cast<std::size_t>(n);
   for (index_t c = 0; c < k; ++c) {
-    apply_seq(std::span<const double>(r_cols[c], n),
-              std::span<double>(z_cols[c], n));
+    apply_seq(std::span<const double>(r_cols[c], len),
+              std::span<double>(z_cols[c], len));
   }
 }
 

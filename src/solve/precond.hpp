@@ -28,6 +28,12 @@ class Preconditioner {
  public:
   virtual ~Preconditioner() = default;
   virtual void apply(std::span<const double> r, std::span<double> z) const = 0;
+  /// z_cols[c] = M⁻¹ r_cols[c] for k columns of n entries — the hook the
+  /// lockstep Krylov drain (pcg_lockstep) calls once per iteration. The
+  /// default applies column by column; every column must equal apply()
+  /// on that column bitwise.
+  virtual void apply_batch(index_t n, const double* const* r_cols,
+                           double* const* z_cols, index_t k) const;
   virtual const char* name() const = 0;
 };
 
@@ -106,9 +112,11 @@ class DoacrossIlu0Preconditioner final : public Preconditioner {
   /// ONE pool dispatch through the shared plan (TrisolvePlan::solve_batch).
   void apply_batch(std::span<const double> r, std::span<double> z,
                    index_t k) const;
-  /// Pointer-per-column batched application for non-contiguous columns.
-  void apply_batch(const double* const* r_cols, double* const* z_cols,
-                   index_t k) const;
+  /// Pointer-per-column batched application for non-contiguous columns,
+  /// in one dispatch (a k == 1 batch is the fused single-RHS solve).
+  /// `n` must equal the plan's row count.
+  void apply_batch(index_t n, const double* const* r_cols,
+                   double* const* z_cols, index_t k) const override;
 
   /// Re-factorize for new matrix VALUES over the ctor matrix's pattern —
   /// the time-stepping hot path (DESIGN.md §11). The first call builds a

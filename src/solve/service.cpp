@@ -137,6 +137,7 @@ MatrixId Service::register_matrix(const sparse::Csr& a) {
   const MatrixId id = next_id_++;
   auto t = std::make_unique<Tenant>();
   t->id = id;
+  t->rows = a.rows;
   t->a = a;
   tenants_.emplace(id, std::move(t));
   return id;
@@ -156,10 +157,10 @@ void Service::update_values(MatrixId id, const sparse::Csr& a) {
                                 std::to_string(id));
   }
   std::lock_guard<std::mutex> lk(t->mu);
-  if (a.rows != t->a.rows) {
+  if (a.rows != t->rows) {
     throw std::invalid_argument(
         "Service::update_values: dimension change (" +
-        std::to_string(t->a.rows) + " -> " + std::to_string(a.rows) +
+        std::to_string(t->rows) + " -> " + std::to_string(a.rows) +
         ") — register a new matrix instead");
   }
   // Deferred: the scheduler applies it before the tenant's next strip.
@@ -211,13 +212,10 @@ JobHandle Service::submit_at(MatrixId id, std::span<const double> b,
     throw std::invalid_argument("Service::submit: unknown matrix id " +
                                 std::to_string(id));
   }
-  index_t n;
-  {
-    // update_values enforces a fixed dimension, so t->a.rows is the
-    // tenant's row count even with an update pending.
-    std::lock_guard<std::mutex> lk(t->mu);
-    n = t->a.rows;
-  }
+  // Read without t->mu, which the scheduler holds for a whole strip:
+  // jobs for the tenant being solved queue up for its next strip instead
+  // of waiting for this one.
+  const index_t n = t->rows;
   if (static_cast<index_t>(b.size()) < n) {
     throw std::invalid_argument(
         "Service::submit: b has " + std::to_string(b.size()) +
@@ -560,6 +558,8 @@ void Service::process_strip(Tenant& t, std::vector<JobHandle>& strip) {
     return;
   }
 
+  strips_.fetch_add(1, std::memory_order_relaxed);
+  strip_jobs_.fetch_add(live.size(), std::memory_order_relaxed);
   try {
     const BatchReport rep = d->drain();
     const bool degraded = !planned || rep.degraded_serial;
@@ -891,6 +891,8 @@ ServiceReport Service::report() const {
   r.cache_misses = cache_misses_.load(std::memory_order_relaxed);
   r.cache_evictions = cache_evictions_.load(std::memory_order_relaxed);
   r.value_refreshes = value_refreshes_.load(std::memory_order_relaxed);
+  r.strips = strips_.load(std::memory_order_relaxed);
+  r.strip_jobs = strip_jobs_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lk(qmu_);
     r.queue_depth = queue_.size();

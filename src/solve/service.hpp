@@ -219,6 +219,12 @@ struct ServiceReport {
   std::uint64_t cache_evictions = 0;  ///< LRU evicted a tenant's plans
   std::uint64_t value_refreshes = 0;  ///< pattern-hit value-only updates
 
+  /// BatchDriver drains run and the jobs they carried: strip_jobs /
+  /// strips is the mean strip width — how many jobs each lockstep solve
+  /// advanced together.
+  std::uint64_t strips = 0;
+  std::uint64_t strip_jobs = 0;
+
   std::size_t queue_depth = 0;       ///< now
   std::size_t queue_high_water = 0;  ///< max depth ever observed
   std::size_t matrices = 0;          ///< registered tenants
@@ -318,7 +324,8 @@ class Service {
   ///
   /// Admission control runs here: a full queue blocks/sheds/rejects per
   /// the configured policy, and a deadline that is already unmeetable is
-  /// expired immediately without queueing. Throws std::invalid_argument
+  /// expired immediately without queueing. Takes no tenant lock, so it
+  /// never waits on the tenant's running strip. Throws std::invalid_argument
   /// for an unknown id or an undersized b (caller bugs, not overload).
   JobHandle submit(MatrixId id, std::span<const double> b,
                    double timeout_ms = -1.0);
@@ -375,6 +382,9 @@ class Service {
 
   struct Tenant {
     MatrixId id = 0;
+    // Row count, fixed at registration (update_values rejects a dimension
+    // change) and read by submit without taking mu.
+    index_t rows = 0;
     mutable std::mutex mu;  // guards everything below
     sparse::Csr a;          // the operator jobs are solved against
     std::unique_ptr<BatchDriver> driver;    // planned path (may be null)
@@ -408,7 +418,8 @@ class Service {
   void ensure_driver(Tenant& t);
   void ensure_fallback(Tenant& t);
   /// Evict the least-recently-used OTHER tenant's plans if the live-plan
-  /// count is at the cap. Caller holds t.mu (victim mu acquired inside).
+  /// count is at the cap. Scheduler only, called BEFORE t.mu is taken:
+  /// the victim's mu, acquired inside, is the only tenant mutex held.
   void evict_for(Tenant& t);
   /// Reset t.driver and keep the live-plan count honest. Caller holds
   /// t.mu.
@@ -468,7 +479,8 @@ class Service {
   std::atomic<std::uint64_t> submitted_{0}, solved_{0}, expired_{0},
       rejected_{0}, failed_{0}, shed_{0}, degraded_jobs_{0},
       breaker_trips_{0}, breaker_recoveries_{0}, stalls_{0}, cache_hits_{0},
-      cache_misses_{0}, cache_evictions_{0}, value_refreshes_{0};
+      cache_misses_{0}, cache_evictions_{0}, value_refreshes_{0}, strips_{0},
+      strip_jobs_{0};
 
   mutable std::mutex lat_mu_;
   std::vector<double> latencies_;  // ring of the last latency_window

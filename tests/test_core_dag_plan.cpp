@@ -4,7 +4,8 @@
 // Every walk (flags, levels, serial) at every width must reproduce the
 // sequential loop bitwise; parallel runs cost one pool dispatch and
 // serial runs none; a kAuto race spends exactly 3 x calibration_epochs
-// runs and a tuning-cache hit spends none; an injected fault poisons.
+// runs, compares them per column, and a tuning-cache hit spends none; an
+// injected fault poisons.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -230,6 +231,39 @@ TEST(DagPlan, RaceSpendsThreeBudgetsThenCacheHitSpendsNone) {
   expect_bitwise(ref, second.run(), "cache-hit run");
   EXPECT_EQ(second.telemetry().race.exploration_epochs, 0);
   core::tuning_cache().clear();
+}
+
+TEST(DagPlan, RaceComparesTimesPerColumn) {
+  // A batched run of 8 columns in 8 us costs 1 us per column; single
+  // runs of 2 us and 3 us cost more per column although their raw times
+  // are lower. The race must pick the batched candidate, whatever width
+  // it happened to be timed at.
+  const Loop l = random_dag(41);
+  core::DagPlanConfig cfg = pinned(core::ExecStrategy::kAuto, 2);
+  cfg.calibration_epochs = 2;
+  cfg.use_tuning_cache = false;
+  LoopPlan plan(l, cfg);
+  ASSERT_TRUE(plan.core().calibrating());
+  const core::ExecTelemetry& t = plan.telemetry();
+  ASSERT_EQ(t.race.timings.size(), 3u);
+  const core::ExecStrategy first = t.race.timings[0].strategy;
+  const double seconds[3] = {8e-6, 2e-6, 3e-6};
+  const index_t columns[3] = {8, 1, 1};
+  bool locked = false;
+  for (int c = 0; c < 3; ++c) {
+    for (int e = 0; e < cfg.calibration_epochs; ++e) {
+      ASSERT_FALSE(locked);
+      locked = plan.core().end_epoch(seconds[c], /*kernel_epoch=*/false,
+                                     columns[c]);
+    }
+  }
+  EXPECT_TRUE(locked);
+  EXPECT_EQ(t.race.exploration_epochs, 3 * cfg.calibration_epochs);
+  EXPECT_DOUBLE_EQ(t.race.timings[0].best_us, 1.0);
+  EXPECT_DOUBLE_EQ(t.race.timings[1].best_us, 2.0);
+  EXPECT_DOUBLE_EQ(t.race.timings[2].best_us, 3.0);
+  EXPECT_EQ(plan.core().strategy(), first);
+  expect_bitwise(sequential(l), plan.run(), "locked-in run");
 }
 
 TEST(DagPlan, InjectedFaultPoisons) {

@@ -1,13 +1,18 @@
 // Tests for solve::BatchDriver: a queue of mixed easy / ill-conditioned
 // systems drains through the shared DoacrossIlu0Preconditioner plan, every
 // solution meets the same residual tolerance as the single-solve path, and
-// the results are bitwise identical to running each system alone. Also
-// covers the batched admission screen and queue reuse.
+// the results are bitwise identical to running each system alone — the
+// lockstep CG drain column by column against pcg, and the retry ladder
+// against the per-job ladder. Also covers the batched admission screen,
+// queue reuse, and a kAuto strategy race run inside a wide first strip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
+#include "core/advisor.hpp"
 #include "gen/block_operator.hpp"
 #include "gen/rng.hpp"
 #include "gen/stencil.hpp"
@@ -108,9 +113,13 @@ TEST(BatchDriver, MixedQueueMeetsToleranceAndMatchesSingleSolvePath) {
   EXPECT_EQ(rep.reports[2].iterations, 0);
   EXPECT_EQ(rep.reports[3].iterations, 0);
   EXPECT_GT(rep.total_iterations, 0u);
-  EXPECT_GT(rep.precond_solves, 0u);
-  EXPECT_GT(rep.pool_dispatches, rep.precond_solves)
-      << "screen + one dispatch per preconditioner application";
+  // Lockstep shape: one plan solve per lockstep iteration for the whole
+  // strip — the first application, then one after every iteration that
+  // leaves a system running — so the strip costs what its slowest
+  // system's iterations cost.
+  EXPECT_EQ(rep.precond_solves,
+            static_cast<std::uint64_t>(std::max(rep.reports[0].iterations,
+                                                rep.reports[1].iterations)));
 
   // Every solution meets the drain tolerance, re-verified from scratch.
   EXPECT_LE(relative_residual(a, b_easy, x0), tol);
@@ -232,4 +241,283 @@ TEST(BatchDriver, EmptyDrainAndGuards) {
   solve::BatchDriverOptions bad;
   bad.max_iterations = 0;
   EXPECT_THROW(solve::BatchDriver(pool(), a, bad), std::invalid_argument);
+}
+
+namespace {
+
+/// One strip of the property test: column c's (b, x0), cycling through
+/// screened systems (exact guess, zero system), a rough right-hand side
+/// from a zero guess (runs out of a small iteration budget), and guesses perturbed by 1e-2 .. 1e-8 from the
+/// solution, which converge after different iteration counts.
+struct Strip {
+  std::vector<std::vector<double>> b, x0;
+};
+
+Strip make_strip(const sp::Csr& a, index_t k, std::uint64_t seed) {
+  const index_t n = a.rows;
+  Strip s;
+  for (index_t c = 0; c < k; ++c) {
+    const std::uint64_t cs = seed + 97 * static_cast<std::uint64_t>(c);
+    const auto x_true = random_vec(n, cs);
+    std::vector<double> b(static_cast<std::size_t>(n));
+    sp::spmv(a, x_true, b);
+    std::vector<double> x0 = x_true;
+    const index_t kind = (c + 1) % 6;
+    if (kind == 0 && c % 12 == 11) {
+      b.assign(b.size(), 0.0);  // zero system, zero guess: screened
+      x0.assign(x0.size(), 0.0);
+    } else if (kind == 1) {
+      b = random_vec(n, cs + 1);  // rough rhs, zero guess
+      x0.assign(x0.size(), 0.0);
+    } else if (kind >= 2) {
+      const auto noise = random_vec(n, cs + 2);
+      const double eps = std::pow(10.0, -2.0 * static_cast<double>(kind - 1));
+      for (std::size_t i = 0; i < x0.size(); ++i) x0[i] += eps * noise[i];
+    }  // kind 0 otherwise: exact guess, screened
+    s.b.push_back(std::move(b));
+    s.x0.push_back(std::move(x0));
+  }
+  return s;
+}
+
+void expect_same_report(const solve::SolveReport& got,
+                        const solve::SolveReport& want,
+                        const std::string& where) {
+  EXPECT_EQ(got.iterations, want.iterations) << where;
+  EXPECT_EQ(got.converged, want.converged) << where;
+  EXPECT_EQ(got.breakdown, want.breakdown) << where;
+  EXPECT_EQ(got.final_relative_residual, want.final_relative_residual)
+      << where;
+  EXPECT_EQ(got.residual_history, want.residual_history) << where;
+}
+
+}  // namespace
+
+TEST(BatchDriver, LockstepCgMatchesPerJobPcgBitwise) {
+  struct Case {
+    const char* name;
+    sp::Csr a;
+  };
+  const std::vector<Case> cases = {
+      {"isotropic", gen::five_point(12, 12)},
+      {"anisotropic", anisotropic_five_point(14, 10, 1e-2)},
+  };
+  const std::vector<sp::ExecutionStrategy> strategies = {
+      sp::ExecutionStrategy::kSerial, sp::ExecutionStrategy::kDoacross,
+      sp::ExecutionStrategy::kLevelBarrier};
+  const int max_iterations = 8;
+  const double tol = 1e-10;
+
+  for (const Case& cs : cases) {
+    const index_t n = cs.a.rows;
+    for (unsigned threads : {1u, 2u, 4u}) {
+      for (sp::ExecutionStrategy strategy : strategies) {
+        solve::BatchDriverOptions opts;
+        opts.max_iterations = max_iterations;
+        opts.rel_tolerance = tol;
+        opts.record_history = true;
+        opts.nthreads = threads;
+        opts.strategy = strategy;
+        opts.calibration_epochs = 0;
+        opts.use_tuning_cache = false;
+        solve::BatchDriver driver(pool(), cs.a, opts);
+        const solve::DoacrossIlu0Preconditioner m(
+            pool(), cs.a, /*reorder=*/true, threads, strategy);
+        solve::CgOptions copts;
+        copts.max_iterations = max_iterations;
+        copts.rel_tolerance = tol;
+        copts.record_history = true;
+
+        for (index_t k : {1, 2, 3, 8, 17, 33}) {
+          const std::string cfg =
+              std::string(cs.name) + " threads " + std::to_string(threads) +
+              " " + pdx::core::to_string(strategy) + " k " +
+              std::to_string(k);
+          const Strip s = make_strip(cs.a, k, 1000 + static_cast<std::uint64_t>(k));
+          std::vector<std::vector<double>> x = s.x0;
+          for (index_t c = 0; c < k; ++c) {
+            driver.enqueue(s.b[static_cast<std::size_t>(c)],
+                           x[static_cast<std::size_t>(c)]);
+          }
+          const auto rep = driver.drain();
+          ASSERT_EQ(rep.reports.size(), static_cast<std::size_t>(k)) << cfg;
+
+          int screened = 0, out_of_budget = 0, slowest = 0;
+          std::vector<int> converged_at;
+          for (index_t c = 0; c < k; ++c) {
+            const std::size_t cc = static_cast<std::size_t>(c);
+            std::vector<double> y = s.x0[cc];
+            const auto want = solve::pcg(cs.a, s.b[cc], y, m, copts);
+            const std::string where = cfg + " column " + std::to_string(c);
+            const auto& got = rep.reports[cc];
+            expect_same_report(got, want, where);
+            EXPECT_EQ(got.attempts, 1) << where;
+            for (index_t i = 0; i < n; ++i) {
+              ASSERT_EQ(x[cc][static_cast<std::size_t>(i)],
+                        y[static_cast<std::size_t>(i)])
+                  << where << " row " << i;
+            }
+            slowest = std::max(slowest, got.iterations);
+            if (got.converged && got.iterations == 0) ++screened;
+            if (got.converged && got.iterations > 0) {
+              converged_at.push_back(got.iterations);
+            }
+            if (!got.converged) ++out_of_budget;
+          }
+          EXPECT_EQ(rep.screened, static_cast<std::size_t>(screened)) << cfg;
+          EXPECT_EQ(rep.precond_solves, static_cast<std::uint64_t>(slowest))
+              << cfg;
+          if (k >= 8) {
+            // The strip really mixes every way a column can leave it.
+            std::sort(converged_at.begin(), converged_at.end());
+            converged_at.erase(
+                std::unique(converged_at.begin(), converged_at.end()),
+                converged_at.end());
+            EXPECT_GE(screened, 1) << cfg;
+            EXPECT_GE(converged_at.size(), 2u) << cfg;
+            EXPECT_GE(out_of_budget, 1) << cfg;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchDriver, LockstepStragglersFollowThePerJobLadder) {
+  const sp::Csr a = anisotropic_five_point(14, 10, 1e-2);
+  const index_t n = a.rows;
+  const int max_iterations = 3;
+  const int factor = 2;
+  const double tol = 1e-10;
+
+  solve::BatchDriverOptions opts;
+  opts.max_iterations = max_iterations;
+  opts.rel_tolerance = tol;
+  opts.record_history = true;
+  opts.max_attempts = 3;
+  opts.retry_iteration_factor = factor;
+  opts.nthreads = 2;
+  opts.strategy = sp::ExecutionStrategy::kDoacross;
+  opts.calibration_epochs = 0;
+  opts.use_tuning_cache = false;
+  solve::BatchDriver driver(pool(), a, opts);
+  const solve::DoacrossIlu0Preconditioner m(pool(), a, /*reorder=*/true, 2,
+                                            sp::ExecutionStrategy::kDoacross);
+
+  const index_t k = 12;
+  const Strip s = make_strip(a, k, 4242);
+  std::vector<std::vector<double>> x = s.x0;
+  for (index_t c = 0; c < k; ++c) {
+    driver.enqueue(s.b[static_cast<std::size_t>(c)],
+                   x[static_cast<std::size_t>(c)]);
+  }
+  const auto rep = driver.drain();
+
+  // The per-job ladder: pcg at the base budget, pcg again at the widened
+  // budget, then BiCGSTAB — each warm-started from the previous x.
+  std::size_t retried = 0, escalated = 0;
+  for (index_t c = 0; c < k; ++c) {
+    const std::size_t cc = static_cast<std::size_t>(c);
+    std::vector<double> y = s.x0[cc];
+    solve::CgOptions copts;
+    copts.max_iterations = max_iterations;
+    copts.rel_tolerance = tol;
+    copts.record_history = true;
+    solve::SolveReport want = solve::pcg(a, s.b[cc], y, m, copts);
+    int attempts = 1;
+    if (!want.converged) {
+      copts.max_iterations = max_iterations * factor;
+      want = solve::pcg(a, s.b[cc], y, m, copts);
+      ++attempts;
+    }
+    if (!want.converged) {
+      solve::BicgstabOptions bopts;
+      bopts.max_iterations = max_iterations * factor;
+      bopts.rel_tolerance = tol;
+      bopts.record_history = true;
+      want = solve::bicgstab(a, s.b[cc], y, m, bopts);
+      ++attempts;
+    }
+    if (attempts > 1) ++retried;
+    if (attempts > 2) ++escalated;
+    const std::string where = "column " + std::to_string(c);
+    const auto& got = rep.reports[cc];
+    expect_same_report(got, want, where);
+    EXPECT_EQ(got.attempts, attempts) << where;
+    for (index_t i = 0; i < n; ++i) {
+      ASSERT_EQ(x[cc][static_cast<std::size_t>(i)],
+                y[static_cast<std::size_t>(i)])
+          << where << " row " << i;
+    }
+  }
+  EXPECT_EQ(rep.retried, retried);
+  EXPECT_GE(retried, 2u) << "the strip must leave stragglers to the ladder";
+  EXPECT_GE(escalated, 1u) << "and one of them must escalate to BiCGSTAB";
+}
+
+TEST(BatchDriver, WideFirstStripRacesThreeCandidateBudgets) {
+  // Under kAuto the strategy race runs inside the first strip: its epochs
+  // are lockstep applications whose width shrinks as systems converge.
+  // The race still spends exactly 3 x calibration_epochs epochs, each
+  // candidate the same budget, and locks in the per-column argmin; every
+  // column stays bitwise equal to pcg.
+  const sp::Csr a = anisotropic_five_point(14, 10, 1e-2);
+  const index_t n = a.rows;
+  const int max_iterations = 8;
+  const double tol = 1e-10;
+
+  solve::BatchDriverOptions opts;
+  opts.max_iterations = max_iterations;
+  opts.rel_tolerance = tol;
+  opts.nthreads = 2;
+  opts.strategy = sp::ExecutionStrategy::kAuto;
+  opts.calibration_epochs = 2;
+  opts.use_tuning_cache = false;
+  solve::BatchDriver driver(pool(), a, opts);
+  const auto& race = driver.preconditioner().plan().telemetry().race;
+  ASSERT_FALSE(race.calibrated);
+
+  const index_t k = 16;
+  const Strip s = make_strip(a, k, 777);
+  std::vector<std::vector<double>> x = s.x0;
+  for (index_t c = 0; c < k; ++c) {
+    driver.enqueue(s.b[static_cast<std::size_t>(c)],
+                   x[static_cast<std::size_t>(c)]);
+  }
+  const auto rep = driver.drain();
+  ASSERT_GE(rep.precond_solves,
+            static_cast<std::uint64_t>(3 * opts.calibration_epochs));
+
+  EXPECT_TRUE(race.calibrated);
+  EXPECT_EQ(race.exploration_epochs, 3 * opts.calibration_epochs);
+  ASSERT_EQ(race.timings.size(), 3u);
+  std::size_t best = 0;
+  for (std::size_t i = 0; i < race.timings.size(); ++i) {
+    EXPECT_EQ(race.timings[i].epochs, opts.calibration_epochs);
+    EXPECT_GT(race.timings[i].best_us, 0.0);
+    if (race.timings[i].best_us < race.timings[best].best_us) best = i;
+  }
+  EXPECT_EQ(driver.preconditioner().plan().strategy(),
+            race.timings[best].strategy);
+
+  const solve::DoacrossIlu0Preconditioner m(pool(), a, /*reorder=*/true, 1,
+                                            sp::ExecutionStrategy::kSerial);
+  solve::CgOptions copts;
+  copts.max_iterations = max_iterations;
+  copts.rel_tolerance = tol;
+  for (index_t c = 0; c < k; ++c) {
+    const std::size_t cc = static_cast<std::size_t>(c);
+    std::vector<double> y = s.x0[cc];
+    const auto want = solve::pcg(a, s.b[cc], y, m, copts);
+    const std::string where = "column " + std::to_string(c);
+    EXPECT_EQ(rep.reports[cc].iterations, want.iterations) << where;
+    EXPECT_EQ(rep.reports[cc].final_relative_residual,
+              want.final_relative_residual)
+        << where;
+    for (index_t i = 0; i < n; ++i) {
+      ASSERT_EQ(x[cc][static_cast<std::size_t>(i)],
+                y[static_cast<std::size_t>(i)])
+          << where << " row " << i;
+    }
+  }
 }

@@ -699,6 +699,69 @@ TEST(Service, StallErrorCarriesStrategyAndMatrixContext) {
   EXPECT_TRUE(svc.shutdown(20000.0));
 }
 
+TEST(Service, SubmitDoesNotWaitOnARunningStrip) {
+  // Regression: submit() used to lock the tenant's mutex, which the
+  // scheduler holds for a whole strip, so a client submitting to the
+  // tenant being solved waited for that solve and strips never filled.
+  // Park a strip inside its parallel region (doacross pinned, watchdog
+  // off) and submit to the same tenant: the call must return while the
+  // strip is still parked.
+  solve::Service svc(pool(), chaos_options());
+  const index_t n = 400;
+  const sp::Csr a = tridiag(n);
+  const solve::MatrixId id = svc.register_matrix(a);
+  rt::FaultInjector inj;
+  svc.set_fault_injector(id, &inj);
+  const auto b1 = random_vec(n, 1200);
+  const auto b2 = random_vec(n, 1201);
+
+  using Clock = std::chrono::steady_clock;
+  const auto wait_for = [](const auto& cond, std::chrono::seconds budget) {
+    const auto until = Clock::now() + budget;
+    while (!cond() && Clock::now() < until) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return cond();
+  };
+
+  inj.arm_stall(rt::FaultInjector::kAnyTid, n / 2, /*max_stall_ms=*/240000);
+  const solve::JobHandle first = svc.submit(id, b1);
+  ASSERT_TRUE(wait_for([&] { return inj.stalls_fired() == 1; },
+                       std::chrono::seconds(60)))
+      << "the first strip never reached the stalled row";
+
+  std::atomic<bool> returned{false};
+  solve::JobHandle second;
+  std::thread client([&] {
+    second = svc.submit(id, b2);
+    returned.store(true, std::memory_order_release);
+  });
+  const bool before_release = wait_for(
+      [&] { return returned.load(std::memory_order_acquire); },
+      std::chrono::seconds(20));
+  const bool first_parked = !first->done();
+  inj.release_stalls();
+  client.join();
+  EXPECT_TRUE(before_release)
+      << "submit waited for the tenant's running strip";
+  EXPECT_TRUE(first_parked);
+
+  for (const auto& [job, b] :
+       {std::pair{first, &b1}, std::pair{second, &b2}}) {
+    const solve::JobResult res = job->wait();
+    ASSERT_EQ(res.outcome, JobOutcome::kSolved) << res.error;
+    EXPECT_FALSE(res.degraded);
+    EXPECT_LE(relative_residual(a, *b, job->solution()), 1e-8);
+  }
+  const solve::ServiceReport rep = svc.report();
+  EXPECT_EQ(rep.submitted, 2u);
+  EXPECT_EQ(rep.solved, 2u);
+  EXPECT_EQ(rep.strips, 2u) << "the second job queued for the next strip";
+  EXPECT_EQ(rep.strip_jobs, 2u);
+  expect_exact_accounting(rep);
+  EXPECT_TRUE(svc.shutdown(20000.0));
+}
+
 // ----------------------------------------------------------- bad client data
 
 TEST(Service, NonFiniteRhsFailsJobWithoutKillingSchedulerOrBreaker) {
