@@ -14,8 +14,17 @@
 //                 solve itself.
 //
 // Every batched result is verified bitwise against the sequential solves
-// before timing. `--json <path>` additionally writes the table as a JSON
-// artifact (CI publishes it as BENCH_batch.json).
+// before timing.
+//
+// A second table measures the Krylov layer above it at one thread:
+// lockstep CG (solve::pcg_lockstep) over the same 32 right-hand sides,
+// k at a time, for k in {1, 8, 16, 32} — the per-column time of each
+// width and `cg_lockstep_gain`, the k = 1 time over it. Every lockstep
+// x is verified bitwise against per-column pcg first.
+//
+// `--json <path>` additionally writes both tables as a JSON artifact (CI
+// publishes it as BENCH_batch.json). The bench exits 1 on any bitwise
+// divergence.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -31,12 +40,15 @@
 #include "gen/rng.hpp"
 #include "gen/stencil.hpp"
 #include "runtime/thread_pool.hpp"
+#include "solve/cg.hpp"
+#include "solve/precond.hpp"
 #include "sparse/ilu0.hpp"
 #include "sparse/trisolve_plan.hpp"
 
 namespace bench = pdx::bench;
 namespace gen = pdx::gen;
 namespace rt = pdx::rt;
+namespace solve = pdx::solve;
 namespace sp = pdx::sparse;
 using pdx::index_t;
 
@@ -50,6 +62,66 @@ struct Row {
   std::uint64_t disp_seq;
   std::uint64_t disp_batch;
 };
+
+struct CgRow {
+  index_t k;
+  double us_per_column;
+  double gain;  // k = 1 time / per-column time
+};
+
+/// Lockstep CG at one thread over the columns of b (column-major, n by
+/// max_k), k systems per pcg_lockstep call, from zero guesses. Returns
+/// the rows, and clears `exact` if any x differs from per-column pcg.
+std::vector<CgRow> cg_lockstep_rows(rt::ThreadPool& pool, const sp::Csr& a,
+                                    const std::vector<double>& b,
+                                    index_t max_k, int reps, bool& exact) {
+  const index_t n = a.rows;
+  const std::size_t nn = static_cast<std::size_t>(n);
+  const solve::DoacrossIlu0Preconditioner m(pool, a, /*reorder=*/true,
+                                            /*nthreads=*/1);
+  solve::CgOptions opts;
+  opts.record_history = false;
+
+  std::vector<double> x_ref(b.size(), 0.0), x(b.size(), 0.0);
+  for (index_t c = 0; c < max_k; ++c) {
+    solve::pcg(a, std::span<const double>(b.data() + c * n, nn),
+               std::span<double>(x_ref.data() + c * n, nn), m, opts);
+  }
+
+  solve::CgScratch scratch;
+  std::vector<solve::SolveReport> reps_out(static_cast<std::size_t>(max_k));
+  std::vector<solve::CgSystem> systems;
+  // A zero guess makes b itself the initial residual b - A x.
+  const auto solve_all = [&](index_t k) {
+    std::fill(x.begin(), x.end(), 0.0);
+    for (index_t c0 = 0; c0 < max_k; c0 += k) {
+      systems.clear();
+      for (index_t c = c0; c < std::min(max_k, c0 + k); ++c) {
+        systems.push_back({std::span<const double>(b.data() + c * n, nn),
+                           std::span<double>(x.data() + c * n, nn),
+                           b.data() + c * n,
+                           &reps_out[static_cast<std::size_t>(c)]});
+      }
+      solve::pcg_lockstep(a, systems, m, opts, scratch);
+    }
+  };
+
+  std::vector<CgRow> rows;
+  for (index_t k : {index_t{1}, index_t{8}, index_t{16}, index_t{32}}) {
+    solve_all(k);
+    if (x != x_ref) {
+      exact = false;
+      std::fprintf(stderr, "MISMATCH lockstep CG k=%lld vs per-column pcg\n",
+                   static_cast<long long>(k));
+    }
+    const auto t = bench::time_samples(reps, 1, [&] { solve_all(k); });
+    const double us = *std::min_element(t.begin(), t.end()) /
+                      static_cast<double>(max_k) * 1e6;
+    const double gain = rows.empty() ? 1.0 : rows.front().us_per_column / us;
+    rows.push_back({k, us, gain});
+  }
+  return rows;
+}
 
 }  // namespace
 
@@ -169,6 +241,25 @@ int main(int argc, char** argv) {
       "Bitwise check vs sequential solves: %s.\n",
       all_exact ? "exact" : "FAILED");
 
+  bool cg_exact = true;
+  const std::vector<CgRow> cg_rows =
+      cg_lockstep_rows(pool, a, b, max_k, reps, cg_exact);
+  all_exact = all_exact && cg_exact;
+  bench::Table cg_table({"threads", "k", "cg(us/column)", "cg_lockstep_gain"});
+  for (const CgRow& r : cg_rows) {
+    cg_table.row()
+        .cell(1u)
+        .cell(static_cast<long long>(r.k))
+        .cell(r.us_per_column, 1)
+        .cell(r.gain, 2);
+  }
+  std::printf("\nLockstep CG, %lld systems to 1e-10, k per pcg_lockstep "
+              "call:\n",
+              static_cast<long long>(max_k));
+  cg_table.print();
+  std::printf("Bitwise check vs per-column pcg: %s.\n",
+              cg_exact ? "exact" : "FAILED");
+
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     out << "{\n  \"bench\": \"batch_solve\",\n"
@@ -186,6 +277,14 @@ int main(int argc, char** argv) {
           << ", \"dispatches_seq\": " << r.disp_seq
           << ", \"dispatches_batch\": " << r.disp_batch << "}"
           << (i + 1 < rows.size() ? "," : "") << "\n";
+    }
+    out << "  ],\n  \"cg_lockstep\": [\n";
+    for (std::size_t i = 0; i < cg_rows.size(); ++i) {
+      const CgRow& r = cg_rows[i];
+      out << "    {\"threads\": 1, \"k\": " << r.k
+          << ", \"us_per_column\": " << r.us_per_column
+          << ", \"cg_lockstep_gain\": " << r.gain << "}"
+          << (i + 1 < cg_rows.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
     std::printf("wrote %s\n", json_path.c_str());

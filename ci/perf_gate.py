@@ -27,6 +27,11 @@ that already divide out the machine:
                             heuristic pick and are not gated.
   batch.speedup_ilv     sequential / batched-wavefront-interleaved
                         per-RHS time (batch_solve)
+  batch.cg_lockstep_gain    lockstep CG at k = 1 / at k in {8, 16, 32}
+                            per-column time to convergence at one
+                            thread (batch_solve) — what solving k
+                            systems as the lanes of one strip buys in
+                            the Krylov layer
   refactor.factor_speedup   sequential ilu0 / planned parallel numeric
                             factorization time (refactor_loop)
   refactor.refresh_speedup  full TrisolvePlan rebuild / value-only
@@ -139,12 +144,16 @@ def strategy_metrics(doc):
 
 def batch_metrics(doc):
     """Metric-class -> {row_key: ratio} for a batch_solve artifact."""
-    ilv = {}
+    ilv, cg = {}, {}
     for row in doc.get("results", []):
         key = (row.get("threads"), row.get("k"))
         if row.get("speedup_ilv", 0) > 0:
             ilv[key] = row["speedup_ilv"]
-    return {"batch.speedup_ilv": ilv}
+    for row in doc.get("cg_lockstep", []):
+        # k = 1 is the reference the gain divides by (1.0 by definition).
+        if row.get("k", 1) > 1 and row.get("cg_lockstep_gain", 0) > 0:
+            cg[(row.get("threads"), row.get("k"))] = row["cg_lockstep_gain"]
+    return {"batch.speedup_ilv": ilv, "batch.cg_lockstep_gain": cg}
 
 
 def refactor_metrics(doc):

@@ -94,22 +94,18 @@ BatchReport BatchDriver::drain() {
   const index_t n = a_->rows;
   const index_t k = static_cast<index_t>(queue_.size());
 
-  // Batched admission screen: r_j = b_j - A x_j for every queued system in
-  // ONE pool dispatch. Row arithmetic matches sparse::spmv exactly, so the
-  // screen's convergence decision coincides bitwise with the one
-  // pcg/bicgstab would make on their own initial residual.
+  // Admission screen: r_j = b_j - A x_j for every queued system, with
+  // spmv itself, so the screen's convergence decision coincides bitwise
+  // with the one pcg/bicgstab would make on their own initial residual.
+  // One product per job per drain, on the calling thread.
   if (screen_r_.size() < static_cast<std::size_t>(n * k)) {
     screen_r_.resize(static_cast<std::size_t>(n * k));
-    screen_x_cols_.resize(static_cast<std::size_t>(k));
-    screen_r_cols_.resize(static_cast<std::size_t>(k));
   }
   for (index_t j = 0; j < k; ++j) {
-    screen_x_cols_[static_cast<std::size_t>(j)] =
-        queue_[static_cast<std::size_t>(j)].x.data();
-    screen_r_cols_[static_cast<std::size_t>(j)] = screen_r_.data() + j * n;
+    sparse::spmv(*a_, queue_[static_cast<std::size_t>(j)].x,
+                 std::span<double>(screen_r_.data() + j * n,
+                                   static_cast<std::size_t>(n)));
   }
-  sparse::spmv_batch_parallel(*pool_, *a_, screen_x_cols_.data(),
-                              screen_r_cols_.data(), k, opts_.nthreads);
 
   std::vector<index_t> live;
   live.reserve(queue_.size());
@@ -143,10 +139,11 @@ BatchReport BatchDriver::drain() {
     }
   }
 
-  // First attempt. kCg runs every live system in lockstep: one batched
-  // SpMV and one apply_batch per iteration over the systems still
-  // running, each bitwise equal to pcg alone (pcg_lockstep). BiCGSTAB
-  // and GMRES run job by job, every application still through m_'s plan.
+  // First attempt. kCg runs every live system in lockstep, one lane of
+  // a shared strip each: one strip SpMV and one apply_strip per
+  // iteration over the systems still running, each bitwise equal to pcg
+  // alone (pcg_lockstep). BiCGSTAB and GMRES run job by job, every
+  // application still through m_'s plan.
   if (opts_.method == KrylovMethod::kCg) {
     cg_systems_.clear();
     for (index_t j : live) {
@@ -155,7 +152,7 @@ BatchReport BatchDriver::drain() {
                              &rep.reports[static_cast<std::size_t>(j)]});
     }
     pcg_lockstep(*a_, cg_systems_, m_, cg_options(opts_.max_iterations),
-                 cg_scratch_, pool_, opts_.nthreads);
+                 cg_scratch_);
   } else {
     for (index_t j : live) {
       const Job& job = queue_[static_cast<std::size_t>(j)];

@@ -4,16 +4,16 @@
 // TrisolvePlan) is built once while right-hand sides keep arriving.
 // BatchDriver queues (b, x) pairs and drains them in one sweep:
 //
-//   * the initial residuals of ALL queued systems are computed with one
-//     batched SpMV pass (sparse::spmv_batch_parallel — a single pool
-//     dispatch), so already-converged systems are answered without
+//   * the initial residual of every queued system is screened with one
+//     sparse::spmv, so already-converged systems are answered without
 //     entering a Krylov loop at all;
-//   * under kCg the rest advance in lockstep (pcg_lockstep): every
-//     iteration is one batched SpMV and one apply_batch — one
-//     wavefront-interleaved solve_batch through the shared
-//     DoacrossIlu0Preconditioner — over the systems still running, and a
-//     system leaves the strip when it converges, breaks down or runs out
-//     of iterations. BiCGSTAB and GMRES run job by job on the same plan;
+//   * under kCg the rest advance in lockstep (pcg_lockstep), one lane of
+//     a shared n-by-k strip each: every iteration is one strip SpMV and
+//     one apply_strip — one wavefront-interleaved solve_strip through the
+//     shared DoacrossIlu0Preconditioner — over the systems still running,
+//     and a system leaves the strip when it converges, breaks down or
+//     runs out of iterations. BiCGSTAB and GMRES run job by job on the
+//     same plan;
 //   * jobs the first attempt leaves unconverged climb the per-job retry
 //     ladder (max_attempts), warm-started from the first attempt's x.
 //
@@ -49,8 +49,7 @@ struct BatchDriverOptions {
   bool record_history = false;
   /// Doconsider orderings for the shared plan (PlanOptions::reorder).
   bool reorder = true;
-  /// Width of the plan's batched region and the SpMV screen; 0 = pool
-  /// width.
+  /// Width of the plan's strip region; 0 = pool width.
   unsigned nthreads = 0;
   /// Trisolve strategy of the shared plan. Auto calibrates: the
   /// heuristic advisor seeds the pick, the first preconditioner
@@ -116,7 +115,7 @@ struct BatchDriverOptions {
 struct BatchReport {
   std::size_t jobs = 0;
   std::size_t converged = 0;
-  /// Jobs answered by the batched residual screen (initial guess already
+  /// Jobs answered by the residual screen (initial guess already
   /// within tolerance) without entering a Krylov loop.
   std::size_t screened = 0;
   std::uint64_t total_iterations = 0;
@@ -192,11 +191,9 @@ class BatchDriver {
   std::vector<Job> queue_;
   // Screen scratch, grown once to the largest wave seen so repeated
   // drains of steady traffic allocate nothing for the screen itself.
-  std::vector<double> screen_r_;
-  std::vector<const double*> screen_x_cols_;
-  std::vector<double*> screen_r_cols_;
+  std::vector<double> screen_r_;  // n-by-jobs, column-major
   // Lockstep CG state, grown once like the screen scratch; each system's
-  // residual column is its screen_r_ column.
+  // initial residual is its screen_r_ column.
   std::vector<CgSystem> cg_systems_;
   CgScratch cg_scratch_;
 };

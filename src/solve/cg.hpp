@@ -5,10 +5,12 @@
 // iteration applies the preconditioner — i.e. runs the paper's sparse
 // triangular solves.
 //
-// The recurrence is written once, k systems wide (pcg_lockstep): every
-// iteration makes one SpMV pass and one Preconditioner::apply_batch call
-// over the systems still running, with rho/alpha/beta and the norms kept
-// per system. pcg() is its k = 1 case (DESIGN.md §8).
+// The recurrence is written once, k systems wide (pcg_lockstep): the
+// vectors of the systems still running are the lanes of n-by-k row-major
+// strips, and every iteration makes one strip SpMV, one
+// Preconditioner::apply_strip call and per-lane dot/axpy/xpby passes,
+// with rho/alpha/beta and the norms kept per lane. pcg() is its k = 1
+// case (DESIGN.md §8).
 #pragma once
 
 #include <span>
@@ -49,39 +51,43 @@ struct CgOptions {
 };
 
 /// One system of a lockstep solve. `r` holds the initial residual
-/// b - A x (n entries) on entry and is the system's residual scratch after.
+/// b - A x (n entries); pcg_lockstep only reads it.
 struct CgSystem {
   std::span<const double> b;
   std::span<double> x;  ///< initial guess in, solution out
-  double* r;
+  const double* r;
   SolveReport* report;  ///< overwritten with this system's report
 };
 
 /// Scratch of pcg_lockstep: grown to the widest call, never shrunk, so
 /// steady traffic allocates nothing.
 struct CgScratch {
-  std::vector<double> z, p, ap;  // n-by-k, column-major
-  struct Column {
+  // n-by-k row-major strips: lane c of row i at i*k + c, one running
+  // system per lane.
+  std::vector<double> x, r, z, p, ap;
+  // Per-lane coefficients and reduction results, k wide.
+  std::vector<double> alpha, neg_alpha, beta, dots;
+  struct Lane {
+    std::size_t system = 0;  ///< index into the caller's systems
     double bnorm = 0.0, stop = 0.0, rnorm = 0.0, rho = 0.0;
+    bool done = false;  ///< left this iteration; dropped at compaction
   };
-  std::vector<Column> cols;
-  std::vector<std::size_t> active;
-  std::vector<const double*> in;
-  std::vector<double*> out;
+  std::vector<Lane> lanes;
+  std::vector<std::size_t> keep;  // lanes still running after an iteration
 };
 
 /// Lockstep PCG over systems that share A and M: every system runs
 /// exactly the recurrence pcg runs alone — same operations, same order —
 /// so each one's x and report are bitwise equal to pcg on that system.
-/// Systems leave the lockstep when they converge, break down or reach
-/// opts.max_iterations. With two or more systems running the SpMV pass is
-/// spmv_batch_parallel on `pool` over `nthreads` (0 = pool width), so
-/// more than one system needs a pool; a lone system's SpMV is sequential,
-/// as in pcg.
+/// Each running system is one lane of the scratch strips; a system that
+/// converges, breaks down or reaches opts.max_iterations writes its x
+/// and leaves, and the strips are compacted in place. Throws
+/// std::invalid_argument — before touching any system — when `a` is not
+/// square or a system's b or x is shorter than a.rows, or its r or
+/// report is null.
 void pcg_lockstep(const sparse::Csr& a, std::span<const CgSystem> systems,
                   const Preconditioner& m, const CgOptions& opts,
-                  CgScratch& scratch, rt::ThreadPool* pool = nullptr,
-                  unsigned nthreads = 0);
+                  CgScratch& scratch);
 
 /// Solve A x = b for SPD A; x holds the initial guess on entry and the
 /// solution on exit.

@@ -9,12 +9,19 @@
 
 namespace pdx::solve {
 
-void Preconditioner::apply_batch(index_t n, const double* const* r_cols,
-                                 double* const* z_cols, index_t k) const {
+void Preconditioner::apply_strip(index_t n, const double* r, double* z,
+                                 index_t k) const {
   const std::size_t len = static_cast<std::size_t>(n);
-  for (index_t c = 0; c < k; ++c) {
-    apply(std::span<const double>(r_cols[c], len),
-          std::span<double>(z_cols[c], len));
+  if (k == 1) {
+    apply({r, len}, {z, len});
+    return;
+  }
+  const std::size_t kk = static_cast<std::size_t>(k);
+  std::vector<double> rc(len), zc(len);
+  for (std::size_t c = 0; c < kk; ++c) {
+    for (std::size_t i = 0; i < len; ++i) rc[i] = r[i * kk + c];
+    apply(rc, zc);
+    for (std::size_t i = 0; i < len; ++i) z[i * kk + c] = zc[i];
   }
 }
 
@@ -120,48 +127,26 @@ void DoacrossIlu0Preconditioner::apply(std::span<const double> r,
   apply_seq(r, z);
 }
 
-void DoacrossIlu0Preconditioner::apply_batch(std::span<const double> r,
-                                             std::span<double> z,
-                                             index_t k) const {
-  if (!plan_.poisoned()) {
-    try {
-      plan_.solve_batch(r, z, k);
-      return;
-    } catch (...) {
-      if (!plan_.poisoned()) throw;
-    }
-  }
-  const index_t n = plan_.rows();
-  for (index_t c = 0; c < k; ++c) {
-    apply_seq(r.subspan(static_cast<std::size_t>(c * n),
-                        static_cast<std::size_t>(n)),
-              z.subspan(static_cast<std::size_t>(c * n),
-                        static_cast<std::size_t>(n)));
-  }
-}
-
-void DoacrossIlu0Preconditioner::apply_batch(index_t n,
-                                             const double* const* r_cols,
-                                             double* const* z_cols,
-                                             index_t k) const {
+void DoacrossIlu0Preconditioner::apply_strip(index_t n, const double* r,
+                                             double* z, index_t k) const {
   if (n != plan_.rows()) {
     throw std::invalid_argument(
-        "DoacrossIlu0Preconditioner::apply_batch: column length differs "
+        "DoacrossIlu0Preconditioner::apply_strip: strip length differs "
         "from the plan's row count");
   }
   if (!plan_.poisoned()) {
+    const std::size_t len =
+        static_cast<std::size_t>(n) * static_cast<std::size_t>(k);
     try {
-      plan_.solve_batch(r_cols, z_cols, k);
+      plan_.solve_strip({r, len}, {z, len}, k);
       return;
     } catch (...) {
       if (!plan_.poisoned()) throw;
     }
   }
-  const std::size_t len = static_cast<std::size_t>(n);
-  for (index_t c = 0; c < k; ++c) {
-    apply_seq(std::span<const double>(r_cols[c], len),
-              std::span<double>(z_cols[c], len));
-  }
+  // Lane by lane through apply(), which serves a poisoned plan from the
+  // sequential loops.
+  Preconditioner::apply_strip(n, r, z, k);
 }
 
 }  // namespace pdx::solve

@@ -28,12 +28,13 @@ class Preconditioner {
  public:
   virtual ~Preconditioner() = default;
   virtual void apply(std::span<const double> r, std::span<double> z) const = 0;
-  /// z_cols[c] = M⁻¹ r_cols[c] for k columns of n entries — the hook the
-  /// lockstep Krylov drain (pcg_lockstep) calls once per iteration. The
-  /// default applies column by column; every column must equal apply()
-  /// on that column bitwise.
-  virtual void apply_batch(index_t n, const double* const* r_cols,
-                           double* const* z_cols, index_t k) const;
+  /// z = M⁻¹ r lane by lane for row-major n-by-k strips (lane c of row
+  /// i at i*k + c) — the hook the lockstep CG (pcg_lockstep) calls once
+  /// per iteration. The default applies lane by lane through a gathered
+  /// column; every lane must equal apply() on that lane bitwise. r and z
+  /// must not alias.
+  virtual void apply_strip(index_t n, const double* r, double* z,
+                           index_t k) const;
   virtual const char* name() const = 0;
 };
 
@@ -108,15 +109,11 @@ class DoacrossIlu0Preconditioner final : public Preconditioner {
   void apply(std::span<const double> r, std::span<double> z) const override;
   const char* name() const override { return "ilu0-doacross"; }
 
-  /// Batched application: Z[c] = M⁻¹ R[c] for k column-major columns in
-  /// ONE pool dispatch through the shared plan (TrisolvePlan::solve_batch).
-  void apply_batch(std::span<const double> r, std::span<double> z,
-                   index_t k) const;
-  /// Pointer-per-column batched application for non-contiguous columns,
-  /// in one dispatch (a k == 1 batch is the fused single-RHS solve).
-  /// `n` must equal the plan's row count.
-  void apply_batch(index_t n, const double* const* r_cols,
-                   double* const* z_cols, index_t k) const override;
+  /// Strip application in ONE pool dispatch through the shared plan
+  /// (TrisolvePlan::solve_strip); a one-lane strip is the fused
+  /// single-RHS solve. `n` must equal the plan's row count.
+  void apply_strip(index_t n, const double* r, double* z,
+                   index_t k) const override;
 
   /// Re-factorize for new matrix VALUES over the ctor matrix's pattern —
   /// the time-stepping hot path (DESIGN.md §11). The first call builds a

@@ -18,7 +18,7 @@
 //                 (ServiceOptions::stall_budget), whose rt::StallError is
 //                 annotated with the tenant and strategy context.
 //   isolation     one scheduler thread packs same-matrix jobs into
-//                 solve_batch strips through per-tenant BatchDrivers over
+//                 lockstep CG strips through per-tenant BatchDrivers over
 //                 ONE shared pool; a fault inside tenant A's plan drains
 //                 A's region, poisons A's plan, and leaves every other
 //                 tenant's results bitwise untouched (§12).
@@ -145,8 +145,7 @@ struct ServiceOptions {
   /// What submit() does when the queue is full.
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   /// Jobs per same-matrix strip the scheduler packs into one
-  /// BatchDriver drain (the solve_batch screen covers the whole strip in
-  /// one dispatch).
+  /// BatchDriver drain (one lockstep CG solve, each job a lane).
   std::size_t max_batch = 32;
   /// LRU cap on tenants with LIVE plans (FactorPlan + TrisolvePlan +
   /// packed streams). Registering more matrices is fine — their plans are

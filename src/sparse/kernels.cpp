@@ -27,7 +27,9 @@ namespace {
 // --- scalar reference ---------------------------------------------------
 // These loops ARE the plans' historical inner arithmetic; the executors
 // call them through the table only for wide rows (k >= kLaneMin), so the
-// indirect-call cost never lands on narrow batches.
+// indirect-call cost never lands on narrow batches. The strip-lane
+// entries below serve every strip of two or more lanes; a one-lane strip
+// runs the plain single-vector loops instead.
 
 void axpy_scalar(double* t, const double* x, double a, index_t k) {
   for (index_t c = 0; c < k; ++c) t[c] -= a * x[c];
@@ -58,10 +60,63 @@ void gather_axpy_scalar(double* w, const index_t* tgt, const index_t* src,
   for (index_t t = 0; t < cnt; ++t) w[tgt[t]] -= a * w[src[t]];
 }
 
+void spmv_row_scalar(double* y, const double* vals, const index_t* cols,
+                     index_t cnt, const double* xs, index_t k) {
+  for (index_t c = 0; c < k; ++c) y[c] = 0.0;
+  for (index_t j = 0; j < cnt; ++j) {
+    const double v = vals[j];
+    const double* x = xs + cols[j] * k;
+    for (index_t c = 0; c < k; ++c) y[c] += v * x[c];
+  }
+}
+
+void lane_dot_scalar(double* out, const double* a, const double* b,
+                     index_t n, index_t k) {
+  for (index_t c = 0; c < k; ++c) out[c] = 0.0;
+  for (index_t i = 0; i < n; ++i) {
+    const double* ai = a + i * k;
+    const double* bi = b + i * k;
+    for (index_t c = 0; c < k; ++c) out[c] += ai[c] * bi[c];
+  }
+}
+
+void lane_axpy_scalar(double* y, const double* alpha, const double* x,
+                      index_t n, index_t k) {
+  for (index_t i = 0; i < n; ++i) {
+    double* yi = y + i * k;
+    const double* xi = x + i * k;
+    for (index_t c = 0; c < k; ++c) yi[c] += alpha[c] * xi[c];
+  }
+}
+
+void lane_xpby_scalar(double* y, const double* beta, const double* x,
+                      index_t n, index_t k) {
+  for (index_t i = 0; i < n; ++i) {
+    double* yi = y + i * k;
+    const double* xi = x + i * k;
+    for (index_t c = 0; c < k; ++c) yi[c] = xi[c] + beta[c] * yi[c];
+  }
+}
+
+void transpose_scalar(const double* src, index_t rows, index_t cols,
+                      double* dst) {
+  // 8-row tiles: the reads of a tile stay in a few cache lines per column.
+  constexpr index_t kTile = 8;
+  for (index_t i0 = 0; i0 < rows; i0 += kTile) {
+    const index_t i1 = i0 + kTile < rows ? i0 + kTile : rows;
+    for (index_t j = 0; j < cols; ++j) {
+      for (index_t i = i0; i < i1; ++i) dst[j * rows + i] = src[i * cols + j];
+    }
+  }
+}
+
 constexpr LaneOps kScalarOps = {KernelIsa::kScalar,    axpy_scalar,
                                 row_axpy_scalar,       div_scalar,
                                 dot_scalar,            gather_axpy_scalar,
-                                /*gather_axpy_fma=*/gather_axpy_scalar};
+                                /*gather_axpy_fma=*/gather_axpy_scalar,
+                                spmv_row_scalar,       lane_dot_scalar,
+                                lane_axpy_scalar,      lane_xpby_scalar,
+                                transpose_scalar};
 
 #if defined(PDX_HAVE_AVX2_BODIES)
 
@@ -220,10 +275,196 @@ __attribute__((target("avx2,fma"))) void gather_axpy_fma_avx2(
   for (; t < cnt; ++t) w[tgt[t]] -= a * w[src[t]];
 }
 
+// --- AVX2 strip lanes ------------------------------------------------------
+// V ymm accumulators cover 4V consecutive lanes and stay in registers for
+// the whole reduction (a row's dependence list, or every strip row); the
+// 1-3 lanes past the last 4-lane block run the scalar loop. Each lane's
+// operation sequence is the scalar reference's either way.
+
+template <int V>
+__attribute__((target("avx2"))) inline void spmv_row_block(
+    double* y, const double* vals, const index_t* cols, index_t cnt,
+    const double* xs, index_t k) {
+  __m256d acc[V];
+  for (int v = 0; v < V; ++v) acc[v] = _mm256_setzero_pd();
+  for (index_t j = 0; j < cnt; ++j) {
+    const __m256d av = _mm256_set1_pd(vals[j]);
+    const double* x = xs + cols[j] * k;
+    for (int v = 0; v < V; ++v) {
+      acc[v] = _mm256_add_pd(acc[v],
+                             _mm256_mul_pd(av, _mm256_loadu_pd(x + 4 * v)));
+    }
+  }
+  for (int v = 0; v < V; ++v) _mm256_storeu_pd(y + 4 * v, acc[v]);
+}
+
+__attribute__((target("avx2"))) void spmv_row_avx2(double* y,
+                                                   const double* vals,
+                                                   const index_t* cols,
+                                                   index_t cnt,
+                                                   const double* xs,
+                                                   index_t k) {
+  index_t c = 0;
+  for (; c + 16 <= k; c += 16) {
+    spmv_row_block<4>(y + c, vals, cols, cnt, xs + c, k);
+  }
+  if (c + 8 <= k) {
+    spmv_row_block<2>(y + c, vals, cols, cnt, xs + c, k);
+    c += 8;
+  }
+  if (c + 4 <= k) {
+    spmv_row_block<1>(y + c, vals, cols, cnt, xs + c, k);
+    c += 4;
+  }
+  for (; c < k; ++c) {
+    double acc = 0.0;
+    for (index_t j = 0; j < cnt; ++j) acc += vals[j] * xs[cols[j] * k + c];
+    y[c] = acc;
+  }
+}
+
+template <int V>
+__attribute__((target("avx2"))) inline void lane_dot_block(
+    double* out, const double* a, const double* b, index_t n, index_t k) {
+  __m256d acc[V];
+  for (int v = 0; v < V; ++v) acc[v] = _mm256_setzero_pd();
+  for (index_t i = 0; i < n; ++i) {
+    const double* ai = a + i * k;
+    const double* bi = b + i * k;
+    for (int v = 0; v < V; ++v) {
+      acc[v] = _mm256_add_pd(
+          acc[v], _mm256_mul_pd(_mm256_loadu_pd(ai + 4 * v),
+                                _mm256_loadu_pd(bi + 4 * v)));
+    }
+  }
+  for (int v = 0; v < V; ++v) _mm256_storeu_pd(out + 4 * v, acc[v]);
+}
+
+__attribute__((target("avx2"))) void lane_dot_avx2(double* out,
+                                                   const double* a,
+                                                   const double* b,
+                                                   index_t n, index_t k) {
+  index_t c = 0;
+  for (; c + 16 <= k; c += 16) {
+    lane_dot_block<4>(out + c, a + c, b + c, n, k);
+  }
+  if (c + 8 <= k) {
+    lane_dot_block<2>(out + c, a + c, b + c, n, k);
+    c += 8;
+  }
+  if (c + 4 <= k) {
+    lane_dot_block<1>(out + c, a + c, b + c, n, k);
+    c += 4;
+  }
+  // The 1-3 tail lanes share one pass, each in its own register.
+  const index_t rem = k - c;
+  if (rem == 0) return;
+  double s0 = 0.0, s1 = 0.0, s2 = 0.0;
+  for (index_t i = 0; i < n; ++i) {
+    const double* ai = a + i * k + c;
+    const double* bi = b + i * k + c;
+    s0 += ai[0] * bi[0];
+    if (rem > 1) s1 += ai[1] * bi[1];
+    if (rem > 2) s2 += ai[2] * bi[2];
+  }
+  out[c] = s0;
+  if (rem > 1) out[c + 1] = s1;
+  if (rem > 2) out[c + 2] = s2;
+}
+
+__attribute__((target("avx2"))) void lane_axpy_avx2(double* y,
+                                                    const double* alpha,
+                                                    const double* x,
+                                                    index_t n, index_t k) {
+  for (index_t i = 0; i < n; ++i) {
+    double* yi = y + i * k;
+    const double* xi = x + i * k;
+    index_t c = 0;
+    for (; c + 4 <= k; c += 4) {
+      const __m256d prod =
+          _mm256_mul_pd(_mm256_loadu_pd(alpha + c), _mm256_loadu_pd(xi + c));
+      _mm256_storeu_pd(yi + c, _mm256_add_pd(_mm256_loadu_pd(yi + c), prod));
+    }
+    for (; c < k; ++c) yi[c] += alpha[c] * xi[c];
+  }
+}
+
+__attribute__((target("avx2"))) void lane_xpby_avx2(double* y,
+                                                    const double* beta,
+                                                    const double* x,
+                                                    index_t n, index_t k) {
+  for (index_t i = 0; i < n; ++i) {
+    double* yi = y + i * k;
+    const double* xi = x + i * k;
+    index_t c = 0;
+    for (; c + 4 <= k; c += 4) {
+      const __m256d prod =
+          _mm256_mul_pd(_mm256_loadu_pd(beta + c), _mm256_loadu_pd(yi + c));
+      _mm256_storeu_pd(yi + c, _mm256_add_pd(_mm256_loadu_pd(xi + c), prod));
+    }
+    for (; c < k; ++c) yi[c] = xi[c] + beta[c] * yi[c];
+  }
+}
+
+/// One 4x4 register tile of transpose_avx2: src rows i..i+3, columns
+/// j..j+3.
+__attribute__((target("avx2"))) inline void transpose_tile_avx2(
+    const double* src, index_t rows, index_t cols, double* dst, index_t i,
+    index_t j) {
+  const double* s = src + i * cols + j;
+  const __m256d r0 = _mm256_loadu_pd(s);
+  const __m256d r1 = _mm256_loadu_pd(s + cols);
+  const __m256d r2 = _mm256_loadu_pd(s + 2 * cols);
+  const __m256d r3 = _mm256_loadu_pd(s + 3 * cols);
+  const __m256d t0 = _mm256_unpacklo_pd(r0, r1);
+  const __m256d t1 = _mm256_unpackhi_pd(r0, r1);
+  const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
+  const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
+  double* d = dst + j * rows + i;
+  _mm256_storeu_pd(d, _mm256_permute2f128_pd(t0, t2, 0x20));
+  _mm256_storeu_pd(d + rows, _mm256_permute2f128_pd(t1, t3, 0x20));
+  _mm256_storeu_pd(d + 2 * rows, _mm256_permute2f128_pd(t0, t2, 0x31));
+  _mm256_storeu_pd(d + 3 * rows, _mm256_permute2f128_pd(t1, t3, 0x31));
+}
+
+__attribute__((target("avx2"))) void transpose_avx2(const double* src,
+                                                    index_t rows,
+                                                    index_t cols,
+                                                    double* dst) {
+  // 4x4 register tiles; the wide side (a long row of src or dst) is
+  // walked in the inner loop so its lines stream.
+  const index_t r4 = rows - rows % 4;
+  const index_t c4 = cols - cols % 4;
+  if (rows <= cols) {
+    for (index_t j = 0; j < c4; j += 4) {
+      for (index_t i = 0; i < r4; i += 4) {
+        transpose_tile_avx2(src, rows, cols, dst, i, j);
+      }
+    }
+  } else {
+    for (index_t i = 0; i < r4; i += 4) {
+      for (index_t j = 0; j < c4; j += 4) {
+        transpose_tile_avx2(src, rows, cols, dst, i, j);
+      }
+    }
+  }
+  // The ragged edges: the last rows % 4 rows, then the last cols % 4
+  // columns of the tiled rows.
+  for (index_t i = r4; i < rows; ++i) {
+    for (index_t j = 0; j < cols; ++j) dst[j * rows + i] = src[i * cols + j];
+  }
+  for (index_t j = c4; j < cols; ++j) {
+    for (index_t i = 0; i < r4; ++i) dst[j * rows + i] = src[i * cols + j];
+  }
+}
+
 constexpr LaneOps kAvx2Ops = {KernelIsa::kAvx2, axpy_avx2,
                               row_axpy_avx2,    div_avx2,
                               dot_avx2,         gather_axpy_avx2,
-                              gather_axpy_fma_avx2};
+                              gather_axpy_fma_avx2,
+                              spmv_row_avx2,    lane_dot_avx2,
+                              lane_axpy_avx2,   lane_xpby_avx2,
+                              transpose_avx2};
 
 #endif  // PDX_HAVE_AVX2_BODIES
 
@@ -307,10 +548,13 @@ double dot_neon(const double* vals, const index_t* cols, const double* y,
   return vgetq_lane_f64(acc, 0) + vgetq_lane_f64(acc, 1) + tail;
 }
 
+// The strip-lane kernels run the scalar reference on NEON.
 constexpr LaneOps kNeonOps = {KernelIsa::kNeon,   axpy_neon,
                               row_axpy_neon,      div_neon,
                               dot_neon,           gather_axpy_scalar,
-                              gather_axpy_scalar};
+                              gather_axpy_scalar, spmv_row_scalar,
+                              lane_dot_scalar,    lane_axpy_scalar,
+                              lane_xpby_scalar,   transpose_scalar};
 
 #endif  // PDX_HAVE_NEON
 

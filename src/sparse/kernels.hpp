@@ -25,6 +25,11 @@
 //             and a fused multiply-add rounds once where the reference
 //             rounds twice.
 //
+//             The strip-lane kernels of the lockstep Krylov solve
+//             (spmv_row, lane_dot, lane_axpy, lane_xpby) belong here
+//             too: a lane's reduction runs over rows in order, so only
+//             the lanes — never the terms — are computed in parallel.
+//
 //   ulp       dot / gather_axpy_fma — horizontal reductions and fused
 //             forms reassociate or re-round, so they are NOT bitwise
 //             against the sequential solves; plans use them only when
@@ -119,6 +124,34 @@ struct LaneOps {
   /// element. Same disjointness requirements.
   void (*gather_axpy_fma)(double* w, const index_t* tgt, const index_t* src,
                           index_t cnt, double a);
+
+  // --- strip lanes (DESIGN.md §8) ----------------------------------------
+  // Row-major n-by-k strips: lane c of row i at i*k + c. Each lane runs
+  // exactly the single-vector loop of sparse::spmv / solve/vec.hpp on its
+  // own values (mul, then add; rows in ascending order), so every lane is
+  // bitwise equal to that loop whatever the table.
+
+  /// BITWISE: one CSR row against the strip — y[c] = 0.0 + sum_j
+  /// vals[j] * xs[cols[j]*k + c], j in stored order. Per lane exactly
+  /// sparse::spmv's row.
+  void (*spmv_row)(double* y, const double* vals, const index_t* cols,
+                   index_t cnt, const double* xs, index_t k);
+  /// BITWISE: out[c] = 0.0 + sum_i a[i*k + c] * b[i*k + c] over rows
+  /// i = 0 .. n-1 in order — per lane exactly solve::dot.
+  void (*lane_dot)(double* out, const double* a, const double* b, index_t n,
+                   index_t k);
+  /// BITWISE: y[i*k + c] += alpha[c] * x[i*k + c] — per lane solve::axpy.
+  void (*lane_axpy)(double* y, const double* alpha, const double* x,
+                    index_t n, index_t k);
+  /// BITWISE: y[i*k + c] = x[i*k + c] + beta[c] * y[i*k + c] — per lane
+  /// solve::xpby.
+  void (*lane_xpby)(double* y, const double* beta, const double* x,
+                    index_t n, index_t k);
+  /// dst = srcᵀ for a row-major rows-by-cols src (dst is cols-by-rows):
+  /// a column-major n-by-k block to and from its n-by-k strip. Moves
+  /// values only.
+  void (*transpose)(const double* src, index_t rows, index_t cols,
+                    double* dst);
 };
 
 /// The scalar reference table (always available).

@@ -6,13 +6,12 @@
 // doacross is *not* needed for.
 #pragma once
 
-#include <algorithm>
 #include <span>
 #include <stdexcept>
-#include <vector>
 
 #include "runtime/thread_pool.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/kernels.hpp"
 
 namespace pdx::sparse {
 
@@ -33,104 +32,27 @@ inline void spmv(const Csr& a, std::span<const double> x,
   }
 }
 
-/// Columns per register block in the batched products below; bounds the
-/// per-row accumulator footprint while letting one pass over a row's
-/// indices/values serve up to this many vectors.
-inline constexpr index_t kSpmvBatchBlock = 8;
-
-namespace detail {
-
-/// One row of the batched product: y_cols[c][r] = (A x_cols[c])[r] for all
-/// k columns. Column-blocked so A's row entries are read once per block;
-/// each column's accumulation order matches spmv exactly (bitwise equal).
-inline void spmv_batch_row(const Csr& a, const double* const* x_cols,
-                           double* const* y_cols, index_t k,
-                           index_t r) noexcept {
-  // Row bounds and raw entry pointers are invariant across the column
-  // blocks; hoisting them keeps the inner loops free of loads through
-  // the vector headers (which alias-analysis cannot prove unchanged
-  // across the stores into y_cols).
-  const index_t rb = a.row_begin(r);
-  const index_t re = a.row_end(r);
+/// Strip product over row-major n-by-k strips (lane c of row i at
+/// i*k + c): ys = A xs lane by lane, sequential. Every lane is bitwise
+/// equal to spmv on that lane — the row kernel keeps spmv's term order
+/// and its separate mul and add. A one-lane strip is a plain vector and
+/// runs spmv itself. xs holds >= a.cols*k elements, ys >= a.rows*k; the
+/// strips must not alias.
+inline void spmv_strip(
+    const Csr& a, const double* xs, double* ys, index_t k,
+    const kernels::LaneOps& ops = kernels::dispatched_ops()) {
+  if (k < 1) throw std::invalid_argument("spmv_strip: k must be >= 1");
+  const std::size_t rows = static_cast<std::size_t>(a.rows);
+  if (k == 1) {
+    spmv(a, {xs, static_cast<std::size_t>(a.cols)}, {ys, rows});
+    return;
+  }
   const double* const val = a.val.data();
   const index_t* const idx = a.idx.data();
-  for (index_t c0 = 0; c0 < k; c0 += kSpmvBatchBlock) {
-    const index_t cb = std::min(kSpmvBatchBlock, k - c0);
-    const double* const* xb = x_cols + c0;
-    double acc[kSpmvBatchBlock] = {};
-    for (index_t kk = rb; kk < re; ++kk) {
-      const double v = val[static_cast<std::size_t>(kk)];
-      const index_t col = idx[static_cast<std::size_t>(kk)];
-      for (index_t j = 0; j < cb; ++j) acc[j] += v * xb[j][col];
-    }
-    for (index_t j = 0; j < cb; ++j) y_cols[c0 + j][r] = acc[j];
-  }
-}
-
-/// Validated column-pointer tables for the contiguous column-major
-/// convenience overloads (column c of x at data() + c*a.cols, of y at
-/// data() + c*a.rows).
-struct BatchCols {
-  std::vector<const double*> x;
-  std::vector<double*> y;
-};
-
-inline BatchCols make_batch_cols(const Csr& a, std::span<const double> x,
-                                 std::span<double> y, index_t k) {
-  if (k < 1) throw std::invalid_argument("spmv_batch: k must be >= 1");
-  if (static_cast<index_t>(x.size()) < a.cols * k ||
-      static_cast<index_t>(y.size()) < a.rows * k) {
-    throw std::invalid_argument("spmv_batch: vector size mismatch");
-  }
-  BatchCols cols;
-  cols.x.resize(static_cast<std::size_t>(k));
-  cols.y.resize(static_cast<std::size_t>(k));
-  for (index_t c = 0; c < k; ++c) {
-    cols.x[static_cast<std::size_t>(c)] = x.data() + c * a.cols;
-    cols.y[static_cast<std::size_t>(c)] = y.data() + c * a.rows;
-  }
-  return cols;
-}
-
-}  // namespace detail
-
-/// Batched product: y_cols[c] = A * x_cols[c] for k column vectors,
-/// sequential. Each x column must hold >= a.cols elements, each y column
-/// >= a.rows; columns must not alias.
-inline void spmv_batch(const Csr& a, const double* const* x_cols,
-                       double* const* y_cols, index_t k) {
-  if (k < 1) throw std::invalid_argument("spmv_batch: k must be >= 1");
   for (index_t r = 0; r < a.rows; ++r) {
-    detail::spmv_batch_row(a, x_cols, y_cols, k, r);
+    const index_t b = a.row_begin(r);
+    ops.spmv_row(ys + r * k, val + b, idx + b, a.row_end(r) - b, xs, k);
   }
-}
-
-/// Column-major contiguous convenience of spmv_batch.
-inline void spmv_batch(const Csr& a, std::span<const double> x,
-                       std::span<double> y, index_t k) {
-  const detail::BatchCols cols = detail::make_batch_cols(a, x, y, k);
-  spmv_batch(a, cols.x.data(), cols.y.data(), k);
-}
-
-/// Batched row-parallel product: all k columns in ONE pool dispatch — the
-/// doall companion of TrisolvePlan::solve_batch for multi-vector serving.
-inline void spmv_batch_parallel(rt::ThreadPool& pool, const Csr& a,
-                                const double* const* x_cols,
-                                double* const* y_cols, index_t k,
-                                unsigned nthreads = 0) {
-  if (k < 1) throw std::invalid_argument("spmv_batch: k must be >= 1");
-  pool.parallel_for(a.rows, nthreads, [&a, x_cols, y_cols, k](index_t r) {
-    detail::spmv_batch_row(a, x_cols, y_cols, k, r);
-  });
-}
-
-/// Column-major contiguous convenience of spmv_batch_parallel.
-inline void spmv_batch_parallel(rt::ThreadPool& pool, const Csr& a,
-                                std::span<const double> x,
-                                std::span<double> y, index_t k,
-                                unsigned nthreads = 0) {
-  const detail::BatchCols cols = detail::make_batch_cols(a, x, y, k);
-  spmv_batch_parallel(pool, a, cols.x.data(), cols.y.data(), k, nthreads);
 }
 
 /// y = A * x across `nthreads` pool members (row-parallel doall).

@@ -203,19 +203,18 @@ struct VecRow {
   }
 };
 
-/// The k-wide strip row: column c runs the exact arithmetic of VecRow on
+/// The k-wide strip row: lane c runs the exact arithmetic of VecRow on
 /// its own right-hand side (term order, division) — bitwise equal per
-/// column. One ready flag per row covers all k columns: a dependence is
+/// lane. One ready flag per row covers all k lanes: a dependence is
 /// waited on once, not k times, and the record is read once for the
-/// whole batch. Row i's k values live in place in the row-major strip,
-/// where consumers read them contiguously. The forward solve loads the
-/// strip row from b_cols; the backward solve updates it in place and
-/// mirrors it into x_cols before the row is published.
+/// whole strip. Row i's k values live in place in the row-major strip,
+/// where consumers read them contiguously. The forward solve starts the
+/// row from the input strip `in` (nullptr when solving in place, and on
+/// the backward solve, which updates the strip in place).
 template <class Src>
 struct StripRow {
   Src src;
-  const double* const* b_cols;  // lower: the caller's right-hand sides
-  double* const* x_cols;        // upper: the caller's solutions
+  const double* in;
   double* tp;
   index_t k;
   const kernels::LaneOps* lanes;
@@ -224,8 +223,9 @@ struct StripRow {
   void operator()(index_t pos, Wait& wait) {
     const PackedRow r = src.at(pos);
     double* ti = tp + r.row * k;
-    if (b_cols) {
-      for (index_t c = 0; c < k; ++c) ti[c] = b_cols[c][r.row];
+    if (in) {
+      const double* bi = in + r.row * k;
+      for (index_t c = 0; c < k; ++c) ti[c] = bi[c];
     }
     if constexpr (Wait::kWaits) {
       // Waits retire first, pulling each ready dependence's strip row
@@ -238,9 +238,6 @@ struct StripRow {
     }
     lane_row_update(lanes, ti, tp, r, k);
     lane_div(lanes, ti, r.diag, k);
-    if (x_cols) {
-      for (index_t c = 0; c < k; ++c) x_cols[c][r.row] = ti[c];
-    }
   }
 
   /// The core's lookahead hook, present only over an AheadSrc.
@@ -301,7 +298,7 @@ void TrisolvePlan::walk(bool upper, unsigned tid, unsigned nthreads,
   // kLook their rows read through an AheadSrc, whose hook the core calls.
   auto in_order = [&](auto src) {
     if constexpr (kLook) {
-      return row(AheadSrc<decltype(src)>{src, batch_tmp_.data(), batch_k_});
+      return row(AheadSrc<decltype(src)>{src, strip_, strip_k_});
     } else {
       return row(src);
     }
@@ -412,17 +409,14 @@ TrisolvePlan::TrisolvePlan(rt::ThreadPool& pool, const Csr& l, const Csr* u,
     core_.handoff();
     walk<false>(true, tid, nth, vec(up_rhs_, up_y_));
   });
-  batch_region_ = core_.contained([this](unsigned tid, unsigned nth) {
-    // One pass per factor with all k columns in the strip: even the
-    // serial walk retires k right-hand sides per nonzero through one
-    // lane kernel.
+  strip_region_ = core_.contained([this](unsigned tid, unsigned nth) {
+    // One pass per factor with all k lanes in the strip: even the serial
+    // walk retires k right-hand sides per nonzero through one lane
+    // kernel.
     const auto strip = [this](bool upper) {
       return [this, upper](auto src) {
-        return StripRow<decltype(src)>{src,
-                                       upper ? nullptr : batch_b_.data(),
-                                       upper ? batch_x_.data() : nullptr,
-                                       batch_tmp_.data(), batch_k_,
-                                       core_.lanes()};
+        return StripRow<decltype(src)>{src, upper ? nullptr : strip_in_,
+                                       strip_, strip_k_, core_.lanes()};
       };
     };
     const auto both = [&](auto look) {
@@ -430,7 +424,7 @@ TrisolvePlan::TrisolvePlan(rt::ThreadPool& pool, const Csr& l, const Csr* u,
       core_.handoff();
       walk<decltype(look)::value>(true, tid, nth, strip(true));
     };
-    if (want_lookahead(core_.lanes(), batch_k_)) {
+    if (want_lookahead(core_.lanes(), strip_k_)) {
       both(std::true_type{});
     } else {
       both(std::false_type{});
@@ -654,28 +648,24 @@ void TrisolvePlan::reserve_batch(index_t max_k) {
   if (max_k < 1) {
     throw std::invalid_argument("TrisolvePlan::reserve_batch: max_k < 1");
   }
-  const std::size_t k = static_cast<std::size_t>(max_k);
-  if (batch_b_.size() < k) {
-    batch_b_.resize(k);
-    batch_x_.resize(k);
-  }
-  const std::size_t strip = static_cast<std::size_t>(n_) * k;
+  const std::size_t strip =
+      static_cast<std::size_t>(n_) * static_cast<std::size_t>(max_k);
   if (batch_tmp_.size() < strip) batch_tmp_.resize(strip);
 }
 
 core::DoacrossStats TrisolvePlan::run_column(const double* b, double* x) {
-  // A one-column strip would be the fused solve over an n-by-1 copy of
-  // tmp_: the same bits, plus an allocation and a slower walk.
+  // A one-lane strip would be the fused solve over an n-by-1 copy of
+  // tmp_: the same bits, plus a slower walk.
   const core::DoacrossStats stats = run_fused(b, x);
   if (n_ > 0) ++batch_columns_;
   return stats;
 }
 
-core::DoacrossStats TrisolvePlan::run_batch(index_t k) {
+core::DoacrossStats TrisolvePlan::run_strip(index_t k) {
   if (n_ == 0) return {};
-  batch_k_ = k;
+  strip_k_ = k;
   // Scalar-vs-vector kernel race (DESIGN.md §14): fed only by dispatches
-  // that actually execute lane kernels — batches at least one vector
+  // that actually execute lane kernels — strips at least one vector
   // wide.
   const bool kernel_epoch = core_.begin_kernel_epoch(k >= kernels::kLaneMin);
   core_.reset(core_.dag(kLower));
@@ -688,60 +678,66 @@ core::DoacrossStats TrisolvePlan::run_batch(index_t k) {
   const bool was_calibrating = core_.calibrating();
   const rt::DispatchProbe probe(core_.pool());
 #endif
-  const core::DoacrossStats stats = run(batch_region_, kernel_epoch, k);
+  const core::DoacrossStats stats = run(strip_region_, kernel_epoch, k);
 #ifndef NDEBUG
   assert((was_calibrating ||
           probe.delta() ==
               (telemetry_.strategy == ExecutionStrategy::kSerial ? 0u
                                                                  : 1u)) &&
-         "solve_batch must cost exactly one pool dispatch (zero serial)");
+         "a strip solve must cost exactly one pool dispatch (zero serial)");
 #endif
   batch_columns_ += static_cast<std::uint64_t>(k);
   return stats;
 }
 
+namespace {
+
+void check_strip_args(const char* what, bool has_upper, index_t n,
+                      std::size_t b_size, std::size_t x_size, index_t k) {
+  if (!has_upper) {
+    throw std::logic_error(std::string("TrisolvePlan::") + what +
+                           ": lower-only plan");
+  }
+  if (k < 1) {
+    throw std::invalid_argument(std::string("TrisolvePlan::") + what +
+                                ": k must be >= 1");
+  }
+  if (static_cast<index_t>(b_size) < n * k ||
+      static_cast<index_t>(x_size) < n * k) {
+    throw std::invalid_argument(
+        std::string("TrisolvePlan::") + what + ": size mismatch — b has " +
+        std::to_string(b_size) + " and x has " + std::to_string(x_size) +
+        " entries but n*k = " + std::to_string(n) + "*" + std::to_string(k) +
+        " = " + std::to_string(n * k) + " are required");
+  }
+}
+
+}  // namespace
+
+core::DoacrossStats TrisolvePlan::solve_strip(std::span<const double> b,
+                                              std::span<double> x,
+                                              index_t k) {
+  check_strip_args("solve_strip", u_ != nullptr, n_, b.size(), x.size(), k);
+  if (k == 1) return run_column(b.data(), x.data());
+  strip_in_ = b.data() == x.data() ? nullptr : b.data();
+  strip_ = x.data();
+  return run_strip(k);
+}
+
 core::DoacrossStats TrisolvePlan::solve_batch(std::span<const double> b,
                                               std::span<double> x,
                                               index_t k) {
-  if (!u_) {
-    throw std::logic_error("TrisolvePlan::solve_batch: lower-only plan");
-  }
-  if (k < 1) {
-    throw std::invalid_argument("TrisolvePlan::solve_batch: k must be >= 1");
-  }
-  if (static_cast<index_t>(b.size()) < n_ * k ||
-      static_cast<index_t>(x.size()) < n_ * k) {
-    throw std::invalid_argument(
-        "TrisolvePlan::solve_batch: size mismatch — b has " +
-        std::to_string(b.size()) + " and x has " + std::to_string(x.size()) +
-        " entries but n*k = " + std::to_string(n_) + "*" + std::to_string(k) +
-        " = " + std::to_string(n_ * k) + " are required");
-  }
+  check_strip_args("solve_batch", u_ != nullptr, n_, b.size(), x.size(), k);
   if (k == 1) return run_column(b.data(), x.data());
   reserve_batch(k);
-  for (index_t c = 0; c < k; ++c) {
-    batch_b_[static_cast<std::size_t>(c)] = b.data() + c * n_;
-    batch_x_[static_cast<std::size_t>(c)] = x.data() + c * n_;
-  }
-  return run_batch(k);
-}
-
-core::DoacrossStats TrisolvePlan::solve_batch(const double* const* b_cols,
-                                              double* const* x_cols,
-                                              index_t k) {
-  if (!u_) {
-    throw std::logic_error("TrisolvePlan::solve_batch: lower-only plan");
-  }
-  if (k < 1) {
-    throw std::invalid_argument("TrisolvePlan::solve_batch: k must be >= 1");
-  }
-  if (k == 1) return run_column(b_cols[0], x_cols[0]);
-  reserve_batch(k);
-  for (index_t c = 0; c < k; ++c) {
-    batch_b_[static_cast<std::size_t>(c)] = b_cols[c];
-    batch_x_[static_cast<std::size_t>(c)] = x_cols[c];
-  }
-  return run_batch(k);
+  // Column-major n-by-k is row-major k-by-n: the strip is its transpose.
+  const kernels::LaneOps* lanes = core_.lanes();
+  lanes->transpose(b.data(), k, n_, batch_tmp_.data());
+  strip_in_ = nullptr;
+  strip_ = batch_tmp_.data();
+  const core::DoacrossStats stats = run_strip(k);
+  lanes->transpose(batch_tmp_.data(), n_, k, x.data());
+  return stats;
 }
 
 }  // namespace pdx::sparse

@@ -222,30 +222,28 @@ class TrisolvePlan {
   core::DoacrossStats solve(std::span<const double> rhs,
                             std::span<double> z);
 
-  /// Batched fused solve: X[c] = U⁻¹ (L⁻¹ B[c]) for k right-hand-side
-  /// columns in ONE pool dispatch (zero for kSerial). B and X are
-  /// column-major n-by-k (column c contiguous at data() + c * rows());
-  /// each column's result is bitwise identical to solve() on that
-  /// column. One wavefront-interleaved pass per factor carries all k
-  /// columns through a row-major n-by-k strip (DESIGN.md §8); the strip
-  /// grows on the first call with a larger k — pre-size with
-  /// reserve_batch for a zero-allocation hot path. A k == 1 batch IS
-  /// solve(): the fused region over the plan's O(n) scratch, no strip,
-  /// no allocation (and, like solve(), the opt-in ulp dot when the
-  /// caller set PlanOptions::ulp_tolerance).
+  /// Strip solve: X = U⁻¹ (L⁻¹ B) for k lanes in ONE pool dispatch (zero
+  /// for kSerial). B and X are row-major n-by-k strips (lane c of row i
+  /// at i*k + c); every lane's result is bitwise identical to solve() on
+  /// that lane. One wavefront-interleaved pass per factor carries all k
+  /// lanes (DESIGN.md §8): the forward solve reads row i of B and solves
+  /// into row i of X, the backward solve updates X in place, so X may
+  /// alias B. A one-lane strip IS a vector: k == 1 runs solve().
+  core::DoacrossStats solve_strip(std::span<const double> b,
+                                  std::span<double> x, index_t k);
+
+  /// Column-major batched solve: X[c] = U⁻¹ (L⁻¹ B[c]) for k right-hand
+  /// sides with column c contiguous at data() + c * rows(). Transposes B
+  /// into the plan's n-by-k strip, runs solve_strip in place and
+  /// transposes back; each column is bitwise identical to solve() on
+  /// that column. The strip grows on the first call with a larger k —
+  /// pre-size with reserve_batch for a zero-allocation hot path. A
+  /// k == 1 batch IS solve(): no strip, no allocation.
   core::DoacrossStats solve_batch(std::span<const double> b,
                                   std::span<double> x, index_t k);
 
-  /// Pointer-per-column batched solve for columns that are not contiguous
-  /// (e.g. a queue of caller-owned vectors): x_cols[c] = U⁻¹ L⁻¹
-  /// b_cols[c]. Every column must hold at least rows() elements; columns
-  /// must not alias each other or the plan's scratch.
-  core::DoacrossStats solve_batch(const double* const* b_cols,
-                                  double* const* x_cols, index_t k);
-
-  /// Pre-size batch scratch (column pointer tables and the n-by-max_k
-  /// strip) so subsequent solve_batch calls with k <= max_k allocate
-  /// nothing.
+  /// Pre-size the n-by-max_k strip of solve_batch so subsequent calls
+  /// with k <= max_k allocate nothing.
   void reserve_batch(index_t max_k);
 
   /// Value-only plan refresh for time-stepping workloads (DESIGN.md §11):
@@ -290,10 +288,10 @@ class TrisolvePlan {
   bool calibrating() const noexcept { return core_.calibrating(); }
   /// Chosen strategy, rationale and the measured structure behind it.
   const PlanTelemetry& telemetry() const noexcept { return telemetry_; }
-  /// Completed solve_* calls (one per pool dispatch; a whole solve_batch
-  /// counts once).
+  /// Completed solve_* calls (one per pool dispatch; a whole strip counts
+  /// once).
   std::uint64_t solves() const noexcept { return solves_; }
-  /// Total right-hand-side columns completed through solve_batch.
+  /// Total right-hand sides completed through solve_strip / solve_batch.
   std::uint64_t batch_columns() const noexcept { return batch_columns_; }
   std::uint32_t lower_epoch() const noexcept {
     return core_.dag(kLower).ready.epoch();
@@ -344,9 +342,10 @@ class TrisolvePlan {
                           bool kernel_epoch = false, index_t columns = 1);
   /// The fused single-RHS solve z = U⁻¹ L⁻¹ rhs through tmp_ (solve()).
   core::DoacrossStats run_fused(const double* rhs, double* z);
-  /// A k == 1 batch: run_fused, counted as a batch column.
+  /// A one-lane strip: run_fused, counted as a batch column.
   core::DoacrossStats run_column(const double* b, double* x);
-  core::DoacrossStats run_batch(index_t k);
+  /// The k-lane strip region over strip_in_ / strip_.
+  core::DoacrossStats run_strip(index_t k);
 
   const Csr* l_;
   const Csr* u_;  // nullptr for a lower-only plan
@@ -367,16 +366,17 @@ class TrisolvePlan {
   const double* up_rhs_ = nullptr;
   double* up_y_ = nullptr;
 
-  // Batch state: per-call column pointer tables and the row-major n-by-k
-  // mid-value strip. Published to the pre-bound batch region functor
-  // through members, like the single-RHS endpoints.
-  index_t batch_k_ = 0;
-  std::vector<const double*> batch_b_;
-  std::vector<double*> batch_x_;
+  // Strip state, published to the pre-bound strip region through members
+  // like the single-RHS endpoints: the input strip (nullptr when solving
+  // in place), the strip solved in, and its lane count. batch_tmp_ is
+  // solve_batch's own strip.
+  index_t strip_k_ = 0;
+  const double* strip_in_ = nullptr;
+  double* strip_ = nullptr;
   std::vector<double, rt::CacheAlignedAllocator<double>> batch_tmp_;
 
   rt::ThreadPool::RegionFn lower_region_, upper_region_, fused_region_,
-      batch_region_, refresh_region_;
+      strip_region_, refresh_region_;
   std::uint64_t solves_ = 0;
   std::uint64_t batch_columns_ = 0;
   std::uint64_t refreshes_ = 0;

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -70,6 +72,71 @@ double relative_residual(const sp::Csr& a, std::span<const double> b,
   for (std::size_t i = 0; i < r.size(); ++i) r[i] = b[i] - r[i];
   const double bnorm = solve::norm2(b);
   return solve::norm2(r) / (bnorm > 0.0 ? bnorm : 1.0);
+}
+
+/// The column-major PCG loop of one system: the recurrence pcg_lockstep
+/// must reproduce lane by lane, written out independently of it (plain
+/// vectors, sparse::spmv, the solve/vec.hpp loops, m.apply()).
+solve::SolveReport reference_pcg(const sp::Csr& a, std::span<const double> b,
+                                 std::span<double> x,
+                                 const solve::Preconditioner& m,
+                                 const solve::CgOptions& opts) {
+  const std::size_t n = static_cast<std::size_t>(a.rows);
+  std::vector<double> r(n), z(n), p(n), ap(n);
+  sp::spmv(a, x, r);
+  for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
+  const auto relative = [](double rnorm, double bnorm) {
+    return bnorm > 0 ? rnorm / bnorm : rnorm;
+  };
+
+  solve::SolveReport rep;
+  const double bnorm = solve::norm2(b);
+  const double stop = opts.rel_tolerance * (bnorm > 0.0 ? bnorm : 1.0);
+  double rnorm = solve::norm2(r);
+  if (opts.record_history) {
+    rep.residual_history.push_back(relative(rnorm, bnorm));
+  }
+  if (rnorm <= stop) {
+    rep.converged = true;
+  } else if (opts.max_iterations > 0) {
+    m.apply(r, z);
+    solve::copy(z, p);
+    double rho = solve::dot(r, z);
+    for (int it = 0;; ++it) {
+      sp::spmv(a, p, ap);
+      const double denom = solve::dot(p, ap);
+      if (denom == 0.0 || !std::isfinite(denom)) {
+        rep.breakdown = true;
+        rep.breakdown_reason = "p·Ap denominator zero or non-finite";
+        break;
+      }
+      const double alpha = rho / denom;
+      solve::axpy(alpha, p, x);
+      solve::axpy(-alpha, ap, r);
+      rnorm = solve::norm2(r);
+      rep.iterations = it + 1;
+      if (opts.record_history) {
+        rep.residual_history.push_back(relative(rnorm, bnorm));
+      }
+      if (rnorm <= stop) {
+        rep.converged = true;
+        break;
+      }
+      if (it + 1 >= opts.max_iterations) break;
+      m.apply(r, z);
+      const double rho_new = solve::dot(r, z);
+      const double beta = rho_new / rho;
+      rho = rho_new;
+      solve::xpby(z, beta, p);
+    }
+  }
+  rep.final_relative_residual = relative(rnorm, bnorm);
+  return rep;
+}
+
+/// Bitwise equality that also holds for NaN payloads.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
 }  // namespace
@@ -214,8 +281,9 @@ TEST(BatchDriver, SecondDrainScreensAlreadySolvedSystems) {
   EXPECT_EQ(first.converged, 2u);
   EXPECT_EQ(driver.pending(), 0u);
 
-  // Re-enqueue the solved (b, x) pairs: the batched screen answers both
-  // with zero Krylov work — exactly one dispatch (the SpMV pass) total.
+  // Re-enqueue the solved (b, x) pairs: the screen answers both with zero
+  // Krylov work and no pool dispatch (its SpMVs run on the calling
+  // thread).
   driver.enqueue(b0, x0);
   driver.enqueue(b1, x1);
   const auto second = driver.drain();
@@ -224,7 +292,7 @@ TEST(BatchDriver, SecondDrainScreensAlreadySolvedSystems) {
   EXPECT_EQ(second.converged, 2u);
   EXPECT_EQ(second.total_iterations, 0u);
   EXPECT_EQ(second.precond_solves, 0u);
-  EXPECT_EQ(second.pool_dispatches, 1u);
+  EXPECT_EQ(second.pool_dispatches, 0u);
 }
 
 TEST(BatchDriver, EmptyDrainAndGuards) {
@@ -286,14 +354,21 @@ void expect_same_report(const solve::SolveReport& got,
   EXPECT_EQ(got.iterations, want.iterations) << where;
   EXPECT_EQ(got.converged, want.converged) << where;
   EXPECT_EQ(got.breakdown, want.breakdown) << where;
-  EXPECT_EQ(got.final_relative_residual, want.final_relative_residual)
+  EXPECT_TRUE(
+      same_bits(got.final_relative_residual, want.final_relative_residual))
+      << where << ": " << got.final_relative_residual << " vs "
+      << want.final_relative_residual;
+  ASSERT_EQ(got.residual_history.size(), want.residual_history.size())
       << where;
-  EXPECT_EQ(got.residual_history, want.residual_history) << where;
+  for (std::size_t i = 0; i < got.residual_history.size(); ++i) {
+    EXPECT_TRUE(same_bits(got.residual_history[i], want.residual_history[i]))
+        << where << " history " << i;
+  }
 }
 
 }  // namespace
 
-TEST(BatchDriver, LockstepCgMatchesPerJobPcgBitwise) {
+TEST(BatchDriver, LockstepCgMatchesColumnMajorReferenceBitwise) {
   struct Case {
     const char* name;
     sp::Csr a;
@@ -321,8 +396,7 @@ TEST(BatchDriver, LockstepCgMatchesPerJobPcgBitwise) {
         opts.calibration_epochs = 0;
         opts.use_tuning_cache = false;
         solve::BatchDriver driver(pool(), cs.a, opts);
-        const solve::DoacrossIlu0Preconditioner m(
-            pool(), cs.a, /*reorder=*/true, threads, strategy);
+        const solve::Ilu0Preconditioner m(cs.a);
         solve::CgOptions copts;
         copts.max_iterations = max_iterations;
         copts.rel_tolerance = tol;
@@ -347,7 +421,7 @@ TEST(BatchDriver, LockstepCgMatchesPerJobPcgBitwise) {
           for (index_t c = 0; c < k; ++c) {
             const std::size_t cc = static_cast<std::size_t>(c);
             std::vector<double> y = s.x0[cc];
-            const auto want = solve::pcg(cs.a, s.b[cc], y, m, copts);
+            const auto want = reference_pcg(cs.a, s.b[cc], y, m, copts);
             const std::string where = cfg + " column " + std::to_string(c);
             const auto& got = rep.reports[cc];
             expect_same_report(got, want, where);
@@ -519,5 +593,147 @@ TEST(BatchDriver, WideFirstStripRacesThreeCandidateBudgets) {
                 y[static_cast<std::size_t>(i)])
           << where << " row " << i;
     }
+  }
+}
+
+TEST(BatchDriver, LockstepLanesLeaveAnywhereAndMatchTheReferenceBitwise) {
+  // pcg_lockstep on its own: every lane's x and report equal the
+  // column-major reference loop exactly, while systems leave from the
+  // first, a middle and the last lane at different iterations, the rest
+  // run out of budget, and one NaN right-hand side breaks down alone.
+  const sp::Csr a = gen::five_point(24, 24);
+  const index_t n = a.rows;
+  const std::size_t nn = static_cast<std::size_t>(n);
+  const solve::Ilu0Preconditioner ref_m(a);
+  solve::CgOptions copts;
+  copts.max_iterations = 30;
+  copts.rel_tolerance = 1e-10;
+  const std::vector<sp::ExecutionStrategy> strategies = {
+      sp::ExecutionStrategy::kSerial, sp::ExecutionStrategy::kDoacross,
+      sp::ExecutionStrategy::kLevelBarrier};
+
+  for (unsigned threads : {1u, 2u, 4u}) {
+    for (sp::ExecutionStrategy strategy : strategies) {
+      const solve::DoacrossIlu0Preconditioner m(pool(), a, /*reorder=*/true,
+                                                threads, strategy);
+      solve::CgScratch scratch;  // reused across k: grows, never shrinks
+      for (index_t k : {1, 2, 3, 5, 8, 17, 33}) {
+        const std::string cfg = std::string(pdx::core::to_string(strategy)) +
+                                " threads " + std::to_string(threads) +
+                                " k " + std::to_string(k);
+        const index_t mid = k / 2;
+        const index_t nan_lane = k >= 5 ? 1 : -1;
+        std::vector<std::vector<double>> b(static_cast<std::size_t>(k)),
+            x0(static_cast<std::size_t>(k)), r(static_cast<std::size_t>(k));
+        for (index_t c = 0; c < k; ++c) {
+          const std::size_t cc = static_cast<std::size_t>(c);
+          // Perturbed guesses converge at distinct iterations (first <
+          // middle < last lane); every other lane solves a rough
+          // right-hand side from zero and runs out of budget.
+          if (c == 0 || c == mid || c == k - 1) {
+            const double eps = c == 0 ? 1e-9 : c == mid ? 1e-6 : 1e-3;
+            const auto x_true = random_vec(n, 500 + 31 * cc);
+            const auto noise = random_vec(n, 900 + cc);
+            b[cc].resize(nn);
+            sp::spmv(a, x_true, b[cc]);
+            x0[cc] = x_true;
+            for (std::size_t i = 0; i < nn; ++i) x0[cc][i] += eps * noise[i];
+          } else {
+            b[cc] = random_vec(n, 700 + cc);
+            x0[cc].assign(nn, 0.0);
+          }
+          if (c == nan_lane) b[cc][nn / 2] = std::nan("");
+          r[cc].resize(nn);
+          sp::spmv(a, x0[cc], r[cc]);
+          for (std::size_t i = 0; i < nn; ++i) r[cc][i] = b[cc][i] - r[cc][i];
+        }
+
+        std::vector<std::vector<double>> x = x0;
+        std::vector<solve::SolveReport> got(static_cast<std::size_t>(k));
+        std::vector<solve::CgSystem> systems;
+        for (index_t c = 0; c < k; ++c) {
+          const std::size_t cc = static_cast<std::size_t>(c);
+          systems.push_back({b[cc], x[cc], r[cc].data(), &got[cc]});
+        }
+        solve::pcg_lockstep(a, systems, m, copts, scratch);
+
+        std::size_t breakdowns = 0;
+        for (index_t c = 0; c < k; ++c) {
+          const std::size_t cc = static_cast<std::size_t>(c);
+          std::vector<double> y = x0[cc];
+          const auto want = reference_pcg(a, b[cc], y, ref_m, copts);
+          const std::string where = cfg + " lane " + std::to_string(c);
+          expect_same_report(got[cc], want, where);
+          for (std::size_t i = 0; i < nn; ++i) {
+            ASSERT_TRUE(same_bits(x[cc][i], y[i])) << where << " row " << i;
+          }
+          if (got[cc].breakdown) ++breakdowns;
+        }
+        EXPECT_EQ(breakdowns, nan_lane >= 0 ? 1u : 0u) << cfg;
+        if (nan_lane >= 0) {
+          const auto& bad = got[static_cast<std::size_t>(nan_lane)];
+          EXPECT_TRUE(bad.breakdown) << cfg;
+          EXPECT_EQ(bad.iterations, 0) << cfg;
+          EXPECT_EQ(x[static_cast<std::size_t>(nan_lane)],
+                    x0[static_cast<std::size_t>(nan_lane)])
+              << cfg << ": a breakdown writes the x from before the update";
+        }
+        if (k >= 3) {
+          // The leavers really leave from three places at three times.
+          const int first = got[0].iterations;
+          const int middle = got[static_cast<std::size_t>(mid)].iterations;
+          const int last = got[static_cast<std::size_t>(k - 1)].iterations;
+          EXPECT_TRUE(got[0].converged) << cfg;
+          EXPECT_TRUE(got[static_cast<std::size_t>(mid)].converged) << cfg;
+          EXPECT_TRUE(got[static_cast<std::size_t>(k - 1)].converged) << cfg;
+          EXPECT_LT(first, middle) << cfg;
+          EXPECT_LT(middle, last) << cfg;
+          EXPECT_LT(last, copts.max_iterations) << cfg;
+        }
+        if (k >= 5) {
+          const auto& rough = got[static_cast<std::size_t>(k - 2)];
+          EXPECT_FALSE(rough.converged) << cfg << ": a rough lane runs out";
+          EXPECT_EQ(rough.iterations, copts.max_iterations) << cfg;
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchDriver, LockstepBreakdownAfterProgressWritesThePreUpdateX) {
+  // A = diag(1, 0) with M = I (the default, lane-by-lane apply_strip).
+  // From x = 0: b = (1, 0) converges at iteration 1; b = (0, 1) breaks
+  // down at once (p·Ap = 0); b = (1, 1) takes one step to x = (2, 2) and
+  // breaks down on the second, so it must leave with x = (2, 2) — the x
+  // from before the iteration that broke — not the zero guess.
+  sp::CsrBuilder bld(2, 2);
+  bld.add(0, 0, 1.0);
+  const sp::Csr a = bld.build();
+  const solve::IdentityPreconditioner m;
+  const std::vector<std::vector<double>> b = {{1.0, 0.0}, {0.0, 1.0},
+                                              {1.0, 1.0}};
+  std::vector<std::vector<double>> x(3, std::vector<double>(2, 0.0));
+  std::vector<solve::SolveReport> got(3);
+  std::vector<solve::CgSystem> systems;
+  for (std::size_t c = 0; c < 3; ++c) {
+    systems.push_back({b[c], x[c], b[c].data(), &got[c]});  // r = b - A·0
+  }
+  solve::CgOptions copts;
+  copts.max_iterations = 10;
+  solve::CgScratch scratch;
+  solve::pcg_lockstep(a, systems, m, copts, scratch);
+
+  EXPECT_TRUE(got[0].converged);
+  EXPECT_EQ(got[0].iterations, 1);
+  EXPECT_TRUE(got[1].breakdown);
+  EXPECT_EQ(got[1].iterations, 0);
+  EXPECT_TRUE(got[2].breakdown);
+  EXPECT_EQ(got[2].iterations, 1);
+  EXPECT_EQ(x[2], (std::vector<double>{2.0, 2.0}));
+  for (std::size_t c = 0; c < 3; ++c) {
+    std::vector<double> y(2, 0.0);
+    const auto want = reference_pcg(a, b[c], y, m, copts);
+    expect_same_report(got[c], want, "system " + std::to_string(c));
+    EXPECT_EQ(x[c], y) << "system " << c;
   }
 }

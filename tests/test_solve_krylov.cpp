@@ -196,3 +196,45 @@ TEST(SolveGuards, MismatchedSizesThrow) {
   EXPECT_THROW(solve::gmres(a, small, x, solve::IdentityPreconditioner{}),
                std::invalid_argument);
 }
+
+TEST(SolveGuards, LockstepRejectsBadSystemsBeforeTouchingAny) {
+  const sp::Csr a = gen::five_point(4, 4);
+  const std::size_t n = static_cast<std::size_t>(a.rows);
+  const auto b = rhs_for_solution(a, nullptr, 12);
+  const std::vector<double> r = b;  // the residual of a zero guess
+  const solve::IdentityPreconditioner m;
+  solve::CgScratch scratch;
+
+  // A healthy first system: neither its x nor its report may change when
+  // a later system is rejected.
+  std::vector<double> x0(n, 0.0);
+  solve::SolveReport rep0;
+  rep0.iterations = -7;
+  std::vector<double> x1(n, 0.0), short_x(n - 1, 0.0);
+  const std::vector<double> short_b(n - 1, 1.0);
+  solve::SolveReport rep1;
+
+  const solve::CgSystem good{b, x0, r.data(), &rep0};
+  const std::vector<solve::CgSystem> bad = {
+      {b, short_x, r.data(), &rep1},  // x shorter than a.rows
+      {short_b, x1, r.data(), &rep1},  // b shorter than a.rows
+      {b, x1, nullptr, &rep1},         // null residual
+      {b, x1, r.data(), nullptr},      // null report
+  };
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    const std::vector<solve::CgSystem> systems = {good, bad[i]};
+    EXPECT_THROW(solve::pcg_lockstep(a, systems, m, {}, scratch),
+                 std::invalid_argument)
+        << "case " << i;
+    EXPECT_EQ(rep0.iterations, -7) << "case " << i;
+    for (double v : x0) ASSERT_EQ(v, 0.0) << "case " << i;
+  }
+
+  sp::CsrBuilder wide(2, 3);
+  wide.add(0, 0, 1.0);
+  wide.add(1, 1, 1.0);
+  const sp::Csr non_square = wide.build();
+  EXPECT_THROW(solve::pcg_lockstep(non_square, {&good, 1}, m, {}, scratch),
+               std::invalid_argument);
+  EXPECT_EQ(rep0.iterations, -7);
+}

@@ -2,8 +2,10 @@
 // identical to k sequential solve() calls across strategies, layouts,
 // thread counts, schedules and k; a whole batch costs exactly ONE pool
 // dispatch (zero serial; asserted with rt::DispatchProbe); a k == 1 batch
-// allocates nothing; spmv_batch matches per-column spmv; and the row-major
-// multi-RHS upper doacross completes the par_trisolve API pair.
+// allocates nothing; solve_strip and apply_strip match per-lane solves on
+// row-major strips, in and out of place; spmv_strip matches per-column
+// spmv; and the row-major multi-RHS upper doacross completes the
+// par_trisolve API pair.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -180,7 +182,7 @@ TEST(SolveBatch, OneColumnBatchIsTheFusedSolveAndAllocatesNothing) {
         const std::uint64_t budget = dispatch_budget(plan);
         std::vector<double> x_solve(static_cast<std::size_t>(n)),
             x_batch(static_cast<std::size_t>(n), 0.0),
-            x_ptr(static_cast<std::size_t>(n), 0.0);
+            x_strip(static_cast<std::size_t>(n), 0.0);
         plan.solve(b, x_solve);
 
         const rt::DispatchProbe probe(pool());
@@ -190,9 +192,7 @@ TEST(SolveBatch, OneColumnBatchIsTheFusedSolveAndAllocatesNothing) {
             g_allocs.load(std::memory_order_relaxed) - a0;
         const std::uint64_t dispatches = probe.delta();
 
-        const double* b_col = b.data();
-        double* x_col = x_ptr.data();
-        plan.solve_batch(&b_col, &x_col, 1);
+        plan.solve_strip(b, x_strip, 1);
 
         EXPECT_EQ(allocs, 0u) << core::to_string(strategy) << " "
                               << sp::to_string(layout) << " nth=" << nth;
@@ -205,48 +205,63 @@ TEST(SolveBatch, OneColumnBatchIsTheFusedSolveAndAllocatesNothing) {
               << core::to_string(strategy) << " " << sp::to_string(layout)
               << " nth=" << nth << " row " << i;
           ASSERT_EQ(x_solve[static_cast<std::size_t>(i)],
-                    x_ptr[static_cast<std::size_t>(i)])
-              << "pointer overload, row " << i;
+                    x_strip[static_cast<std::size_t>(i)])
+              << "one-lane strip, row " << i;
         }
       }
     }
   }
 }
 
-TEST(SolveBatch, PointerColumnsNeedNotBeContiguous) {
+namespace {
+
+/// Lane c of a row-major n-by-k strip.
+std::vector<double> lane(const std::vector<double>& strip, index_t n,
+                         index_t k, index_t c) {
+  std::vector<double> v(static_cast<std::size_t>(n));
+  for (index_t i = 0; i < n; ++i) {
+    v[static_cast<std::size_t>(i)] = strip[static_cast<std::size_t>(i * k + c)];
+  }
+  return v;
+}
+
+}  // namespace
+
+TEST(SolveStrip, RowMajorLanesMatchPerLaneSolvesInAndOutOfPlace) {
   const sp::IluFactors f = sp::ilu0(gen::seven_point(6, 6, 6));
   const index_t n = f.l.rows;
-  const index_t k = 5;
-  sp::TrisolvePlan plan(pool(), f.l, f.u, {});
-
-  // Each column is its own caller-owned vector — the BatchDriver shape.
-  std::vector<std::vector<double>> b(static_cast<std::size_t>(k)),
-      x(static_cast<std::size_t>(k));
-  std::vector<const double*> b_ptrs(static_cast<std::size_t>(k));
-  std::vector<double*> x_ptrs(static_cast<std::size_t>(k));
-  for (index_t c = 0; c < k; ++c) {
-    gen::SplitMix64 rng(40 + static_cast<std::uint64_t>(c));
-    b[static_cast<std::size_t>(c)].resize(static_cast<std::size_t>(n));
-    for (auto& v : b[static_cast<std::size_t>(c)]) {
-      v = rng.next_double(-1.0, 1.0);
-    }
-    x[static_cast<std::size_t>(c)].assign(static_cast<std::size_t>(n), 0.0);
-    b_ptrs[static_cast<std::size_t>(c)] = b[static_cast<std::size_t>(c)].data();
-    x_ptrs[static_cast<std::size_t>(c)] = x[static_cast<std::size_t>(c)].data();
-  }
-
-  rt::DispatchProbe probe(pool());
-  plan.solve_batch(b_ptrs.data(), x_ptrs.data(), k);
-  EXPECT_EQ(probe.delta(), 1u);
-  for (index_t c = 0; c < k; ++c) {
-    std::vector<double> t(static_cast<std::size_t>(n)),
-        z(static_cast<std::size_t>(n));
-    sp::trisolve_lower_seq(f.l, b[static_cast<std::size_t>(c)], t);
-    sp::trisolve_upper_seq(f.u, t, z);
-    for (index_t i = 0; i < n; ++i) {
-      ASSERT_EQ(z[static_cast<std::size_t>(i)],
-                x[static_cast<std::size_t>(c)][static_cast<std::size_t>(i)])
-          << "col " << c << " row " << i;
+  for (sp::ExecutionStrategy strategy : kStrategies) {
+    for (unsigned nth : {1u, 2u, 4u}) {
+      sp::PlanOptions opts;
+      opts.nthreads = nth;
+      opts.strategy = strategy;
+      sp::TrisolvePlan plan(pool(), f.l, f.u, opts);
+      for (index_t k : {2, 5, 17}) {
+        // A row-major strip: lane c of row i at i*k + c.
+        const auto b = random_columns(n, k, 40 + static_cast<unsigned>(k));
+        std::vector<double> x(b.size(), 0.0), in_place = b;
+        rt::DispatchProbe probe(pool());
+        plan.solve_strip(b, x, k);
+        EXPECT_EQ(probe.delta(), dispatch_budget(plan));
+        plan.solve_strip(in_place, in_place, k);
+        for (index_t c = 0; c < k; ++c) {
+          std::vector<double> t(static_cast<std::size_t>(n)),
+              z(static_cast<std::size_t>(n));
+          sp::trisolve_lower_seq(f.l, lane(b, n, k, c), t);
+          sp::trisolve_upper_seq(f.u, t, z);
+          const auto got = lane(x, n, k, c);
+          const auto got_in_place = lane(in_place, n, k, c);
+          for (index_t i = 0; i < n; ++i) {
+            const std::size_t ii = static_cast<std::size_t>(i);
+            ASSERT_EQ(z[ii], got[ii])
+                << core::to_string(strategy) << " nth=" << nth << " k=" << k
+                << " lane " << c << " row " << i;
+            ASSERT_EQ(z[ii], got_in_place[ii])
+                << "in place, " << core::to_string(strategy) << " nth="
+                << nth << " k=" << k << " lane " << c << " row " << i;
+          }
+        }
+      }
     }
   }
 }
@@ -317,65 +332,60 @@ TEST(SolveBatch, GuardsRejectMisuse) {
   EXPECT_THROW(plan.reserve_batch(0), std::invalid_argument);
 }
 
-TEST(SolveBatch, PreconditionerApplyBatchMatchesSequentialApplications) {
+TEST(SolveStrip, PreconditionerApplyStripMatchesSequentialApplications) {
   const sp::Csr a = gen::five_point(14, 14);
   // Calibration off: the one-dispatch assertion below assumes the plan
-  // holds a fixed parallel strategy across every batched application.
+  // holds a fixed parallel strategy across every strip application.
   const solve::DoacrossIlu0Preconditioner m(
       pool(), a, sp::PlanOptions{.calibration_epochs = 0},
       sp::FactorPlanOptions{});
+  const solve::Ilu0Preconditioner seq(a);
   const index_t n = a.rows;
   const index_t k = 7;
 
-  const auto r = random_columns(n, k, 91);
-  std::vector<double> z_seq(static_cast<std::size_t>(n * k));
-  for (index_t c = 0; c < k; ++c) {
-    m.apply(std::span<const double>(r.data() + c * n,
-                                    static_cast<std::size_t>(n)),
-            std::span<double>(z_seq.data() + c * n,
-                              static_cast<std::size_t>(n)));
-  }
-  std::vector<double> z(static_cast<std::size_t>(n * k), 0.0);
+  const auto r = random_columns(n, k, 91);  // row-major strip
+  std::vector<double> z(static_cast<std::size_t>(n * k), 0.0),
+      z_default(z.size(), 0.0);
   rt::DispatchProbe probe(pool());
-  m.apply_batch(r, z, k);
+  m.apply_strip(n, r.data(), z.data(), k);
   EXPECT_EQ(probe.delta(), 1u);
-  for (index_t i = 0; i < n * k; ++i) {
-    ASSERT_EQ(z_seq[static_cast<std::size_t>(i)],
-              z[static_cast<std::size_t>(i)])
-        << i;
+  // The base-class default: lane by lane through apply().
+  seq.apply_strip(n, r.data(), z_default.data(), k);
+  for (index_t c = 0; c < k; ++c) {
+    std::vector<double> zc(static_cast<std::size_t>(n));
+    m.apply(lane(r, n, k, c), zc);
+    const auto got = lane(z, n, k, c);
+    const auto got_default = lane(z_default, n, k, c);
+    for (index_t i = 0; i < n; ++i) {
+      const std::size_t ii = static_cast<std::size_t>(i);
+      ASSERT_EQ(zc[ii], got[ii]) << "lane " << c << " row " << i;
+      ASSERT_EQ(zc[ii], got_default[ii]) << "default, lane " << c << " row "
+                                         << i;
+    }
   }
+  EXPECT_THROW(m.apply_strip(n - 1, r.data(), z.data(), k),
+               std::invalid_argument);
 }
 
-TEST(SpmvBatch, MatchesPerColumnSpmvSequentialAndParallel) {
+TEST(SpmvStrip, MatchesPerColumnSpmv) {
   const sp::Csr a = gen::nine_point(11, 13);
   const index_t n = a.rows;
-  for (index_t k : {1, 3, 8, 17}) {  // crosses the register-block width
+  for (index_t k : {1, 2, 3, 4, 5, 8, 17, 33}) {  // every vector-width tail
     const auto x = random_columns(n, k, 200 + static_cast<unsigned>(k));
-    std::vector<double> y_ref(static_cast<std::size_t>(n * k));
-    for (index_t c = 0; c < k; ++c) {
-      sp::spmv(a,
-               std::span<const double>(x.data() + c * n,
-                                       static_cast<std::size_t>(n)),
-               std::span<double>(y_ref.data() + c * n,
-                                 static_cast<std::size_t>(n)));
-    }
     std::vector<double> y(static_cast<std::size_t>(n * k), 0.0);
-    sp::spmv_batch(a, x, y, k);
-    for (index_t i = 0; i < n * k; ++i) {
-      ASSERT_EQ(y_ref[static_cast<std::size_t>(i)],
-                y[static_cast<std::size_t>(i)])
-          << "sequential k=" << k << " " << i;
-    }
-    std::fill(y.begin(), y.end(), 0.0);
-    rt::DispatchProbe probe(pool());
-    sp::spmv_batch_parallel(pool(), a, x, y, k, 4);
-    EXPECT_LE(probe.delta(), 1u) << "all k columns in at most one dispatch";
-    for (index_t i = 0; i < n * k; ++i) {
-      ASSERT_EQ(y_ref[static_cast<std::size_t>(i)],
-                y[static_cast<std::size_t>(i)])
-          << "parallel k=" << k << " " << i;
+    sp::spmv_strip(a, x.data(), y.data(), k);
+    for (index_t c = 0; c < k; ++c) {
+      std::vector<double> want(static_cast<std::size_t>(n));
+      sp::spmv(a, lane(x, n, k, c), want);
+      const auto got = lane(y, n, k, c);
+      for (index_t i = 0; i < n; ++i) {
+        ASSERT_EQ(want[static_cast<std::size_t>(i)],
+                  got[static_cast<std::size_t>(i)])
+            << "k=" << k << " lane " << c << " row " << i;
+      }
     }
   }
+  EXPECT_THROW(sp::spmv_strip(a, nullptr, nullptr, 0), std::invalid_argument);
 }
 
 TEST(UpperDoacrossMulti, RowMajorMultiMatchesPerColumnSequential) {

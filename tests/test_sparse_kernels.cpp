@@ -1,6 +1,8 @@
 // Tests for the runtime-dispatched vector kernel layer (DESIGN.md §14):
 // ISA resolution and the PDX_KERNEL override contract, bitwise identity
-// of every bitwise-class lane kernel against the scalar reference,
+// of every bitwise-class lane kernel against the scalar reference (the
+// strip-lane kernels of the lockstep CG also against the single-vector
+// loops they stand for),
 // bounded error of the opt-in ulp-class kernels, plan-level bitwise
 // identity of forced-scalar vs forced-vector vs auto-dispatched plans
 // across strategies, thread counts and layouts, the off-by-default
@@ -8,14 +10,19 @@
 // updates, and the scalar-vs-vector kernel race telemetry.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "gen/rng.hpp"
 #include "gen/stencil.hpp"
 #include "runtime/thread_pool.hpp"
 #include "solve/batch_driver.hpp"
+#include "solve/vec.hpp"
 #include "sparse/ilu0.hpp"
 #include "sparse/kernels.hpp"
 #include "sparse/factor_plan.hpp"
@@ -93,6 +100,10 @@ TEST(KernelDispatch, TablesExistForEveryIsa) {
     ASSERT_NE(ops.dot, nullptr);
     ASSERT_NE(ops.gather_axpy, nullptr);
     ASSERT_NE(ops.gather_axpy_fma, nullptr);
+    ASSERT_NE(ops.spmv_row, nullptr);
+    ASSERT_NE(ops.lane_dot, nullptr);
+    ASSERT_NE(ops.lane_axpy, nullptr);
+    ASSERT_NE(ops.lane_xpby, nullptr);
   }
   EXPECT_EQ(kn::dispatched_ops().isa, kn::dispatched_isa());
 }
@@ -191,6 +202,120 @@ TEST(KernelLanes, GatherAxpyBitwiseMatchesScalar) {
       for (std::size_t i = 0; i < w_len; ++i) {
         ASSERT_EQ(w_ref[i], w_vec[i])
             << kn::to_string(isa) << " gather_axpy cnt=" << n << " at " << i;
+      }
+    }
+  }
+}
+
+// --- strip-lane kernels of the lockstep CG (bitwise class) -------------
+
+namespace {
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// A random row-major rows-by-k strip with special values confined to
+/// single lanes: lane 0 is all -0.0, the middle lane holds one +Inf and
+/// the last lane (k >= 3) one NaN.
+std::vector<double> special_strip(index_t rows, index_t k,
+                                  std::uint64_t seed) {
+  auto s = random_vec(static_cast<std::size_t>(rows * k), seed);
+  for (index_t i = 0; i < rows; ++i) s[static_cast<std::size_t>(i * k)] = -0.0;
+  if (k >= 2) {
+    s[static_cast<std::size_t>((rows / 2) * k + k / 2)] =
+        std::numeric_limits<double>::infinity();
+  }
+  if (k >= 3) {
+    s[static_cast<std::size_t>((rows - 1) * k + k - 1)] =
+        std::numeric_limits<double>::quiet_NaN();
+  }
+  return s;
+}
+
+}  // namespace
+
+TEST(KernelLanes, StripLaneKernelsBitwiseMatchScalarAndTheVectorLoops) {
+  // Every strip-lane entry of every table equals the scalar table bit for
+  // bit — ±0, NaN and Inf included — and the scalar table equals the
+  // single-vector loops it stands for (sparse::spmv's row, solve::dot,
+  // axpy, xpby) lane by lane, at every k across the vector-width tails.
+  const index_t rows = 13;
+  // Non-negative values: every product in the all -0.0 lane 0 is -0.0,
+  // so the lane's sum is +0.0 only when it starts from +0.0 as spmv does.
+  const std::vector<double> vals = {0.5, 1.25, 3.0, 0.0, 2.5};
+  const std::vector<index_t> cols = {0, 4, 7, 9, 12};
+  const index_t cnt = static_cast<index_t>(vals.size());
+  const kn::LaneOps& ref = kn::scalar_ops();
+  for (index_t k = 1; k <= 33; ++k) {
+    const std::size_t len = static_cast<std::size_t>(rows * k);
+    const auto xs = special_strip(rows, k, 300 + k);
+    auto other = random_vec(len, 400 + k);
+    for (index_t i = 0; i < rows; ++i) {  // lane 0 of every product -0.0
+      other[static_cast<std::size_t>(i * k)] =
+          std::fabs(other[static_cast<std::size_t>(i * k)]);
+    }
+    std::vector<double> coef = random_vec(static_cast<std::size_t>(k), 500);
+    coef[0] = -0.0;
+    if (k >= 2) coef[static_cast<std::size_t>(k - 1)] = 1e308;
+
+    // The scalar table against the per-lane loops.
+    std::vector<double> y_ref(static_cast<std::size_t>(k)),
+        dot_ref(static_cast<std::size_t>(k));
+    auto axpy_ref = other, xpby_ref = other;
+    ref.spmv_row(y_ref.data(), vals.data(), cols.data(), cnt, xs.data(), k);
+    ref.lane_dot(dot_ref.data(), xs.data(), other.data(), rows, k);
+    ref.lane_axpy(axpy_ref.data(), coef.data(), xs.data(), rows, k);
+    ref.lane_xpby(xpby_ref.data(), coef.data(), xs.data(), rows, k);
+    for (index_t c = 0; c < k; ++c) {
+      const std::size_t cc = static_cast<std::size_t>(c);
+      std::vector<double> xl(static_cast<std::size_t>(rows)), ol = xl;
+      for (index_t i = 0; i < rows; ++i) {
+        xl[static_cast<std::size_t>(i)] =
+            xs[static_cast<std::size_t>(i * k + c)];
+        ol[static_cast<std::size_t>(i)] =
+            other[static_cast<std::size_t>(i * k + c)];
+      }
+      double acc = 0.0;
+      for (index_t j = 0; j < cnt; ++j) {
+        acc += vals[static_cast<std::size_t>(j)] *
+               xl[static_cast<std::size_t>(cols[static_cast<std::size_t>(j)])];
+      }
+      ASSERT_TRUE(same_bits(acc, y_ref[cc])) << "spmv_row k=" << k << " " << c;
+      ASSERT_TRUE(same_bits(solve::dot(xl, ol), dot_ref[cc]))
+          << "lane_dot k=" << k << " lane " << c;
+      auto ya = ol, yx = ol;
+      solve::axpy(coef[cc], xl, ya);
+      solve::xpby(xl, coef[cc], yx);
+      for (index_t i = 0; i < rows; ++i) {
+        const std::size_t at = static_cast<std::size_t>(i * k + c);
+        ASSERT_TRUE(same_bits(ya[static_cast<std::size_t>(i)], axpy_ref[at]))
+            << "lane_axpy k=" << k << " lane " << c << " row " << i;
+        ASSERT_TRUE(same_bits(yx[static_cast<std::size_t>(i)], xpby_ref[at]))
+            << "lane_xpby k=" << k << " lane " << c << " row " << i;
+      }
+    }
+
+    // Every vector table against the scalar table.
+    for (kn::KernelIsa isa : {kn::KernelIsa::kAvx2, kn::KernelIsa::kNeon}) {
+      const kn::LaneOps& ops = kn::ops_for(isa);
+      std::vector<double> y(static_cast<std::size_t>(k)),
+          dots(static_cast<std::size_t>(k));
+      auto ax = other, xp = other;
+      ops.spmv_row(y.data(), vals.data(), cols.data(), cnt, xs.data(), k);
+      ops.lane_dot(dots.data(), xs.data(), other.data(), rows, k);
+      ops.lane_axpy(ax.data(), coef.data(), xs.data(), rows, k);
+      ops.lane_xpby(xp.data(), coef.data(), xs.data(), rows, k);
+      const std::string where =
+          std::string(kn::to_string(isa)) + " k=" + std::to_string(k);
+      for (std::size_t c = 0; c < static_cast<std::size_t>(k); ++c) {
+        ASSERT_TRUE(same_bits(y_ref[c], y[c])) << where << " spmv_row " << c;
+        ASSERT_TRUE(same_bits(dot_ref[c], dots[c]))
+            << where << " lane_dot " << c;
+      }
+      for (std::size_t i = 0; i < len; ++i) {
+        ASSERT_TRUE(same_bits(axpy_ref[i], ax[i])) << where << " axpy " << i;
+        ASSERT_TRUE(same_bits(xpby_ref[i], xp[i])) << where << " xpby " << i;
       }
     }
   }
