@@ -22,8 +22,17 @@
 // width and `cg_lockstep_gain`, the k = 1 time over it. Every lockstep
 // x is verified bitwise against per-column pcg first.
 //
-// `--json <path>` additionally writes both tables as a JSON artifact (CI
-// publishes it as BENCH_batch.json). The bench exits 1 on any bitwise
+// A third row measures lane groups (solve::BatchDriver on a settled serial
+// plan): one drain of 24 systems on the 40² grid with the plan pinned
+// serial and both races off, through a width-1 pool (one strip) and a
+// width-2 pool (two lane groups in one region). `cg_lane_split_gain` is
+// the width-1 drain time over the width-2 one; both drains are verified
+// bitwise against per-column pcg over sequential ILU(0). There is no
+// knob: the two pools are the only difference.
+//
+// `--json <path>` additionally writes the tables as a JSON artifact (CI
+// publishes it as BENCH_batch.json), with a `machine` block (nproc,
+// affinity CPUs, cgroup cpu.max, ISA). The bench exits 1 on any bitwise
 // divergence.
 #include <algorithm>
 #include <cstdio>
@@ -40,6 +49,7 @@
 #include "gen/rng.hpp"
 #include "gen/stencil.hpp"
 #include "runtime/thread_pool.hpp"
+#include "solve/batch_driver.hpp"
 #include "solve/cg.hpp"
 #include "solve/precond.hpp"
 #include "sparse/ilu0.hpp"
@@ -67,6 +77,13 @@ struct CgRow {
   index_t k;
   double us_per_column;
   double gain;  // k = 1 time / per-column time
+};
+
+struct SplitRow {
+  index_t grid, k;
+  unsigned groups;  // lane groups of the width-2 drain
+  double ms_width1, ms_width2;
+  double gain;  // ms_width1 / ms_width2
 };
 
 /// Lockstep CG at one thread over the columns of b (column-major, n by
@@ -121,6 +138,63 @@ std::vector<CgRow> cg_lockstep_rows(rt::ThreadPool& pool, const sp::Csr& a,
     rows.push_back({k, us, gain});
   }
   return rows;
+}
+
+/// One BatchDriver drain of k systems from zero guesses on the 40² grid,
+/// pinned serial with both races off, on a width-1 and a width-2 pool.
+/// Clears `exact` if either drain's x differs from per-column pcg over
+/// the sequential ILU(0).
+SplitRow lane_split_row(int reps, bool& exact) {
+  const index_t grid = 40, k = 24;
+  const sp::Csr a = gen::five_point(grid, grid);
+  const std::size_t n = static_cast<std::size_t>(a.rows);
+  gen::SplitMix64 rng(29);
+  std::vector<double> b(n * static_cast<std::size_t>(k));
+  for (auto& v : b) v = rng.next_double(-1.0, 1.0);
+
+  solve::CgOptions copts;
+  copts.record_history = false;
+  const solve::Ilu0Preconditioner ref_m(a);
+  std::vector<double> x_ref(b.size(), 0.0), x(b.size(), 0.0);
+  for (index_t c = 0; c < k; ++c) {
+    solve::pcg(a, std::span<const double>(b.data() + c * a.rows, n),
+               std::span<double>(x_ref.data() + c * a.rows, n), ref_m, copts);
+  }
+
+  solve::BatchDriverOptions opts;
+  opts.strategy = sp::ExecutionStrategy::kSerial;
+  opts.calibration_epochs = 0;
+  opts.use_tuning_cache = false;
+  SplitRow row{grid, k, 1, 0.0, 0.0, 0.0};
+  rt::ThreadPool pool1(1), pool2(2);
+  solve::BatchDriver d1(pool1, a, opts), d2(pool2, a, opts);
+  const auto drain = [&](solve::BatchDriver& d) {
+    std::fill(x.begin(), x.end(), 0.0);
+    for (index_t c = 0; c < k; ++c) {
+      d.enqueue(std::span<const double>(b.data() + c * a.rows, n),
+                std::span<double>(x.data() + c * a.rows, n));
+    }
+    return d.drain().lane_groups;
+  };
+  for (solve::BatchDriver* d : {&d1, &d2}) {
+    row.groups = drain(*d);
+    if (x != x_ref) {
+      exact = false;
+      std::fprintf(stderr, "MISMATCH lane-group drain (%u groups) vs pcg\n",
+                   row.groups);
+    }
+  }
+  // The two widths alternate, so both see the same machine noise; the
+  // best of many samples per width is the figure.
+  row.ms_width1 = row.ms_width2 = 1e300;
+  for (int r = 0; r < std::max(reps, 41); ++r) {
+    row.ms_width1 = std::min(row.ms_width1,
+                             bench::time_call([&] { drain(d1); }) * 1e3);
+    row.ms_width2 = std::min(row.ms_width2,
+                             bench::time_call([&] { drain(d2); }) * 1e3);
+  }
+  row.gain = row.ms_width1 / row.ms_width2;
+  return row;
 }
 
 }  // namespace
@@ -260,10 +334,31 @@ int main(int argc, char** argv) {
   std::printf("Bitwise check vs per-column pcg: %s.\n",
               cg_exact ? "exact" : "FAILED");
 
+  bool split_exact = true;
+  const SplitRow split = lane_split_row(reps, split_exact);
+  all_exact = all_exact && split_exact;
+  bench::Table split_table({"grid", "k", "lane groups", "width-1(ms)",
+                            "width-2(ms)", "cg_lane_split_gain"});
+  split_table.row()
+      .cell(static_cast<long long>(split.grid))
+      .cell(static_cast<long long>(split.k))
+      .cell(split.groups)
+      .cell(split.ms_width1, 2)
+      .cell(split.ms_width2, 2)
+      .cell(split.gain, 2);
+  std::printf("\nLane groups: one BatchDriver drain on a pinned serial plan, "
+              "width-1 pool vs width-2 pool:\n");
+  split_table.print();
+  std::printf("Bitwise check vs per-column pcg: %s.\n",
+              split_exact ? "exact" : "FAILED");
+
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     out << "{\n  \"bench\": \"batch_solve\",\n"
-        << "  \"grid\": " << grid << ",\n  \"rows\": " << n << ",\n"
+        << "  \"machine\": "
+        << bench::machine_json(sp::kernels::to_string(
+               sp::kernels::dispatched_isa()))
+        << ",\n  \"grid\": " << grid << ",\n  \"rows\": " << n << ",\n"
         << "  \"bitwise_exact\": " << (all_exact ? "true" : "false")
         << ",\n  \"layout\": \"" << sp::to_string(layout)
         << "\",\n  \"results\": [\n";
@@ -286,7 +381,12 @@ int main(int argc, char** argv) {
           << ", \"cg_lockstep_gain\": " << r.gain << "}"
           << (i + 1 < cg_rows.size() ? "," : "") << "\n";
     }
-    out << "  ]\n}\n";
+    out << "  ],\n  \"cg_lane_split\": [\n"
+        << "    {\"threads\": 2, \"grid\": " << split.grid
+        << ", \"k\": " << split.k << ", \"lane_groups\": " << split.groups
+        << ", \"ms_width1\": " << split.ms_width1
+        << ", \"ms_width2\": " << split.ms_width2
+        << ", \"cg_lane_split_gain\": " << split.gain << "}\n  ]\n}\n";
     std::printf("wrote %s\n", json_path.c_str());
   }
   return all_exact ? 0 : 1;

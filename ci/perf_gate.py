@@ -32,6 +32,15 @@ that already divide out the machine:
                             thread (batch_solve) — what solving k
                             systems as the lanes of one strip buys in
                             the Krylov layer
+  batch.cg_lane_split_gain  one BatchDriver drain of 24 systems on a
+                            settled serial plan, width-1 pool time /
+                            width-2 pool time (batch_solve) — what
+                            running the lanes as two lane groups buys.
+                            Skipped, with the reason printed, when the
+                            fresh artifact's machine block shows fewer
+                            than 2 usable CPUs (affinity mask and cgroup
+                            cpu.max quota): the groups cannot run
+                            concurrently there
   refactor.factor_speedup   sequential ilu0 / planned parallel numeric
                             factorization time (refactor_loop)
   refactor.refresh_speedup  full TrisolvePlan rebuild / value-only
@@ -142,9 +151,23 @@ def strategy_metrics(doc):
     }
 
 
+def usable_cpus(doc):
+    """CPUs an artifact's run could use, from its machine block (None when
+    the artifact has none): the affinity mask, capped by the cgroup v2
+    cpu.max quota."""
+    machine = doc.get("machine")
+    if not machine:
+        return None
+    usable = float(machine.get("affinity_cpus") or machine.get("nproc") or 0)
+    quota = (machine.get("cgroup_cpu_max") or "max").split()
+    if len(quota) == 2 and quota[0] != "max" and float(quota[1]) > 0:
+        usable = min(usable, float(quota[0]) / float(quota[1]))
+    return usable
+
+
 def batch_metrics(doc):
     """Metric-class -> {row_key: ratio} for a batch_solve artifact."""
-    ilv, cg = {}, {}
+    ilv, cg, split = {}, {}, {}
     for row in doc.get("results", []):
         key = (row.get("threads"), row.get("k"))
         if row.get("speedup_ilv", 0) > 0:
@@ -153,7 +176,12 @@ def batch_metrics(doc):
         # k = 1 is the reference the gain divides by (1.0 by definition).
         if row.get("k", 1) > 1 and row.get("cg_lockstep_gain", 0) > 0:
             cg[(row.get("threads"), row.get("k"))] = row["cg_lockstep_gain"]
-    return {"batch.speedup_ilv": ilv, "batch.cg_lockstep_gain": cg}
+    for row in doc.get("cg_lane_split", []):
+        if row.get("cg_lane_split_gain", 0) > 0:
+            split[(row.get("threads"), row.get("k"))] = \
+                row["cg_lane_split_gain"]
+    return {"batch.speedup_ilv": ilv, "batch.cg_lockstep_gain": cg,
+            "batch.cg_lane_split_gain": split}
 
 
 def refactor_metrics(doc):
@@ -249,6 +277,14 @@ def main():
         baseline = extract(load(paths[1]))
         for name, m in fresh.items():
             classes[name] = (m, baseline.get(name, {}))
+
+    if args.batch:
+        usable = usable_cpus(load(args.batch[0]))
+        if usable is not None and usable < 2:
+            print(f"batch.cg_lane_split_gain: skipped — the fresh run had "
+                  f"{usable:g} usable CPU(s), so its two lane groups could "
+                  f"not run concurrently")
+            classes.pop("batch.cg_lane_split_gain", None)
 
     ok = True
     for name, (fresh, baseline) in sorted(classes.items()):

@@ -120,6 +120,14 @@ int main(int argc, char** argv) {
     }
   };
   for (const solve::JobHandle& job : jobs) tally(job->wait());
+  // Each tenant's latest strip drain: once its plan settles on serial, a
+  // strip of at least 2 * kLaneMin jobs splits into lane groups that run
+  // as one doall across the pool.
+  for (solve::MatrixId id : {ta, tb}) {
+    std::printf("tenant %llu: last drain ran in %u lane group(s)\n",
+                static_cast<unsigned long long>(id),
+                svc.matrix_info(id).lane_groups);
+  }
 
   // Operator update mid-service: new VALUES over tenant A's (now live)
   // unchanged pattern are adopted as a value-only plan refresh — numeric

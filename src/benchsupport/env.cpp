@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "runtime/affinity.hpp"
 
@@ -31,6 +33,19 @@ std::string environment_banner(const std::string& bench_name) {
   std::ostringstream os;
   os << "# " << bench_name << " | procs=" << default_procs()
      << " reps=" << default_reps() << (quick_mode() ? " (quick mode)" : "");
+  return os.str();
+}
+
+std::string machine_json(const char* isa) {
+  std::string cpu_max;
+  std::ifstream in("/sys/fs/cgroup/cpu.max");
+  std::getline(in, cpu_max);
+  std::ostringstream os;
+  os << "{\"nproc\": " << std::thread::hardware_concurrency()
+     << ", \"affinity_cpus\": " << rt::allowed_cpus()
+     << ", \"cgroup_cpu_max\": "
+     << (cpu_max.empty() ? "null" : "\"" + cpu_max + "\"")
+     << ", \"isa\": \"" << isa << "\"}";
   return os.str();
 }
 

@@ -26,4 +26,12 @@ bool quick_mode();
 /// One-line description of the bench environment (procs, mode).
 std::string environment_banner(const std::string& bench_name);
 
+/// The `machine` block of a bench artifact, as a JSON object: online
+/// logical CPUs (`nproc`), the CPUs in this process's affinity mask
+/// (`affinity_cpus`), the cgroup v2 quota from /sys/fs/cgroup/cpu.max
+/// verbatim ("max 100000" = unlimited; null where unreadable), and the
+/// dispatched kernel `isa`. ci/perf_gate.py derives the usable CPU count
+/// from it.
+std::string machine_json(const char* isa);
+
 }  // namespace pdx::bench

@@ -216,7 +216,7 @@ rt::ThreadPool::RegionFn DagPlan::contained(rt::ThreadPool::RegionFn raw) {
 }
 
 void DagPlan::throw_if_poisoned() const {
-  if (poisoned_) {
+  if (poisoned()) {
     throw rt::PlanPoisonedError(
         std::string(cfg_.name) +
         ": plan poisoned by an earlier in-region fault; rebuild the plan "
@@ -248,7 +248,7 @@ DoacrossStats DagPlan::dispatch(const rt::ThreadPool::RegionFn& region) {
     // A worker faulted inside the region; its peers drained their waits
     // via the latch and joined. Partial results are garbage — poison so
     // every later run fails fast instead of reading them.
-    poisoned_ = true;
+    poisoned_.store(true, std::memory_order_release);
     latch_.rethrow_and_reset();
   }
   // Preprocessing was amortized at plan build and there is no

@@ -37,10 +37,13 @@
 // Lifetime and threading follow the plans: the pool must outlive the
 // core, one caller at a time, and the strategy only changes on the
 // calling thread between dispatches — so a region bound once at
-// construction reads the current strategy whenever it runs.
+// construction reads the current strategy whenever it runs. The one
+// exception is run_inline on a settled() plan: it writes nothing shared
+// but the poison flag, so concurrent callers may each run one.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -199,9 +202,10 @@ class DagPlan {
   template <class Body>
   [[gnu::noinline]] void walk_levels(Dag& d, unsigned tid, unsigned nthreads,
                                      Body body);
-  /// Serial walk: every position in source order on the calling thread.
+  /// Serial walk: every position in source order on the calling thread;
+  /// `tid` names it to the fault injector.
   template <class Body>
-  [[gnu::noinline]] void walk_serial(Dag& d, Body body);
+  [[gnu::noinline]] void walk_serial(Dag& d, unsigned tid, Body body);
   /// Run `d` under the current strategy with a body addressed by ROW —
   /// `body(row, wait)` — for bodies that need no per-walk row source
   /// (FactorPlan's elimination row): each walk maps its positions to rows
@@ -234,6 +238,13 @@ class DagPlan {
   /// the flag waits, and poisons the plan (rethrowing the fault) when a
   /// worker faulted. Throws rt::PlanPoisonedError on a poisoned plan.
   DoacrossStats dispatch(const rt::ThreadPool::RegionFn& region);
+  /// Run `f` — serial walks only — on the calling thread, bypassing the
+  /// region machinery: no latch, no wait stats, no reset. Only the
+  /// poison flag is written, so on a settled() plan several threads may
+  /// call it at once. A fault poisons the plan and propagates to this
+  /// caller; a poisoned plan throws rt::PlanPoisonedError up front.
+  template <class F>
+  DoacrossStats run_inline(F&& f);
   void throw_if_poisoned() const;
 
   /// Before a run that may feed the kernel race: installs the current
@@ -255,7 +266,15 @@ class DagPlan {
   unsigned nthreads() const noexcept { return nth_; }
   ExecStrategy strategy() const noexcept { return tel_->strategy; }
   bool calibrating() const noexcept { return calibrating_; }
-  bool poisoned() const noexcept { return poisoned_; }
+  bool poisoned() const noexcept {
+    return poisoned_.load(std::memory_order_acquire);
+  }
+  /// Nothing left to decide: no strategy race exploring, no kernel race
+  /// armed, not poisoned. The strategy, layout and kernel table stay
+  /// fixed from here on.
+  bool settled() const noexcept {
+    return !calibrating_ && !kernel_race_.active() && !poisoned();
+  }
   Dag& dag(unsigned i) noexcept { return dags_[i]; }
   const Dag& dag(unsigned i) const noexcept { return dags_[i]; }
   /// The active lane-kernel table, and whether the caller's ulp_tolerance
@@ -292,7 +311,7 @@ class DagPlan {
   rt::Barrier barrier_;
   rt::FailureLatch latch_;
   rt::WaitGuard guard_;  // latch + stall budget shared by every flag wait
-  bool poisoned_ = false;
+  std::atomic<bool> poisoned_{false};
   rt::FaultInjector* injector_ = nullptr;
   std::vector<rt::Padded<std::uint64_t>> episodes_, rounds_;
 
@@ -365,13 +384,13 @@ void DagPlan::walk_levels(Dag& d, unsigned tid, unsigned nthreads,
 }
 
 template <class Body>
-void DagPlan::walk_serial(Dag& d, Body body) {
+void DagPlan::walk_serial(Dag& d, unsigned tid, Body body) {
   // The strategy for chains is to pay NOTHING — no flags, no barrier, no
   // pool wake-up: the sequential loop in source order.
   rt::FaultInjector* const inj = injector_;
   NoWait wait;
   for (index_t pos = 0; pos < n_; ++pos) {
-    if (inj) inj->on_row(0, natural_row(d, pos), &latch_);
+    if (inj) inj->on_row(tid, natural_row(d, pos), &latch_);
     look_ahead(body, pos, n_);
     body(pos, wait);
   }
@@ -395,13 +414,32 @@ void DagPlan::walk_rows(Dag& d, unsigned tid, unsigned nthreads,
       });
       return;
     case ExecStrategy::kSerial:
-      walk_serial(d, [=](index_t pos, NoWait& wait) mutable {
+      walk_serial(d, tid, [=](index_t pos, NoWait& wait) mutable {
         body(reverse ? last - pos : pos, wait);
       });
       return;
     case ExecStrategy::kAuto:
       return;  // unreachable: a resolved core never runs kAuto
   }
+}
+
+template <class F>
+DoacrossStats DagPlan::run_inline(F&& f) {
+  throw_if_poisoned();
+  using clock = std::chrono::steady_clock;
+  const clock::time_point t0 = clock::now();
+  try {
+    f();
+  } catch (...) {
+    // The walk's partial results are garbage, exactly as after a region
+    // fault: poison, and let this caller degrade.
+    poisoned_.store(true, std::memory_order_release);
+    throw;
+  }
+  DoacrossStats stats;
+  stats.execute_seconds =
+      std::chrono::duration<double>(clock::now() - t0).count();
+  return stats;
 }
 
 }  // namespace pdx::core

@@ -4,6 +4,12 @@
 
 namespace pdx::rt {
 
+namespace {
+thread_local unsigned tl_member = 0;
+}  // namespace
+
+unsigned ThreadPool::member() noexcept { return tl_member; }
+
 ThreadPool::ThreadPool(unsigned width)
     : width_(width == 0 ? std::max(1u, std::thread::hardware_concurrency())
                         : width),
@@ -26,6 +32,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_main(std::shared_ptr<Shared> sh, unsigned tid) {
+  tl_member = tid;
   std::uint64_t seen_epoch = 0;
   for (;;) {
     const RegionFn* job = nullptr;

@@ -127,6 +127,12 @@ class ThreadPool {
   /// Process-wide default pool, created on first use with hardware width.
   static ThreadPool& global();
 
+  /// The calling thread's member index: a worker's fixed tid, 0 on every
+  /// other thread (a region's caller is member 0). Code running inside a
+  /// region without a tid argument uses it to name its member — e.g. the
+  /// fault injector's tid filter under BatchDriver's lane groups.
+  static unsigned member() noexcept;
+
   /// Number of parallel_region dispatches so far (width-1 inline runs
   /// included). A fork/join is the unit of pool overhead, so fused
   /// executors assert on deltas of this counter: one preconditioner

@@ -1,5 +1,6 @@
 #include "solve/batch_driver.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -151,8 +152,29 @@ BatchReport BatchDriver::drain() {
       cg_systems_.push_back({job.b, job.x, screen_r_.data() + j * n,
                              &rep.reports[static_cast<std::size_t>(j)]});
     }
-    pcg_lockstep(*a_, cg_systems_, m_, cg_options(opts_.max_iterations),
-                 cg_scratch_);
+    const CgOptions copts = cg_options(opts_.max_iterations);
+    rep.lane_groups = lane_groups(cg_systems_.size());
+    if (cg_scratch_.size() < rep.lane_groups) {
+      cg_scratch_.resize(rep.lane_groups);
+    }
+    if (rep.lane_groups == 1) {
+      pcg_lockstep(*a_, cg_systems_, m_, copts, cg_scratch_[0]);
+    } else {
+      // Lane groups: each member runs its contiguous share of the
+      // systems as one lockstep solve through the settled serial plan's
+      // reentrant solve_strip. Lanes are independent and every lane
+      // kernel is elementwise, so any partition is bitwise identical to
+      // the single strip.
+      const std::span<const CgSystem> all(cg_systems_);
+      pool_->parallel_region(rep.lane_groups, [&](unsigned g, unsigned ng) {
+        const rt::IterRange r =
+            rt::static_block_range(static_cast<index_t>(all.size()), g, ng);
+        pcg_lockstep(*a_,
+                     all.subspan(static_cast<std::size_t>(r.begin),
+                                 static_cast<std::size_t>(r.size())),
+                     m_, copts, cg_scratch_[g]);
+      });
+    }
   } else {
     for (index_t j : live) {
       const Job& job = queue_[static_cast<std::size_t>(j)];
@@ -201,6 +223,20 @@ BatchReport BatchDriver::drain() {
   rep.degraded_serial = m_.degraded();
   queue_.clear();
   return rep;
+}
+
+unsigned BatchDriver::lane_groups(std::size_t live) const {
+  const sparse::TrisolvePlan& plan = m_.plan();
+  if (!plan.settled() ||
+      plan.strategy() != sparse::ExecutionStrategy::kSerial) {
+    return 1;
+  }
+  // Capped by the plan's region width, not the pool's, so a plan pinned
+  // to one thread (the service's exact-serial fallback) stays on one.
+  const std::size_t g = std::min<std::size_t>(
+      plan.nthreads(),
+      live / static_cast<std::size_t>(sparse::kernels::kLaneMin));
+  return g >= 2 ? static_cast<unsigned>(g) : 1;
 }
 
 CgOptions BatchDriver::cg_options(int max_iterations) const {

@@ -14,6 +14,13 @@
 //     and a system leaves the strip when it converges, breaks down or
 //     runs out of iterations. BiCGSTAB and GMRES run job by job on the
 //     same plan;
+//   * lane groups: when the plan is settled serial (both races over, not
+//     poisoned) and its region is wider than one thread, the live systems
+//     split into G = min(width, live / kLaneMin) contiguous groups, and
+//     when G >= 2 each group runs its own pcg_lockstep — its own strip
+//     and apply_strip calls — on one member of ONE pool region. Lanes
+//     never read each other, so across lanes the loop is a doall: no
+//     thread waits on another until the region joins (DESIGN.md §8);
 //   * jobs the first attempt leaves unconverged climb the per-job retry
 //     ladder (max_attempts), warm-started from the first attempt's x.
 //
@@ -125,6 +132,11 @@ struct BatchReport {
   std::uint64_t precond_solves = 0;
   /// Pool fork/joins consumed by this drain (rt::DispatchProbe delta).
   std::uint64_t pool_dispatches = 0;
+  /// Lane groups the CG systems ran in: 1 when the drain did not split.
+  /// With G >= 2, group g took the live (unscreened) systems
+  /// rt::static_block_range(live, g, G) in enqueue order, and
+  /// precond_solves sums the groups' strip applications.
+  unsigned lane_groups = 1;
   /// Jobs whose FINAL attempt stopped on a numerical breakdown (the
   /// per-job SolveReport carries the reason).
   std::size_t breakdowns = 0;
@@ -177,6 +189,9 @@ class BatchDriver {
  private:
   SolveReport run_attempt(KrylovMethod method, std::span<const double> b,
                           std::span<double> x, int max_iterations);
+  /// G for `live` CG systems: 1 unless the plan is settled serial and
+  /// wide enough to give G >= 2 groups at least kLaneMin lanes each.
+  unsigned lane_groups(std::size_t live) const;
   CgOptions cg_options(int max_iterations) const;
 
   struct Job {
@@ -193,9 +208,9 @@ class BatchDriver {
   // drains of steady traffic allocate nothing for the screen itself.
   std::vector<double> screen_r_;  // n-by-jobs, column-major
   // Lockstep CG state, grown once like the screen scratch; each system's
-  // initial residual is its screen_r_ column.
+  // initial residual is its screen_r_ column. One scratch per lane group.
   std::vector<CgSystem> cg_systems_;
-  CgScratch cg_scratch_;
+  std::vector<CgScratch> cg_scratch_;
 };
 
 }  // namespace pdx::solve

@@ -104,11 +104,12 @@ void DoacrossIlu0Preconditioner::apply_seq(std::span<const double> r,
   // Graceful degradation (DESIGN.md §12): the parallel plan is poisoned
   // but the FACTORS are intact, so the sequential Fig. 7 loops — the very
   // arithmetic the plan is bitwise-gated against — keep serving correct
-  // answers at sequential speed until the caller rebuilds.
-  fb_tmp_.resize(r.size());
-  sparse::trisolve_lower_seq(f_.l, r, fb_tmp_);
-  sparse::trisolve_upper_seq(f_.u, fb_tmp_, z);
-  ++fallbacks_;
+  // answers at sequential speed until the caller rebuilds. The scratch
+  // is per call: lane groups may degrade concurrently.
+  std::vector<double> tmp(r.size());
+  sparse::trisolve_lower_seq(f_.l, r, tmp);
+  sparse::trisolve_upper_seq(f_.u, tmp, z);
+  fallbacks_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void DoacrossIlu0Preconditioner::apply(std::span<const double> r,

@@ -9,6 +9,7 @@
 // doacross executor.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <span>
 #include <vector>
@@ -111,7 +112,9 @@ class DoacrossIlu0Preconditioner final : public Preconditioner {
 
   /// Strip application in ONE pool dispatch through the shared plan
   /// (TrisolvePlan::solve_strip); a one-lane strip is the fused
-  /// single-RHS solve. `n` must equal the plan's row count.
+  /// single-RHS solve. `n` must equal the plan's row count. Reentrant
+  /// when the plan is settled serial, as solve_strip is — the serial
+  /// fallback included, which keeps its scratch per call.
   void apply_strip(index_t n, const double* r, double* z,
                    index_t k) const override;
 
@@ -142,7 +145,9 @@ class DoacrossIlu0Preconditioner final : public Preconditioner {
   /// only the parallel executor is lost until the object is rebuilt.
   bool degraded() const noexcept { return plan_.poisoned(); }
   /// Columns served by the sequential fallback since construction.
-  std::uint64_t serial_fallbacks() const noexcept { return fallbacks_; }
+  std::uint64_t serial_fallbacks() const noexcept {
+    return fallbacks_.load(std::memory_order_relaxed);
+  }
   /// Attach a fault-injection harness (tests only); forwarded to the
   /// solve plan and to the factor plan once refactor() builds it.
   void set_fault_injector(rt::FaultInjector* injector) noexcept;
@@ -157,8 +162,7 @@ class DoacrossIlu0Preconditioner final : public Preconditioner {
   mutable sparse::TrisolvePlan plan_;
   std::unique_ptr<sparse::FactorPlan> factor_plan_;  // built on 1st refactor
   rt::FaultInjector* injector_ = nullptr;
-  mutable std::vector<double> fb_tmp_;      // scratch of the serial fallback
-  mutable std::uint64_t fallbacks_ = 0;
+  mutable std::atomic<std::uint64_t> fallbacks_{0};
 };
 
 }  // namespace pdx::solve

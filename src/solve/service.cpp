@@ -562,6 +562,7 @@ void Service::process_strip(Tenant& t, std::vector<JobHandle>& strip) {
   strip_jobs_.fetch_add(live.size(), std::memory_order_relaxed);
   try {
     const BatchReport rep = d->drain();
+    t.lane_groups = rep.lane_groups;
     const bool degraded = !planned || rep.degraded_serial;
     for (std::size_t j = 0; j < live.size(); ++j) {
       const SolveReport& sr = rep.reports[j];
@@ -939,6 +940,7 @@ MatrixInfo Service::matrix_info(MatrixId id) const {
     info.refresh_ms = plan.telemetry().refresh_ms;
   }
   info.refreshes = t->refreshes;
+  info.lane_groups = t->lane_groups;
   info.breaker = t->breaker;
   info.consecutive_failures = t->consecutive_failures;
   info.backoff_ms = t->backoff_ms;

@@ -246,6 +246,9 @@ struct MatrixInfo {
   BreakerState breaker = BreakerState::kClosed;
   int consecutive_failures = 0;
   double backoff_ms = 0.0;
+  /// BatchReport::lane_groups of the tenant's latest drain (0 before the
+  /// first).
+  unsigned lane_groups = 0;
 };
 
 class Service;
@@ -397,6 +400,7 @@ class Service {
     sparse::Csr pending;
 
     std::uint64_t refreshes = 0;  // value-only refreshes applied
+    unsigned lane_groups = 0;     // of the latest drain
 
     // Circuit breaker.
     BreakerState breaker = BreakerState::kClosed;

@@ -293,12 +293,12 @@ core::DagPlanConfig core_config(const PlanOptions& o) noexcept {
 
 template <bool kLook, class MakeRow>
 void TrisolvePlan::walk(bool upper, unsigned tid, unsigned nthreads,
-                        MakeRow&& row) {
+                        MakeRow&& row, const double* tp, index_t k) {
   // Walk-order walks visit each thread's positions consecutively; with
   // kLook their rows read through an AheadSrc, whose hook the core calls.
   auto in_order = [&](auto src) {
     if constexpr (kLook) {
-      return row(AheadSrc<decltype(src)>{src, strip_, strip_k_});
+      return row(AheadSrc<decltype(src)>{src, tp, k});
     } else {
       return row(src);
     }
@@ -328,9 +328,10 @@ void TrisolvePlan::walk(bool upper, unsigned tid, unsigned nthreads,
         return;
       case ExecutionStrategy::kSerial:
         if (packed.packed()) {
-          core_.walk_serial(d, in_order(PackedWalkSrc{packed.cursor(0)}));
+          core_.walk_serial(d, tid,
+                            in_order(PackedWalkSrc{packed.cursor(0)}));
         } else {
-          core_.walk_serial(d, in_order(csr));
+          core_.walk_serial(d, tid, in_order(csr));
         }
         return;
       case ExecutionStrategy::kAuto:
@@ -410,9 +411,11 @@ TrisolvePlan::TrisolvePlan(rt::ThreadPool& pool, const Csr& l, const Csr* u,
     walk<false>(true, tid, nth, vec(up_rhs_, up_y_));
   });
   strip_region_ = core_.contained([this](unsigned tid, unsigned nth) {
-    // One pass per factor with all k lanes in the strip: even the serial
-    // walk retires k right-hand sides per nonzero through one lane
-    // kernel.
+    // One pass per factor with all k lanes in the strip.
+    if (core_.strategy() == ExecutionStrategy::kSerial) {
+      serial_strip(strip_in_, strip_, strip_k_, tid);
+      return;
+    }
     const auto strip = [this](bool upper) {
       return [this, upper](auto src) {
         return StripRow<decltype(src)>{src, upper ? nullptr : strip_in_,
@@ -420,9 +423,11 @@ TrisolvePlan::TrisolvePlan(rt::ThreadPool& pool, const Csr& l, const Csr* u,
       };
     };
     const auto both = [&](auto look) {
-      walk<decltype(look)::value>(false, tid, nth, strip(false));
+      walk<decltype(look)::value>(false, tid, nth, strip(false), strip_,
+                                  strip_k_);
       core_.handoff();
-      walk<decltype(look)::value>(true, tid, nth, strip(true));
+      walk<decltype(look)::value>(true, tid, nth, strip(true), strip_,
+                                  strip_k_);
     };
     if (want_lookahead(core_.lanes(), strip_k_)) {
       both(std::true_type{});
@@ -581,7 +586,7 @@ void TrisolvePlan::refresh_values(const IluFactors& f) {
 core::DoacrossStats TrisolvePlan::run(const rt::ThreadPool::RegionFn& region,
                                       bool kernel_epoch, index_t columns) {
   const core::DoacrossStats stats = core_.dispatch(region);
-  ++solves_;
+  solves_.fetch_add(1, std::memory_order_relaxed);
   // Race bookkeeping only after a SUCCESSFUL run: a fault threw out of
   // dispatch() after poisoning the plan, without feeding either race or
   // the cache. When the strategy race locks in, resolve the deferred
@@ -657,7 +662,7 @@ core::DoacrossStats TrisolvePlan::run_column(const double* b, double* x) {
   // A one-lane strip would be the fused solve over an n-by-1 copy of
   // tmp_: the same bits, plus a slower walk.
   const core::DoacrossStats stats = run_fused(b, x);
-  if (n_ > 0) ++batch_columns_;
+  if (n_ > 0) batch_columns_.fetch_add(1, std::memory_order_relaxed);
   return stats;
 }
 
@@ -686,8 +691,43 @@ core::DoacrossStats TrisolvePlan::run_strip(index_t k) {
                                                                  : 1u)) &&
          "a strip solve must cost exactly one pool dispatch (zero serial)");
 #endif
-  batch_columns_ += static_cast<std::uint64_t>(k);
+  batch_columns_.fetch_add(static_cast<std::uint64_t>(k),
+                           std::memory_order_relaxed);
   return stats;
+}
+
+void TrisolvePlan::serial_strip(const double* in, double* x, index_t k,
+                                unsigned tid) {
+  if (k == 1) {
+    // One lane is a vector: solve()'s rows, solved in place in x rather
+    // than through tmp_ — a backward row reads its own forward result
+    // before it overwrites it, so the bits are the fused solve's.
+    const auto vec = [this, x](const double* rhs) {
+      return [this, rhs, x](auto src) {
+        return VecRow<decltype(src)>{src, rhs, x, core_.lanes(), core_.ulp()};
+      };
+    };
+    walk<false>(false, tid, 1, vec(in ? in : x));
+    walk<false>(true, tid, 1, vec(x));
+    return;
+  }
+  // Even the serial walk retires k right-hand sides per nonzero through
+  // one lane kernel.
+  const auto strip = [this, in, x, k](bool upper) {
+    return [this, in, x, k, upper](auto src) {
+      return StripRow<decltype(src)>{src, upper ? nullptr : in, x, k,
+                                     core_.lanes()};
+    };
+  };
+  const auto both = [&](auto look) {
+    walk<decltype(look)::value>(false, tid, 1, strip(false), x, k);
+    walk<decltype(look)::value>(true, tid, 1, strip(true), x, k);
+  };
+  if (want_lookahead(core_.lanes(), k)) {
+    both(std::true_type{});
+  } else {
+    both(std::false_type{});
+  }
 }
 
 namespace {
@@ -718,8 +758,24 @@ core::DoacrossStats TrisolvePlan::solve_strip(std::span<const double> b,
                                               std::span<double> x,
                                               index_t k) {
   check_strip_args("solve_strip", u_ != nullptr, n_, b.size(), x.size(), k);
+  const double* in = b.data() == x.data() ? nullptr : b.data();
+  // The reentrant entry (see the header): a settled serial plan runs the
+  // serial strip walk straight from the arguments. Poison is monotonic,
+  // so a serial plan poisoned under concurrent callers takes this entry
+  // too and throws in run_inline without touching shared state.
+  if (core_.strategy() == ExecutionStrategy::kSerial &&
+      (core_.settled() || core_.poisoned())) {
+    if (n_ == 0) return {};
+    const unsigned tid = rt::ThreadPool::member();
+    const core::DoacrossStats stats =
+        core_.run_inline([&] { serial_strip(in, x.data(), k, tid); });
+    solves_.fetch_add(1, std::memory_order_relaxed);
+    batch_columns_.fetch_add(static_cast<std::uint64_t>(k),
+                             std::memory_order_relaxed);
+    return stats;
+  }
   if (k == 1) return run_column(b.data(), x.data());
-  strip_in_ = b.data() == x.data() ? nullptr : b.data();
+  strip_in_ = in;
   strip_ = x.data();
   return run_strip(k);
 }

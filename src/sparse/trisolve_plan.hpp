@@ -36,10 +36,13 @@
 //
 // Lifetime: the plan keeps references to the pool and the factor matrices;
 // both must outlive it. One plan serves one caller at a time (solve
-// members mutate plan-owned scratch state), exactly like DoacrossEngine.
-// Epoch semantics and the deadlock-freedom argument are in DESIGN.md.
+// members mutate plan-owned scratch state), exactly like DoacrossEngine —
+// except solve_strip on a settled serial plan, which is reentrant (see
+// there). Epoch semantics and the deadlock-freedom argument are in
+// DESIGN.md.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -228,7 +231,16 @@ class TrisolvePlan {
   /// that lane. One wavefront-interleaved pass per factor carries all k
   /// lanes (DESIGN.md §8): the forward solve reads row i of B and solves
   /// into row i of X, the backward solve updates X in place, so X may
-  /// alias B. A one-lane strip IS a vector: k == 1 runs solve().
+  /// alias B. A one-lane strip IS a vector: k == 1 runs solve()'s rows.
+  ///
+  /// Threading: on a settled() serial plan, solve_strip is reentrant —
+  /// any number of threads may each solve their own strips at once, for
+  /// any k. The serial strip walk reads its strips and k from its
+  /// arguments and writes only the caller's x (k == 1 solves in place in
+  /// x, not through the plan's tmp_); solves() and batch_columns() count
+  /// exactly; a fault in one caller poisons the plan, and the others'
+  /// later calls throw rt::PlanPoisonedError. Every other plan state
+  /// keeps the one-caller rule.
   core::DoacrossStats solve_strip(std::span<const double> b,
                                   std::span<double> x, index_t k);
 
@@ -286,13 +298,20 @@ class TrisolvePlan {
   /// solves time the remaining candidates before the plan locks in.
   /// Every exploration solve is bitwise identical to the final plan.
   bool calibrating() const noexcept { return core_.calibrating(); }
+  /// No race left to run and not poisoned: strategy, layout and kernel
+  /// table are final (core::DagPlan::settled).
+  bool settled() const noexcept { return core_.settled(); }
   /// Chosen strategy, rationale and the measured structure behind it.
   const PlanTelemetry& telemetry() const noexcept { return telemetry_; }
   /// Completed solve_* calls (one per pool dispatch; a whole strip counts
-  /// once).
-  std::uint64_t solves() const noexcept { return solves_; }
+  /// once). Exact under concurrent solve_strip callers.
+  std::uint64_t solves() const noexcept {
+    return solves_.load(std::memory_order_relaxed);
+  }
   /// Total right-hand sides completed through solve_strip / solve_batch.
-  std::uint64_t batch_columns() const noexcept { return batch_columns_; }
+  std::uint64_t batch_columns() const noexcept {
+    return batch_columns_.load(std::memory_order_relaxed);
+  }
   std::uint32_t lower_epoch() const noexcept {
     return core_.dag(kLower).ready.epoch();
   }
@@ -329,9 +348,10 @@ class TrisolvePlan {
   /// current strategy: pick the row source the strategy and layout read
   /// (DESIGN.md §10) and hand `row(src)` — the row body over it — to the
   /// core's walk. kLook runs walk-order walks with the next-record
-  /// lookahead.
+  /// lookahead over the k-lane strip `tp`.
   template <bool kLook, class MakeRow>
-  void walk(bool upper, unsigned tid, unsigned nthreads, MakeRow&& row);
+  void walk(bool upper, unsigned tid, unsigned nthreads, MakeRow&& row,
+            const double* tp = nullptr, index_t k = 0);
   /// Stream both factors into execution-ordered slabs (PlanLayout::
   /// kPacked): lay the slabs out, then run ONE pool dispatch in which
   /// each thread packs — first-touches — its own slab for both factors.
@@ -346,6 +366,11 @@ class TrisolvePlan {
   core::DoacrossStats run_column(const double* b, double* x);
   /// The k-lane strip region over strip_in_ / strip_.
   core::DoacrossStats run_strip(index_t k);
+  /// The one serial strip walk: X = U⁻¹ (L⁻¹ B) for k lanes on the
+  /// calling thread, B = `in` (nullptr: in place in `x`). Reads nothing
+  /// per call through members, so a settled plan runs it reentrantly;
+  /// `tid` names the caller to the fault injector.
+  void serial_strip(const double* in, double* x, index_t k, unsigned tid);
 
   const Csr* l_;
   const Csr* u_;  // nullptr for a lower-only plan
@@ -377,8 +402,8 @@ class TrisolvePlan {
 
   rt::ThreadPool::RegionFn lower_region_, upper_region_, fused_region_,
       strip_region_, refresh_region_;
-  std::uint64_t solves_ = 0;
-  std::uint64_t batch_columns_ = 0;
+  std::atomic<std::uint64_t> solves_{0};
+  std::atomic<std::uint64_t> batch_columns_{0};
   std::uint64_t refreshes_ = 0;
 };
 

@@ -4,7 +4,9 @@
 // the results are bitwise identical to running each system alone — the
 // lockstep CG drain column by column against pcg, and the retry ladder
 // against the per-job ladder. Also covers the batched admission screen,
-// queue reuse, and a kAuto strategy race run inside a wide first strip.
+// queue reuse, a kAuto strategy race run inside a wide first strip, and
+// lane groups: a settled serial plan's drain split across the pool, its
+// answers and its fault containment.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +20,8 @@
 #include "gen/block_operator.hpp"
 #include "gen/rng.hpp"
 #include "gen/stencil.hpp"
+#include "runtime/failure.hpp"
+#include "runtime/schedule.hpp"
 #include "runtime/thread_pool.hpp"
 #include "solve/batch_driver.hpp"
 #include "solve/bicgstab.hpp"
@@ -366,6 +370,39 @@ void expect_same_report(const solve::SolveReport& got,
   }
 }
 
+/// The lane groups a drain of `live` unscreened CG systems splits into:
+/// min(width, live / kLaneMin) on a settled serial plan when that is at
+/// least 2, else 1.
+unsigned expected_groups(bool settled_serial, unsigned width,
+                         std::size_t live) {
+  if (!settled_serial) return 1;
+  const std::size_t g = std::min<std::size_t>(
+      width, live / static_cast<std::size_t>(sp::kernels::kLaneMin));
+  return g >= 2 ? static_cast<unsigned>(g) : 1;
+}
+
+/// The plan strip applications of a CG drain: one lockstep solve per
+/// lane group over the partition BatchReport::lane_groups states, each
+/// costing its slowest system's iterations (the first application, then
+/// one after every iteration that leaves a system running).
+std::uint64_t expected_solves(const solve::BatchReport& rep) {
+  std::vector<int> live;  // iterations of each unscreened system
+  for (const solve::SolveReport& r : rep.reports) {
+    if (!(r.converged && r.iterations == 0)) live.push_back(r.iterations);
+  }
+  std::uint64_t total = 0;
+  for (unsigned g = 0; g < rep.lane_groups; ++g) {
+    const rt::IterRange r = rt::static_block_range(
+        static_cast<index_t>(live.size()), g, rep.lane_groups);
+    int slowest = 0;
+    for (index_t i = r.begin; i < r.end; ++i) {
+      slowest = std::max(slowest, live[static_cast<std::size_t>(i)]);
+    }
+    total += static_cast<std::uint64_t>(slowest);
+  }
+  return total;
+}
+
 }  // namespace
 
 TEST(BatchDriver, LockstepCgMatchesColumnMajorReferenceBitwise) {
@@ -439,8 +476,19 @@ TEST(BatchDriver, LockstepCgMatchesColumnMajorReferenceBitwise) {
             if (!got.converged) ++out_of_budget;
           }
           EXPECT_EQ(rep.screened, static_cast<std::size_t>(screened)) << cfg;
-          EXPECT_EQ(rep.precond_solves, static_cast<std::uint64_t>(slowest))
+          // Settled serial plans (calibration off) wider than one thread
+          // split into lane groups; each group's lockstep solve costs its
+          // own slowest system's iterations.
+          EXPECT_EQ(rep.lane_groups,
+                    expected_groups(
+                        strategy == sp::ExecutionStrategy::kSerial, threads,
+                        static_cast<std::size_t>(k - screened)))
               << cfg;
+          EXPECT_EQ(rep.precond_solves, expected_solves(rep)) << cfg;
+          if (rep.lane_groups == 1) {
+            EXPECT_EQ(rep.precond_solves, static_cast<std::uint64_t>(slowest))
+                << cfg;
+          }
           if (k >= 8) {
             // The strip really mixes every way a column can leave it.
             std::sort(converged_at.begin(), converged_at.end());
@@ -735,5 +783,214 @@ TEST(BatchDriver, LockstepBreakdownAfterProgressWritesThePreUpdateX) {
     const auto want = reference_pcg(a, b[c], y, m, copts);
     expect_same_report(got[c], want, "system " + std::to_string(c));
     EXPECT_EQ(x[c], y) << "system " << c;
+  }
+}
+
+namespace {
+
+/// A strip laid out for `groups` lane groups (rt::static_block_range
+/// over k, as BatchReport::lane_groups states). Within each group the
+/// first, middle and last lanes start from guesses perturbed by 1e-9,
+/// 1e-6 and 1e-3 off their solutions, so they converge at three
+/// different iterations; every other lane solves a rough right-hand side
+/// from zero and runs out of budget. Lane `nan_lane` (-1: none) gets one
+/// NaN right-hand-side entry.
+Strip make_group_strip(const sp::Csr& a, index_t k, unsigned groups,
+                       index_t nan_lane, std::uint64_t seed) {
+  const index_t n = a.rows;
+  const std::size_t nn = static_cast<std::size_t>(n);
+  Strip s;
+  s.b.resize(static_cast<std::size_t>(k));
+  s.x0.resize(static_cast<std::size_t>(k));
+  for (unsigned g = 0; g < groups; ++g) {
+    const rt::IterRange r = rt::static_block_range(k, g, groups);
+    const index_t mid = r.begin + r.size() / 2;
+    for (index_t c = r.begin; c < r.end; ++c) {
+      const std::size_t cc = static_cast<std::size_t>(c);
+      const std::uint64_t cs = seed + 97 * cc;
+      std::vector<double>& b = s.b[cc];
+      std::vector<double>& x0 = s.x0[cc];
+      if (c == r.begin || c == mid || c == r.end - 1) {
+        const double eps = c == r.begin ? 1e-9 : c == mid ? 1e-6 : 1e-3;
+        const auto x_true = random_vec(n, cs);
+        const auto noise = random_vec(n, cs + 1);
+        b.resize(nn);
+        sp::spmv(a, x_true, b);
+        x0 = x_true;
+        for (std::size_t i = 0; i < nn; ++i) x0[i] += eps * noise[i];
+      } else {
+        b = random_vec(n, cs + 2);
+        x0.assign(nn, 0.0);
+      }
+      if (c == nan_lane) b[nn / 2] = std::nan("");
+    }
+  }
+  return s;
+}
+
+/// Enqueue `s` into `driver` from copies of its guesses, drain, and check
+/// every lane's x and report bit for bit against the column-major
+/// reference over sequential ILU(0). Returns the drain's report.
+solve::BatchReport drain_and_compare(solve::BatchDriver& driver,
+                                     const sp::Csr& a, const Strip& s,
+                                     const solve::CgOptions& copts,
+                                     const std::string& cfg) {
+  const solve::Ilu0Preconditioner ref_m(a);
+  const std::size_t k = s.b.size();
+  std::vector<std::vector<double>> x = s.x0;
+  for (std::size_t c = 0; c < k; ++c) driver.enqueue(s.b[c], x[c]);
+  const solve::BatchReport rep = driver.drain();
+  EXPECT_EQ(rep.reports.size(), k) << cfg;
+  for (std::size_t c = 0; c < k && c < rep.reports.size(); ++c) {
+    std::vector<double> y = s.x0[c];
+    const auto want = reference_pcg(a, s.b[c], y, ref_m, copts);
+    const std::string where = cfg + " lane " + std::to_string(c);
+    expect_same_report(rep.reports[c], want, where);
+    for (std::size_t i = 0; i < y.size(); ++i) {
+      EXPECT_TRUE(same_bits(x[c][i], y[i])) << where << " row " << i;
+      if (!same_bits(x[c][i], y[i])) break;
+    }
+  }
+  return rep;
+}
+
+solve::BatchDriverOptions settled_serial_opts(unsigned width,
+                                              const solve::CgOptions& copts) {
+  solve::BatchDriverOptions opts;
+  opts.max_iterations = copts.max_iterations;
+  opts.rel_tolerance = copts.rel_tolerance;
+  opts.record_history = copts.record_history;
+  opts.nthreads = width;
+  opts.strategy = sp::ExecutionStrategy::kSerial;
+  opts.calibration_epochs = 0;  // neither race is armed: settled at once
+  opts.use_tuning_cache = false;
+  return opts;
+}
+
+}  // namespace
+
+TEST(BatchDriver, LaneGroupsSplitASettledSerialDrainAndMatchTheReferenceBitwise) {
+  // A serial plan with both races off is settled from the start, so every
+  // drain of at least 2 * kLaneMin systems on a wider region splits into
+  // lane groups, all of them in ONE pool dispatch (the serial strip
+  // solves cost none). Lanes leave first, middle and last within each
+  // group at different iterations, the rest run out of budget, and one
+  // NaN right-hand side in group 1 breaks down alone — every lane bitwise
+  // equal to the reference.
+  const sp::Csr a = gen::five_point(24, 24);
+  solve::CgOptions copts;
+  copts.max_iterations = 30;
+  copts.rel_tolerance = 1e-10;
+  copts.record_history = true;
+
+  for (unsigned width : {2u, 3u, 4u}) {
+    solve::BatchDriver driver(pool(), a, settled_serial_opts(width, copts));
+    ASSERT_TRUE(driver.preconditioner().plan().settled());
+    for (index_t k : {8, 9, 17, 24, 33}) {
+      const std::string cfg =
+          "width " + std::to_string(width) + " k " + std::to_string(k);
+      const unsigned groups =
+          expected_groups(true, width, static_cast<std::size_t>(k));
+      ASSERT_GE(groups, 2u) << cfg;
+      const index_t nan_lane = rt::static_block_range(k, 1, groups).begin + 1;
+      const Strip s = make_group_strip(a, k, groups, nan_lane,
+                                       3000 + static_cast<std::uint64_t>(k));
+      const solve::BatchReport rep = drain_and_compare(driver, a, s, copts, cfg);
+      ASSERT_EQ(rep.reports.size(), static_cast<std::size_t>(k)) << cfg;
+
+      EXPECT_EQ(rep.screened, 0u) << cfg;
+      EXPECT_EQ(rep.lane_groups, groups) << cfg;
+      EXPECT_EQ(rep.pool_dispatches, 1u) << cfg;
+      EXPECT_EQ(rep.precond_solves, expected_solves(rep)) << cfg;
+      EXPECT_FALSE(rep.degraded_serial) << cfg;
+      EXPECT_EQ(rep.breakdowns, 1u) << cfg;
+      EXPECT_TRUE(rep.reports[static_cast<std::size_t>(nan_lane)].breakdown)
+          << cfg;
+      for (unsigned g = 0; g < groups; ++g) {
+        const rt::IterRange r = rt::static_block_range(k, g, groups);
+        const auto& first = rep.reports[static_cast<std::size_t>(r.begin)];
+        const auto& middle =
+            rep.reports[static_cast<std::size_t>(r.begin + r.size() / 2)];
+        const auto& last = rep.reports[static_cast<std::size_t>(r.end - 1)];
+        const std::string where = cfg + " group " + std::to_string(g);
+        EXPECT_TRUE(first.converged && middle.converged && last.converged)
+            << where;
+        EXPECT_LT(first.iterations, middle.iterations) << where;
+        EXPECT_LT(middle.iterations, last.iterations) << where;
+        EXPECT_LT(last.iterations, copts.max_iterations) << where;
+        if (g != 1) {
+          const auto& rough = rep.reports[static_cast<std::size_t>(r.begin + 1)];
+          EXPECT_FALSE(rough.converged) << where << ": a rough lane runs out";
+          EXPECT_EQ(rough.iterations, copts.max_iterations) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchDriver, LaneGroupsWaitForTheKernelRaceToSettle) {
+  // A pinned serial plan whose kernel race is armed (kAuto kernels on a
+  // machine with a vector table) is not settled: its first drain runs as
+  // one strip and feeds the race; once the race is over, the next drain
+  // splits. Under a forced-scalar table no race is armed and the first
+  // drain splits already. Either way every lane is bitwise the reference.
+  const sp::Csr a = gen::five_point(24, 24);
+  solve::CgOptions copts;
+  copts.max_iterations = 30;
+  copts.rel_tolerance = 1e-10;
+  copts.record_history = true;
+  solve::BatchDriverOptions opts = settled_serial_opts(2, copts);
+  opts.calibration_epochs = 2;
+  solve::BatchDriver driver(pool(), a, opts);
+  const sp::TrisolvePlan& plan = driver.preconditioner().plan();
+  EXPECT_EQ(plan.settled(),
+            plan.telemetry().isa == sp::kernels::KernelIsa::kScalar);
+
+  const index_t k = 16;
+  for (int drain = 0; drain < 2; ++drain) {
+    const std::string cfg = "drain " + std::to_string(drain);
+    const bool settled = plan.settled();
+    const Strip s = make_group_strip(a, k, 2, -1, 5000 + 7 * drain);
+    const solve::BatchReport rep = drain_and_compare(driver, a, s, copts, cfg);
+    EXPECT_EQ(rep.lane_groups, settled ? 2u : 1u) << cfg;
+    EXPECT_EQ(rep.precond_solves, expected_solves(rep)) << cfg;
+    EXPECT_TRUE(plan.settled()) << cfg << ": one wide drain ends the race";
+  }
+}
+
+TEST(BatchDriver, AFaultInOneLaneGroupPoisonsThePlanButNoAnswer) {
+  // A row fault inside one group's serial strip solve — group 1's on pool
+  // member 1, or group 0's on the caller — poisons the shared plan. The
+  // faulting group recomputes that application sequentially, the other
+  // group's next application finds the plan poisoned and degrades too,
+  // and every answer stays bitwise exact. The next drain runs whole on
+  // the sequential fallback.
+  const sp::Csr a = gen::five_point(24, 24);
+  solve::CgOptions copts;
+  copts.max_iterations = 30;
+  copts.rel_tolerance = 1e-10;
+  copts.record_history = true;
+  const index_t k = 16;
+
+  for (int tid : {1, 0}) {
+    const std::string cfg = "fault in group " + std::to_string(tid);
+    solve::BatchDriver driver(pool(), a, settled_serial_opts(2, copts));
+    rt::FaultInjector injector;
+    driver.set_fault_injector(&injector);
+    injector.arm_throw(tid, a.rows / 2, "injected lane-group fault");
+
+    const Strip s = make_group_strip(a, k, 2, -1, 6000);
+    const solve::BatchReport rep = drain_and_compare(driver, a, s, copts, cfg);
+    EXPECT_EQ(injector.faults_fired(), 1) << cfg;
+    EXPECT_EQ(rep.lane_groups, 2u) << cfg;
+    EXPECT_TRUE(rep.degraded_serial) << cfg;
+    EXPECT_TRUE(driver.preconditioner().degraded()) << cfg;
+    EXPECT_GT(driver.preconditioner().serial_fallbacks(), 0u) << cfg;
+
+    const Strip again = make_group_strip(a, k, 2, -1, 6100);
+    const solve::BatchReport next =
+        drain_and_compare(driver, a, again, copts, cfg + " next drain");
+    EXPECT_EQ(next.lane_groups, 1u) << cfg;
+    EXPECT_TRUE(next.degraded_serial) << cfg;
   }
 }
