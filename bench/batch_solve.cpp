@@ -30,6 +30,13 @@
 // bitwise against per-column pcg over sequential ILU(0). There is no
 // knob: the two pools are the only difference.
 //
+// A fourth row measures the wavefront walk (DESIGN.md §9): single-RHS
+// solve() on a serial plan over ILU(0) of I + 0.35·K, K the 64² 5-point
+// operator (the timestep server's step operator), with the order race
+// given a large budget. `wavefront_gain` is the source-order best µs over
+// the wavefront best µs, both read from the plan's order-race record;
+// every raced solve is verified bitwise against the sequential solves.
+//
 // `--json <path>` additionally writes the tables as a JSON artifact (CI
 // publishes it as BENCH_batch.json), with a `machine` block (nproc,
 // affinity CPUs, cgroup cpu.max, ISA). The bench exits 1 on any bitwise
@@ -53,6 +60,7 @@
 #include "solve/cg.hpp"
 #include "solve/precond.hpp"
 #include "sparse/ilu0.hpp"
+#include "sparse/trisolve.hpp"
 #include "sparse/trisolve_plan.hpp"
 
 namespace bench = pdx::bench;
@@ -84,6 +92,14 @@ struct SplitRow {
   unsigned groups;  // lane groups of the width-2 drain
   double ms_width1, ms_width2;
   double gain;  // ms_width1 / ms_width2
+};
+
+struct WaveRow {
+  index_t grid;
+  int epochs;  // raced solves per order
+  double us_source, us_wavefront;
+  double gain;  // us_source / us_wavefront
+  const char* winner;
 };
 
 /// Lockstep CG at one thread over the columns of b (column-major, n by
@@ -194,6 +210,55 @@ SplitRow lane_split_row(int reps, bool& exact) {
                              bench::time_call([&] { drain(d2); }) * 1e3);
   }
   row.gain = row.ms_width1 / row.ms_width2;
+  return row;
+}
+
+/// The order race of a serial plan over ILU(0) of I + 0.35·K on the 64²
+/// grid, run to lock-in with `epochs` solves per order. Clears `exact` if
+/// any raced solve differs from the sequential solves.
+WaveRow wavefront_row(rt::ThreadPool& pool, bool& exact) {
+  const index_t grid = 64;
+  const int epochs = 200;
+  sp::Csr a = gen::five_point(grid, grid);
+  for (index_t i = 0; i < a.rows; ++i) {
+    for (index_t p = a.row_begin(i); p < a.row_end(i); ++p) {
+      double& v = a.val[static_cast<std::size_t>(p)];
+      v *= 0.35;
+      if (a.idx[static_cast<std::size_t>(p)] == i) v += 1.0;
+    }
+  }
+  const sp::IluFactors f = sp::ilu0(a);
+  const std::size_t n = static_cast<std::size_t>(a.rows);
+  gen::SplitMix64 rng(31);
+  std::vector<double> rhs(n), t(n), z_seq(n), z(n);
+  for (auto& v : rhs) v = rng.next_double(-1.0, 1.0);
+  sp::trisolve_lower_seq(f.l, rhs, t);
+  sp::trisolve_upper_seq(f.u, t, z_seq);
+
+  sp::PlanOptions opts;
+  opts.nthreads = 1;
+  opts.strategy = sp::ExecutionStrategy::kSerial;
+  opts.calibration_epochs = epochs;
+  opts.use_tuning_cache = false;
+  sp::TrisolvePlan plan(pool, f.l, f.u, opts);
+  while (plan.order_racing()) {
+    std::fill(z.begin(), z.end(), 0.0);
+    plan.solve(rhs, z);
+    if (z != z_seq) {
+      exact = false;
+      std::fprintf(stderr, "MISMATCH %s-order walk vs sequential solves\n",
+                   pdx::core::to_string(plan.telemetry().order));
+    }
+  }
+  // The race explores source order first, then the wavefront walk.
+  const auto& timings = plan.telemetry().order_race.timings;
+  WaveRow row{grid,
+              epochs,
+              timings[0].best_us,
+              timings[1].best_us,
+              0.0,
+              pdx::core::to_string(plan.telemetry().order)};
+  row.gain = row.us_wavefront > 0 ? row.us_source / row.us_wavefront : 0.0;
   return row;
 }
 
@@ -352,6 +417,24 @@ int main(int argc, char** argv) {
   std::printf("Bitwise check vs per-column pcg: %s.\n",
               split_exact ? "exact" : "FAILED");
 
+  bool wave_exact = true;
+  const WaveRow wave = wavefront_row(pool, wave_exact);
+  all_exact = all_exact && wave_exact;
+  bench::Table wave_table({"grid", "epochs/order", "source(us)",
+                           "wavefront(us)", "wavefront_gain", "locked in"});
+  wave_table.row()
+      .cell(static_cast<long long>(wave.grid))
+      .cell(wave.epochs)
+      .cell(wave.us_source, 1)
+      .cell(wave.us_wavefront, 1)
+      .cell(wave.gain, 2)
+      .cell(wave.winner);
+  std::printf("\nWavefront walk: single-RHS solve() on a serial plan over "
+              "ILU(0) of I + 0.35 K, the order race's best per order:\n");
+  wave_table.print();
+  std::printf("Bitwise check vs sequential solves: %s.\n",
+              wave_exact ? "exact" : "FAILED");
+
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     out << "{\n  \"bench\": \"batch_solve\",\n"
@@ -386,7 +469,14 @@ int main(int argc, char** argv) {
         << ", \"k\": " << split.k << ", \"lane_groups\": " << split.groups
         << ", \"ms_width1\": " << split.ms_width1
         << ", \"ms_width2\": " << split.ms_width2
-        << ", \"cg_lane_split_gain\": " << split.gain << "}\n  ]\n}\n";
+        << ", \"cg_lane_split_gain\": " << split.gain << "}\n  ],\n"
+        << "  \"wavefront\": [\n"
+        << "    {\"threads\": 1, \"grid\": " << wave.grid
+        << ", \"epochs\": " << wave.epochs
+        << ", \"us_source\": " << wave.us_source
+        << ", \"us_wavefront\": " << wave.us_wavefront
+        << ", \"wavefront_gain\": " << wave.gain << ", \"order\": \""
+        << wave.winner << "\"}\n  ]\n}\n";
     std::printf("wrote %s\n", json_path.c_str());
   }
   return all_exact ? 0 : 1;

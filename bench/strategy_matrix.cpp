@@ -11,7 +11,11 @@
 // plan's calibration race to lock-in (DESIGN.md §13) before timing its
 // steady state — so the reported Auto number is the measured winner, and
 // the JSON carries the full race (per-strategy best_us, epochs) next to
-// the decision. The Auto strategy is additionally timed under
+// the decision. A serial plan — every concrete serial row, and Auto at
+// one thread or when serial wins — also races its walk order (DESIGN.md
+// §13); the Auto row runs that race to lock-in too, and a cell whose
+// order race locked in counts as calibrated, so the 1-thread cells are
+// gated like the others. The Auto strategy is additionally timed under
 // PlanOptions::layout = kCsrView so the packed-stream contribution
 // (DESIGN.md §10) is separated from the strategy choice;
 // ci/perf_gate.py gates Auto against the best measured strategy per
@@ -70,6 +74,10 @@ struct Row {
   bool cache_hit = false;
   int exploration_epochs = 0;
   std::vector<core::StrategyTiming> race;
+  // Auto row only: the walk order of a serial pick and whether it was
+  // measured (DESIGN.md §13).
+  core::WalkOrder order = core::WalkOrder::kSource;
+  bool order_calibrated = false;
 };
 
 std::vector<index_t> random_perm(index_t n, std::uint64_t seed) {
@@ -191,10 +199,12 @@ int main(int argc, char** argv) {
       aopts.nthreads = nth;
       aopts.strategy = ExecutionStrategy::kAuto;
       sp::TrisolvePlan autoplan(pool, f.l, f.u, aopts);
-      // Run the calibration race to lock-in (bitwise-gated like the
+      // Run the calibration races to lock-in (bitwise-gated like the
       // concrete strategies), then time only steady-state solves on the
       // measured winner.
-      while (autoplan.calibrating()) autoplan.solve(rhs, z);
+      while (autoplan.calibrating() || autoplan.order_racing()) {
+        autoplan.solve(rhs, z);
+      }
       for (index_t i = 0; i < n; ++i) {
         if (z[static_cast<std::size_t>(i)] !=
             z_seq[static_cast<std::size_t>(i)]) {
@@ -215,14 +225,19 @@ int main(int argc, char** argv) {
       sp::PlanOptions vopts = aopts;
       vopts.layout = sp::PlanLayout::kCsrView;
       sp::TrisolvePlan viewplan(pool, f.l, f.u, vopts);
-      while (viewplan.calibrating()) viewplan.solve(rhs, z);
+      while (viewplan.calibrating() || viewplan.order_racing()) {
+        viewplan.solve(rhs, z);
+      }
       const auto view_samples =
           bench::time_samples(reps, 1, [&] { viewplan.solve(rhs, z); });
       const double us_view =
           *std::min_element(view_samples.begin(), view_samples.end()) * 1e6;
       Row auto_row{w.name,  nth,  autoplan.strategy(),
                    us_auto, true, autoplan.telemetry().rationale};
-      auto_row.calibrated = autoplan.telemetry().race.calibrated;
+      auto_row.order = autoplan.telemetry().order;
+      auto_row.order_calibrated = autoplan.telemetry().order_race.calibrated;
+      auto_row.calibrated =
+          autoplan.telemetry().race.calibrated || auto_row.order_calibrated;
       auto_row.cache_hit = autoplan.telemetry().race.cache_hit;
       auto_row.exploration_epochs =
           autoplan.telemetry().race.exploration_epochs;
@@ -287,7 +302,10 @@ int main(int argc, char** argv) {
             << core::to_string(r.strategy) << "\", \"calibrated\": "
             << (r.calibrated ? "true" : "false") << ", \"cache_hit\": "
             << (r.cache_hit ? "true" : "false")
-            << ", \"exploration_epochs\": " << r.exploration_epochs;
+            << ", \"exploration_epochs\": " << r.exploration_epochs
+            << ", \"walk_order\": \"" << core::to_string(r.order)
+            << "\", \"order_calibrated\": "
+            << (r.order_calibrated ? "true" : "false");
         if (!r.race.empty()) {
           out << ", \"race\": [";
           for (std::size_t j = 0; j < r.race.size(); ++j) {

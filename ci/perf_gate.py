@@ -22,9 +22,12 @@ that already divide out the machine:
                             (1.0 = Auto IS the best; the gate also
                             enforces an absolute per-cell floor,
                             default 0.8 i.e. within 25% of best,
-                            override PDX_AUTO_BEST_FLOOR). Uncalibrated
-                            cells (one thread, or budget 0) carry the
-                            heuristic pick and are not gated.
+                            override PDX_AUTO_BEST_FLOOR). A cell counts
+                            as calibrated when its strategy race or its
+                            serial walk-order race locked in, so the
+                            one-thread cells are gated too; cells with
+                            budget 0 carry the heuristic pick and are
+                            not gated.
   batch.speedup_ilv     sequential / batched-wavefront-interleaved
                         per-RHS time (batch_solve)
   batch.cg_lockstep_gain    lockstep CG at k = 1 / at k in {8, 16, 32}
@@ -41,6 +44,15 @@ that already divide out the machine:
                             than 2 usable CPUs (affinity mask and cgroup
                             cpu.max quota): the groups cannot run
                             concurrently there
+  batch.wavefront_gain  source-order / wavefront-walk best time of a
+                        single-RHS solve() on a serial plan over ILU(0) of
+                        the 64x64 timestep operator, read from the plan's
+                        order race (batch_solve) — what walking the
+                        inspector's level order on one thread buys.
+                        Additionally carries an absolute floor of 1.2x
+                        (WAVEFRONT_FLOOR): a baseline captured after the
+                        walk regressed would otherwise ratchet the promise
+                        away
   refactor.factor_speedup   sequential ilu0 / planned parallel numeric
                             factorization time (refactor_loop)
   refactor.refresh_speedup  full TrisolvePlan rebuild / value-only
@@ -96,6 +108,8 @@ import sys
 
 # Absolute floor on the threads-1 service.batch_gain row.
 SERVICE_GAIN_FLOOR = 1.5
+# Absolute floor on every batch.wavefront_gain row.
+WAVEFRONT_FLOOR = 1.2
 
 
 def geomean(values):
@@ -139,9 +153,9 @@ def strategy_metrics(doc):
         key = (row.get("matrix"), row.get("threads"))
         if "layout_speedup" in row and row["layout_speedup"] > 0:
             layout[key] = row["layout_speedup"]
-        # Only calibrated cells are gated: a cell without a race (one
-        # thread, or calibration disabled) carries the heuristic pick,
-        # which makes no measured-best promise.
+        # Only calibrated cells are gated: a cell without a race
+        # (calibration disabled) carries the heuristic pick, which makes
+        # no measured-best promise. One-thread cells race the walk order.
         if (row.get("rationale") and row.get("calibrated")
                 and row.get("us_per_solve", 0) > 0 and key in best_us):
             auto_vs_best[key] = best_us[key] / row["us_per_solve"]
@@ -167,7 +181,7 @@ def usable_cpus(doc):
 
 def batch_metrics(doc):
     """Metric-class -> {row_key: ratio} for a batch_solve artifact."""
-    ilv, cg, split = {}, {}, {}
+    ilv, cg, split, wave = {}, {}, {}, {}
     for row in doc.get("results", []):
         key = (row.get("threads"), row.get("k"))
         if row.get("speedup_ilv", 0) > 0:
@@ -180,8 +194,13 @@ def batch_metrics(doc):
         if row.get("cg_lane_split_gain", 0) > 0:
             split[(row.get("threads"), row.get("k"))] = \
                 row["cg_lane_split_gain"]
+    for row in doc.get("wavefront", []):
+        if row.get("wavefront_gain", 0) > 0:
+            wave[(row.get("threads"), row.get("grid"))] = \
+                row["wavefront_gain"]
     return {"batch.speedup_ilv": ilv, "batch.cg_lockstep_gain": cg,
-            "batch.cg_lane_split_gain": split}
+            "batch.cg_lane_split_gain": split,
+            "batch.wavefront_gain": wave}
 
 
 def refactor_metrics(doc):
@@ -304,6 +323,17 @@ def main():
                       f"floor {floor:.2f} — the Auto pick runs "
                       f"{1.0 / v:.2f}x slower than the best measured "
                       f"strategy for that cell")
+                ok = False
+
+    # Absolute floor on the wavefront walk: the relative compare alone
+    # would let a baseline captured on a regressed walk lower the bar.
+    if "batch.wavefront_gain" in classes:
+        for key, v in sorted(classes["batch.wavefront_gain"][0].items()):
+            if v < WAVEFRONT_FLOOR:
+                print(f"batch.wavefront_gain: row {key} = {v:.3f} below "
+                      f"floor {WAVEFRONT_FLOOR:.2f} — the wavefront walk "
+                      f"no longer beats the source-order walk on the "
+                      f"timestep operator")
                 ok = False
 
     if args.service:

@@ -149,10 +149,11 @@ int main(int argc, char** argv) {
   // live plans — 1 symbolic build serving steps-1 refreshes.
   std::printf(
       "\namortization: %llu plan build(s) served %llu value refresh(es) "
-      "across %d steps (strategy %s, breaker %s).\n",
+      "across %d steps (strategy %s, %s-order walk, breaker %s).\n",
       static_cast<unsigned long long>(rep.cache_misses),
       static_cast<unsigned long long>(rep.value_refreshes), steps,
-      pdx::core::to_string(mi.strategy), to_string(mi.breaker));
+      pdx::core::to_string(mi.strategy),
+      mi.wavefront ? "wavefront" : "source", to_string(mi.breaker));
 
   if (!svc.shutdown(/*drain_timeout_ms=*/10000.0)) {
     std::printf("shutdown did not drain — FAIL\n");

@@ -221,22 +221,42 @@ std::size_t TuningCache::KeyHash::operator()(
   return h;
 }
 
-bool TuningCache::lookup(const TuningKey& key, ExecStrategy& out) {
+template <class T>
+bool TuningCache::find(const TuningKey& key,
+                       std::optional<T> Verdicts::*verdict, T& out) {
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = map_.find(key);
-  if (it == map_.end()) {
+  if (it == map_.end() || !(it->second.*verdict)) {
     ++misses_;
     return false;
   }
   ++hits_;
-  out = it->second;
+  out = *(it->second.*verdict);
   return true;
 }
 
-void TuningCache::store(const TuningKey& key, ExecStrategy winner) {
+template <class T>
+void TuningCache::put(const TuningKey& key,
+                      std::optional<T> Verdicts::*verdict, T winner) {
   const std::lock_guard<std::mutex> lock(mu_);
-  map_[key] = winner;
+  map_[key].*verdict = winner;
   ++stores_;
+}
+
+bool TuningCache::lookup(const TuningKey& key, ExecStrategy& out) {
+  return find(key, &Verdicts::strategy, out);
+}
+
+bool TuningCache::lookup(const TuningKey& key, WalkOrder& out) {
+  return find(key, &Verdicts::order, out);
+}
+
+void TuningCache::store(const TuningKey& key, ExecStrategy winner) {
+  put(key, &Verdicts::strategy, winner);
+}
+
+void TuningCache::store(const TuningKey& key, WalkOrder winner) {
+  put(key, &Verdicts::order, winner);
 }
 
 void TuningCache::clear() {

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -49,6 +50,19 @@ inline const char* to_string(ExecStrategy s) noexcept {
     case ExecStrategy::kSerial: return "serial";
   }
   return "?";
+}
+
+/// The order a serial single-RHS walk visits rows in (DESIGN.md §9). Both
+/// run every row's body after all of its producers, so both are bitwise
+/// identical to the sequential loop; they differ in how much of the walk
+/// one core's out-of-order window can overlap.
+enum class WalkOrder : std::uint8_t {
+  kSource,     ///< rows in source order: row i waits on row i-1's divide
+  kWavefront,  ///< the inspector's level order: neighbours are independent
+};
+
+inline const char* to_string(WalkOrder o) noexcept {
+  return o == WalkOrder::kWavefront ? "wavefront" : "source";
 }
 
 /// Inspector-measured dependence structure of a triangular solve — the
@@ -164,14 +178,17 @@ struct TuningCacheStats {
 /// Process-wide memo of measured race winners, shared by every plan build
 /// on every thread (a mutex guards the map — lookups happen once per plan
 /// build, never on a solve path). Only empirically measured winners are
-/// stored; heuristic-only picks never enter the cache.
+/// stored; heuristic-only picks never enter the cache. A key holds a
+/// strategy verdict and a walk-order verdict independently.
 class TuningCache {
  public:
   /// True and sets `out` when a measured winner exists for `key`.
   bool lookup(const TuningKey& key, ExecStrategy& out);
+  bool lookup(const TuningKey& key, WalkOrder& out);
   /// Record a race winner (later races over the same key overwrite —
   /// fresher measurements win).
   void store(const TuningKey& key, ExecStrategy winner);
+  void store(const TuningKey& key, WalkOrder winner);
   /// Drop every entry and zero the counters (tests; otherwise entries
   /// live for the process lifetime — patterns are few, entries are tiny).
   void clear();
@@ -182,8 +199,19 @@ class TuningCache {
     std::size_t operator()(const TuningKey& k) const noexcept;
   };
 
+  struct Verdicts {
+    std::optional<ExecStrategy> strategy;
+    std::optional<WalkOrder> order;
+  };
+  template <class T>
+  bool find(const TuningKey& key, std::optional<T> Verdicts::*verdict,
+            T& out);
+  template <class T>
+  void put(const TuningKey& key, std::optional<T> Verdicts::*verdict,
+           T winner);
+
   mutable std::mutex mu_;
-  std::unordered_map<TuningKey, ExecStrategy, KeyHash> map_;
+  std::unordered_map<TuningKey, Verdicts, KeyHash> map_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t stores_ = 0;

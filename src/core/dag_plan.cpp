@@ -49,7 +49,10 @@ void DagPlan::decide(const TrisolveStructure& s, const ScheduleAdvice& advice) {
   // walk runs the same row bodies, so every candidate is bitwise
   // identical: the first runs time each candidate invisibly.
   const bool can_calibrate = cfg_.calibration_epochs > 0 && nth_ > 1 && n_ > 0;
-  if (!can_calibrate) return;
+  if (!can_calibrate) {
+    arm_order_race(s);
+    return;
+  }
   if (cfg_.use_tuning_cache) {
     tuning_key_ = make_tuning_key(s, nth_, cfg_.factor);
     have_tuning_key_ = true;
@@ -61,6 +64,7 @@ void DagPlan::decide(const TrisolveStructure& s, const ScheduleAdvice& advice) {
                         " measured fastest earlier for this (pattern, threads)";
       tel_->race.calibrated = true;
       tel_->race.cache_hit = true;
+      arm_order_race(s);
       return;
     }
   }
@@ -80,12 +84,71 @@ void DagPlan::decide(const TrisolveStructure& s, const ScheduleAdvice& advice) {
                      cfg_.epoch + "s";
 }
 
+bool DagPlan::can_race_order() const noexcept {
+  return cfg_.order_race && cfg_.calibration_epochs > 0 && n_ > 0 &&
+         tel_->strategy == ExecStrategy::kSerial;
+}
+
+void DagPlan::arm_order_race(const TrisolveStructure& s) {
+  // A serial walk may visit rows in the inspector's level order: every
+  // row still runs after its producers, so the bits are the source-order
+  // walk's, but neighbouring rows no longer wait on each other's divide.
+  // Whether that beats source order depends on the matrix and the core
+  // (an RCM ordering already keeps a row's producers close), so it is
+  // measured.
+  if (!can_race_order() || order_race_.active() ||
+      order_race_.state().calibrated) {
+    return;
+  }
+  if (cfg_.use_tuning_cache) {
+    // One thread walks either order at any region width, so the verdict
+    // is keyed at procs = 1 and shared across widths.
+    order_key_ = make_tuning_key(s, 1, cfg_.factor);
+    have_order_key_ = true;
+    WalkOrder cached;
+    if (tuning_cache().lookup(order_key_, cached)) {
+      order_race_.adopt(cached);
+      lock_in_order();
+      return;
+    }
+  }
+  order_race_.arm(cfg_.calibration_epochs);
+  publish_order();
+}
+
+void DagPlan::publish_order() {
+  tel_->order_race = order_race_.state();
+  tel_->order = order_race_.candidate();
+}
+
+void DagPlan::lock_in_order() {
+  publish_order();
+  const OrderRaceState& r = tel_->order_race;
+  std::string why = "from the tuning cache";
+  if (!r.cache_hit) {
+    const bool wave = tel_->order == WalkOrder::kWavefront;
+    why = "measured fastest (" +
+          std::to_string(r.timings[wave ? 1 : 0].best_us) + " vs " +
+          std::to_string(r.timings[wave ? 0 : 1].best_us) + " us/" +
+          cfg_.epoch + " over " + std::to_string(r.exploration_epochs) +
+          " exploration " + cfg_.epoch + "s)";
+  }
+  tel_->rationale +=
+      std::string("; walk order: ") + to_string(tel_->order) + " " + why;
+  if (!needs_order()) {
+    for (unsigned i = 0; i < dag_count_; ++i) dags_[i].order.reset();
+  }
+}
+
 bool DagPlan::needs_order() const noexcept {
   // Level-barrier executes the levels themselves; doacross uses the order
-  // only when asked to. A calibration race keeps the orders alive — the
-  // level-barrier and doacross candidates need them; the winner drops
+  // only when asked to; the wavefront walk is a serial walk over them. A
+  // running race keeps the orders alive — the level-barrier and doacross
+  // candidates and the wavefront candidate need them; the winner drops
   // what it does not use at lock-in.
-  return calibrating_ || tel_->strategy == ExecStrategy::kLevelBarrier ||
+  return calibrating_ || order_race_.active() ||
+         tel_->order == WalkOrder::kWavefront ||
+         tel_->strategy == ExecStrategy::kLevelBarrier ||
          (tel_->strategy == ExecStrategy::kDoacross && cfg_.reorder);
 }
 
@@ -138,6 +201,7 @@ void DagPlan::finish_calibration() {
                     std::to_string(tel_->race.exploration_epochs) +
                     " exploration " + cfg_.epoch + "s)";
   if (have_tuning_key_) tuning_cache().store(tuning_key_, winner);
+  arm_order_race(tel_->structure);
   if (!needs_order()) {
     for (unsigned i = 0; i < dag_count_; ++i) dags_[i].order.reset();
   }
@@ -173,25 +237,37 @@ void DagPlan::resolve_kernel() noexcept {
   }
 }
 
-bool DagPlan::begin_kernel_epoch(bool eligible) noexcept {
+EpochKind DagPlan::begin_kernel_epoch(bool eligible) noexcept {
   // Fed only after the strategy race locked in, so the timing compares
   // kernels, not strategies. Both candidates are bitwise identical on
   // the lane paths, so exploring is invisible to callers.
-  if (!kernel_race_.active() || calibrating_ || !eligible) return false;
+  if (!kernel_race_.active() || calibrating_ || !eligible) {
+    return EpochKind::kPlain;
+  }
   const kernels::KernelChoice cand = kernel_race_.candidate();
   set_lanes(cand == kernels::KernelChoice::kScalar ? &kernels::scalar_ops()
                                                    : &kernels::dispatched_ops());
   tel_->kernel = cand;
-  return true;
+  return EpochKind::kKernel;
 }
 
-bool DagPlan::end_epoch(double seconds, bool kernel_epoch, index_t columns) {
+bool DagPlan::end_epoch(double seconds, EpochKind kind, index_t columns) {
   // Normalize per column so epochs of different batch widths compare: a
   // lockstep strip narrows as its systems converge, so candidates raced
   // later would otherwise be timed on fewer columns.
   const double us = seconds * 1e6 / static_cast<double>(columns);
   if (calibrating_) return note_calibration_epoch(us);
-  if (kernel_epoch) {
+  if (kind == EpochKind::kOrder && order_race_.active()) {
+    if (!order_race_.note_epoch(us)) {
+      publish_order();
+    } else {
+      if (have_order_key_) {
+        tuning_cache().store(order_key_, order_race_.winner());
+      }
+      lock_in_order();
+    }
+  }
+  if (kind == EpochKind::kKernel) {
     if (kernel_race_.note_epoch(us)) {
       set_lanes(kernel_race_.winner() == kernels::KernelChoice::kScalar
                     ? &kernels::scalar_ops()

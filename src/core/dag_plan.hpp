@@ -11,8 +11,10 @@
 // A DagPlan owns, for one plan:
 //
 //   the walks          flags + rt::schedule_run (kDoacross), level slices
-//                      + barrier (kLevelBarrier), the inline source-order
-//                      walk (kSerial) — each written once, here
+//                      + barrier (kLevelBarrier), the inline walk on the
+//                      calling thread (kSerial) in source order or, for
+//                      single-RHS bodies, the inspector's level order —
+//                      each written once, here
 //   per-DAG state      an EpochReadyTable, a claim cursor and the optional
 //                      doconsider Reordering per dependence DAG (a solve
 //                      plan walks two: L and U)
@@ -22,8 +24,9 @@
 //                      pool region)
 //   the races          heuristic opening bid, the {serial, doacross,
 //                      level-barrier} calibration race, the TuningCache,
-//                      and the scalar-vs-vector kernel race (DESIGN.md
-//                      §13/§14)
+//                      the {source, wavefront} order race of single-RHS
+//                      serial walks, and the scalar-vs-vector kernel race
+//                      (DESIGN.md §13/§14)
 //
 // A row body is called as `body(pos, wait)` for execution position `pos`.
 // It calls `wait(dep)` before reading row `dep`'s result: the flag walk
@@ -39,7 +42,9 @@
 // calling thread between dispatches — so a region bound once at
 // construction reads the current strategy whenever it runs. The one
 // exception is run_inline on a settled() plan: it writes nothing shared
-// but the poison flag, so concurrent callers may each run one.
+// but the poison flag, so concurrent callers may each run one. (An order
+// race still exploring on a settled plan changes the walk order only in
+// end_epoch, on the calling thread, never while run_inline callers run.)
 #pragma once
 
 #include <atomic>
@@ -52,6 +57,7 @@
 #include "core/advisor.hpp"
 #include "core/doacross_stats.hpp"
 #include "core/doconsider.hpp"
+#include "core/race.hpp"
 #include "core/ready_table.hpp"
 #include "runtime/aligned.hpp"
 #include "runtime/barrier.hpp"
@@ -63,6 +69,10 @@
 namespace pdx::core {
 
 namespace kernels = sparse::kernels;
+
+/// Record of the {source, wavefront} race of a serial plan's single-RHS
+/// walks (DESIGN.md §13): source explores first and keeps a tie.
+using OrderRaceState = RaceState<WalkOrder>;
 
 /// The decision, race and kernel record every plan reports; DagPlan
 /// writes it (PlanTelemetry and FactorTelemetry extend it).
@@ -93,6 +103,12 @@ struct ExecTelemetry {
   /// The scalar-vs-vector kernel race record (armed only for kAuto
   /// kernels on machines with a vector ISA).
   kernels::KernelRaceState kernel_race;
+  /// The order serial single-RHS walks follow: the current candidate
+  /// while the order race explores, the measured winner once locked in.
+  WalkOrder order = WalkOrder::kSource;
+  /// The order race record (armed only on serial plans whose config
+  /// allows it — DagPlanConfig::order_race).
+  OrderRaceState order_race;
 };
 
 /// What a plan's options fix for the core at build time.
@@ -111,6 +127,10 @@ struct DagPlanConfig {
   double ulp_tolerance = 0.0;
   /// Factorization races key the TuningCache apart from solve races.
   bool factor = false;
+  /// Serial single-RHS bodies may walk the doconsider order: once the
+  /// strategy is serial, race it against source order (TrisolvePlan over
+  /// CSR views; packed slabs are laid out in source order).
+  bool order_race = false;
   /// Plan name for error messages and the noun one epoch is ("solve",
   /// "factorization") for the race rationale.
   const char* name = "plan";
@@ -133,6 +153,16 @@ struct Dag {
   const index_t* order_data() const noexcept {
     return order ? order->order.data() : nullptr;
   }
+};
+
+/// What a successful run may feed besides the strategy race, which every
+/// run feeds while it explores.
+enum class EpochKind : std::uint8_t {
+  kPlain,   ///< nothing else
+  kKernel,  ///< the kernel race (begin_kernel_epoch said so)
+  kOrder,   ///< the order race: a fused single-RHS run dispatched on
+            ///< the calling thread (ignored unless the order race
+            ///< explores)
 };
 
 /// The wait the level and serial walks pass: every dependence is final.
@@ -177,8 +207,19 @@ class DagPlan {
   /// kAuto: take the advisor's heuristic pick over the measured structure
   /// as the opening bid, then — when a race is viable (parallel width,
   /// calibration_epochs > 0, non-empty) — consult the TuningCache or arm
-  /// the race over {serial, doacross, level-barrier}.
+  /// the race over {serial, doacross, level-barrier}. A serial pick that
+  /// no strategy race follows arms the order race.
   void decide(const TrisolveStructure& s, const ScheduleAdvice& advice);
+
+  /// Whether a serial plan's order race can arm: the config allows it,
+  /// calibration_epochs > 0, non-empty, and the strategy is serial.
+  bool can_race_order() const noexcept;
+  /// Arm the {source, wavefront} order race (DESIGN.md §13) over the
+  /// measured lower structure `s` — or replay its verdict from the
+  /// TuningCache. No-op unless can_race_order(). A pinned serial plan
+  /// calls it after building; decide() and the strategy race's lock-in
+  /// call it for a serial pick.
+  void arm_order_race(const TrisolveStructure& s);
 
   /// Whether the current strategy (or a running race) executes through
   /// the DAGs' doconsider orders.
@@ -202,15 +243,18 @@ class DagPlan {
   template <class Body>
   [[gnu::noinline]] void walk_levels(Dag& d, unsigned tid, unsigned nthreads,
                                      Body body);
-  /// Serial walk: every position in source order on the calling thread;
-  /// `tid` names it to the fault injector.
+  /// Serial walk: every position in turn on the calling thread; `tid`
+  /// names it to the fault injector. `ord` is the order the body's row
+  /// source follows — the DAG's doconsider order for the wavefront walk,
+  /// nullptr for source order — so the injector names the row that runs.
   template <class Body>
-  [[gnu::noinline]] void walk_serial(Dag& d, unsigned tid, Body body);
+  [[gnu::noinline]] void walk_serial(Dag& d, unsigned tid, Body body,
+                                     const index_t* ord = nullptr);
   /// Run `d` under the current strategy with a body addressed by ROW —
   /// `body(row, wait)` — for bodies that need no per-walk row source
   /// (FactorPlan's elimination row): each walk maps its positions to rows
   /// (flag and level walks through the order when present, the serial
-  /// walk in source order).
+  /// walk in source order — the order race is a single-RHS solve's).
   template <class RowBody>
   void walk_rows(Dag& d, unsigned tid, unsigned nthreads, RowBody body);
   /// Between two DAG walks of one region: the flag walk ends without a
@@ -248,17 +292,17 @@ class DagPlan {
   void throw_if_poisoned() const;
 
   /// Before a run that may feed the kernel race: installs the current
-  /// kernel candidate and returns true when the strategy race is over, a
-  /// kernel race is exploring, and the run is `eligible` (actually
-  /// executes lane kernels).
-  bool begin_kernel_epoch(bool eligible) noexcept;
+  /// kernel candidate and returns kKernel when the strategy race is over,
+  /// a kernel race is exploring, and the run is `eligible` (actually
+  /// executes lane kernels); kPlain otherwise.
+  EpochKind begin_kernel_epoch(bool eligible) noexcept;
   /// After a SUCCESSFUL run (a faulted one threw out of dispatch before
-  /// this): feeds the strategy race while it explores, else the kernel
-  /// race when `kernel_epoch` — either race with the time normalized per
+  /// this): feeds the strategy race while it explores, else the race
+  /// `kind` names while it explores — each with the time normalized per
   /// `columns`, so runs of different batch widths compare. Returns
   /// true exactly when the strategy race locked in its winner — the
   /// caller then resolves whatever it deferred to lock-in.
-  bool end_epoch(double seconds, bool kernel_epoch, index_t columns = 1);
+  bool end_epoch(double seconds, EpochKind kind, index_t columns = 1);
 
   // --- accessors
 
@@ -266,6 +310,14 @@ class DagPlan {
   unsigned nthreads() const noexcept { return nth_; }
   ExecStrategy strategy() const noexcept { return tel_->strategy; }
   bool calibrating() const noexcept { return calibrating_; }
+  /// True while the order race explores. It never holds back settled():
+  /// only single-RHS runs on the calling thread feed it, and run_inline
+  /// callers walk the current order, which only end_epoch changes.
+  bool order_racing() const noexcept { return order_race_.active(); }
+  /// Serial single-RHS walks follow the DAGs' doconsider orders.
+  bool wavefront() const noexcept {
+    return tel_->order == WalkOrder::kWavefront;
+  }
   bool poisoned() const noexcept {
     return poisoned_.load(std::memory_order_acquire);
   }
@@ -294,6 +346,11 @@ class DagPlan {
   void set_guard() noexcept;
   bool note_calibration_epoch(double us);
   void finish_calibration();
+  /// Copy the order race's record and current order to the telemetry.
+  void publish_order();
+  /// Walk the order race's winner from here on, drop the orders nothing
+  /// walks any more, and append the verdict to the rationale.
+  void lock_in_order();
   void resolve_kernel() noexcept;
   void set_lanes(const kernels::LaneOps* ops) noexcept;
   index_t natural_row(const Dag& d, index_t pos) const noexcept {
@@ -322,6 +379,11 @@ class DagPlan {
   int cand_epoch_ = 0;
   TuningKey tuning_key_{};
   bool have_tuning_key_ = false;
+
+  // Order race state (DESIGN.md §13).
+  PairRace<WalkOrder> order_race_{WalkOrder::kSource, WalkOrder::kWavefront};
+  TuningKey order_key_{};
+  bool have_order_key_ = false;
 
   // Lane-kernel state (DESIGN.md §14).
   const kernels::LaneOps* lanes_ = nullptr;
@@ -384,13 +446,16 @@ void DagPlan::walk_levels(Dag& d, unsigned tid, unsigned nthreads,
 }
 
 template <class Body>
-void DagPlan::walk_serial(Dag& d, unsigned tid, Body body) {
+void DagPlan::walk_serial(Dag& d, unsigned tid, Body body,
+                          const index_t* ord) {
   // The strategy for chains is to pay NOTHING — no flags, no barrier, no
-  // pool wake-up: the sequential loop in source order.
+  // pool wake-up: the sequential loop, in source order or in the level
+  // order, where consecutive rows are independent and one core's
+  // out-of-order window overlaps them.
   rt::FaultInjector* const inj = injector_;
   NoWait wait;
   for (index_t pos = 0; pos < n_; ++pos) {
-    if (inj) inj->on_row(tid, natural_row(d, pos), &latch_);
+    if (inj) inj->on_row(tid, ord ? ord[pos] : natural_row(d, pos), &latch_);
     look_ahead(body, pos, n_);
     body(pos, wait);
   }

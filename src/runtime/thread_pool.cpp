@@ -6,9 +6,24 @@ namespace pdx::rt {
 
 namespace {
 thread_local unsigned tl_member = 0;
+thread_local bool tl_in_region = false;
+
+/// Marks the calling thread as running member 0 of a region for the
+/// scope, restoring the outer value (a region run inside another's body).
+class RegionScope {
+ public:
+  RegionScope() noexcept : outer_(tl_in_region) { tl_in_region = true; }
+  ~RegionScope() { tl_in_region = outer_; }
+  RegionScope(const RegionScope&) = delete;
+  RegionScope& operator=(const RegionScope&) = delete;
+
+ private:
+  bool outer_;
+};
 }  // namespace
 
 unsigned ThreadPool::member() noexcept { return tl_member; }
+bool ThreadPool::in_region() noexcept { return tl_in_region; }
 
 ThreadPool::ThreadPool(unsigned width)
     : width_(width == 0 ? std::max(1u, std::thread::hardware_concurrency())
@@ -33,6 +48,7 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::worker_main(std::shared_ptr<Shared> sh, unsigned tid) {
   tl_member = tid;
+  tl_in_region = true;  // a worker only ever runs region bodies
   std::uint64_t seen_epoch = 0;
   for (;;) {
     const RegionFn* job = nullptr;
@@ -74,6 +90,7 @@ void ThreadPool::parallel_region(unsigned nthreads, const RegionFn& fn) {
   nthreads = clamp_threads(nthreads);
   dispatches_.fetch_add(1, std::memory_order_relaxed);
   if (nthreads <= 1) {
+    const RegionScope scope;
     fn(0, 1);
     return;
   }
@@ -94,6 +111,7 @@ void ThreadPool::parallel_region(unsigned nthreads, const RegionFn& fn) {
 
   // The calling thread is member 0.
   try {
+    const RegionScope scope;
     fn(0, nthreads);
   } catch (...) {
     sh_->record_exception();

@@ -132,6 +132,11 @@ class ThreadPool {
   /// region without a tid argument uses it to name its member — e.g. the
   /// fault injector's tid filter under BatchDriver's lane groups.
   static unsigned member() noexcept;
+  /// True on a thread running a region body of any pool: a worker, or a
+  /// region's caller while it runs member 0. Code that serves one caller
+  /// through shared state and many region members through a reentrant
+  /// path tells the two apart with it.
+  static bool in_region() noexcept;
 
   /// Number of parallel_region dispatches so far (width-1 inline runs
   /// included). A fork/join is the unit of pool overhead, so fused

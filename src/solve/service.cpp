@@ -563,6 +563,8 @@ void Service::process_strip(Tenant& t, std::vector<JobHandle>& strip) {
   try {
     const BatchReport rep = d->drain();
     t.lane_groups = rep.lane_groups;
+    t.wavefront = d->preconditioner().plan().telemetry().order ==
+                  core::WalkOrder::kWavefront;
     const bool degraded = !planned || rep.degraded_serial;
     for (std::size_t j = 0; j < live.size(); ++j) {
       const SolveReport& sr = rep.reports[j];
@@ -669,14 +671,20 @@ void Service::ensure_driver(Tenant& t) {
 void Service::ensure_fallback(Tenant& t) {
   if (t.fallback) return;
   // Exact serial path: sequential-chain strategy over the CSR view, no
-  // parallel region to fault, no calibration, watchdog irrelevant. The
+  // parallel region to fault, no strategy race, watchdog irrelevant. The
   // Krylov configuration (method, tolerance, retry ladder) is kept so
-  // degraded answers meet the same convergence contract.
+  // degraded answers meet the same convergence contract, and so is the
+  // calibration budget: the serial plan still races its walk order,
+  // which is bitwise invisible (DESIGN.md §13). That is its only race:
+  // the kernel table is pinned to the one an unraced plan uses, and the
+  // degraded path neither reads nor writes the process-wide TuningCache.
   BatchDriverOptions o = opts_.solver;
   o.strategy = sparse::ExecutionStrategy::kSerial;
   o.layout = sparse::PlanLayout::kCsrView;
   o.nthreads = 1;
-  o.calibration_epochs = 0;
+  if (o.kernel == sparse::kernels::KernelChoice::kAuto) {
+    o.kernel = sparse::kernels::KernelChoice::kVector;
+  }
   o.use_tuning_cache = false;
   o.stall_budget = 0;
   t.fallback = std::make_unique<BatchDriver>(*pool_, t.a, o);
@@ -941,6 +949,7 @@ MatrixInfo Service::matrix_info(MatrixId id) const {
   }
   info.refreshes = t->refreshes;
   info.lane_groups = t->lane_groups;
+  info.wavefront = t->wavefront;
   info.breaker = t->breaker;
   info.consecutive_failures = t->consecutive_failures;
   info.backoff_ms = t->backoff_ms;

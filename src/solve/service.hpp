@@ -249,6 +249,10 @@ struct MatrixInfo {
   /// BatchReport::lane_groups of the tenant's latest drain (0 before the
   /// first).
   unsigned lane_groups = 0;
+  /// Whether the plan that ran the tenant's latest drain walks its
+  /// single-RHS serial solves in the inspector's level order (the order
+  /// race's verdict, or its current candidate while it explores).
+  bool wavefront = false;
 };
 
 class Service;
@@ -401,6 +405,7 @@ class Service {
 
     std::uint64_t refreshes = 0;  // value-only refreshes applied
     unsigned lane_groups = 0;     // of the latest drain
+    bool wavefront = false;       // of the latest drain's plan
 
     // Circuit breaker.
     BreakerState breaker = BreakerState::kClosed;

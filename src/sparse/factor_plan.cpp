@@ -322,7 +322,8 @@ FactorStats FactorPlan::factorize(const Csr& a, IluFactors& f) {
   // The kernel race feeds only on factorizations after the strategy race
   // locked in, so strategy exploration noise never pollutes the
   // scalar-vs-vector timings (both candidates are bitwise identical).
-  const bool kernel_epoch = core_.begin_kernel_epoch(/*eligible=*/true);
+  const core::EpochKind kernel_epoch =
+      core_.begin_kernel_epoch(/*eligible=*/true);
   gather_ = core_.ulp() ? core_.lanes()->gather_axpy_fma
                         : core_.lanes()->gather_axpy;
 

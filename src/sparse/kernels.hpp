@@ -44,6 +44,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/race.hpp"
 #include "runtime/types.hpp"
 
 namespace pdx::sparse::kernels {
@@ -180,78 +181,19 @@ inline void prefetch_read(const void* p) noexcept {
 #endif
 }
 
-/// One vector-vs-scalar exploration timing (mirrors core::StrategyTiming
-/// for the strategy race; DESIGN.md §14).
-struct KernelTiming {
-  KernelChoice kernel = KernelChoice::kScalar;
-  double best_us = 0.0;  ///< best normalized epoch time
-  int epochs = 0;        ///< epochs this choice was timed
-};
-
-/// The empirical kernel-race record a plan reports in its telemetry.
-struct KernelRaceState {
-  bool calibrated = false;     ///< a measured winner is locked in
-  int exploration_epochs = 0;  ///< timed dispatches spent exploring
-  std::vector<KernelTiming> timings;
-};
+/// The kernel race's record (DESIGN.md §14).
+using KernelTiming = core::RaceTiming<KernelChoice>;
+using KernelRaceState = core::RaceState<KernelChoice>;
 
 /// Scalar-vs-vector race bookkeeping shared by TrisolvePlan and
-/// FactorPlan. The strategy race (DESIGN.md §13) stays a pure 4-strategy
+/// FactorPlan. The strategy race (DESIGN.md §13) stays a pure strategy
 /// race — its budget and winner assertions are contractual — so the
 /// kernel dimension races separately, on the dispatches that actually
-/// execute lane kernels, after the strategy race has locked in. Both
-/// candidates are bitwise identical on those dispatches, so exploration
-/// is invisible to callers.
-class Race {
- public:
-  /// Arm with a per-choice epoch budget (vector explores first — it is
-  /// also the default when nothing ever feeds the race). Non-positive
-  /// budgets leave the race disarmed.
-  void arm(int epochs_per_choice) noexcept {
-    if (epochs_per_choice <= 0) return;
-    budget_ = epochs_per_choice;
-    active_ = true;
-    state_.timings = {KernelTiming{KernelChoice::kVector},
-                      KernelTiming{KernelChoice::kScalar}};
-  }
-  bool active() const noexcept { return active_; }
-  /// The choice the next raced dispatch should execute.
-  KernelChoice candidate() const noexcept {
-    return active_ ? state_.timings[idx_].kernel : winner_;
-  }
-  /// Record one raced dispatch's normalized time; advances the candidate
-  /// after its budget and locks in the winner when every choice has
-  /// spent its budget. Returns true exactly once, at lock-in.
-  bool note_epoch(double us) noexcept {
-    if (!active_) return false;
-    KernelTiming& t = state_.timings[idx_];
-    if (t.epochs == 0 || us < t.best_us) t.best_us = us;
-    ++t.epochs;
-    ++state_.exploration_epochs;
-    if (++epoch_ < budget_) return false;
-    epoch_ = 0;
-    if (++idx_ < state_.timings.size()) return false;
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < state_.timings.size(); ++i) {
-      if (state_.timings[i].best_us < state_.timings[best].best_us) best = i;
-    }
-    winner_ = state_.timings[best].kernel;
-    active_ = false;
-    state_.calibrated = true;
-    return true;
-  }
-  /// The locked-in choice (kVector until a race completes and says
-  /// otherwise — the vector table is the default).
-  KernelChoice winner() const noexcept { return winner_; }
-  const KernelRaceState& state() const noexcept { return state_; }
-
- private:
-  bool active_ = false;
-  int budget_ = 0;
-  int epoch_ = 0;
-  std::size_t idx_ = 0;
-  KernelChoice winner_ = KernelChoice::kVector;
-  KernelRaceState state_;
+/// execute lane kernels, after the strategy race has locked in. Vector
+/// explores first, and is the table whenever nothing feeds the race.
+struct Race : core::PairRace<KernelChoice> {
+  Race() noexcept
+      : PairRace(KernelChoice::kVector, KernelChoice::kScalar) {}
 };
 
 }  // namespace pdx::sparse::kernels

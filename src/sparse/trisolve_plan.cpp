@@ -274,7 +274,13 @@ struct AheadSrc {
   PackedRow at(index_t) const noexcept { return cur; }
 };
 
-core::DagPlanConfig core_config(const PlanOptions& o) noexcept {
+/// Single-RHS row bodies: the only ones the wavefront walk runs.
+template <class R>
+constexpr bool kVecRow = false;
+template <class Src>
+constexpr bool kVecRow<VecRow<Src>> = true;
+
+core::DagPlanConfig core_config(const PlanOptions& o, bool fused) noexcept {
   return {.nthreads = o.nthreads,
           .strategy = o.strategy,
           .schedule = o.schedule,
@@ -285,6 +291,11 @@ core::DagPlanConfig core_config(const PlanOptions& o) noexcept {
           .kernel = o.kernel,
           .ulp_tolerance = o.ulp_tolerance,
           .factor = false,
+          // Only the fused L+U solve feeds the order race, so a
+          // lower-only plan has nothing to time; a pinned packed layout
+          // streams the serial slabs in source order, so only CSR views
+          // can walk the level order.
+          .order_race = fused && o.layout != PlanLayout::kPacked,
           .name = "TrisolvePlan",
           .epoch = "solve"};
 }
@@ -306,7 +317,8 @@ void TrisolvePlan::walk(bool upper, unsigned tid, unsigned nthreads,
   // Packed slabs are read linearly by the walk-order walks and through
   // the position index by the flag walk (any schedule may claim any
   // position). CSR views read rows through the DAG's order — except the
-  // serial walk, which runs in source order.
+  // serial walk, which runs in source order unless single-RHS rows take
+  // the wavefront walk the order race picked.
   auto go = [&](core::Dag& d, const PackedFactorStream& packed, auto csr) {
     switch (core_.strategy()) {
       case ExecutionStrategy::kDoacross:
@@ -330,9 +342,14 @@ void TrisolvePlan::walk(bool upper, unsigned tid, unsigned nthreads,
         if (packed.packed()) {
           core_.walk_serial(d, tid,
                             in_order(PackedWalkSrc{packed.cursor(0)}));
-        } else {
-          core_.walk_serial(d, tid, in_order(csr));
+          return;
         }
+        // Single-RHS rows take the wavefront walk once the order race
+        // picked it; strips keep source order (DESIGN.md §9).
+        if constexpr (kVecRow<decltype(row(csr))>) {
+          if (core_.wavefront()) csr.order = d.order_data();
+        }
+        core_.walk_serial(d, tid, in_order(csr), csr.order);
         return;
       case ExecutionStrategy::kAuto:
         return;  // unreachable: the core never leaves kAuto
@@ -351,7 +368,8 @@ TrisolvePlan::TrisolvePlan(rt::ThreadPool& pool, const Csr& l, const Csr* u,
       u_(u),
       opts_(opts),
       n_(l.rows),
-      core_(pool, l.rows, u ? 2 : 1, core_config(opts), telemetry_) {
+      core_(pool, l.rows, u ? 2 : 1, core_config(opts, u != nullptr),
+            telemetry_) {
   check_factor(l, "lower");
   if (u) {
     check_factor(*u, "upper");
@@ -371,6 +389,11 @@ TrisolvePlan::TrisolvePlan(rt::ThreadPool& pool, const Csr& l, const Csr* u,
     dl.order = std::make_unique<core::Reordering>(lower_solve_reordering(l));
     const core::TrisolveStructure s = measure_lower_solve(l, *dl.order);
     core_.decide(s, core::advise_schedule(s, core_.nthreads()));
+  } else if (core_.can_race_order()) {
+    // A pinned serial plan races its walk order too; the measured
+    // structure keys the verdict in the TuningCache.
+    dl.order = std::make_unique<core::Reordering>(lower_solve_reordering(l));
+    core_.arm_order_race(measure_lower_solve(l, *dl.order));
   }
   if (core_.needs_order()) {
     if (!dl.order) {
@@ -584,14 +607,14 @@ void TrisolvePlan::refresh_values(const IluFactors& f) {
 }
 
 core::DoacrossStats TrisolvePlan::run(const rt::ThreadPool::RegionFn& region,
-                                      bool kernel_epoch, index_t columns) {
+                                      core::EpochKind kind, index_t columns) {
   const core::DoacrossStats stats = core_.dispatch(region);
   solves_.fetch_add(1, std::memory_order_relaxed);
   // Race bookkeeping only after a SUCCESSFUL run: a fault threw out of
-  // dispatch() after poisoning the plan, without feeding either race or
+  // dispatch() after poisoning the plan, without feeding any race or
   // the cache. When the strategy race locks in, resolve the deferred
   // layout: pack the winner's execution order.
-  if (core_.end_epoch(stats.execute_seconds, kernel_epoch, columns)) {
+  if (core_.end_epoch(stats.execute_seconds, kind, columns)) {
     build_packed();
   }
   return stats;
@@ -607,7 +630,7 @@ core::DoacrossStats TrisolvePlan::solve_lower(std::span<const double> rhs,
   core_.reset(core_.dag(kLower));
   lo_rhs_ = rhs.data();
   lo_y_ = y.data();
-  return run(lower_region_);
+  return run(lower_region_, core::EpochKind::kPlain);
 }
 
 core::DoacrossStats TrisolvePlan::solve_upper(std::span<const double> rhs,
@@ -623,7 +646,7 @@ core::DoacrossStats TrisolvePlan::solve_upper(std::span<const double> rhs,
   core_.reset(core_.dag(kUpper));
   up_rhs_ = rhs.data();
   up_y_ = z.data();
-  return run(upper_region_);
+  return run(upper_region_, core::EpochKind::kPlain);
 }
 
 core::DoacrossStats TrisolvePlan::run_fused(const double* rhs, double* z) {
@@ -634,7 +657,7 @@ core::DoacrossStats TrisolvePlan::run_fused(const double* rhs, double* z) {
   lo_y_ = tmp_.data();
   up_rhs_ = tmp_.data();
   up_y_ = z;
-  return run(fused_region_);
+  return run(fused_region_, core::EpochKind::kOrder);
 }
 
 core::DoacrossStats TrisolvePlan::solve(std::span<const double> rhs,
@@ -672,7 +695,8 @@ core::DoacrossStats TrisolvePlan::run_strip(index_t k) {
   // Scalar-vs-vector kernel race (DESIGN.md §14): fed only by dispatches
   // that actually execute lane kernels — strips at least one vector
   // wide.
-  const bool kernel_epoch = core_.begin_kernel_epoch(k >= kernels::kLaneMin);
+  const core::EpochKind kernel_epoch =
+      core_.begin_kernel_epoch(k >= kernels::kLaneMin);
   core_.reset(core_.dag(kLower));
   core_.reset(core_.dag(kUpper));
 #ifndef NDEBUG
@@ -762,8 +786,12 @@ core::DoacrossStats TrisolvePlan::solve_strip(std::span<const double> b,
   // The reentrant entry (see the header): a settled serial plan runs the
   // serial strip walk straight from the arguments. Poison is monotonic,
   // so a serial plan poisoned under concurrent callers takes this entry
-  // too and throws in run_inline without touching shared state.
-  if (core_.strategy() == ExecutionStrategy::kSerial &&
+  // too and throws in run_inline without touching shared state. A lone
+  // column outside any region while the order race explores is the
+  // plan's one caller: it takes the dispatch path, which feeds the race.
+  const bool order_epoch = k == 1 && core_.order_racing() &&
+                           !rt::ThreadPool::in_region();
+  if (core_.strategy() == ExecutionStrategy::kSerial && !order_epoch &&
       (core_.settled() || core_.poisoned())) {
     if (n_ == 0) return {};
     const unsigned tid = rt::ThreadPool::member();

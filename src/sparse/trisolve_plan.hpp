@@ -74,6 +74,9 @@ namespace pdx::sparse {
 ///   kSerial        — the plain sequential solves on the calling thread:
 ///                    zero pool dispatches, zero synchronization. Chosen
 ///                    when the dependence chain leaves nothing to overlap.
+///                    Its single-RHS walks over CSR views race source
+///                    order against the doconsider level order (the
+///                    wavefront walk) and keep the faster (DESIGN.md §13).
 ///   kAuto          — measure the factor at build time and let
 ///                    core::advise_schedule pick one of the above.
 using ExecutionStrategy = core::ExecStrategy;
@@ -156,8 +159,11 @@ struct PlanOptions {
   /// 3 * calibration_epochs solves — all of them REAL solves the caller
   /// needed anyway, each bitwise identical to the locked-in plan). 0
   /// disables the race: Auto keeps the heuristic advisor's pick, the
-  /// historical behavior. Ignored for pinned strategies, single-threaded
-  /// plans, and empty systems.
+  /// historical behavior. The strategy race is skipped for pinned
+  /// strategies, single-threaded plans, and empty systems. The same
+  /// budget times each walk order of a serial plan — pinned or Auto, at
+  /// any width — on its first fused single-RHS solves (2 *
+  /// calibration_epochs solves); 0 keeps source order.
   int calibration_epochs = 2;
   /// Consult (and feed) the process-wide core::TuningCache so later
   /// plans over the same (pattern fingerprint, threads) skip the race
@@ -240,7 +246,9 @@ class TrisolvePlan {
   /// x, not through the plan's tmp_); solves() and batch_columns() count
   /// exactly; a fault in one caller poisons the plan, and the others'
   /// later calls throw rt::PlanPoisonedError. Every other plan state
-  /// keeps the one-caller rule.
+  /// keeps the one-caller rule — and so does a k == 1 call outside any
+  /// pool region while the order race explores: it is the run that
+  /// feeds the race (DESIGN.md §13).
   core::DoacrossStats solve_strip(std::span<const double> b,
                                   std::span<double> x, index_t k);
 
@@ -298,6 +306,10 @@ class TrisolvePlan {
   /// solves time the remaining candidates before the plan locks in.
   /// Every exploration solve is bitwise identical to the final plan.
   bool calibrating() const noexcept { return core_.calibrating(); }
+  /// True while a serial plan's order race explores: the next fused
+  /// single-RHS solves on the calling thread time source order against
+  /// the wavefront walk (DESIGN.md §13). It does not hold back settled().
+  bool order_racing() const noexcept { return core_.order_racing(); }
   /// No race left to run and not poisoned: strategy, layout and kernel
   /// table are final (core::DagPlan::settled).
   bool settled() const noexcept { return core_.settled(); }
@@ -327,8 +339,9 @@ class TrisolvePlan {
     core_.set_fault_injector(injector);
   }
 
-  /// Build-time reorderings (nullptr when the strategy does not use
-  /// them — kSerial runs in source order).
+  /// Build-time reorderings (nullptr when nothing walks them — a serial
+  /// plan keeps them only while its order race runs or once the
+  /// wavefront walk won it).
   const core::Reordering* lower_reordering() const noexcept {
     return core_.dag(kLower).order.get();
   }
@@ -359,7 +372,7 @@ class TrisolvePlan {
   /// One core dispatch plus the per-run bookkeeping: solve count and the
   /// races (packing the winner when the strategy race locks in).
   core::DoacrossStats run(const rt::ThreadPool::RegionFn& region,
-                          bool kernel_epoch = false, index_t columns = 1);
+                          core::EpochKind kind, index_t columns = 1);
   /// The fused single-RHS solve z = U⁻¹ L⁻¹ rhs through tmp_ (solve()).
   core::DoacrossStats run_fused(const double* rhs, double* z);
   /// A one-lane strip: run_fused, counted as a batch column.

@@ -338,6 +338,31 @@ TEST(TuningCache, StoreLookupRoundtripAndKeyDiscrimination) {
   EXPECT_FALSE(cache.lookup(solve_key, out));
 }
 
+TEST(TuningCache, StrategyAndWalkOrderVerdictsAreSeparate) {
+  // One key holds a strategy verdict and a walk-order verdict; either
+  // may exist without the other, and storing one never answers for the
+  // other.
+  core::TuningCache& cache = core::tuning_cache();
+  cache.clear();
+  const core::TuningKey key = core::make_tuning_key(sample_structure(), 1,
+                                                    false);
+  core::ExecStrategy strategy;
+  core::WalkOrder order;
+  cache.store(key, core::WalkOrder::kWavefront);
+  EXPECT_FALSE(cache.lookup(key, strategy));
+  ASSERT_TRUE(cache.lookup(key, order));
+  EXPECT_EQ(order, core::WalkOrder::kWavefront);
+  cache.store(key, core::ExecStrategy::kSerial);
+  cache.store(key, core::WalkOrder::kSource);
+  ASSERT_TRUE(cache.lookup(key, strategy));
+  EXPECT_EQ(strategy, core::ExecStrategy::kSerial);
+  ASSERT_TRUE(cache.lookup(key, order));
+  EXPECT_EQ(order, core::WalkOrder::kSource);
+  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_EQ(cache.stats().stores, 3u);
+  cache.clear();
+}
+
 TEST(TuningCache, ConcurrentStoresAndLookupsAreSafe) {
   // The cache is process-wide shared mutable state: plans on different
   // pools may race store() against lookup(). Hammer it from several

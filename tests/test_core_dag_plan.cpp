@@ -140,7 +140,7 @@ class LoopPlan {
     std::fill(v_.begin(), v_.end(), 0.0);
     core_.reset(core_.dag(0));
     const core::DoacrossStats st = core_.dispatch(region_);
-    core_.end_epoch(st.execute_seconds, /*kernel_epoch=*/false);
+    core_.end_epoch(st.execute_seconds, core::EpochKind::kPlain);
     return v_;
   }
 
@@ -253,7 +253,7 @@ TEST(DagPlan, RaceComparesTimesPerColumn) {
   for (int c = 0; c < 3; ++c) {
     for (int e = 0; e < cfg.calibration_epochs; ++e) {
       ASSERT_FALSE(locked);
-      locked = plan.core().end_epoch(seconds[c], /*kernel_epoch=*/false,
+      locked = plan.core().end_epoch(seconds[c], core::EpochKind::kPlain,
                                      columns[c]);
     }
   }

@@ -24,6 +24,7 @@
 #include "sparse/csr.hpp"
 #include "sparse/factor_plan.hpp"
 #include "sparse/ilu0.hpp"
+#include "sparse/levels.hpp"
 #include "sparse/trisolve.hpp"
 #include "sparse/trisolve_plan.hpp"
 
@@ -207,6 +208,86 @@ TEST(FaultInjection, SerialStallResumesThroughSafetyValve) {
     ASSERT_EQ(x[static_cast<std::size_t>(i)],
               x_seq[static_cast<std::size_t>(i)]);
   }
+}
+
+TEST(FaultInjection, SerialWalkNamesTheRowItRunsUnderEitherOrder) {
+  // The injector fires before the row the walk is about to compute, in
+  // source order and in the wavefront walk alike: every row the walk
+  // visited earlier is final, the targeted row is untouched. The target
+  // is the 12x12 grid's row (0, 11) — level 11, so the level order
+  // reaches it at position 66..77, long before position 132. A verdict
+  // stored in the tuning cache pins each plan's order, and a walk inside
+  // a pool region (a lane group's) follows it too. Then the same fault
+  // under a preconditioner: the plan poisons and the answer is still
+  // bitwise, served by the sequential fallback.
+  const index_t nx = 12, target = nx * (nx - 1);
+  const sp::Csr a = gen::five_point(nx, nx);
+  const sp::IluFactors f = sp::ilu0(a);
+  const index_t n = a.rows;
+  const std::size_t nn = static_cast<std::size_t>(n);
+  const auto rhs = random_vec(n, 11);
+  std::vector<double> y_seq(nn), z_seq(nn);
+  sp::trisolve_lower_seq(f.l, rhs, y_seq);
+  sp::trisolve_upper_seq(f.u, y_seq, z_seq);
+  const pdx::core::TuningKey key =
+      pdx::core::make_tuning_key(sp::measure_lower_solve(f.l), 1, false);
+
+  sp::PlanOptions opts;
+  opts.strategy = sp::ExecutionStrategy::kSerial;
+  opts.nthreads = 1;
+  struct Case {
+    const char* name;
+    pdx::core::WalkOrder verdict;
+    bool in_region;
+  };
+  for (const Case& c :
+       {Case{"source", pdx::core::WalkOrder::kSource, false},
+        Case{"wavefront", pdx::core::WalkOrder::kWavefront, false},
+        Case{"wavefront in a region", pdx::core::WalkOrder::kWavefront,
+             true}}) {
+    SCOPED_TRACE(c.name);
+    pdx::core::tuning_cache().clear();
+    pdx::core::tuning_cache().store(key, c.verdict);
+    sp::TrisolvePlan plan(pool(), f.l, f.u, opts);
+    ASSERT_TRUE(plan.telemetry().order_race.cache_hit);
+    ASSERT_EQ(plan.telemetry().order, c.verdict);
+    rt::FaultInjector inj;
+    plan.set_fault_injector(&inj);
+    std::vector<double> y(nn, std::nan(""));
+    inj.arm_throw(rt::FaultInjector::kAnyTid, target);
+    const auto faulting_solve = [&] {
+      EXPECT_THROW(plan.solve_lower(rhs, y), rt::InjectedFault);
+    };
+    if (c.in_region) {
+      pool().parallel_region(1, [&](unsigned, unsigned) { faulting_solve(); });
+    } else {
+      faulting_solve();
+    }
+    EXPECT_TRUE(plan.poisoned());
+    EXPECT_TRUE(std::isnan(y[static_cast<std::size_t>(target)]));
+    const bool wave = c.verdict == pdx::core::WalkOrder::kWavefront;
+    for (index_t pos = 0;; ++pos) {
+      const index_t row =
+          wave ? plan.lower_reordering()->order[static_cast<std::size_t>(pos)]
+               : pos;
+      if (row == target) break;
+      ASSERT_EQ(y[static_cast<std::size_t>(row)],
+                y_seq[static_cast<std::size_t>(row)])
+          << "row " << row << " ran before the target";
+    }
+
+    solve::DoacrossIlu0Preconditioner m(pool(), a, opts,
+                                        sp::FactorPlanOptions{.nthreads = 1});
+    ASSERT_EQ(m.plan().telemetry().order, c.verdict);
+    m.set_fault_injector(&inj);
+    inj.arm_throw(rt::FaultInjector::kAnyTid, target);
+    std::vector<double> z(nn);
+    m.apply(rhs, z);
+    EXPECT_TRUE(m.degraded());
+    EXPECT_EQ(m.serial_fallbacks(), 1u);
+    EXPECT_EQ(z, z_seq);
+  }
+  pdx::core::tuning_cache().clear();
 }
 
 TEST(FaultInjection, FactorPlanInjectedThrowPoisonsAndPoolSurvives) {

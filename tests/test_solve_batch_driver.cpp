@@ -958,6 +958,42 @@ TEST(BatchDriver, LaneGroupsWaitForTheKernelRaceToSettle) {
   }
 }
 
+TEST(BatchDriver, LaneGroupsDoNotWaitForTheOrderRace) {
+  // The order race of a serial plan never holds back settled(): a plan
+  // whose race has yet to see a single run splits a drain of 16 systems
+  // into lane groups at once. Their columns run on the reentrant entry
+  // inside the region, so the drain feeds the race nothing; one single-
+  // RHS drain on the calling thread then does.
+  const sp::Csr a = gen::five_point(24, 24);
+  solve::CgOptions copts;
+  copts.max_iterations = 30;
+  copts.rel_tolerance = 1e-10;
+  copts.record_history = true;
+  solve::BatchDriverOptions opts = settled_serial_opts(2, copts);
+  opts.calibration_epochs = 2;
+  opts.kernel = sp::kernels::KernelChoice::kScalar;  // no kernel race
+  solve::BatchDriver driver(pool(), a, opts);
+  const sp::TrisolvePlan& plan = driver.preconditioner().plan();
+  ASSERT_TRUE(plan.order_racing());
+  ASSERT_TRUE(plan.settled());
+
+  const Strip s = make_group_strip(a, 16, 2, -1, 7000);
+  const solve::BatchReport rep = drain_and_compare(driver, a, s, copts, "x16");
+  EXPECT_EQ(rep.lane_groups, 2u);
+  EXPECT_EQ(rep.precond_solves, expected_solves(rep));
+  EXPECT_EQ(plan.telemetry().order_race.exploration_epochs, 0);
+  EXPECT_TRUE(plan.order_racing());
+
+  const Strip one = make_group_strip(a, 1, 1, -1, 7100);
+  const solve::BatchReport rep1 =
+      drain_and_compare(driver, a, one, copts, "x1");
+  EXPECT_EQ(rep1.lane_groups, 1u);
+  ASSERT_GT(rep1.precond_solves, 0u);
+  EXPECT_EQ(plan.telemetry().order_race.exploration_epochs,
+            std::min<int>(static_cast<int>(rep1.precond_solves),
+                          2 * opts.calibration_epochs));
+}
+
 TEST(BatchDriver, AFaultInOneLaneGroupPoisonsThePlanButNoAnswer) {
   // A row fault inside one group's serial strip solve — group 1's on pool
   // member 1, or group 0's on the caller — poisons the shared plan. The

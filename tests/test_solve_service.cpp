@@ -19,6 +19,7 @@
 
 #include <cmath>
 
+#include "core/advisor.hpp"
 #include "gen/rng.hpp"
 #include "gen/stencil.hpp"
 #include "runtime/failure.hpp"
@@ -631,6 +632,58 @@ TEST(Service, BreakerTripsDegradesAndRecovers) {
   EXPECT_EQ(rep.degraded_jobs, 3u);  // two faulted + one breaker-open
   EXPECT_EQ(rep.failed, 0u);
   expect_exact_accounting(rep);
+}
+
+TEST(Service, DegradedFallbackRacesItsWalkOrderWithoutTheTuningCache) {
+  // The serial fallback keeps the caller's calibration budget, so its
+  // single-RHS walks race source order against the wavefront walk; every
+  // answer it serves across that race is bitwise the healthy planned
+  // path's, and it neither reads nor writes the process-wide TuningCache.
+  pdx::core::tuning_cache().clear();
+  solve::ServiceOptions opts = chaos_options();
+  opts.solver.calibration_epochs = 2;
+  opts.solver.use_tuning_cache = true;
+  opts.breaker_threshold = 1;
+  opts.breaker_backoff_ms = 60000.0;  // no half-open probe in this test
+  solve::Service svc(pool(), opts);
+  const sp::Csr a = gen::five_point(24, 24);
+  const solve::MatrixId id = svc.register_matrix(a);
+  rt::FaultInjector inj;
+  svc.set_fault_injector(id, &inj);
+  const auto b = random_vec(a.rows, 910);
+
+  const solve::JobHandle healthy = svc.submit(id, b);
+  ASSERT_EQ(healthy->wait().outcome, JobOutcome::kSolved);
+  const std::vector<double> ref(healthy->solution().begin(),
+                                healthy->solution().end());
+  inj.arm_throw();
+  EXPECT_TRUE(svc.submit(id, b)->wait().degraded);
+  inj.disarm();
+  ASSERT_EQ(svc.matrix_info(id).breaker, solve::BreakerState::kOpen);
+
+  const pdx::core::TuningCacheStats before =
+      pdx::core::tuning_cache().stats();
+  // Each CG iteration is one fused single-RHS solve on the scheduler
+  // thread, so the first job alone spends the 2 × 2 order epochs.
+  for (int k = 0; k < 3; ++k) {
+    const solve::JobHandle job = svc.submit(id, b);
+    const solve::JobResult res = job->wait();
+    ASSERT_EQ(res.outcome, JobOutcome::kSolved) << res.error;
+    EXPECT_TRUE(res.degraded);
+    ASSERT_GE(res.report.iterations, 4) << "too few solves to race the order";
+    const auto sol = job->solution();
+    ASSERT_EQ(sol.size(), ref.size());
+    for (std::size_t i = 0; i < sol.size(); ++i) {
+      ASSERT_EQ(sol[i], ref[i]) << "job " << k << " row " << i;
+    }
+  }
+  const pdx::core::TuningCacheStats after = pdx::core::tuning_cache().stats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.stores, before.stores);
+  EXPECT_EQ(after.entries, before.entries);
+  EXPECT_EQ(svc.report().failed, 0u);
+  pdx::core::tuning_cache().clear();
 }
 
 TEST(Service, StallErrorCarriesStrategyAndMatrixContext) {

@@ -10,6 +10,8 @@
 
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/advisor.hpp"
@@ -241,8 +243,15 @@ TEST(StrategySelection, SingleThreadAutoGoesSerial) {
   opts.strategy = ExecutionStrategy::kAuto;
   sp::TrisolvePlan plan(pool(), f.l, f.u, opts);
   EXPECT_EQ(plan.strategy(), ExecutionStrategy::kSerial);
+  EXPECT_TRUE(plan.order_racing()) << "a race runs at one thread too";
   rt::DispatchProbe probe(pool());
   expect_bitwise_fused(plan, f.l, f.u, 16, "1-thread/serial");
+  // Racing the walk order, and walking the winner, costs no dispatch.
+  for (std::uint64_t seed = 17; plan.order_racing(); ++seed) {
+    ASSERT_LT(seed, 64u);
+    expect_bitwise_fused(plan, f.l, f.u, seed, "1-thread order race");
+  }
+  expect_bitwise_fused(plan, f.l, f.u, 64, "1-thread locked in");
   EXPECT_EQ(probe.delta(), 0u);
 }
 
@@ -547,4 +556,235 @@ TEST(StrategyCalibration, FaultDuringExplorationPoisonsWithoutFeedingCache) {
   EXPECT_EQ(core::tuning_cache().stats().stores, 0u);
   EXPECT_EQ(core::tuning_cache().stats().entries, 0u);
   core::tuning_cache().clear();
+}
+
+// --- the order race of serial single-RHS walks (DESIGN.md §9/§13) -------
+
+namespace {
+
+/// ILU(0) factors of the generated inputs the order race must stay
+/// bitwise on: the natural-order stencil (level order helps), its RCM
+/// permutation (level order hurts), a randomly scattered band, n = 0 and
+/// n = 1, and a pattern where every third row has no off-diagonal entry.
+std::vector<std::pair<std::string, sp::IluFactors>> order_race_inputs() {
+  std::vector<std::pair<std::string, sp::IluFactors>> in;
+  const sp::Csr stencil = gen::five_point(14, 11);
+  in.emplace_back("stencil", sp::ilu0(stencil));
+  in.emplace_back("stencil-rcm", sp::ilu0(sp::permute_symmetric(
+                                     stencil, sp::rcm_order(stencil))));
+  const index_t band_n = 300;
+  in.emplace_back("band-scattered",
+                  sp::ilu0(sp::permute_symmetric(gapped_band(band_n, 3),
+                                                 shuffled_perm(band_n, 17))));
+  in.emplace_back("n=0", sp::ilu0(sp::CsrBuilder(0, 0).build()));
+  sp::CsrBuilder one(1, 1);
+  one.add(0, 0, 3.0);
+  in.emplace_back("n=1", sp::ilu0(one.build()));
+  const index_t m = 90;
+  sp::CsrBuilder holes(m, m);
+  for (index_t i = 0; i < m; ++i) {
+    const bool isolated = i % 3 == 0;
+    if (!isolated && i >= 2 && (i - 2) % 3 != 0) holes.add(i, i - 2, -1.0);
+    if (!isolated && i >= 1 && (i - 1) % 3 != 0) holes.add(i, i - 1, -1.0);
+    holes.add(i, i, 6.0);
+    if (!isolated && i + 1 < m && (i + 1) % 3 != 0) holes.add(i, i + 1, -1.0);
+    if (!isolated && i + 2 < m && (i + 2) % 3 != 0) holes.add(i, i + 2, -1.0);
+  }
+  in.emplace_back("empty-rows", sp::ilu0(holes.build()));
+  return in;
+}
+
+/// One single-RHS run through `api` (0 solve, 1 solve_lower then
+/// solve_upper, 2 solve_strip k = 1, 3 solve_batch k = 1), checked bitwise
+/// against the sequential solves.
+void expect_bitwise_single(sp::TrisolvePlan& plan, const sp::IluFactors& f,
+                           int api, std::uint64_t seed,
+                           const std::string& what) {
+  const index_t n = f.l.rows;
+  const std::size_t nn = static_cast<std::size_t>(n);
+  const auto rhs = random_rhs(n, seed);
+  std::vector<double> y_seq(nn), z_seq(nn), y(nn, -1.0), z(nn, -1.0);
+  sp::trisolve_lower_seq(f.l, rhs, y_seq);
+  sp::trisolve_upper_seq(f.u, y_seq, z_seq);
+  switch (api) {
+    case 0:
+      plan.solve(rhs, z);
+      break;
+    case 1:
+      plan.solve_lower(rhs, y);
+      ASSERT_EQ(y, y_seq) << what << ": solve_lower";
+      plan.solve_upper(y, z);
+      break;
+    case 2:
+      plan.solve_strip(rhs, z, 1);
+      break;
+    default:
+      plan.solve_batch(rhs, z, 1);
+      break;
+  }
+  ASSERT_EQ(z, z_seq) << what << " api " << api;
+}
+
+}  // namespace
+
+TEST(OrderRace, EveryEpochBitwiseOnGeneratedInputsAtEveryWidth) {
+  // Every raced run — source order, then the wavefront walk — and every
+  // run after lock-in is bitwise the sequential solves, through every
+  // single-RHS entry point, for pinned-serial and Auto plans at widths
+  // 1, 2 and 4, on the scalar and the dispatched kernel tables.
+  for (const auto& [name, f] : order_race_inputs()) {
+    for (unsigned nth : {1u, 2u, 4u}) {
+      for (ExecutionStrategy s :
+           {ExecutionStrategy::kSerial, ExecutionStrategy::kAuto}) {
+        for (sp::kernels::KernelChoice kernel :
+             {sp::kernels::KernelChoice::kAuto,
+              sp::kernels::KernelChoice::kScalar}) {
+          const std::string cfg =
+              name + " nth=" + std::to_string(nth) + " " +
+              core::to_string(s) + " kernel=" + sp::kernels::to_string(kernel);
+          sp::PlanOptions opts;
+          opts.nthreads = nth;
+          opts.strategy = s;
+          opts.kernel = kernel;
+          opts.calibration_epochs = 2;
+          opts.use_tuning_cache = false;
+          sp::TrisolvePlan plan(pool(), f.l, f.u, opts);
+          int run = 0;
+          while (plan.calibrating() || plan.order_racing()) {
+            ASSERT_LT(run, 64) << cfg << ": the races must lock in";
+            expect_bitwise_single(plan, f, run % 4, 40 + run,
+                                  cfg + " epoch " + std::to_string(run));
+            ++run;
+          }
+          for (int api = 0; api < 4; ++api) {
+            expect_bitwise_single(plan, f, api, 90 + api, cfg + " locked in");
+          }
+          const core::OrderRaceState& r = plan.telemetry().order_race;
+          const bool raced =
+              plan.strategy() == ExecutionStrategy::kSerial && f.l.rows > 0;
+          EXPECT_EQ(r.calibrated, raced) << cfg;
+          if (!raced) continue;
+          EXPECT_EQ(r.exploration_epochs, 2 * opts.calibration_epochs) << cfg;
+          EXPECT_EQ(plan.lower_reordering() != nullptr,
+                    plan.telemetry().order == core::WalkOrder::kWavefront)
+              << cfg << ": the loser's orders are dropped";
+          EXPECT_NE(plan.telemetry().rationale.find("walk order"),
+                    std::string::npos)
+              << cfg;
+        }
+      }
+    }
+  }
+}
+
+TEST(OrderRace, AdvancesOnlyOnSingleRhsRunsOnTheCallingThread) {
+  // Strips of k >= 2 and single columns solved inside a pool region (the
+  // lane groups' reentrant entry) leave the race where it was; a single-
+  // RHS run on the calling thread advances it by one.
+  const sp::IluFactors f = sp::ilu0(gen::five_point(16, 16));
+  const index_t n = f.l.rows;
+  const std::size_t nn = static_cast<std::size_t>(n);
+  sp::PlanOptions opts;
+  opts.nthreads = 2;
+  opts.strategy = ExecutionStrategy::kSerial;
+  opts.kernel = sp::kernels::KernelChoice::kScalar;  // no kernel race
+  opts.calibration_epochs = 3;
+  opts.use_tuning_cache = false;
+  sp::TrisolvePlan plan(pool(), f.l, f.u, opts);
+  ASSERT_TRUE(plan.order_racing());
+  ASSERT_TRUE(plan.settled()) << "the order race never holds back settled()";
+  const auto epochs = [&] {
+    return plan.telemetry().order_race.exploration_epochs;
+  };
+
+  const auto b = random_rhs(n * 8, 7);
+  std::vector<double> x(nn * 8);
+  plan.solve_strip(b, x, 8);
+  plan.solve_batch(b, x, 4);
+  EXPECT_EQ(epochs(), 0);
+  // Half solves walk the current order but are not timed against whole
+  // ones.
+  plan.solve_lower(std::span<const double>(b.data(), nn), x);
+  plan.solve_upper(std::span<const double>(b.data(), nn), x);
+  EXPECT_EQ(epochs(), 0) << "solve_lower / solve_upper must not feed it";
+
+  std::vector<std::vector<double>> xs(2, std::vector<double>(nn));
+  pool().parallel_region(2, [&](unsigned tid, unsigned) {
+    plan.solve_strip(std::span<const double>(b.data() + tid * nn, nn),
+                     xs[tid], 1);
+  });
+  EXPECT_EQ(epochs(), 0) << "lane-group columns must not feed the race";
+  std::vector<double> y(nn), z(nn);
+  for (unsigned c = 0; c < 2; ++c) {
+    sp::trisolve_lower_seq(f.l, std::span<const double>(b.data() + c * nn, nn),
+                           y);
+    sp::trisolve_upper_seq(f.u, y, z);
+    EXPECT_EQ(xs[c], z) << "column " << c;
+  }
+
+  plan.solve(std::span<const double>(b.data(), nn), z);
+  EXPECT_EQ(epochs(), 1);
+  plan.solve_strip(std::span<const double>(b.data(), nn), z, 1);
+  EXPECT_EQ(epochs(), 2);
+}
+
+TEST(OrderRace, TuningCacheHitReplaysTheVerdictWithoutExploring) {
+  core::tuning_cache().clear();
+  const sp::IluFactors f = sp::ilu0(gen::five_point(20, 20));
+  sp::PlanOptions opts;
+  opts.nthreads = 1;
+  opts.strategy = ExecutionStrategy::kSerial;
+  sp::TrisolvePlan first(pool(), f.l, f.u, opts);
+  ASSERT_TRUE(first.order_racing());
+  int guard = 0;
+  while (first.order_racing()) {
+    expect_bitwise_fused(first, f.l, f.u, 300 + guard, "raced");
+    ASSERT_LT(++guard, 64);
+  }
+  EXPECT_FALSE(first.telemetry().order_race.cache_hit);
+
+  // Auto at one thread goes serial and adopts the same verdict: one
+  // thread walks either order at any width, so the key ignores it.
+  for (ExecutionStrategy s :
+       {ExecutionStrategy::kSerial, ExecutionStrategy::kAuto}) {
+    sp::PlanOptions o = opts;
+    o.strategy = s;
+    sp::TrisolvePlan second(pool(), f.l, f.u, o);
+    const core::OrderRaceState& r = second.telemetry().order_race;
+    EXPECT_FALSE(second.order_racing()) << core::to_string(s);
+    EXPECT_TRUE(r.calibrated && r.cache_hit) << core::to_string(s);
+    EXPECT_EQ(r.exploration_epochs, 0) << core::to_string(s);
+    EXPECT_TRUE(r.timings.empty()) << core::to_string(s);
+    EXPECT_EQ(second.telemetry().order, first.telemetry().order);
+    EXPECT_EQ(second.lower_reordering() != nullptr,
+              second.telemetry().order == core::WalkOrder::kWavefront);
+    expect_bitwise_fused(second, f.l, f.u, 400, "cache-hit plan");
+    EXPECT_EQ(second.telemetry().order_race.exploration_epochs, 0);
+  }
+  core::tuning_cache().clear();
+}
+
+TEST(OrderRace, ZeroBudgetOrPackedLayoutKeepsSourceOrder) {
+  const sp::IluFactors f = sp::ilu0(gen::five_point(12, 12));
+  sp::PlanOptions off;
+  off.nthreads = 1;
+  off.strategy = ExecutionStrategy::kSerial;
+  off.calibration_epochs = 0;
+  sp::PlanOptions packed = off;
+  packed.calibration_epochs = 2;
+  packed.layout = sp::PlanLayout::kPacked;
+  for (const sp::PlanOptions& o : {off, packed}) {
+    sp::TrisolvePlan plan(pool(), f.l, f.u, o);
+    EXPECT_FALSE(plan.order_racing());
+    EXPECT_FALSE(plan.telemetry().order_race.calibrated);
+    EXPECT_EQ(plan.telemetry().order, core::WalkOrder::kSource);
+    EXPECT_EQ(plan.lower_reordering(), nullptr);
+    expect_bitwise_fused(plan, f.l, f.u, 500, "source order only");
+  }
+  // A lower-only plan has no fused solve to time, so it never arms.
+  sp::PlanOptions lower_only = off;
+  lower_only.calibration_epochs = 2;
+  const sp::TrisolvePlan plan(pool(), f.l, lower_only);
+  EXPECT_FALSE(plan.order_racing());
+  EXPECT_EQ(plan.lower_reordering(), nullptr);
 }
