@@ -66,14 +66,17 @@ double solve_bytes(std::size_t packed, index_t n, index_t k) {
          3.0 * static_cast<double>(n) * static_cast<double>(k) * 8.0;
 }
 
-// One pass of the row kernel alone over a packed slab: every record's
-// dependence list against a read-only source strip, targets in a second
-// strip. This is the "*_kern" rows' workload — the lane-parallel kernel
-// with the executors' lookahead-prefetch schedule on the vector side and
-// the plain reference walk on the scalar side, with the division, the
-// strip transposes and the dependence waits of a full solve all absent.
-// The solve rows above measure those too; the kern rows isolate what the
-// kernel layer itself buys.
+// One pass of the row kernel alone over a packed slab: every record is
+// one fused row_solve in place in the target strip `ts` (the backward
+// solve's form), its dependence list against a read-only source strip
+// `xs`. This is the "*_kern" rows' workload — the lane-parallel kernel
+// with a two-record lookahead-prefetch schedule on the vector side and
+// the plain reference walk on the scalar side, with the strip transposes
+// and the dependence chain of a full solve absent (no row reads another
+// row's result). The solve rows above measure those too; the kern rows
+// isolate what the kernel layer itself buys. The L factor's diagonal is
+// 1.0, so each division is exact and repeated sweeps over one target
+// strip only accumulate: no sweep drifts into subnormals.
 void kernel_sweep(const sp::PackedFactorStream& stream,
                   const kn::LaneOps& ops, index_t n, index_t k, double* ts,
                   const double* xs) {
@@ -90,14 +93,16 @@ void kernel_sweep(const sp::PackedFactorStream& stream,
         const double* p = xs + nx.cols[j] * k;
         for (index_t o = 0; o < k; o += 8) kn::prefetch_read(p + o);
       }
-      ops.row_axpy(ts + r0.row * k, r0.vals, r0.cols, r0.cnt, xs, k);
+      double* t = ts + r0.row * k;
+      ops.row_solve(t, t, r0.vals, r0.cols, r0.cnt, r0.diag, xs, k);
       r0 = r1;
       r1 = nx;
     }
   } else {
     for (index_t i = 0; i < n; ++i) {
       const sp::PackedRow r = cur.next();
-      ops.row_axpy(ts + r.row * k, r.vals, r.cols, r.cnt, xs, k);
+      double* t = ts + r.row * k;
+      ops.row_solve(t, t, r.vals, r.cols, r.cnt, r.diag, xs, k);
     }
   }
 }
@@ -221,10 +226,10 @@ int main(int argc, char** argv) {
     }
 
     // --- kernel-only rows (the acceptance numbers) ---------------------
-    // Same packed L factor, one row_axpy pass per record against a
+    // Same packed L factor, one fused row_solve per record against a
     // read-only source strip: the lane-parallel kernel with its prefetch
-    // schedule, minus the division / strip transposes / record overheads
-    // a full solve shares between both tables.
+    // schedule, minus the strip transposes / record overheads a full
+    // solve shares between both tables.
     sp::PackedFactorStream stream;
     std::vector<index_t> order(static_cast<std::size_t>(n));
     std::iota(order.begin(), order.end(), index_t{0});

@@ -32,10 +32,9 @@
 // It calls `wait(dep)` before reading row `dep`'s result: the flag walk
 // passes the guarded flag wait and marks the row done after the body
 // returns; the level and serial walks pass NoWait, which inlines away.
-// A body may also define the lookahead hook `look(pos, end)`: walk-order
-// walks (levels, serial) call it before `body(pos)` with the end of the
-// thread's consecutive run — where a body may parse and prefetch the next
-// record.
+// A body may also define the lookahead hook `look(pos, end)`: the level
+// walk calls it before `body(pos)` with the end of the thread's
+// consecutive run — where a body may parse and prefetch the next record.
 //
 // Lifetime and threading follow the plans: the pool must outlive the
 // core, one caller at a time, and the strategy only changes on the
@@ -391,7 +390,7 @@ class DagPlan {
   kernels::Race kernel_race_;
 };
 
-/// Walk-order lookahead: the body's optional look(pos, end) hook.
+/// Level-walk lookahead: the body's optional look(pos, end) hook.
 template <class Body>
 inline void look_ahead(Body& body, index_t pos, index_t end) {
   if constexpr (requires { body.look(pos, end); }) body.look(pos, end);
@@ -456,7 +455,6 @@ void DagPlan::walk_serial(Dag& d, unsigned tid, Body body,
   NoWait wait;
   for (index_t pos = 0; pos < n_; ++pos) {
     if (inj) inj->on_row(tid, ord ? ord[pos] : natural_row(d, pos), &latch_);
-    look_ahead(body, pos, n_);
     body(pos, wait);
   }
 }

@@ -25,27 +25,21 @@ namespace pdx::sparse::kernels {
 namespace {
 
 // --- scalar reference ---------------------------------------------------
-// These loops ARE the plans' historical inner arithmetic; the executors
-// call them through the table only for wide rows (k >= kLaneMin), so the
-// indirect-call cost never lands on narrow batches. The strip-lane
-// entries below serve every strip of two or more lanes; a one-lane strip
-// runs the plain single-vector loops instead.
+// These loops ARE the plans' historical inner arithmetic. The strip
+// rows call row_solve at every width; the strip-lane entries below serve
+// every strip of two or more lanes, and a one-lane strip runs the plain
+// single-vector loops instead.
 
-void axpy_scalar(double* t, const double* x, double a, index_t k) {
-  for (index_t c = 0; c < k; ++c) t[c] -= a * x[c];
-}
-
-void row_axpy_scalar(double* t, const double* vals, const index_t* cols,
-                     index_t cnt, const double* xs, index_t k) {
+void row_solve_scalar(double* t, const double* src, const double* vals,
+                      const index_t* cols, index_t cnt, double diag,
+                      const double* xs, index_t k) {
+  for (index_t c = 0; c < k; ++c) t[c] = src[c];
   for (index_t j = 0; j < cnt; ++j) {
     const double a = vals[j];
     const double* x = xs + cols[j] * k;
     for (index_t c = 0; c < k; ++c) t[c] -= a * x[c];
   }
-}
-
-void div_scalar(double* t, double d, index_t k) {
-  for (index_t c = 0; c < k; ++c) t[c] /= d;
+  for (index_t c = 0; c < k; ++c) t[c] /= diag;
 }
 
 double dot_scalar(const double* vals, const index_t* cols, const double* y,
@@ -110,8 +104,7 @@ void transpose_scalar(const double* src, index_t rows, index_t cols,
   }
 }
 
-constexpr LaneOps kScalarOps = {KernelIsa::kScalar,    axpy_scalar,
-                                row_axpy_scalar,       div_scalar,
+constexpr LaneOps kScalarOps = {KernelIsa::kScalar,    row_solve_scalar,
                                 dot_scalar,            gather_axpy_scalar,
                                 /*gather_axpy_fma=*/gather_axpy_scalar,
                                 spmv_row_scalar,       lane_dot_scalar,
@@ -124,83 +117,90 @@ constexpr LaneOps kScalarOps = {KernelIsa::kScalar,    axpy_scalar,
 // Bitwise kernels use mul+sub (two roundings, like the scalar reference);
 // only the ulp-class kernels (dot, gather_axpy_fma) may fuse.
 
-__attribute__((target("avx2"))) void axpy_avx2(double* t, const double* x,
-                                               double a, index_t k) {
-  const __m256d av = _mm256_set1_pd(a);
-  index_t c = 0;
-  for (; c + 4 <= k; c += 4) {
-    const __m256d tv = _mm256_loadu_pd(t + c);
-    const __m256d xv = _mm256_loadu_pd(x + c);
-    _mm256_storeu_pd(t + c, _mm256_sub_pd(tv, _mm256_mul_pd(av, xv)));
+/// One row_solve register block: V ymm accumulators cover 4V consecutive
+/// lanes from the load of `src` to the one store of `t`. The lane loops
+/// are unrolled by pragma: left to -O2, GCC keeps the V = 4 block rolled
+/// with its accumulators on the stack (2x slower at k = 16).
+template <int V>
+__attribute__((target("avx2"))) inline void row_solve_block(
+    double* t, const double* src, const double* vals, const index_t* cols,
+    index_t cnt, double diag, const double* xs, index_t k) {
+  __m256d acc[V];
+  #pragma GCC unroll 4
+  for (int v = 0; v < V; ++v) acc[v] = _mm256_loadu_pd(src + 4 * v);
+  for (index_t j = 0; j < cnt; ++j) {
+    const __m256d av = _mm256_set1_pd(vals[j]);
+    const double* x = xs + cols[j] * k;
+    #pragma GCC unroll 4
+    for (int v = 0; v < V; ++v) {
+      acc[v] = _mm256_sub_pd(acc[v],
+                             _mm256_mul_pd(av, _mm256_loadu_pd(x + 4 * v)));
+    }
   }
-  for (; c < k; ++c) t[c] -= a * x[c];
+  const __m256d dv = _mm256_set1_pd(diag);
+  #pragma GCC unroll 4
+  for (int v = 0; v < V; ++v) {
+    _mm256_storeu_pd(t + 4 * v, _mm256_div_pd(acc[v], dv));
+  }
 }
 
-__attribute__((target("avx2"))) void row_axpy_avx2(double* t,
-                                                   const double* vals,
-                                                   const index_t* cols,
-                                                   index_t cnt,
-                                                   const double* xs,
-                                                   index_t k) {
-  // Single pass over the dependence list with the whole lane strip in
-  // registers: vals[j] broadcasts once and each dependence's strip row
-  // streams once per row, not once per 4-lane block. Per column the
-  // j-ordered mul+sub sequence is exactly the scalar loop's, so neither
-  // the nest swap nor the register accumulation changes any rounding.
+/// The 1-3 lanes past the last 4-lane block: R scalar accumulators, one
+/// pass over the dependence list. Against one pass per lane (the NEON
+/// body's form for its single tail lane) this measured 1.3-1.6x faster
+/// with 2-3 tail lanes and 1.04-1.10x with one, on forward+backward
+/// ILU(0) sweeps of a 48² stencil at k = 1-15 (interleaved, median of
+/// 400, 4-vCPU AVX2 VM).
+template <int R>
+__attribute__((target("avx2"))) inline void row_solve_tail(
+    double* t, const double* src, const double* vals, const index_t* cols,
+    index_t cnt, double diag, const double* xs, index_t k) {
+  double acc[R];
+  #pragma GCC unroll 4
+  for (int c = 0; c < R; ++c) acc[c] = src[c];
+  for (index_t j = 0; j < cnt; ++j) {
+    const double a = vals[j];
+    const double* x = xs + cols[j] * k;
+    #pragma GCC unroll 4
+    for (int c = 0; c < R; ++c) acc[c] -= a * x[c];
+  }
+  #pragma GCC unroll 4
+  for (int c = 0; c < R; ++c) t[c] = acc[c] / diag;
+}
+
+__attribute__((target("avx2"))) void row_solve_avx2(
+    double* t, const double* src, const double* vals, const index_t* cols,
+    index_t cnt, double diag, const double* xs, index_t k) {
+  // One pass over the dependence list per register block, the strip row
+  // streaming once per block. Per lane the j-ordered mul+sub sequence and
+  // the final division are exactly the scalar loop's, so neither the
+  // nest swap nor the register accumulation changes any rounding. The
+  // tail is scalar: a masked 4-lane tail measured ~1.7x slower (store
+  // forwarding).
   index_t c = 0;
   for (; c + 16 <= k; c += 16) {
-    __m256d a0 = _mm256_loadu_pd(t + c);
-    __m256d a1 = _mm256_loadu_pd(t + c + 4);
-    __m256d a2 = _mm256_loadu_pd(t + c + 8);
-    __m256d a3 = _mm256_loadu_pd(t + c + 12);
-    for (index_t j = 0; j < cnt; ++j) {
-      const __m256d av = _mm256_set1_pd(vals[j]);
-      const double* x = xs + cols[j] * k + c;
-      a0 = _mm256_sub_pd(a0, _mm256_mul_pd(av, _mm256_loadu_pd(x)));
-      a1 = _mm256_sub_pd(a1, _mm256_mul_pd(av, _mm256_loadu_pd(x + 4)));
-      a2 = _mm256_sub_pd(a2, _mm256_mul_pd(av, _mm256_loadu_pd(x + 8)));
-      a3 = _mm256_sub_pd(a3, _mm256_mul_pd(av, _mm256_loadu_pd(x + 12)));
-    }
-    _mm256_storeu_pd(t + c, a0);
-    _mm256_storeu_pd(t + c + 4, a1);
-    _mm256_storeu_pd(t + c + 8, a2);
-    _mm256_storeu_pd(t + c + 12, a3);
+    row_solve_block<4>(t + c, src + c, vals, cols, cnt, diag, xs + c, k);
   }
-  for (; c + 8 <= k; c += 8) {
-    __m256d a0 = _mm256_loadu_pd(t + c);
-    __m256d a1 = _mm256_loadu_pd(t + c + 4);
-    for (index_t j = 0; j < cnt; ++j) {
-      const __m256d av = _mm256_set1_pd(vals[j]);
-      const double* x = xs + cols[j] * k + c;
-      a0 = _mm256_sub_pd(a0, _mm256_mul_pd(av, _mm256_loadu_pd(x)));
-      a1 = _mm256_sub_pd(a1, _mm256_mul_pd(av, _mm256_loadu_pd(x + 4)));
-    }
-    _mm256_storeu_pd(t + c, a0);
-    _mm256_storeu_pd(t + c + 4, a1);
+  if (c + 8 <= k) {
+    row_solve_block<2>(t + c, src + c, vals, cols, cnt, diag, xs + c, k);
+    c += 8;
   }
-  for (; c + 4 <= k; c += 4) {
-    __m256d a0 = _mm256_loadu_pd(t + c);
-    for (index_t j = 0; j < cnt; ++j) {
-      const __m256d xv = _mm256_loadu_pd(xs + cols[j] * k + c);
-      a0 = _mm256_sub_pd(a0, _mm256_mul_pd(_mm256_set1_pd(vals[j]), xv));
-    }
-    _mm256_storeu_pd(t + c, a0);
+  if (c + 4 <= k) {
+    row_solve_block<1>(t + c, src + c, vals, cols, cnt, diag, xs + c, k);
+    c += 4;
   }
-  for (; c < k; ++c) {
-    double acc = t[c];
-    for (index_t j = 0; j < cnt; ++j) acc -= vals[j] * xs[cols[j] * k + c];
-    t[c] = acc;
+  switch (k - c) {
+    case 1:
+      row_solve_tail<1>(t + c, src + c, vals, cols, cnt, diag, xs + c, k);
+      break;
+    case 2:
+      row_solve_tail<2>(t + c, src + c, vals, cols, cnt, diag, xs + c, k);
+      break;
+    case 3:
+      row_solve_tail<3>(t + c, src + c, vals, cols, cnt, diag, xs + c, k);
+      break;
+    default:
+      break;
   }
-}
-
-__attribute__((target("avx2"))) void div_avx2(double* t, double d,
-                                              index_t k) {
-  const __m256d dv = _mm256_set1_pd(d);
-  index_t c = 0;
-  for (; c + 4 <= k; c += 4) {
-    _mm256_storeu_pd(t + c, _mm256_div_pd(_mm256_loadu_pd(t + c), dv));
-  }
-  for (; c < k; ++c) t[c] /= d;
 }
 
 static_assert(sizeof(index_t) == 8,
@@ -458,8 +458,7 @@ __attribute__((target("avx2"))) void transpose_avx2(const double* src,
   }
 }
 
-constexpr LaneOps kAvx2Ops = {KernelIsa::kAvx2, axpy_avx2,
-                              row_axpy_avx2,    div_avx2,
+constexpr LaneOps kAvx2Ops = {KernelIsa::kAvx2, row_solve_avx2,
                               dot_avx2,         gather_axpy_avx2,
                               gather_axpy_fma_avx2,
                               spmv_row_avx2,    lane_dot_avx2,
@@ -477,61 +476,50 @@ constexpr LaneOps kAvx2Ops = {KernelIsa::kAvx2, axpy_avx2,
 // so the gather kernels stay scalar and only the streaming lane kernels
 // vectorize.
 
-void axpy_neon(double* t, const double* x, double a, index_t k) {
-  const float64x2_t av = vdupq_n_f64(a);
-  index_t c = 0;
-  for (; c + 2 <= k; c += 2) {
-    const float64x2_t tv = vld1q_f64(t + c);
-    const float64x2_t xv = vld1q_f64(x + c);
-    vst1q_f64(t + c, vsubq_f64(tv, vmulq_f64(av, xv)));
+/// One row_solve register block: V q-registers cover 2V lanes.
+template <int V>
+inline void row_solve_block_neon(double* t, const double* src,
+                                 const double* vals, const index_t* cols,
+                                 index_t cnt, double diag, const double* xs,
+                                 index_t k) {
+  float64x2_t acc[V];
+  #pragma GCC unroll 4
+  for (int v = 0; v < V; ++v) acc[v] = vld1q_f64(src + 2 * v);
+  for (index_t j = 0; j < cnt; ++j) {
+    const float64x2_t av = vdupq_n_f64(vals[j]);
+    const double* x = xs + cols[j] * k;
+    #pragma GCC unroll 4
+    for (int v = 0; v < V; ++v) {
+      acc[v] = vsubq_f64(acc[v], vmulq_f64(av, vld1q_f64(x + 2 * v)));
+    }
   }
-  for (; c < k; ++c) t[c] -= a * x[c];
+  const float64x2_t dv = vdupq_n_f64(diag);
+  #pragma GCC unroll 4
+  for (int v = 0; v < V; ++v) vst1q_f64(t + 2 * v, vdivq_f64(acc[v], dv));
 }
 
-void row_axpy_neon(double* t, const double* vals, const index_t* cols,
-                   index_t cnt, const double* xs, index_t k) {
-  // Same single-pass shape as the AVX2 body (8 lanes = 4 q-registers).
+void row_solve_neon(double* t, const double* src, const double* vals,
+                    const index_t* cols, index_t cnt, double diag,
+                    const double* xs, index_t k) {
+  // The AVX2 body's shape with 2-lane registers: 8/4/2-lane blocks, then
+  // one scalar lane.
   index_t c = 0;
   for (; c + 8 <= k; c += 8) {
-    float64x2_t a0 = vld1q_f64(t + c);
-    float64x2_t a1 = vld1q_f64(t + c + 2);
-    float64x2_t a2 = vld1q_f64(t + c + 4);
-    float64x2_t a3 = vld1q_f64(t + c + 6);
-    for (index_t j = 0; j < cnt; ++j) {
-      const float64x2_t av = vdupq_n_f64(vals[j]);
-      const double* x = xs + cols[j] * k + c;
-      a0 = vsubq_f64(a0, vmulq_f64(av, vld1q_f64(x)));
-      a1 = vsubq_f64(a1, vmulq_f64(av, vld1q_f64(x + 2)));
-      a2 = vsubq_f64(a2, vmulq_f64(av, vld1q_f64(x + 4)));
-      a3 = vsubq_f64(a3, vmulq_f64(av, vld1q_f64(x + 6)));
-    }
-    vst1q_f64(t + c, a0);
-    vst1q_f64(t + c + 2, a1);
-    vst1q_f64(t + c + 4, a2);
-    vst1q_f64(t + c + 6, a3);
+    row_solve_block_neon<4>(t + c, src + c, vals, cols, cnt, diag, xs + c, k);
   }
-  for (; c + 2 <= k; c += 2) {
-    float64x2_t acc = vld1q_f64(t + c);
-    for (index_t j = 0; j < cnt; ++j) {
-      const float64x2_t xv = vld1q_f64(xs + cols[j] * k + c);
-      acc = vsubq_f64(acc, vmulq_f64(vdupq_n_f64(vals[j]), xv));
-    }
-    vst1q_f64(t + c, acc);
+  if (c + 4 <= k) {
+    row_solve_block_neon<2>(t + c, src + c, vals, cols, cnt, diag, xs + c, k);
+    c += 4;
   }
-  for (; c < k; ++c) {
-    double acc = t[c];
+  if (c + 2 <= k) {
+    row_solve_block_neon<1>(t + c, src + c, vals, cols, cnt, diag, xs + c, k);
+    c += 2;
+  }
+  if (c < k) {
+    double acc = src[c];
     for (index_t j = 0; j < cnt; ++j) acc -= vals[j] * xs[cols[j] * k + c];
-    t[c] = acc;
+    t[c] = acc / diag;
   }
-}
-
-void div_neon(double* t, double d, index_t k) {
-  const float64x2_t dv = vdupq_n_f64(d);
-  index_t c = 0;
-  for (; c + 2 <= k; c += 2) {
-    vst1q_f64(t + c, vdivq_f64(vld1q_f64(t + c), dv));
-  }
-  for (; c < k; ++c) t[c] /= d;
 }
 
 double dot_neon(const double* vals, const index_t* cols, const double* y,
@@ -549,8 +537,7 @@ double dot_neon(const double* vals, const index_t* cols, const double* y,
 }
 
 // The strip-lane kernels run the scalar reference on NEON.
-constexpr LaneOps kNeonOps = {KernelIsa::kNeon,   axpy_neon,
-                              row_axpy_neon,      div_neon,
+constexpr LaneOps kNeonOps = {KernelIsa::kNeon,   row_solve_neon,
                               dot_neon,           gather_axpy_scalar,
                               gather_axpy_scalar, spmv_row_scalar,
                               lane_dot_scalar,    lane_axpy_scalar,

@@ -12,18 +12,18 @@
 //
 // The bitwise contract (DESIGN.md §4) splits the kernels in two classes:
 //
-//   bitwise   axpy / div_inplace / gather_axpy — element-independent:
-//             each output element is produced by exactly the sequential
-//             operation sequence (one mul rounding + one sub rounding,
-//             or one correctly-rounded division). SIMD only changes how
-//             many independent elements retire per instruction, so the
-//             vector forms are bitwise identical to the scalar forms.
-//             These back the multi-RHS lane executors (the k columns of
-//             the wavefront-interleaved strip are the SIMD lanes) and
-//             FactorPlan's scatter updates. They deliberately avoid FMA:
-//             the scalar reference is compiled without FMA contraction,
-//             and a fused multiply-add rounds once where the reference
-//             rounds twice.
+//   bitwise   row_solve / gather_axpy — element-independent: each
+//             output element is produced by exactly the sequential
+//             operation sequence (one mul rounding + one sub rounding per
+//             term, then one correctly-rounded division). SIMD only
+//             changes how many independent elements retire per
+//             instruction, so the vector forms are bitwise identical to
+//             the scalar forms. These back the multi-RHS strip rows (the
+//             k columns of the wavefront-interleaved strip are the SIMD
+//             lanes) and FactorPlan's scatter updates. They deliberately
+//             avoid FMA: the build compiles with -ffp-contract=off, and a
+//             fused multiply-add rounds once where the reference rounds
+//             twice.
 //
 //             The strip-lane kernels of the lockstep Krylov solve
 //             (spmv_row, lane_dot, lane_axpy, lane_xpby) belong here
@@ -96,20 +96,19 @@ KernelIsa dispatched_isa() noexcept;
 /// `k`/`cnt` are element counts; all pointers may be unaligned.
 struct LaneOps {
   KernelIsa isa = KernelIsa::kScalar;
-  /// BITWISE: t[c] -= a * x[c] for c in [0, k) — one mul rounding, one
-  /// sub rounding per element, no FMA. The multi-RHS lane update.
-  void (*axpy)(double* t, const double* x, double a, index_t k);
-  /// BITWISE: one packed row's WHOLE dependence list against the
-  /// row-major strip — t[c] -= vals[j] * xs[cols[j]*k + c] for j in
-  /// [0, cnt) stored order. Per column the update sequence (and so every
-  /// rounding) is exactly the scalar loop's; the vector forms only keep
-  /// the accumulators in registers across the j loop instead of storing
-  /// t back per dependence. One indirect call per row, not per
-  /// dependence — the executors' hot path.
-  void (*row_axpy)(double* t, const double* vals, const index_t* cols,
-                   index_t cnt, const double* xs, index_t k);
-  /// BITWISE: t[c] /= d for c in [0, k) — correctly rounded per lane.
-  void (*div_inplace)(double* t, double d, index_t k);
+  /// BITWISE: one whole strip row of a triangular solve — for c in
+  /// [0, k): start from src[c], subtract vals[j] * xs[cols[j]*k + c] for
+  /// j = 0 .. cnt-1 in stored order (one mul rounding, one sub rounding
+  /// each), then divide by diag once. Per lane exactly the scalar row of
+  /// the sequential solve. `src` is the row's input (the forward solve's
+  /// input strip row) or `t` itself when solving in place; the
+  /// dependence rows xs[cols[j]*k ..] never overlap `t`. The vector forms
+  /// keep the k accumulators in registers from the load of `src` to the
+  /// one store of `t`. One indirect call per row — the strip executors'
+  /// hot path.
+  void (*row_solve)(double* t, const double* src, const double* vals,
+                    const index_t* cols, index_t cnt, double diag,
+                    const double* xs, index_t k);
   /// ULP: sum_j vals[j] * y[cols[j]] over cnt gathered entries, with
   /// vector-width accumulators (reassociated) and FMA where available.
   /// Only consulted by plans whose caller set ulp_tolerance > 0.
@@ -165,9 +164,11 @@ const LaneOps& ops_for(KernelIsa isa) noexcept;
 /// ops_for(dispatched_isa()) — what a kAuto/kVector plan starts from.
 const LaneOps& dispatched_ops() noexcept;
 
-/// Below this column count the lane kernels cannot fill one vector and
-/// the indirect call costs more than the loop it replaces; the executors
-/// inline the scalar arithmetic instead (bitwise-identical either way).
+/// Below this column count the lane kernels cannot fill one vector.
+/// Strip rows still call row_solve at every width (its scalar tail keeps
+/// the 2-3 lanes in registers, which beat inline loops), but narrower
+/// strips neither feed the kernel race nor take the lookahead prefetch,
+/// and FactorPlan inlines shorter scatter lists (bitwise either way).
 inline constexpr index_t kLaneMin = 4;
 
 /// Software prefetch of the line holding `p` into all cache levels.

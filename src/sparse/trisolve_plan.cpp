@@ -79,18 +79,9 @@ struct PackedSeekSrc {
 // The k columns of the interleaved strip are the SIMD lanes: one vector
 // op retires k right-hand sides per nonzero, and because column c's
 // element never mixes with column c''s, the vector forms are bitwise
-// identical to the scalar per-column arithmetic (DESIGN.md §14). Narrow
-// batches (k < kLaneMin) keep the inline scalar loops — same bits, no
-// indirect-call overhead.
-
-inline void lane_div(const kernels::LaneOps* lanes, double* ti, double d,
-                     index_t k) noexcept {
-  if (k >= kernels::kLaneMin) {
-    lanes->div_inplace(ti, d, k);
-  } else {
-    for (index_t c = 0; c < k; ++c) ti[c] /= d;
-  }
-}
+// identical to the scalar per-column arithmetic (DESIGN.md §14). Every
+// strip width runs one row_solve per row; kLaneMin only gates what needs
+// a full vector to pay: the kernel race and the lookahead prefetch.
 
 /// Every cache line of one k-wide strip row (k=16 spans two), gated on
 /// the vector table: the scalar table is the pre-kernel-layer reference
@@ -107,9 +98,9 @@ inline void prefetch_strip_row(const kernels::LaneOps* lanes,
 /// The NEXT record's gathered strip rows, issued while the lane kernels
 /// chew the current record — one full record of distance, enough to
 /// cover a last-level-cache hit on the spilled factors the packed
-/// layout targets. Only the walk-order walks (serial, level) use this:
-/// their lookahead row's dependences are all final, so the prefetch
-/// never tugs a line another thread is writing.
+/// layout targets. Only the level walk of a parallel strip uses this:
+/// its lookahead row's dependences are all final, so the prefetch never
+/// tugs a line another thread is writing.
 inline void prefetch_row_deps(const PackedRow& r, const double* tp,
                               index_t k) noexcept {
   for (index_t j = 0; j < r.cnt; ++j) {
@@ -118,36 +109,15 @@ inline void prefetch_row_deps(const PackedRow& r, const double* tp,
   }
 }
 
-/// The lookahead pipeline (parse the next record, prefetch its strip
-/// rows, then compute the current one) only pays when the lane kernels
-/// are actually in play: wide batches on a vector table. Narrow batches
-/// and the scalar table keep the plain walk — the scalar candidate the
-/// kernel race times IS the pre-kernel-layer executor, prefetch-free.
+/// The parallel strip's lookahead pipeline (parse the next record,
+/// prefetch its strip rows, then compute the current one) only pays when
+/// the lane kernels are actually in play: wide batches on a vector
+/// table. Narrow batches and the scalar table keep the plain walk — the
+/// scalar candidate the kernel race times IS the pre-kernel-layer
+/// executor, prefetch-free.
 inline bool want_lookahead(const kernels::LaneOps* lanes,
                            index_t k) noexcept {
   return lanes->isa != kernels::KernelIsa::kScalar && k >= kernels::kLaneMin;
-}
-
-/// One record's WHOLE dependence list against the strip. Wide batches
-/// take the fused row kernel — one indirect call per row, accumulators
-/// register-resident across the dependence list; narrow ones keep the
-/// per-dependence loop, prefetching the next dependence's strip row.
-/// Every wait retires BEFORE this runs (the fused kernel reads every
-/// dependence's strip row). Bitwise equal either way: per column the
-/// j-ordered mul+sub sequence is identical.
-inline void lane_row_update(const kernels::LaneOps* lanes, double* ti,
-                            const double* tp, const PackedRow& r,
-                            index_t k) noexcept {
-  if (k >= kernels::kLaneMin) {
-    lanes->row_axpy(ti, r.vals, r.cols, r.cnt, tp, k);
-    return;
-  }
-  for (index_t j = 0; j < r.cnt; ++j) {
-    if (j + 1 < r.cnt) kernels::prefetch_read(tp + r.cols[j + 1] * k);
-    const double* tc = tp + r.cols[j] * k;
-    const double a = r.vals[j];
-    for (index_t c = 0; c < k; ++c) ti[c] -= a * tc[c];
-  }
 }
 
 /// Keeps a short in-order reduction a scalar loop. Vectorizing it is
@@ -223,21 +193,18 @@ struct StripRow {
   void operator()(index_t pos, Wait& wait) {
     const PackedRow r = src.at(pos);
     double* ti = tp + r.row * k;
-    if (in) {
-      const double* bi = in + r.row * k;
-      for (index_t c = 0; c < k; ++c) ti[c] = bi[c];
-    }
     if constexpr (Wait::kWaits) {
       // Waits retire first, pulling each ready dependence's strip row
-      // toward L1 as it lands; then the whole dependence list runs
-      // through one fused lane-kernel call.
+      // toward L1 as it lands: the row kernel reads them all.
       for (index_t j = 0; j < r.cnt; ++j) {
         wait(r.cols[j]);
         prefetch_strip_row(lanes, tp, r.cols[j], k);
       }
     }
-    lane_row_update(lanes, ti, tp, r, k);
-    lane_div(lanes, ti, r.diag, k);
+    // The whole row in one lane-kernel call: load, dependence list,
+    // divide and store, the accumulators in registers throughout.
+    lanes->row_solve(ti, in ? in + r.row * k : ti, r.vals, r.cols, r.cnt,
+                     r.diag, tp, k);
   }
 
   /// The core's lookahead hook, present only over an AheadSrc.
@@ -248,11 +215,11 @@ struct StripRow {
   }
 };
 
-/// Walk-order lookahead over a row Source: look(pos, end), called by the
+/// Level-walk lookahead over a row Source: look(pos, end), called by the
 /// core through StripRow, parses record pos (or takes it from the
-/// previous call) and, when
-/// the thread's run continues, parses record pos+1 and prefetches its
-/// gathered strip rows — then the body's at(pos) returns record pos.
+/// previous call) and, when the thread's run continues, parses record
+/// pos+1 and prefetches its gathered strip rows — then the body's at(pos)
+/// returns record pos.
 /// Each record is parsed exactly once, in walk order, which is what the
 /// cursor-driven packed sources require.
 template <class Src>
@@ -305,8 +272,8 @@ core::DagPlanConfig core_config(const PlanOptions& o, bool fused) noexcept {
 template <bool kLook, class MakeRow>
 void TrisolvePlan::walk(bool upper, unsigned tid, unsigned nthreads,
                         MakeRow&& row, const double* tp, index_t k) {
-  // Walk-order walks visit each thread's positions consecutively; with
-  // kLook their rows read through an AheadSrc, whose hook the core calls.
+  // The level walk visits each thread's positions consecutively; with
+  // kLook its rows read through an AheadSrc, whose hook the core calls.
   auto in_order = [&](auto src) {
     if constexpr (kLook) {
       return row(AheadSrc<decltype(src)>{src, tp, k});
@@ -339,9 +306,10 @@ void TrisolvePlan::walk(bool upper, unsigned tid, unsigned nthreads,
         }
         return;
       case ExecutionStrategy::kSerial:
+        // No lookahead: one thread's strip stays cache resident, so the
+        // parse-and-prefetch pipeline would only add work per row.
         if (packed.packed()) {
-          core_.walk_serial(d, tid,
-                            in_order(PackedWalkSrc{packed.cursor(0)}));
+          core_.walk_serial(d, tid, row(PackedWalkSrc{packed.cursor(0)}));
           return;
         }
         // Single-RHS rows take the wavefront walk once the order race
@@ -349,7 +317,7 @@ void TrisolvePlan::walk(bool upper, unsigned tid, unsigned nthreads,
         if constexpr (kVecRow<decltype(row(csr))>) {
           if (core_.wavefront()) csr.order = d.order_data();
         }
-        core_.walk_serial(d, tid, in_order(csr), csr.order);
+        core_.walk_serial(d, tid, row(csr), csr.order);
         return;
       case ExecutionStrategy::kAuto:
         return;  // unreachable: the core never leaves kAuto
@@ -736,22 +704,15 @@ void TrisolvePlan::serial_strip(const double* in, double* x, index_t k,
     return;
   }
   // Even the serial walk retires k right-hand sides per nonzero through
-  // one lane kernel.
+  // one lane-kernel call per row.
   const auto strip = [this, in, x, k](bool upper) {
     return [this, in, x, k, upper](auto src) {
       return StripRow<decltype(src)>{src, upper ? nullptr : in, x, k,
                                      core_.lanes()};
     };
   };
-  const auto both = [&](auto look) {
-    walk<decltype(look)::value>(false, tid, 1, strip(false), x, k);
-    walk<decltype(look)::value>(true, tid, 1, strip(true), x, k);
-  };
-  if (want_lookahead(core_.lanes(), k)) {
-    both(std::true_type{});
-  } else {
-    both(std::false_type{});
-  }
+  walk<false>(false, tid, 1, strip(false));
+  walk<false>(true, tid, 1, strip(true));
 }
 
 namespace {

@@ -360,7 +360,7 @@ class TrisolvePlan {
   /// Run one factor's solve (L, or U when `upper`) under the plan's
   /// current strategy: pick the row source the strategy and layout read
   /// (DESIGN.md §10) and hand `row(src)` — the row body over it — to the
-  /// core's walk. kLook runs walk-order walks with the next-record
+  /// core's walk. kLook runs the level walk with the next-record
   /// lookahead over the k-lane strip `tp`.
   template <bool kLook, class MakeRow>
   void walk(bool upper, unsigned tid, unsigned nthreads, MakeRow&& row,

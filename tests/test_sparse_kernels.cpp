@@ -10,10 +10,12 @@
 // updates, and the scalar-vs-vector kernel race telemetry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -25,6 +27,8 @@
 #include "solve/vec.hpp"
 #include "sparse/ilu0.hpp"
 #include "sparse/kernels.hpp"
+#include "sparse/permute.hpp"
+#include "sparse/rcm.hpp"
 #include "sparse/factor_plan.hpp"
 #include "sparse/trisolve.hpp"
 #include "sparse/trisolve_plan.hpp"
@@ -94,9 +98,7 @@ TEST(KernelDispatch, TablesExistForEveryIsa) {
                             kn::KernelIsa::kNeon}) {
     const kn::LaneOps& ops = kn::ops_for(isa);
     EXPECT_TRUE(ops.isa == isa || ops.isa == kn::KernelIsa::kScalar);
-    ASSERT_NE(ops.axpy, nullptr);
-    ASSERT_NE(ops.row_axpy, nullptr);
-    ASSERT_NE(ops.div_inplace, nullptr);
+    ASSERT_NE(ops.row_solve, nullptr);
     ASSERT_NE(ops.dot, nullptr);
     ASSERT_NE(ops.gather_axpy, nullptr);
     ASSERT_NE(ops.gather_axpy_fma, nullptr);
@@ -110,71 +112,75 @@ TEST(KernelDispatch, TablesExistForEveryIsa) {
 
 // --- lane kernel unit tests (bitwise class) ----------------------------
 
-TEST(KernelLanes, AxpyAndDivBitwiseMatchScalarAtEveryLength) {
-  const kn::LaneOps& ref = kn::scalar_ops();
-  // Cover sub-vector tails and multi-vector bodies for both AVX2 (4
-  // lanes) and NEON (2 lanes).
-  for (kn::KernelIsa isa : {kn::KernelIsa::kAvx2, kn::KernelIsa::kNeon}) {
+TEST(KernelLanes, RowSolveBitwiseMatchesCopySubDivideLoops) {
+  // The fused strip row must equal the plain three-step row — copy
+  // the input, subtract each dependence (mul then sub, j order), divide —
+  // bitwise, lane by lane, for every table. k = 1..40 runs every 16/8/4
+  // register block and every 1-3 lane tail (AVX2) and every 8/4/2 block
+  // and 1-lane tail (NEON); cnt = 0..9 covers empty and long rows.
+  // Diagonals include 1.0, negative and tiny values; NaN and Inf lanes
+  // must propagate exactly as the scalar loop propagates them.
+  const index_t n_strip_rows = 23;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double diags[] = {1.0, -3.0625, 1.7e-300, 0.7071067811865476};
+  for (kn::KernelIsa isa :
+       {kn::KernelIsa::kScalar, kn::KernelIsa::kAvx2, kn::KernelIsa::kNeon}) {
     const kn::LaneOps& ops = kn::ops_for(isa);
-    for (index_t k = 0; k <= 19; ++k) {
-      const auto x = random_vec(static_cast<std::size_t>(k), 11 + k);
-      auto t_ref = random_vec(static_cast<std::size_t>(k), 23 + k);
-      auto t_vec = t_ref;
-      const double a = 1.7320508075688772;
-      ref.axpy(t_ref.data(), x.data(), a, k);
-      ops.axpy(t_vec.data(), x.data(), a, k);
-      for (index_t c = 0; c < k; ++c) {
-        ASSERT_EQ(t_ref[static_cast<std::size_t>(c)],
-                  t_vec[static_cast<std::size_t>(c)])
-            << kn::to_string(isa) << " axpy k=" << k << " lane " << c;
-      }
-      const double d = -0.3333333333333333;
-      ref.div_inplace(t_ref.data(), d, k);
-      ops.div_inplace(t_vec.data(), d, k);
-      for (index_t c = 0; c < k; ++c) {
-        ASSERT_EQ(t_ref[static_cast<std::size_t>(c)],
-                  t_vec[static_cast<std::size_t>(c)])
-            << kn::to_string(isa) << " div k=" << k << " lane " << c;
-      }
-    }
-  }
-}
-
-TEST(KernelLanes, RowAxpyBitwiseMatchesPerDepScalarLoops) {
-  // The fused row kernel must equal the per-dependence scalar loops
-  // bitwise for every (cnt, k) shape — it only reorders the loop nest,
-  // never any column's update sequence.
-  const index_t n_strip_rows = 40;
-  for (kn::KernelIsa isa : {kn::KernelIsa::kAvx2, kn::KernelIsa::kNeon}) {
-    const kn::LaneOps& ops = kn::ops_for(isa);
-    for (index_t k : {index_t{1}, index_t{4}, index_t{7}, index_t{8},
-                      index_t{16}, index_t{19}}) {
-      for (index_t cnt : {index_t{0}, index_t{1}, index_t{5}, index_t{9}}) {
+    for (index_t k = 1; k <= 40; ++k) {
+      const std::size_t ku = static_cast<std::size_t>(k);
+      auto xs = random_vec(static_cast<std::size_t>(n_strip_rows) * ku,
+                           37 + static_cast<std::uint64_t>(k));
+      // A few special lanes in the dependence rows: lane 2 of row 3 and
+      // the last lane of row 5 (when the strip is that wide).
+      if (k > 2) xs[3 * ku + 2] = nan;
+      xs[5 * ku + ku - 1] = inf;
+      for (index_t cnt = 0; cnt <= 9; ++cnt) {
         const auto vals =
-            random_vec(static_cast<std::size_t>(cnt), 31 + cnt + k);
-        const auto xs =
-            random_vec(static_cast<std::size_t>(n_strip_rows * k), 37 + k);
+            random_vec(static_cast<std::size_t>(cnt),
+                       31 + static_cast<std::uint64_t>(cnt * 64 + k));
         std::vector<index_t> cols;
         for (index_t j = 0; j < cnt; ++j) {
-          cols.push_back((j * 11) % n_strip_rows);
+          cols.push_back(1 + (j * 7) % (n_strip_rows - 1));  // never row 0
         }
-        auto t_ref = random_vec(static_cast<std::size_t>(k), 41 + cnt);
-        auto t_fused = t_ref;
-        // Reference: the historical executor order (j outer, c inner).
-        for (index_t j = 0; j < cnt; ++j) {
-          const double a = vals[static_cast<std::size_t>(j)];
-          const double* x = xs.data() + cols[static_cast<std::size_t>(j)] * k;
-          for (index_t c = 0; c < k; ++c) {
-            t_ref[static_cast<std::size_t>(c)] -= a * x[c];
+        auto b = random_vec(ku, 41 + static_cast<std::uint64_t>(cnt + k));
+        if (k > 1) b[1] = -inf;
+        for (const double diag : diags) {
+          // Reference: copy, per-dependence mul+sub, divide.
+          std::vector<double> ref(b);
+          for (index_t j = 0; j < cnt; ++j) {
+            const double a = vals[static_cast<std::size_t>(j)];
+            const double* x =
+                xs.data() + cols[static_cast<std::size_t>(j)] * k;
+            for (index_t c = 0; c < k; ++c) {
+              ref[static_cast<std::size_t>(c)] -= a * x[c];
+            }
           }
-        }
-        ops.row_axpy(t_fused.data(), vals.data(), cols.data(), cnt,
-                     xs.data(), k);
-        for (index_t c = 0; c < k; ++c) {
-          ASSERT_EQ(t_ref[static_cast<std::size_t>(c)],
-                    t_fused[static_cast<std::size_t>(c)])
-              << kn::to_string(isa) << " row_axpy k=" << k << " cnt=" << cnt
-              << " lane " << c;
+          for (double& v : ref) v /= diag;
+
+          // From a separate input row into strip row 0 (the forward
+          // solve), and in place (src == t, the backward solve).
+          std::vector<double> out(xs);
+          ops.row_solve(out.data(), b.data(), vals.data(), cols.data(), cnt,
+                        diag, xs.data(), k);
+          std::vector<double> in_place(xs);
+          std::copy(b.begin(), b.end(), in_place.begin());
+          ops.row_solve(in_place.data(), in_place.data(), vals.data(),
+                        cols.data(), cnt, diag, in_place.data(), k);
+          ASSERT_EQ(std::memcmp(out.data(), ref.data(), ku * sizeof(double)),
+                    0)
+              << kn::to_string(isa) << " row_solve k=" << k << " cnt=" << cnt
+              << " diag=" << diag;
+          ASSERT_EQ(std::memcmp(in_place.data(), ref.data(),
+                                ku * sizeof(double)),
+                    0)
+              << kn::to_string(isa) << " in-place row_solve k=" << k
+              << " cnt=" << cnt << " diag=" << diag;
+          // The dependence rows are read, never written.
+          ASSERT_EQ(std::memcmp(out.data() + ku, xs.data() + ku,
+                                (xs.size() - ku) * sizeof(double)),
+                    0)
+              << kn::to_string(isa) << " row_solve wrote past its row";
         }
       }
     }
@@ -400,6 +406,69 @@ TEST(KernelPlans, BatchSolvesBitwiseAcrossKernelChoices) {
                     x_v[static_cast<std::size_t>(i)])
               << core::to_string(s) << " nth=" << nth << " at " << i
               << " (vector kernel vs scalar kernel)";
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelPlans, SerialStripBitwiseAtEveryWidth) {
+  // The serial CSR-view strip walk — what a settled served plan runs —
+  // at every k from 1 to 17: the one-lane vector rows, and one fused
+  // row_solve per row at every block/tail split the served strips hit
+  // (k = 2-3 are all tail; 5-7, 9-11, 13-15 are ragged). Each lane must
+  // equal the sequential solves bitwise, from a separate input and in
+  // place, on a stencil, its RCM ordering and a randomly scattered band.
+  const sp::Csr stencil = gen::five_point(17, 13);
+  const sp::Csr rcm = sp::permute_symmetric(stencil, sp::rcm_order(stencil));
+  const index_t band_n = 300;
+  sp::CsrBuilder bb(band_n, band_n);
+  for (index_t i = 0; i < band_n; ++i) {
+    for (index_t d = -3; d <= 3; ++d) {
+      if (i + d >= 0 && i + d < band_n) bb.add(i, i + d, d == 0 ? 8.0 : -1.0);
+    }
+  }
+  std::vector<index_t> perm(static_cast<std::size_t>(band_n));
+  for (index_t i = 0; i < band_n; ++i) {
+    perm[static_cast<std::size_t>(i)] = (i * 97) % band_n;  // 97 ⊥ 300
+  }
+  const sp::Csr band = sp::permute_symmetric(bb.build(), perm);
+
+  struct Case {
+    const char* name;
+    const sp::Csr* a;
+  };
+  for (const Case& cs : {Case{"stencil", &stencil}, Case{"rcm", &rcm},
+                         Case{"scattered-band", &band}}) {
+    const sp::IluFactors f = sp::ilu0(*cs.a);
+    const index_t n = f.l.rows;
+    const std::size_t nu = static_cast<std::size_t>(n);
+    for (kn::KernelChoice kc :
+         {kn::KernelChoice::kScalar, kn::KernelChoice::kVector}) {
+      sp::TrisolvePlan plan(pool(), f.l, f.u,
+                            plan_opts(sp::ExecutionStrategy::kSerial, 1,
+                                      sp::PlanLayout::kCsrView, kc));
+      for (index_t k = 1; k <= 17; ++k) {
+        const std::size_t ku = static_cast<std::size_t>(k);
+        const auto b = random_vec(nu * ku, 900 + static_cast<std::uint64_t>(k));
+        std::vector<double> x(b.size(), 0.0), x_in_place(b);
+        plan.solve_strip(b, x, k);
+        plan.solve_strip(x_in_place, x_in_place, k);
+        std::vector<double> col(nu), t(nu), z(nu);
+        for (index_t c = 0; c < k; ++c) {
+          for (std::size_t i = 0; i < nu; ++i) col[i] = b[i * ku + c];
+          sp::trisolve_lower_seq(f.l, col, t);
+          sp::trisolve_upper_seq(f.u, t, z);
+          for (std::size_t i = 0; i < nu; ++i) {
+            ASSERT_EQ(std::memcmp(&z[i], &x[i * ku + c], sizeof(double)), 0)
+                << cs.name << " " << kn::to_string(kc) << " k=" << k
+                << " lane " << c << " row " << i;
+            ASSERT_EQ(
+                std::memcmp(&z[i], &x_in_place[i * ku + c], sizeof(double)),
+                0)
+                << cs.name << " " << kn::to_string(kc) << " k=" << k
+                << " lane " << c << " row " << i << " (in place)";
+          }
         }
       }
     }
