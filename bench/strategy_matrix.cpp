@@ -73,7 +73,7 @@ struct Row {
   bool calibrated = false;
   bool cache_hit = false;
   int exploration_epochs = 0;
-  std::vector<core::StrategyTiming> race;
+  std::vector<core::RaceTiming<core::ExecStrategy>> race;
   // Auto row only: the walk order of a serial pick and whether it was
   // measured (DESIGN.md §13).
   core::WalkOrder order = core::WalkOrder::kSource;
@@ -310,7 +310,7 @@ int main(int argc, char** argv) {
           out << ", \"race\": [";
           for (std::size_t j = 0; j < r.race.size(); ++j) {
             out << (j ? ", " : "") << "{\"strategy\": \""
-                << core::to_string(r.race[j].strategy)
+                << core::to_string(r.race[j].choice)
                 << "\", \"best_us\": " << r.race[j].best_us
                 << ", \"epochs\": " << r.race[j].epochs << "}";
           }

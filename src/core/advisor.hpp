@@ -25,7 +25,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "core/doconsider.hpp"
 #include "runtime/schedule.hpp"
@@ -122,28 +121,10 @@ ScheduleAdvice advise_factor_schedule(const TrisolveStructure& s,
 // stencil factor). The paper's amortization premise — the same loop runs
 // many times — makes measuring free: a kAuto plan races every strategy on
 // its first real solves (all executors are bitwise identical, so switching
-// mid-stream is invisible) and locks in the measured winner. The types
-// below record the race; the TuningCache persists winners process-wide so
-// later plans over the same (pattern fingerprint, threads) skip the race.
-
-/// One lane of a calibration race: the best time a strategy measured.
-struct StrategyTiming {
-  ExecStrategy strategy = ExecStrategy::kSerial;
-  double best_us = 0.0;  ///< fastest observed epoch per column, microseconds
-  int epochs = 0;        ///< timed epochs this strategy ran
-};
-
-/// Record of one plan's empirical strategy calibration.
-struct StrategyRace {
-  /// A measured winner is locked in (via a completed race or a cache hit).
-  bool calibrated = false;
-  /// The winner came from the process-wide TuningCache — no epochs raced.
-  bool cache_hit = false;
-  /// Real solves/factorizations spent exploring (0 on a cache hit).
-  int exploration_epochs = 0;
-  /// Per-strategy race results, candidate order (empty on a cache hit).
-  std::vector<StrategyTiming> timings;
-};
+// mid-stream is invisible) and locks in the measured winner. core::Race
+// (core/race.hpp) runs and records the race; the TuningCache persists
+// winners process-wide so later plans over the same (pattern fingerprint,
+// threads) skip the race.
 
 /// Structure fingerprint a measured winner is keyed by: every field the
 /// strategy decision depends on, and nothing value-dependent — two

@@ -3,6 +3,8 @@
 #include <chrono>
 #include <exception>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace pdx::core {
 
@@ -62,23 +64,21 @@ void DagPlan::decide(const TrisolveStructure& s, const ScheduleAdvice& advice) {
       tel_->rationale = std::string("tuning cache hit: ") +
                         to_string(cached) +
                         " measured fastest earlier for this (pattern, threads)";
-      tel_->race.calibrated = true;
-      tel_->race.cache_hit = true;
+      strategy_race_.adopt(cached);
+      tel_->race = strategy_race_.state();
       arm_order_race(s);
       return;
     }
   }
-  calibrating_ = true;
-  candidates_ = {tel_->strategy};
+  std::vector<ExecStrategy> choices{tel_->strategy};
   for (const ExecStrategy c : {ExecStrategy::kSerial, ExecStrategy::kDoacross,
                                ExecStrategy::kLevelBarrier}) {
-    if (c != candidates_.front()) candidates_.push_back(c);
+    if (c != choices.front()) choices.push_back(c);
   }
-  tel_->race.timings.resize(candidates_.size());
-  for (std::size_t i = 0; i < candidates_.size(); ++i) {
-    tel_->race.timings[i].strategy = candidates_[i];
-  }
-  set_strategy_state(candidates_.front());
+  strategy_race_ = Race<ExecStrategy>(std::move(choices));
+  strategy_race_.arm(cfg_.calibration_epochs);
+  tel_->race = strategy_race_.state();
+  set_strategy_state(strategy_race_.candidate());
   tel_->rationale += std::string(" — calibrating: racing every strategy on "
                                  "the first live ") +
                      cfg_.epoch + "s";
@@ -126,10 +126,9 @@ void DagPlan::lock_in_order() {
   const OrderRaceState& r = tel_->order_race;
   std::string why = "from the tuning cache";
   if (!r.cache_hit) {
-    const bool wave = tel_->order == WalkOrder::kWavefront;
-    why = "measured fastest (" +
-          std::to_string(r.timings[wave ? 1 : 0].best_us) + " vs " +
-          std::to_string(r.timings[wave ? 0 : 1].best_us) + " us/" +
+    const std::size_t won = order_race_.winner_index();
+    why = "measured fastest (" + std::to_string(r.timings[won].best_us) +
+          " vs " + std::to_string(r.timings[1 - won].best_us) + " us/" +
           cfg_.epoch + " over " + std::to_string(r.exploration_epochs) +
           " exploration " + cfg_.epoch + "s)";
   }
@@ -146,7 +145,7 @@ bool DagPlan::needs_order() const noexcept {
   // running race keeps the orders alive — the level-barrier and doacross
   // candidates and the wavefront candidate need them; the winner drops
   // what it does not use at lock-in.
-  return calibrating_ || order_race_.active() ||
+  return calibrating() || order_race_.active() ||
          tel_->order == WalkOrder::kWavefront ||
          tel_->strategy == ExecStrategy::kLevelBarrier ||
          (tel_->strategy == ExecStrategy::kDoacross && cfg_.reorder);
@@ -168,38 +167,16 @@ void DagPlan::set_strategy_state(ExecStrategy s) {
   set_guard();
 }
 
-bool DagPlan::note_calibration_epoch(double us) {
-  StrategyTiming& t = tel_->race.timings[cand_idx_];
-  if (t.epochs == 0 || us < t.best_us) t.best_us = us;
-  ++t.epochs;
-  ++tel_->race.exploration_epochs;
-  if (++cand_epoch_ < cfg_.calibration_epochs) return false;
-  cand_epoch_ = 0;
-  if (++cand_idx_ < candidates_.size()) {
-    set_strategy_state(candidates_[cand_idx_]);
-    return false;
-  }
-  finish_calibration();
-  return true;
-}
-
 void DagPlan::finish_calibration() {
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < tel_->race.timings.size(); ++i) {
-    if (tel_->race.timings[i].best_us < tel_->race.timings[best].best_us) {
-      best = i;
-    }
-  }
-  const ExecStrategy winner = candidates_[best];
-  calibrating_ = false;
-  set_strategy_state(winner);
-  tel_->race.calibrated = true;
+  const ExecStrategy winner = strategy_race_.winner();
+  const RaceState<ExecStrategy>& r = tel_->race;
   tel_->rationale = std::string("calibrated: ") + to_string(winner) +
                     " measured fastest (" +
-                    std::to_string(tel_->race.timings[best].best_us) +
+                    std::to_string(
+                        r.timings[strategy_race_.winner_index()].best_us) +
                     " us/" + cfg_.epoch + " over " +
-                    std::to_string(tel_->race.exploration_epochs) +
-                    " exploration " + cfg_.epoch + "s)";
+                    std::to_string(r.exploration_epochs) + " exploration " +
+                    cfg_.epoch + "s)";
   if (have_tuning_key_) tuning_cache().store(tuning_key_, winner);
   arm_order_race(tel_->structure);
   if (!needs_order()) {
@@ -207,23 +184,15 @@ void DagPlan::finish_calibration() {
   }
 }
 
-void DagPlan::set_lanes(const kernels::LaneOps* ops) noexcept {
-  lanes_ = ops;
-  // The ulp kernels reassociate or re-round, so they are only reachable
-  // when the caller opted in AND the table is a vector one — a
-  // forced-scalar plan stays bitwise even with a tolerance set.
-  ulp_ = cfg_.ulp_tolerance > 0.0 && ops->isa != kernels::KernelIsa::kScalar;
-}
-
 void DagPlan::resolve_kernel() noexcept {
   tel_->isa = kernels::dispatched_isa();
   const bool have_vector = tel_->isa != kernels::KernelIsa::kScalar;
   if (cfg_.kernel == kernels::KernelChoice::kScalar) {
-    set_lanes(&kernels::scalar_ops());
+    lanes_ = &kernels::scalar_ops();
     tel_->kernel = kernels::KernelChoice::kScalar;
     return;
   }
-  set_lanes(&kernels::dispatched_ops());
+  lanes_ = &kernels::dispatched_ops();
   tel_->kernel = have_vector ? kernels::KernelChoice::kVector
                              : kernels::KernelChoice::kScalar;
   // The strategy race times strategies only (its budget and winner
@@ -241,12 +210,11 @@ EpochKind DagPlan::begin_kernel_epoch(bool eligible) noexcept {
   // Fed only after the strategy race locked in, so the timing compares
   // kernels, not strategies. Both candidates are bitwise identical on
   // the lane paths, so exploring is invisible to callers.
-  if (!kernel_race_.active() || calibrating_ || !eligible) {
+  if (!kernel_race_.active() || calibrating() || !eligible) {
     return EpochKind::kPlain;
   }
   const kernels::KernelChoice cand = kernel_race_.candidate();
-  set_lanes(cand == kernels::KernelChoice::kScalar ? &kernels::scalar_ops()
-                                                   : &kernels::dispatched_ops());
+  lanes_ = lanes_for(cand);
   tel_->kernel = cand;
   return EpochKind::kKernel;
 }
@@ -256,7 +224,14 @@ bool DagPlan::end_epoch(double seconds, EpochKind kind, index_t columns) {
   // lockstep strip narrows as its systems converge, so candidates raced
   // later would otherwise be timed on fewer columns.
   const double us = seconds * 1e6 / static_cast<double>(columns);
-  if (calibrating_) return note_calibration_epoch(us);
+  if (calibrating()) {
+    const bool locked = strategy_race_.note_epoch(us);
+    tel_->race = strategy_race_.state();
+    // The next candidate while exploring, the winner once locked in.
+    set_strategy_state(strategy_race_.candidate());
+    if (locked) finish_calibration();
+    return locked;
+  }
   if (kind == EpochKind::kOrder && order_race_.active()) {
     if (!order_race_.note_epoch(us)) {
       publish_order();
@@ -269,9 +244,7 @@ bool DagPlan::end_epoch(double seconds, EpochKind kind, index_t columns) {
   }
   if (kind == EpochKind::kKernel) {
     if (kernel_race_.note_epoch(us)) {
-      set_lanes(kernel_race_.winner() == kernels::KernelChoice::kScalar
-                    ? &kernels::scalar_ops()
-                    : &kernels::dispatched_ops());
+      lanes_ = lanes_for(kernel_race_.winner());
       tel_->kernel = kernel_race_.winner();
     }
     tel_->kernel_race = kernel_race_.state();

@@ -87,8 +87,9 @@ struct ExecTelemetry {
   std::string rationale;
   /// The empirical calibration record (DESIGN.md §13): whether a measured
   /// winner is locked in, whether it came from the TuningCache, and the
-  /// per-strategy race timings.
-  StrategyRace race;
+  /// per-strategy race timings (the opening bid explores first and keeps
+  /// a tie).
+  RaceState<ExecStrategy> race;
   /// Inspector-measured structure of the lower pattern (kAuto only).
   TrisolveStructure structure;
   /// Processor count the decision assumed (the plan's region width).
@@ -123,7 +124,6 @@ struct DagPlanConfig {
   bool use_tuning_cache = true;
   std::uint64_t stall_budget = 0;
   kernels::KernelChoice kernel = kernels::KernelChoice::kAuto;
-  double ulp_tolerance = 0.0;
   /// Factorization races key the TuningCache apart from solve races.
   bool factor = false;
   /// Serial single-RHS bodies may walk the doconsider order: once the
@@ -308,7 +308,7 @@ class DagPlan {
   rt::ThreadPool& pool() const noexcept { return *pool_; }
   unsigned nthreads() const noexcept { return nth_; }
   ExecStrategy strategy() const noexcept { return tel_->strategy; }
-  bool calibrating() const noexcept { return calibrating_; }
+  bool calibrating() const noexcept { return strategy_race_.active(); }
   /// True while the order race explores. It never holds back settled():
   /// only single-RHS runs on the calling thread feed it, and run_inline
   /// callers walk the current order, which only end_epoch changes.
@@ -324,14 +324,12 @@ class DagPlan {
   /// armed, not poisoned. The strategy, layout and kernel table stay
   /// fixed from here on.
   bool settled() const noexcept {
-    return !calibrating_ && !kernel_race_.active() && !poisoned();
+    return !calibrating() && !kernel_race_.active() && !poisoned();
   }
   Dag& dag(unsigned i) noexcept { return dags_[i]; }
   const Dag& dag(unsigned i) const noexcept { return dags_[i]; }
-  /// The active lane-kernel table, and whether the caller's ulp_tolerance
-  /// opts the rows into the reassociated kernels (vector tables only).
+  /// The active lane-kernel table.
   const kernels::LaneOps* lanes() const noexcept { return lanes_; }
-  bool ulp() const noexcept { return ulp_; }
   rt::FaultInjector* injector() const noexcept { return injector_; }
   void set_fault_injector(rt::FaultInjector* injector) noexcept {
     injector_ = injector;
@@ -343,7 +341,8 @@ class DagPlan {
   /// under kAuto), and the wait-guard site name.
   void set_strategy_state(ExecStrategy s);
   void set_guard() noexcept;
-  bool note_calibration_epoch(double us);
+  /// Lock in the strategy race's winner: rationale, TuningCache, the
+  /// order race of a serial winner, and the orders nothing walks any more.
   void finish_calibration();
   /// Copy the order race's record and current order to the telemetry.
   void publish_order();
@@ -351,7 +350,11 @@ class DagPlan {
   /// walks any more, and append the verdict to the rationale.
   void lock_in_order();
   void resolve_kernel() noexcept;
-  void set_lanes(const kernels::LaneOps* ops) noexcept;
+  /// The lane-kernel table a kernel choice runs.
+  static const kernels::LaneOps* lanes_for(kernels::KernelChoice c) noexcept {
+    return c == kernels::KernelChoice::kScalar ? &kernels::scalar_ops()
+                                               : &kernels::dispatched_ops();
+  }
   index_t natural_row(const Dag& d, index_t pos) const noexcept {
     return d.reverse ? n_ - 1 - pos : pos;
   }
@@ -371,22 +374,19 @@ class DagPlan {
   rt::FaultInjector* injector_ = nullptr;
   std::vector<rt::Padded<std::uint64_t>> episodes_, rounds_;
 
-  // kAuto calibration race state (DESIGN.md §13).
-  bool calibrating_ = false;
-  std::vector<ExecStrategy> candidates_;
-  std::size_t cand_idx_ = 0;
-  int cand_epoch_ = 0;
+  // kAuto calibration race state (DESIGN.md §13); decide() fills in the
+  // candidates, the opening bid first.
+  Race<ExecStrategy> strategy_race_{{ExecStrategy::kSerial}};
   TuningKey tuning_key_{};
   bool have_tuning_key_ = false;
 
   // Order race state (DESIGN.md §13).
-  PairRace<WalkOrder> order_race_{WalkOrder::kSource, WalkOrder::kWavefront};
+  Race<WalkOrder> order_race_{{WalkOrder::kSource, WalkOrder::kWavefront}};
   TuningKey order_key_{};
   bool have_order_key_ = false;
 
   // Lane-kernel state (DESIGN.md §14).
   const kernels::LaneOps* lanes_ = nullptr;
-  bool ulp_ = false;
   kernels::Race kernel_race_;
 };
 

@@ -24,8 +24,7 @@ BatchDriver::BatchDriver(rt::ThreadPool& pool, const sparse::Csr& a,
                              .calibration_epochs = opts.calibration_epochs,
                              .use_tuning_cache = opts.use_tuning_cache,
                              .stall_budget = opts.stall_budget,
-                             .kernel = opts.kernel,
-                             .ulp_tolerance = opts.ulp_tolerance},
+                             .kernel = opts.kernel},
          sparse::FactorPlanOptions{
              .nthreads = opts.nthreads,
              .strategy = opts.factor_strategy,
@@ -33,8 +32,7 @@ BatchDriver::BatchDriver(rt::ThreadPool& pool, const sparse::Csr& a,
              .use_tuning_cache = opts.use_tuning_cache,
              .stall_budget = opts.stall_budget,
              .pivot = {},
-             .kernel = opts.kernel,
-             .ulp_tolerance = opts.ulp_tolerance}) {
+             .kernel = opts.kernel}) {
   if (opts.max_iterations < 1) {
     throw std::invalid_argument("BatchDriver: max_iterations must be >= 1");
   }

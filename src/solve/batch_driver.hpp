@@ -98,10 +98,6 @@ struct BatchDriverOptions {
   /// scalar-vs-vector on the lane-kernel dispatches after the strategy
   /// race locks in; kScalar/kVector pin a table.
   sparse::kernels::KernelChoice kernel = sparse::kernels::KernelChoice::kAuto;
-  /// Opt into the ulp-class kernels (reassociated dot, fused scatter
-  /// update) on vector tables; 0 (default) keeps every answer bitwise
-  /// identical to the sequential reference.
-  double ulp_tolerance = 0.0;
   /// Stall watchdog budget in spin rounds per in-region wait, for BOTH
   /// shared plans (PlanOptions::stall_budget /
   /// FactorPlanOptions::stall_budget; DESIGN.md §12). 0 (default)

@@ -116,7 +116,6 @@ core::DagPlanConfig core_config(const FactorPlanOptions& o) noexcept {
           .use_tuning_cache = o.use_tuning_cache,
           .stall_budget = o.stall_budget,
           .kernel = o.kernel,
-          .ulp_tolerance = o.ulp_tolerance,
           .factor = true,
           .name = "FactorPlan",
           .epoch = "factorization"};
@@ -204,8 +203,8 @@ void FactorPlan::factor_row(index_t i, WaitFn&& wait) {
     if (cnt >= kernels::kLaneMin) {
       // Targets are positions in row i (distinct), sources in the
       // retired pivot row — disjoint, as the gather kernels require.
-      gather_(w, upd_tgt_.data() + t_begin, upd_src_.data() + t_begin, cnt,
-              lik);
+      core_.lanes()->gather_axpy(w, upd_tgt_.data() + t_begin,
+                                 upd_src_.data() + t_begin, cnt, lik);
     } else {
       for (index_t t = t_begin; t < t_end; ++t) {
         w[upd_tgt_[static_cast<std::size_t>(t)]] -=
@@ -324,8 +323,6 @@ FactorStats FactorPlan::factorize(const Csr& a, IluFactors& f) {
   // scalar-vs-vector timings (both candidates are bitwise identical).
   const core::EpochKind kernel_epoch =
       core_.begin_kernel_epoch(/*eligible=*/true);
-  gather_ = core_.ulp() ? core_.lanes()->gather_axpy_fma
-                        : core_.lanes()->gather_axpy;
 
   using clock = std::chrono::steady_clock;
   const clock::time_point t0 = clock::now();

@@ -91,14 +91,8 @@ struct FactorPlanOptions {
   /// factorizations after the strategy race locks in; kScalar pins the
   /// reference table; kVector pins the vector table. The bitwise
   /// gather_axpy kernel is used in every case, so factors stay bitwise
-  /// identical to ilu0() — unless ulp_tolerance below opts out.
+  /// identical to ilu0().
   kernels::KernelChoice kernel = kernels::KernelChoice::kAuto;
-  /// Opt-in fused scatter updates. 0 (default) keeps the bitwise
-  /// mul+sub gather kernel. A positive value states the caller accepts
-  /// one-rounding-per-update (FMA-level) deviation from ilu0() in
-  /// exchange for gather_axpy_fma; ignored when the resolved table is
-  /// scalar.
-  double ulp_tolerance = 0.0;
 };
 
 /// What one numeric factorization cost.
@@ -220,11 +214,6 @@ class FactorPlan {
   // --- numeric scratch (allocated once, reused every factorize) ---
   std::vector<double, rt::CacheAlignedAllocator<double>> w_;
   std::atomic<index_t> bad_row_{-1};
-  /// The scatter-update entry point for this factorization: bitwise
-  /// gather_axpy, or gather_axpy_fma when the caller opted into
-  /// ulp_tolerance on a vector table (DESIGN.md §14).
-  void (*gather_)(double*, const index_t*, const index_t*, index_t,
-                  double) = nullptr;
 
   /// Substituted pivots of the current pass (kShift/kReplace).
   std::atomic<std::uint64_t> shift_count_{0};

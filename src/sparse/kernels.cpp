@@ -2,9 +2,9 @@
 //
 // The whole file compiles with the project's portable baseline flags;
 // the AVX2 bodies opt into their ISA with per-function target attributes
-// so nothing else in the binary can accidentally emit AVX2 (or FMA — the
-// bitwise kernels must round exactly like the baseline-compiled scalar
-// reference, which cannot contract mul+sub into an FMA).
+// so nothing else in the binary can accidentally emit AVX2. None of them
+// enables FMA: the kernels must round exactly like the baseline-compiled
+// scalar reference, which cannot contract mul+sub into an FMA.
 #include "sparse/kernels.hpp"
 
 #include <cstdlib>
@@ -40,13 +40,6 @@ void row_solve_scalar(double* t, const double* src, const double* vals,
     for (index_t c = 0; c < k; ++c) t[c] -= a * x[c];
   }
   for (index_t c = 0; c < k; ++c) t[c] /= diag;
-}
-
-double dot_scalar(const double* vals, const index_t* cols, const double* y,
-                  index_t cnt) {
-  double acc = 0.0;
-  for (index_t j = 0; j < cnt; ++j) acc += vals[j] * y[cols[j]];
-  return acc;
 }
 
 void gather_axpy_scalar(double* w, const index_t* tgt, const index_t* src,
@@ -104,18 +97,15 @@ void transpose_scalar(const double* src, index_t rows, index_t cols,
   }
 }
 
-constexpr LaneOps kScalarOps = {KernelIsa::kScalar,    row_solve_scalar,
-                                dot_scalar,            gather_axpy_scalar,
-                                /*gather_axpy_fma=*/gather_axpy_scalar,
-                                spmv_row_scalar,       lane_dot_scalar,
-                                lane_axpy_scalar,      lane_xpby_scalar,
-                                transpose_scalar};
+constexpr LaneOps kScalarOps = {KernelIsa::kScalar, row_solve_scalar,
+                                gather_axpy_scalar, spmv_row_scalar,
+                                lane_dot_scalar,    lane_axpy_scalar,
+                                lane_xpby_scalar,   transpose_scalar};
 
 #if defined(PDX_HAVE_AVX2_BODIES)
 
 // --- AVX2 ----------------------------------------------------------------
-// Bitwise kernels use mul+sub (two roundings, like the scalar reference);
-// only the ulp-class kernels (dot, gather_axpy_fma) may fuse.
+// Every body uses mul+sub (two roundings, like the scalar reference).
 
 /// One row_solve register block: V ymm accumulators cover 4V consecutive
 /// lanes from the load of `src` to the one store of `t`. The lane loops
@@ -206,27 +196,6 @@ __attribute__((target("avx2"))) void row_solve_avx2(
 static_assert(sizeof(index_t) == 8,
               "the AVX2 gathers index with 64-bit lanes");
 
-__attribute__((target("avx2,fma"))) double dot_avx2(const double* vals,
-                                                    const index_t* cols,
-                                                    const double* y,
-                                                    index_t cnt) {
-  // Reassociated: 4 independent accumulators hide the gather + FMA
-  // latency; the caller opted out of bitwise by setting ulp_tolerance.
-  __m256d acc = _mm256_setzero_pd();
-  index_t j = 0;
-  for (; j + 4 <= cnt; j += 4) {
-    const __m256i idx =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cols + j));
-    const __m256d yv = _mm256_i64gather_pd(y, idx, 8);
-    acc = _mm256_fmadd_pd(_mm256_loadu_pd(vals + j), yv, acc);
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, acc);
-  double tail = 0.0;
-  for (; j < cnt; ++j) tail += vals[j] * y[cols[j]];
-  return ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + tail;
-}
-
 __attribute__((target("avx2"))) void gather_axpy_avx2(double* w,
                                                       const index_t* tgt,
                                                       const index_t* src,
@@ -245,28 +214,6 @@ __attribute__((target("avx2"))) void gather_axpy_avx2(double* w,
     const __m256d tv = _mm256_i64gather_pd(w, ti, 8);
     alignas(32) double out[4];
     _mm256_store_pd(out, _mm256_sub_pd(tv, _mm256_mul_pd(av, sv)));
-    w[tgt[t + 0]] = out[0];
-    w[tgt[t + 1]] = out[1];
-    w[tgt[t + 2]] = out[2];
-    w[tgt[t + 3]] = out[3];
-  }
-  for (; t < cnt; ++t) w[tgt[t]] -= a * w[src[t]];
-}
-
-__attribute__((target("avx2,fma"))) void gather_axpy_fma_avx2(
-    double* w, const index_t* tgt, const index_t* src, index_t cnt,
-    double a) {
-  const __m256d av = _mm256_set1_pd(a);
-  index_t t = 0;
-  for (; t + 4 <= cnt; t += 4) {
-    const __m256i si =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + t));
-    const __m256i ti =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(tgt + t));
-    const __m256d sv = _mm256_i64gather_pd(w, si, 8);
-    const __m256d tv = _mm256_i64gather_pd(w, ti, 8);
-    alignas(32) double out[4];
-    _mm256_store_pd(out, _mm256_fnmadd_pd(av, sv, tv));
     w[tgt[t + 0]] = out[0];
     w[tgt[t + 1]] = out[1];
     w[tgt[t + 2]] = out[2];
@@ -459,11 +406,9 @@ __attribute__((target("avx2"))) void transpose_avx2(const double* src,
 }
 
 constexpr LaneOps kAvx2Ops = {KernelIsa::kAvx2, row_solve_avx2,
-                              dot_avx2,         gather_axpy_avx2,
-                              gather_axpy_fma_avx2,
-                              spmv_row_avx2,    lane_dot_avx2,
-                              lane_axpy_avx2,   lane_xpby_avx2,
-                              transpose_avx2};
+                              gather_axpy_avx2, spmv_row_avx2,
+                              lane_dot_avx2,    lane_axpy_avx2,
+                              lane_xpby_avx2,   transpose_avx2};
 
 #endif  // PDX_HAVE_AVX2_BODIES
 
@@ -471,9 +416,9 @@ constexpr LaneOps kAvx2Ops = {KernelIsa::kAvx2, row_solve_avx2,
 
 // --- NEON ----------------------------------------------------------------
 // Baseline on aarch64 — no target attributes or CPUID probe needed. The
-// bitwise kernels keep mul+sub separate (vmlsq_f64 may emit a fused
-// FMLS, which rounds once — wrong class); there is no hardware gather,
-// so the gather kernels stay scalar and only the streaming lane kernels
+// kernels keep mul+sub separate (vmlsq_f64 may emit a fused FMLS, which
+// rounds once where the reference rounds twice); there is no hardware
+// gather, so gather_axpy stays scalar and only the streaming lane kernels
 // vectorize.
 
 /// One row_solve register block: V q-registers cover 2V lanes.
@@ -522,23 +467,8 @@ void row_solve_neon(double* t, const double* src, const double* vals,
   }
 }
 
-double dot_neon(const double* vals, const index_t* cols, const double* y,
-                index_t cnt) {
-  // Reassociated (ulp class): two accumulators, scalar gathers.
-  float64x2_t acc = vdupq_n_f64(0.0);
-  index_t j = 0;
-  for (; j + 2 <= cnt; j += 2) {
-    const float64x2_t yv = {y[cols[j]], y[cols[j + 1]]};
-    acc = vfmaq_f64(acc, vld1q_f64(vals + j), yv);
-  }
-  double tail = 0.0;
-  for (; j < cnt; ++j) tail += vals[j] * y[cols[j]];
-  return vgetq_lane_f64(acc, 0) + vgetq_lane_f64(acc, 1) + tail;
-}
-
 // The strip-lane kernels run the scalar reference on NEON.
 constexpr LaneOps kNeonOps = {KernelIsa::kNeon,   row_solve_neon,
-                              dot_neon,           gather_axpy_scalar,
                               gather_axpy_scalar, spmv_row_scalar,
                               lane_dot_scalar,    lane_axpy_scalar,
                               lane_xpby_scalar,   transpose_scalar};
@@ -547,12 +477,7 @@ constexpr LaneOps kNeonOps = {KernelIsa::kNeon,   row_solve_neon,
 
 KernelIsa probe_isa() noexcept {
 #if defined(PDX_HAVE_AVX2_BODIES)
-  // The ulp kernels fuse, so the AVX2 table requires FMA too (Haswell+
-  // has both; insisting keeps one table per ISA instead of per feature
-  // pair).
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return KernelIsa::kAvx2;
-  }
+  if (__builtin_cpu_supports("avx2")) return KernelIsa::kAvx2;
 #elif defined(PDX_HAVE_NEON)
   return KernelIsa::kNeon;
 #endif

@@ -10,31 +10,20 @@
 // target: the AVX2 bodies carry per-function target attributes and the
 // translation unit builds with the portable baseline flags.
 //
-// The bitwise contract (DESIGN.md §4) splits the kernels in two classes:
-//
-//   bitwise   row_solve / gather_axpy — element-independent: each
-//             output element is produced by exactly the sequential
-//             operation sequence (one mul rounding + one sub rounding per
-//             term, then one correctly-rounded division). SIMD only
-//             changes how many independent elements retire per
-//             instruction, so the vector forms are bitwise identical to
-//             the scalar forms. These back the multi-RHS strip rows (the
-//             k columns of the wavefront-interleaved strip are the SIMD
-//             lanes) and FactorPlan's scatter updates. They deliberately
-//             avoid FMA: the build compiles with -ffp-contract=off, and a
-//             fused multiply-add rounds once where the reference rounds
-//             twice.
-//
-//             The strip-lane kernels of the lockstep Krylov solve
-//             (spmv_row, lane_dot, lane_axpy, lane_xpby) belong here
-//             too: a lane's reduction runs over rows in order, so only
-//             the lanes — never the terms — are computed in parallel.
-//
-//   ulp       dot / gather_axpy_fma — horizontal reductions and fused
-//             forms reassociate or re-round, so they are NOT bitwise
-//             against the sequential solves; plans use them only when
-//             the caller opted in through ulp_tolerance (> 0), and the
-//             forced-scalar table keeps even opted-in plans bitwise.
+// Every kernel is in one class under the bitwise contract (DESIGN.md §4):
+// element-independent. Each output element is produced by exactly the
+// sequential operation sequence (one mul rounding + one sub rounding per
+// term, then one correctly-rounded division), and SIMD only changes how
+// many independent elements retire per instruction, so the vector forms
+// are bitwise identical to the scalar forms. row_solve backs the
+// multi-RHS strip rows (the k columns of the wavefront-interleaved strip
+// are the SIMD lanes) and gather_axpy FactorPlan's scatter updates. The
+// strip-lane kernels of the lockstep Krylov solve (spmv_row, lane_dot,
+// lane_axpy, lane_xpby) reduce each lane over rows in order, so only the
+// lanes — never the terms — are computed in parallel. No kernel
+// reassociates, and none uses FMA: the build compiles with
+// -ffp-contract=off, and a fused multiply-add rounds once where the
+// reference rounds twice.
 //
 // Every function tolerates unaligned pointers (the CSR-view sources are
 // not 32B-aligned; the packed streams are, by the record padding).
@@ -109,21 +98,12 @@ struct LaneOps {
   void (*row_solve)(double* t, const double* src, const double* vals,
                     const index_t* cols, index_t cnt, double diag,
                     const double* xs, index_t k);
-  /// ULP: sum_j vals[j] * y[cols[j]] over cnt gathered entries, with
-  /// vector-width accumulators (reassociated) and FMA where available.
-  /// Only consulted by plans whose caller set ulp_tolerance > 0.
-  double (*dot)(const double* vals, const index_t* cols, const double* y,
-                index_t cnt);
   /// BITWISE: w[tgt[t]] -= a * w[src[t]] for t in [0, cnt). Requires the
   /// tgt and src position sets to be disjoint and the tgt positions
   /// distinct (FactorPlan's scatter steps satisfy both: targets lie in
   /// the row being factored, sources in the already-retired pivot row).
   void (*gather_axpy)(double* w, const index_t* tgt, const index_t* src,
                       index_t cnt, double a);
-  /// ULP: the same scatter update with a single fused rounding per
-  /// element. Same disjointness requirements.
-  void (*gather_axpy_fma)(double* w, const index_t* tgt, const index_t* src,
-                          index_t cnt, double a);
 
   // --- strip lanes (DESIGN.md §8) ----------------------------------------
   // Row-major n-by-k strips: lane c of row i at i*k + c. Each lane runs
@@ -183,7 +163,6 @@ inline void prefetch_read(const void* p) noexcept {
 }
 
 /// The kernel race's record (DESIGN.md §14).
-using KernelTiming = core::RaceTiming<KernelChoice>;
 using KernelRaceState = core::RaceState<KernelChoice>;
 
 /// Scalar-vs-vector race bookkeeping shared by TrisolvePlan and
@@ -192,9 +171,9 @@ using KernelRaceState = core::RaceState<KernelChoice>;
 /// kernel dimension races separately, on the dispatches that actually
 /// execute lane kernels, after the strategy race has locked in. Vector
 /// explores first, and is the table whenever nothing feeds the race.
-struct Race : core::PairRace<KernelChoice> {
-  Race() noexcept
-      : PairRace(KernelChoice::kVector, KernelChoice::kScalar) {}
+struct Race : core::Race<KernelChoice> {
+  Race() : core::Race<KernelChoice>({KernelChoice::kVector,
+                                     KernelChoice::kScalar}) {}
 };
 
 }  // namespace pdx::sparse::kernels

@@ -20,6 +20,10 @@
 //     bench E7.
 //
 // All three produce bitwise-identical results to trisolve_lower_seq.
+// Beside them live trisolve_doacross_multi (the Table 1 harness) and
+// trisolve_upper_doacross (plan_reuse's "unplanned" row). These unplanned
+// executors serve the paper-reproduction benches; production solves run
+// through sparse::TrisolvePlan.
 #pragma once
 
 #include <atomic>
@@ -281,118 +285,6 @@ core::DoacrossStats trisolve_doacross_multi(rt::ThreadPool& pool,
   return stats;
 }
 
-/// Multi-right-hand-side preprocessed-doacross *upper* (backward) solve,
-/// completing the multi-RHS API pair: row-major layout as in
-/// trisolve_doacross_multi, one ready flag per row guarding all nrhs
-/// values. U must be upper triangular, sorted, diagonal first in each
-/// row. Each column is bitwise equal to trisolve_upper_seq on it.
-template <ReadyTableLike Ready = core::DenseReadyTable>
-core::DoacrossStats trisolve_upper_doacross_multi(
-    rt::ThreadPool& pool, const Csr& u, std::span<const double> rhs,
-    std::span<double> y, index_t nrhs, Ready& ready,
-    const TrisolveOptions& opts = {}) {
-  if (u.rows != u.cols) throw std::invalid_argument("trisolve: not square");
-  if (nrhs < 1) throw std::invalid_argument("trisolve: nrhs must be >= 1");
-  if (static_cast<index_t>(rhs.size()) < u.rows * nrhs ||
-      static_cast<index_t>(y.size()) < u.rows * nrhs) {
-    throw std::invalid_argument("trisolve: vector size mismatch");
-  }
-  const index_t n = u.rows;
-  core::DoacrossStats stats;
-  if (n == 0) return stats;
-
-  const unsigned nth = pool.clamp_threads(opts.nthreads);
-  ready.ensure_size(n);
-  ready.begin_epoch();
-
-  rt::Barrier barrier(nth);
-  rt::FailureLatch latch;
-  barrier.watch(&latch, opts.stall_budget);
-  const rt::WaitGuard guard{&latch, opts.stall_budget, "doacross-flag"};
-  std::atomic<index_t> cursor{0};
-  std::vector<rt::Padded<std::uint64_t>> episodes(nth), rounds(nth);
-
-  using clock = std::chrono::steady_clock;
-  clock::time_point t0, t1, t2;
-
-  const index_t* order = opts.order;
-  const double* rhs_p = rhs.data();
-  double* yp = y.data();
-
-  const auto body = [&](unsigned tid, unsigned nthreads) {
-    barrier.arrive_and_wait();  // rendezvous: exclude pool wake-up
-    if (tid == 0) t0 = clock::now();
-    std::uint64_t my_episodes = 0, my_rounds = 0;
-
-    auto solve_row = [&](index_t k) {
-      const index_t i = order ? order[k] : n - 1 - k;
-      if (opts.injector) opts.injector->on_row(tid, i, &latch);
-      double* yi = yp + i * nrhs;
-      const double* bi = rhs_p + i * nrhs;
-      for (index_t r = 0; r < nrhs; ++r) yi[r] = bi[r];
-      const index_t k_diag = u.row_begin(i);  // diagonal first
-      for (index_t kk = k_diag + 1; kk < u.row_end(i); ++kk) {
-        const index_t c = u.idx[static_cast<std::size_t>(kk)];
-        const std::uint64_t w = core::wait_done_guarded(ready, c, i, guard);
-        if (w != 0) {
-          ++my_episodes;
-          my_rounds += w;
-        }
-        const double a = u.val[static_cast<std::size_t>(kk)];
-        const double* yc = yp + c * nrhs;
-        for (index_t r = 0; r < nrhs; ++r) yi[r] -= a * yc[r];
-      }
-      const double d = u.val[static_cast<std::size_t>(k_diag)];
-      for (index_t r = 0; r < nrhs; ++r) yi[r] /= d;
-      ready.mark_done(i);
-    };
-    rt::schedule_run(opts.schedule, n, tid, nthreads, &cursor, solve_row);
-    episodes[tid].value = my_episodes;
-    rounds[tid].value = my_rounds;
-    barrier.arrive_and_wait();
-    if (tid == 0) t1 = clock::now();
-
-    // Postprocessing flag sweep — dead (and elided) for epoch-reset tables.
-    if constexpr (!core::kEpochResetV<Ready>) {
-      const rt::IterRange post = rt::static_block_range(n, tid, nthreads);
-      for (index_t i = post.begin; i < post.end; ++i) ready.clear(i);
-      barrier.arrive_and_wait();
-    }
-    if (tid == 0) t2 = clock::now();
-  };
-  // Fault containment: a worker that throws records its exception in the
-  // latch; every wait loop above polls the latch and unwinds via
-  // WorkerAbort, so peers drain and join instead of spinning forever. The
-  // first recorded fault is rethrown after the join.
-  pool.parallel_region(nth, [&](unsigned tid, unsigned nthreads) {
-    try {
-      body(tid, nthreads);
-    } catch (rt::WorkerAbort&) {
-    } catch (...) {
-      latch.raise(std::current_exception());
-    }
-  });
-  if (latch.raised()) latch.rethrow_and_reset();
-
-  stats.execute_seconds = std::chrono::duration<double>(t1 - t0).count();
-  stats.post_seconds = std::chrono::duration<double>(t2 - t1).count();
-  for (unsigned t = 0; t < nth; ++t) {
-    stats.wait_episodes += episodes[t].value;
-    stats.wait_rounds += rounds[t].value;
-  }
-  return stats;
-}
-
-/// Level-scheduled multi-RHS lower solve (barrier per wavefront), the
-/// ablation partner of trisolve_doacross_multi.
-core::DoacrossStats trisolve_levelsched_multi(rt::ThreadPool& pool,
-                                              const Csr& l,
-                                              std::span<const double> rhs,
-                                              std::span<double> y,
-                                              index_t nrhs,
-                                              const core::Reordering& reorder,
-                                              unsigned nthreads = 0);
-
 /// Preprocessed-doacross *upper* (backward) solve. U must be upper
 /// triangular, sorted, diagonal stored first in each row. Default
 /// execution order is the source order of the backward solve (row n-1
@@ -508,16 +400,5 @@ core::DoacrossStats trisolve_levelsched(rt::ThreadPool& pool, const Csr& l,
                                         const core::Reordering& reorder,
                                         unsigned nthreads = 0,
                                         int work_reps = 0);
-
-/// Level-scheduled *upper* (backward) solve, the standalone counterpart of
-/// the plan's level-barrier strategy: wavefronts from
-/// upper_solve_reordering, one barrier per level, no flags. Bitwise equal
-/// to trisolve_upper_seq.
-core::DoacrossStats trisolve_levelsched_upper(rt::ThreadPool& pool,
-                                              const Csr& u,
-                                              std::span<const double> rhs,
-                                              std::span<double> y,
-                                              const core::Reordering& reorder,
-                                              unsigned nthreads = 0);
 
 }  // namespace pdx::sparse

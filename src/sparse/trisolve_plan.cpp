@@ -144,30 +144,22 @@ inline void scalar_loop(index_t& j) noexcept {
 // sequential Fig. 7 solves in every instantiation.
 
 /// The single-RHS row: y[i] = (rhs[i] - sum_j a_ij y[j]) / a_ii, terms
-/// in stored order. The opt-in ulp path retires every wait first, then
-/// runs the reassociated vector dot over the whole row.
+/// in stored order.
 template <class Src>
 struct VecRow {
   Src src;
   const double* rhs;
   double* y;
-  const kernels::LaneOps* lanes;
-  bool ulp;
 
   template <class Wait>
   void operator()(index_t pos, Wait& wait) {
     const PackedRow r = src.at(pos);
     double acc = rhs[r.row];
-    if (ulp) {
-      for (index_t j = 0; j < r.cnt; ++j) wait(r.cols[j]);
-      acc -= lanes->dot(r.vals, r.cols, y, r.cnt);
-    } else {
-      for (index_t j = 0; j < r.cnt; ++j) {
-        scalar_loop(j);
-        const index_t c = r.cols[j];
-        wait(c);
-        acc -= r.vals[j] * y[c];
-      }
+    for (index_t j = 0; j < r.cnt; ++j) {
+      scalar_loop(j);
+      const index_t c = r.cols[j];
+      wait(c);
+      acc -= r.vals[j] * y[c];
     }
     y[r.row] = acc / r.diag;
   }
@@ -256,7 +248,6 @@ core::DagPlanConfig core_config(const PlanOptions& o, bool fused) noexcept {
           .use_tuning_cache = o.use_tuning_cache,
           .stall_budget = o.stall_budget,
           .kernel = o.kernel,
-          .ulp_tolerance = o.ulp_tolerance,
           .factor = false,
           // Only the fused L+U solve feeds the order race, so a
           // lower-only plan has nothing to time; a pinned packed layout
@@ -381,9 +372,9 @@ TrisolvePlan::TrisolvePlan(rt::ThreadPool& pool, const Csr& l, const Csr* u,
   // members. This is what makes solve_* allocation free: a fresh
   // capturing lambda would not fit std::function's small buffer and
   // would heap-allocate on every call.
-  const auto vec = [this](const double* rhs, double* y) {
-    return [this, rhs, y](auto src) {
-      return VecRow<decltype(src)>{src, rhs, y, core_.lanes(), core_.ulp()};
+  const auto vec = [](const double* rhs, double* y) {
+    return [rhs, y](auto src) {
+      return VecRow<decltype(src)>{src, rhs, y};
     };
   };
   lower_region_ = core_.contained([this, vec](unsigned tid, unsigned nth) {
@@ -694,9 +685,9 @@ void TrisolvePlan::serial_strip(const double* in, double* x, index_t k,
     // One lane is a vector: solve()'s rows, solved in place in x rather
     // than through tmp_ — a backward row reads its own forward result
     // before it overwrites it, so the bits are the fused solve's.
-    const auto vec = [this, x](const double* rhs) {
-      return [this, rhs, x](auto src) {
-        return VecRow<decltype(src)>{src, rhs, x, core_.lanes(), core_.ulp()};
+    const auto vec = [x](const double* rhs) {
+      return [rhs, x](auto src) {
+        return VecRow<decltype(src)>{src, rhs, x};
       };
     };
     walk<false>(false, tid, 1, vec(in ? in : x));

@@ -181,19 +181,8 @@ struct PlanOptions {
   /// a vector ISA — races it against scalar on the first lane-kernel
   /// dispatches; kScalar pins the reference table (what the forced-
   /// scalar CI job exercises); kVector pins the vector table. Every
-  /// choice is bitwise identical on the lane paths (multi-RHS batches);
-  /// only the opt-in ulp_tolerance path below may differ.
+  /// choice is bitwise identical on the lane paths (multi-RHS batches).
   kernels::KernelChoice kernel = kernels::KernelChoice::kAuto;
-  /// Opt-in reassociated single-RHS kernels. 0 (default) keeps the
-  /// bitwise scalar reduction in every single-RHS solve. A positive
-  /// value states the caller accepts reassociation-level (few-ulp)
-  /// deviation from the sequential solves in exchange for the vector
-  /// dot kernel (gather + FMA + vector-width accumulators); the value
-  /// itself is the caller's error budget and is not consumed by the
-  /// plan. Ignored — solves stay bitwise — when the resolved kernel
-  /// table is scalar. Multi-RHS batch lane kernels are
-  /// unaffected: they are bitwise per column regardless.
-  double ulp_tolerance = 0.0;
 };
 
 /// Persistent execution plan for L y = rhs / U z = y triangular solves.

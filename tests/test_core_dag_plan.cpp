@@ -5,7 +5,9 @@
 // sequential loop bitwise; parallel runs cost one pool dispatch and
 // serial runs none; a kAuto race spends exactly 3 x calibration_epochs
 // runs, compares them per column, and a tuning-cache hit spends none; an
-// injected fault poisons.
+// injected fault poisons. The race template all three plan races run on
+// (core::Race) is tested on its own: budgets, argmin, tie-break, the
+// disarmed and adopted states, and the one lock-in signal.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +17,7 @@
 #include "core/advisor.hpp"
 #include "core/dag_plan.hpp"
 #include "core/doconsider.hpp"
+#include "core/race.hpp"
 #include "gen/random_loop.hpp"
 #include "gen/rng.hpp"
 #include "runtime/failure.hpp"
@@ -216,7 +219,7 @@ TEST(DagPlan, RaceSpendsThreeBudgetsThenCacheHitSpendsNone) {
   EXPECT_EQ(t.race.exploration_epochs, 3 * cfg.calibration_epochs);
   EXPECT_TRUE(t.race.calibrated);
   ASSERT_EQ(t.race.timings.size(), 3u);
-  for (const core::StrategyTiming& timing : t.race.timings) {
+  for (const core::RaceTiming<core::ExecStrategy>& timing : t.race.timings) {
     EXPECT_EQ(timing.epochs, cfg.calibration_epochs);
   }
   // The winner drops the order it does not walk.
@@ -246,7 +249,7 @@ TEST(DagPlan, RaceComparesTimesPerColumn) {
   ASSERT_TRUE(plan.core().calibrating());
   const core::ExecTelemetry& t = plan.telemetry();
   ASSERT_EQ(t.race.timings.size(), 3u);
-  const core::ExecStrategy first = t.race.timings[0].strategy;
+  const core::ExecStrategy first = t.race.timings[0].choice;
   const double seconds[3] = {8e-6, 2e-6, 3e-6};
   const index_t columns[3] = {8, 1, 1};
   bool locked = false;
@@ -280,4 +283,120 @@ TEST(DagPlan, InjectedFaultPoisons) {
     EXPECT_TRUE(plan.core().poisoned());
     EXPECT_THROW(plan.run(), rt::PlanPoisonedError) << core::to_string(s);
   }
+}
+
+// --- the race template -------------------------------------------------
+
+namespace {
+
+/// Feed `race` one epoch per entry of `us`, in order; returns how many
+/// feeds reported lock-in.
+int feed(core::Race<int>& race, const std::vector<double>& us) {
+  int locks = 0;
+  for (const double u : us) locks += race.note_epoch(u) ? 1 : 0;
+  return locks;
+}
+
+}  // namespace
+
+TEST(Race, TwoCandidatesSpendTheirBudgetAndTheArgminWins) {
+  core::Race<int> race({7, 9});
+  race.arm(3);
+  ASSERT_TRUE(race.active());
+  for (int e = 0; e < 3; ++e) {
+    EXPECT_EQ(race.candidate(), 7);
+    EXPECT_FALSE(race.note_epoch(5.0 - e));  // best-of: 3.0
+  }
+  EXPECT_EQ(race.candidate(), 9);
+  EXPECT_EQ(feed(race, {4.0, 2.5}), 0);
+  EXPECT_TRUE(race.note_epoch(6.0));
+  EXPECT_FALSE(race.active());
+  EXPECT_EQ(race.winner(), 9);
+  EXPECT_EQ(race.candidate(), 9);
+  EXPECT_EQ(race.winner_index(), 1u);
+  const core::RaceState<int>& st = race.state();
+  EXPECT_TRUE(st.calibrated);
+  EXPECT_FALSE(st.cache_hit);
+  EXPECT_EQ(st.exploration_epochs, 6);
+  ASSERT_EQ(st.timings.size(), 2u);
+  EXPECT_EQ(st.timings[0].choice, 7);
+  EXPECT_EQ(st.timings[1].choice, 9);
+  for (const core::RaceTiming<int>& t : st.timings) EXPECT_EQ(t.epochs, 3);
+  EXPECT_EQ(st.timings[0].best_us, 3.0);
+  EXPECT_EQ(st.timings[1].best_us, 2.5);
+}
+
+TEST(Race, ThreeCandidatesExploreInOrderAndTheArgminWins) {
+  core::Race<int> race({2, 0, 1});
+  race.arm(2);
+  std::vector<int> explored;
+  const std::vector<double> us = {4.0, 3.0, 1.5, 9.0, 2.0, 1.6};
+  int locks = 0;
+  for (const double u : us) {
+    explored.push_back(race.candidate());
+    locks += race.note_epoch(u) ? 1 : 0;
+  }
+  EXPECT_EQ(explored, (std::vector<int>{2, 2, 0, 0, 1, 1}));
+  EXPECT_EQ(locks, 1);
+  EXPECT_EQ(race.winner(), 0);
+  EXPECT_EQ(race.winner_index(), 1u);
+  const core::RaceState<int>& st = race.state();
+  EXPECT_EQ(st.exploration_epochs, 6);
+  ASSERT_EQ(st.timings.size(), 3u);
+  for (const core::RaceTiming<int>& t : st.timings) EXPECT_EQ(t.epochs, 2);
+  EXPECT_EQ(st.timings[0].best_us, 3.0);
+  EXPECT_EQ(st.timings[1].best_us, 1.5);
+  EXPECT_EQ(st.timings[2].best_us, 1.6);
+}
+
+TEST(Race, AnExactTieKeepsTheFirstCandidate) {
+  core::Race<int> two({4, 5});
+  two.arm(1);
+  EXPECT_EQ(feed(two, {2.0, 2.0}), 1);
+  EXPECT_EQ(two.winner(), 4);
+  EXPECT_EQ(two.winner_index(), 0u);
+
+  // A tie between later candidates keeps the earlier of them.
+  core::Race<int> three({4, 5, 6});
+  three.arm(1);
+  EXPECT_EQ(feed(three, {3.0, 2.0, 2.0}), 1);
+  EXPECT_EQ(three.winner(), 5);
+  EXPECT_EQ(three.winner_index(), 1u);
+}
+
+TEST(Race, NonPositiveBudgetLeavesTheRaceDisarmed) {
+  for (const int budget : {0, -1}) {
+    core::Race<int> race({3, 1, 2});
+    race.arm(budget);
+    EXPECT_FALSE(race.active()) << budget;
+    EXPECT_EQ(race.candidate(), 3) << budget;  // the fallback
+    EXPECT_EQ(race.winner(), 3) << budget;
+    EXPECT_FALSE(race.note_epoch(1.0)) << budget;
+    EXPECT_FALSE(race.state().calibrated) << budget;
+    EXPECT_EQ(race.state().exploration_epochs, 0) << budget;
+    EXPECT_TRUE(race.state().timings.empty()) << budget;
+  }
+}
+
+TEST(Race, AdoptRecordsACacheHitWithoutTimings) {
+  core::Race<int> race({3, 1, 2});
+  race.adopt(2);
+  EXPECT_FALSE(race.active());
+  EXPECT_EQ(race.candidate(), 2);
+  EXPECT_EQ(race.winner(), 2);
+  EXPECT_TRUE(race.state().calibrated);
+  EXPECT_TRUE(race.state().cache_hit);
+  EXPECT_EQ(race.state().exploration_epochs, 0);
+  EXPECT_TRUE(race.state().timings.empty());
+  EXPECT_FALSE(race.note_epoch(1.0));
+}
+
+TEST(Race, NoteEpochReportsLockInExactlyOnce) {
+  core::Race<int> race({1, 2, 3});
+  race.arm(2);
+  // Six epochs lock in; every later feed is ignored.
+  EXPECT_EQ(feed(race, {5.0, 4.0, 3.0, 2.0, 1.0, 0.5, 0.1, 0.1, 0.1}), 1);
+  EXPECT_EQ(race.winner(), 3);
+  EXPECT_EQ(race.state().exploration_epochs, 6);
+  EXPECT_EQ(race.state().timings[2].best_us, 0.5);
 }

@@ -620,7 +620,7 @@ TEST(BatchDriver, WideFirstStripRacesThreeCandidateBudgets) {
     if (race.timings[i].best_us < race.timings[best].best_us) best = i;
   }
   EXPECT_EQ(driver.preconditioner().plan().strategy(),
-            race.timings[best].strategy);
+            race.timings[best].choice);
 
   const solve::DoacrossIlu0Preconditioner m(pool(), a, /*reorder=*/true, 1,
                                             sp::ExecutionStrategy::kSerial);

@@ -3,9 +3,8 @@
 // thread counts, schedules and k; a whole batch costs exactly ONE pool
 // dispatch (zero serial; asserted with rt::DispatchProbe); a k == 1 batch
 // allocates nothing; solve_strip and apply_strip match per-lane solves on
-// row-major strips, in and out of place; spmv_strip matches per-column
-// spmv; and the row-major multi-RHS upper doacross completes the
-// par_trisolve API pair.
+// row-major strips, in and out of place; and spmv_strip matches
+// per-column spmv.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,8 +19,6 @@
 #include "runtime/thread_pool.hpp"
 #include "solve/precond.hpp"
 #include "sparse/ilu0.hpp"
-#include "sparse/levels.hpp"
-#include "sparse/par_trisolve.hpp"
 #include "sparse/spmv.hpp"
 #include "sparse/trisolve.hpp"
 #include "sparse/trisolve_plan.hpp"
@@ -388,40 +385,3 @@ TEST(SpmvStrip, MatchesPerColumnSpmv) {
   EXPECT_THROW(sp::spmv_strip(a, nullptr, nullptr, 0), std::invalid_argument);
 }
 
-TEST(UpperDoacrossMulti, RowMajorMultiMatchesPerColumnSequential) {
-  const sp::IluFactors f = sp::ilu0(gen::five_point(13, 13));
-  const index_t n = f.u.rows;
-  const core::Reordering u_ord = sp::upper_solve_reordering(f.u);
-  for (unsigned nth : {1u, 2u, 4u}) {
-    for (index_t nrhs : {1, 4, 9}) {
-      // Row-major multi layout: element (i, r) at i*nrhs + r.
-      gen::SplitMix64 rng(300 + nth + static_cast<unsigned>(nrhs));
-      std::vector<double> rhs(static_cast<std::size_t>(n * nrhs));
-      for (auto& v : rhs) v = rng.next_double(-1.0, 1.0);
-
-      std::vector<double> y(static_cast<std::size_t>(n * nrhs), 0.0);
-      core::EpochReadyTable ready(n);
-      sp::TrisolveOptions opts;
-      opts.nthreads = nth;
-      opts.order = u_ord.order.data();
-      sp::trisolve_upper_doacross_multi(pool(), f.u, rhs, y, nrhs, ready,
-                                        opts);
-
-      for (index_t r = 0; r < nrhs; ++r) {
-        std::vector<double> b1(static_cast<std::size_t>(n)),
-            y1(static_cast<std::size_t>(n));
-        for (index_t i = 0; i < n; ++i) {
-          b1[static_cast<std::size_t>(i)] =
-              rhs[static_cast<std::size_t>(i * nrhs + r)];
-        }
-        sp::trisolve_upper_seq(f.u, b1, y1);
-        for (index_t i = 0; i < n; ++i) {
-          ASSERT_EQ(y1[static_cast<std::size_t>(i)],
-                    y[static_cast<std::size_t>(i * nrhs + r)])
-              << "nth=" << nth << " nrhs=" << nrhs << " col " << r << " row "
-              << i;
-        }
-      }
-    }
-  }
-}

@@ -209,8 +209,8 @@ TEST(FactorPlan, WidthTwoRaceSpendsThreeCandidateBudgets) {
   EXPECT_EQ(plan.telemetry().race.exploration_epochs,
             3 * o.calibration_epochs);
   ASSERT_EQ(plan.telemetry().race.timings.size(), 3u);
-  for (const core::StrategyTiming& t : plan.telemetry().race.timings) {
-    EXPECT_EQ(t.epochs, o.calibration_epochs) << core::to_string(t.strategy);
+  for (const core::RaceTiming<core::ExecStrategy>& t : plan.telemetry().race.timings) {
+    EXPECT_EQ(t.epochs, o.calibration_epochs) << core::to_string(t.choice);
   }
   expect_factors_bitwise(sp::ilu0(a), f, "width-2 race");
   core::tuning_cache().clear();

@@ -1,13 +1,11 @@
 // Tests for the runtime-dispatched vector kernel layer (DESIGN.md §14):
 // ISA resolution and the PDX_KERNEL override contract, bitwise identity
-// of every bitwise-class lane kernel against the scalar reference (the
-// strip-lane kernels of the lockstep CG also against the single-vector
-// loops they stand for),
-// bounded error of the opt-in ulp-class kernels, plan-level bitwise
-// identity of forced-scalar vs forced-vector vs auto-dispatched plans
-// across strategies, thread counts and layouts, the off-by-default
-// ulp_tolerance contract, FactorPlan's kernel-dispatched scatter
-// updates, and the scalar-vs-vector kernel race telemetry.
+// of every lane kernel against the scalar reference (the strip-lane
+// kernels of the lockstep CG also against the single-vector loops they
+// stand for), plan-level bitwise identity of forced-scalar vs
+// forced-vector vs auto-dispatched plans across strategies, thread counts
+// and layouts, FactorPlan's kernel-dispatched scatter updates, and the
+// scalar-vs-vector kernel race telemetry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -99,9 +97,7 @@ TEST(KernelDispatch, TablesExistForEveryIsa) {
     const kn::LaneOps& ops = kn::ops_for(isa);
     EXPECT_TRUE(ops.isa == isa || ops.isa == kn::KernelIsa::kScalar);
     ASSERT_NE(ops.row_solve, nullptr);
-    ASSERT_NE(ops.dot, nullptr);
     ASSERT_NE(ops.gather_axpy, nullptr);
-    ASSERT_NE(ops.gather_axpy_fma, nullptr);
     ASSERT_NE(ops.spmv_row, nullptr);
     ASSERT_NE(ops.lane_dot, nullptr);
     ASSERT_NE(ops.lane_axpy, nullptr);
@@ -327,42 +323,6 @@ TEST(KernelLanes, StripLaneKernelsBitwiseMatchScalarAndTheVectorLoops) {
   }
 }
 
-// --- ulp-class kernels: bounded error, never asserted bitwise ----------
-
-TEST(KernelLanes, DotAndFusedGatherAreErrorBounded) {
-  const index_t cnt = 257;  // odd: exercises every tail path
-  const auto vals = random_vec(static_cast<std::size_t>(cnt), 7);
-  const auto y = random_vec(512, 8);
-  std::vector<index_t> cols;
-  for (index_t j = 0; j < cnt; ++j) cols.push_back((j * 13) % 512);
-  const double ref =
-      kn::scalar_ops().dot(vals.data(), cols.data(), y.data(), cnt);
-  for (kn::KernelIsa isa : {kn::KernelIsa::kAvx2, kn::KernelIsa::kNeon}) {
-    const kn::LaneOps& ops = kn::ops_for(isa);
-    const double got = ops.dot(vals.data(), cols.data(), y.data(), cnt);
-    // Reassociation-level deviation only: the bound is generous (the
-    // true deviation is a few ulp of the running sums) but fails loudly
-    // on any indexing bug.
-    EXPECT_NEAR(got, ref, 1e-12 * static_cast<double>(cnt))
-        << kn::to_string(isa);
-
-    std::vector<index_t> tgt, src;
-    for (index_t t = 0; t < 31; ++t) {
-      tgt.push_back(t);
-      src.push_back(64 + t);
-    }
-    auto w_ref = random_vec(128, 9);
-    auto w_fma = w_ref;
-    kn::scalar_ops().gather_axpy(w_ref.data(), tgt.data(), src.data(), 31,
-                                 0.5);
-    ops.gather_axpy_fma(w_fma.data(), tgt.data(), src.data(), 31, 0.5);
-    for (std::size_t i = 0; i < 128; ++i) {
-      EXPECT_NEAR(w_ref[i], w_fma[i], 1e-14)
-          << kn::to_string(isa) << " gather_axpy_fma at " << i;
-    }
-  }
-}
-
 // --- plan-level bitwise identity ---------------------------------------
 
 TEST(KernelPlans, BatchSolvesBitwiseAcrossKernelChoices) {
@@ -504,62 +464,6 @@ TEST(KernelPlans, AutoDispatchBitwiseMatchesForcedScalarAcrossEpochs) {
     }
   }
 }
-
-// --- ulp_tolerance contract --------------------------------------------
-
-TEST(KernelPlans, UlpToleranceOffByDefaultAndBoundedWhenOn) {
-  const sp::IluFactors f = sp::ilu0(gen::nine_point(14, 14));
-  const index_t n = f.l.rows;
-  const auto rhs = random_vec(static_cast<std::size_t>(n), 5);
-  std::vector<double> z_seq(static_cast<std::size_t>(n)),
-      t(static_cast<std::size_t>(n));
-  sp::trisolve_lower_seq(f.l, rhs, t);
-  sp::trisolve_upper_seq(f.u, t, z_seq);
-
-  // Default options: single-RHS solves stay bitwise even on a vector
-  // table — ulp_tolerance defaults to 0.
-  sp::PlanOptions defaults = plan_opts(sp::ExecutionStrategy::kDoacross, 4,
-                                       sp::PlanLayout::kPacked,
-                                       kn::KernelChoice::kVector);
-  ASSERT_EQ(defaults.ulp_tolerance, 0.0);
-  sp::TrisolvePlan bitwise(pool(), f.l, f.u, defaults);
-  std::vector<double> z(static_cast<std::size_t>(n));
-  bitwise.solve(rhs, z);
-  for (index_t i = 0; i < n; ++i) {
-    ASSERT_EQ(z_seq[static_cast<std::size_t>(i)],
-              z[static_cast<std::size_t>(i)])
-        << "default (bitwise) row " << i;
-  }
-
-  // Opted in: answers may deviate at reassociation level, never more.
-  sp::PlanOptions opted = defaults;
-  opted.ulp_tolerance = 1e-12;
-  sp::TrisolvePlan ulp(pool(), f.l, f.u, opted);
-  std::vector<double> z_u(static_cast<std::size_t>(n));
-  for (int epoch = 0; epoch < 3; ++epoch) {
-    ulp.solve(rhs, z_u);
-    for (index_t i = 0; i < n; ++i) {
-      const double ref = z_seq[static_cast<std::size_t>(i)];
-      ASSERT_NEAR(z_u[static_cast<std::size_t>(i)], ref,
-                  1e-10 * (1.0 + std::abs(ref)))
-          << "ulp row " << i;
-    }
-  }
-
-  // Opted in on a pinned-scalar table: stays bitwise (the scalar dot is
-  // the reference reduction).
-  sp::PlanOptions scalar_opted = opted;
-  scalar_opted.kernel = kn::KernelChoice::kScalar;
-  sp::TrisolvePlan still_bitwise(pool(), f.l, f.u, scalar_opted);
-  still_bitwise.solve(rhs, z);
-  for (index_t i = 0; i < n; ++i) {
-    ASSERT_EQ(z_seq[static_cast<std::size_t>(i)],
-              z[static_cast<std::size_t>(i)])
-        << "scalar+tolerance (still bitwise) row " << i;
-  }
-}
-
-// --- FactorPlan kernel dispatch ----------------------------------------
 
 TEST(KernelFactor, ScatterKernelsBitwiseAcrossChoicesAndStrategies) {
   const sp::Csr a = gen::nine_point(13, 13);

@@ -24,7 +24,6 @@
 #include "solve/precond.hpp"
 #include "sparse/ilu0.hpp"
 #include "sparse/levels.hpp"
-#include "sparse/par_trisolve.hpp"
 #include "sparse/permute.hpp"
 #include "sparse/rcm.hpp"
 #include "sparse/trisolve.hpp"
@@ -347,30 +346,6 @@ TEST(StrategyExecution, EveryStrategyBitwiseAcrossThreadsAndBatchShapes) {
   }
 }
 
-TEST(StrategyExecution, StandaloneLevelschedUpperMatchesSequential) {
-  // The standalone counterpart of the plan's level-barrier upper kernel
-  // (par_trisolve.hpp), for ablations against the planned path.
-  const sp::IluFactors f = sp::ilu0(gen::nine_point(13, 13));
-  const index_t n = f.u.rows;
-  const core::Reordering u_ord = sp::upper_solve_reordering(f.u);
-  const auto rhs = random_rhs(n, 314);
-  std::vector<double> z_seq(static_cast<std::size_t>(n));
-  sp::trisolve_upper_seq(f.u, rhs, z_seq);
-  for (unsigned nth : {1u, 2u, 4u}) {
-    std::vector<double> z(static_cast<std::size_t>(n), 0.0);
-    sp::trisolve_levelsched_upper(pool(), f.u, rhs, z, u_ord, nth);
-    for (index_t i = 0; i < n; ++i) {
-      ASSERT_EQ(z_seq[static_cast<std::size_t>(i)],
-                z[static_cast<std::size_t>(i)])
-          << "nth=" << nth << " row " << i;
-    }
-  }
-  std::vector<double> small(3);
-  EXPECT_THROW(
-      sp::trisolve_levelsched_upper(pool(), f.u, small, small, u_ord, 2),
-      std::invalid_argument);
-}
-
 TEST(StrategyExecution, ExplicitStrategyWorksInsidePcg) {
   // Every strategy knob of the pool-taking entry point converges on the
   // same iteration path as the sequential ILU(0) preconditioner.
@@ -462,22 +437,22 @@ TEST(StrategyCalibration, ExplorationEpochsBitwiseAndLockInMatchesBudget) {
   }
   EXPECT_EQ(solves, budget);
 
-  const core::StrategyRace& race = plan.telemetry().race;
+  const core::RaceState<core::ExecStrategy>& race = plan.telemetry().race;
   EXPECT_TRUE(race.calibrated);
   EXPECT_FALSE(race.cache_hit);
   EXPECT_EQ(race.exploration_epochs, static_cast<int>(budget));
   double best_us = 0.0;
   bool winner_raced = false;
-  for (const core::StrategyTiming& t : race.timings) {
+  for (const core::RaceTiming<core::ExecStrategy>& t : race.timings) {
     EXPECT_EQ(t.epochs, opts.calibration_epochs);
     EXPECT_GT(t.best_us, 0.0);
-    if (t.strategy == plan.strategy()) {
+    if (t.choice == plan.strategy()) {
       winner_raced = true;
       best_us = t.best_us;
     }
   }
   EXPECT_TRUE(winner_raced) << "the winner must be one of the candidates";
-  for (const core::StrategyTiming& t : race.timings) {
+  for (const core::RaceTiming<core::ExecStrategy>& t : race.timings) {
     EXPECT_GE(t.best_us, best_us) << "winner must be the measured argmin";
   }
   EXPECT_NE(plan.telemetry().rationale.find("calibrated"), std::string::npos);

@@ -249,24 +249,6 @@ TEST(MultiRhsTrisolve, DoacrossMultiMatchesSequentialMulti) {
   }
 }
 
-TEST(MultiRhsTrisolve, LevelschedMultiMatchesSequentialMulti) {
-  const sp::Csr l = sp::ilu0(gen::nine_point(15, 15)).l;
-  const index_t n = l.rows, nrhs = 4;
-  gen::SplitMix64 rng(23);
-  std::vector<double> rhs(static_cast<std::size_t>(n * nrhs));
-  for (auto& v : rhs) v = rng.next_double(-1.0, 1.0);
-
-  std::vector<double> y_seq(static_cast<std::size_t>(n * nrhs));
-  sp::trisolve_lower_seq_multi(l, rhs, y_seq, nrhs);
-
-  const core::Reordering r = sp::lower_solve_reordering(l);
-  std::vector<double> y_lvl(static_cast<std::size_t>(n * nrhs));
-  sp::trisolve_levelsched_multi(pool(), l, rhs, y_lvl, nrhs, r);
-  for (std::size_t i = 0; i < y_seq.size(); ++i) {
-    ASSERT_EQ(y_seq[i], y_lvl[i]) << i;
-  }
-}
-
 TEST(MultiRhsTrisolve, RejectsBadArguments) {
   const sp::Csr l = sp::ilu0(gen::five_point(4, 4)).l;
   std::vector<double> rhs(static_cast<std::size_t>(l.rows)), y = rhs;
