@@ -24,7 +24,7 @@
 //
 // A third row measures lane groups (solve::BatchDriver on a settled serial
 // plan): one drain of 24 systems on the 40² grid with the plan pinned
-// serial and both races off, through a width-1 pool (one strip) and a
+// serial and its order race off, through a width-1 pool (one strip) and a
 // width-2 pool (two lane groups in one region). `cg_lane_split_gain` is
 // the width-1 drain time over the width-2 one; both drains are verified
 // bitwise against per-column pcg over sequential ILU(0). There is no
@@ -157,7 +157,7 @@ std::vector<CgRow> cg_lockstep_rows(rt::ThreadPool& pool, const sp::Csr& a,
 }
 
 /// One BatchDriver drain of k systems from zero guesses on the 40² grid,
-/// pinned serial with both races off, on a width-1 and a width-2 pool.
+/// pinned serial with its order race off, on a width-1 and a width-2 pool.
 /// Clears `exact` if either drain's x differs from per-column pcg over
 /// the sequential ILU(0).
 SplitRow lane_split_row(int reps, bool& exact) {

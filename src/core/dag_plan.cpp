@@ -24,7 +24,6 @@ DagPlan::DagPlan(rt::ThreadPool& pool, index_t n, unsigned dags,
   // Fault containment: every flag wait and barrier wait polls the latch
   // (and the optional stall budget); see DESIGN.md §12.
   barrier_.watch(&latch_, cfg_.stall_budget);
-  resolve_kernel();
   tel_->requested = cfg_.strategy;
   tel_->procs = nth_;
   if (cfg_.strategy != ExecStrategy::kAuto) {
@@ -184,42 +183,7 @@ void DagPlan::finish_calibration() {
   }
 }
 
-void DagPlan::resolve_kernel() noexcept {
-  tel_->isa = kernels::dispatched_isa();
-  const bool have_vector = tel_->isa != kernels::KernelIsa::kScalar;
-  if (cfg_.kernel == kernels::KernelChoice::kScalar) {
-    lanes_ = &kernels::scalar_ops();
-    tel_->kernel = kernels::KernelChoice::kScalar;
-    return;
-  }
-  lanes_ = &kernels::dispatched_ops();
-  tel_->kernel = have_vector ? kernels::KernelChoice::kVector
-                             : kernels::KernelChoice::kScalar;
-  // The strategy race times strategies only (its budget and winner
-  // bookkeeping are contractual — DESIGN.md §13); the kernel dimension
-  // races separately on the runs that actually execute lane kernels,
-  // which only begin once strategy exploration is done. Same epoch
-  // budget per choice as the strategy race.
-  if (cfg_.kernel == kernels::KernelChoice::kAuto && have_vector &&
-      cfg_.calibration_epochs > 0 && n_ > 0) {
-    kernel_race_.arm(cfg_.calibration_epochs);
-  }
-}
-
-EpochKind DagPlan::begin_kernel_epoch(bool eligible) noexcept {
-  // Fed only after the strategy race locked in, so the timing compares
-  // kernels, not strategies. Both candidates are bitwise identical on
-  // the lane paths, so exploring is invisible to callers.
-  if (!kernel_race_.active() || calibrating() || !eligible) {
-    return EpochKind::kPlain;
-  }
-  const kernels::KernelChoice cand = kernel_race_.candidate();
-  lanes_ = lanes_for(cand);
-  tel_->kernel = cand;
-  return EpochKind::kKernel;
-}
-
-bool DagPlan::end_epoch(double seconds, EpochKind kind, index_t columns) {
+bool DagPlan::end_epoch(double seconds, bool order, index_t columns) {
   // Normalize per column so epochs of different batch widths compare: a
   // lockstep strip narrows as its systems converge, so candidates raced
   // later would otherwise be timed on fewer columns.
@@ -232,7 +196,7 @@ bool DagPlan::end_epoch(double seconds, EpochKind kind, index_t columns) {
     if (locked) finish_calibration();
     return locked;
   }
-  if (kind == EpochKind::kOrder && order_race_.active()) {
+  if (order && order_race_.active()) {
     if (!order_race_.note_epoch(us)) {
       publish_order();
     } else {
@@ -241,13 +205,6 @@ bool DagPlan::end_epoch(double seconds, EpochKind kind, index_t columns) {
       }
       lock_in_order();
     }
-  }
-  if (kind == EpochKind::kKernel) {
-    if (kernel_race_.note_epoch(us)) {
-      lanes_ = lanes_for(kernel_race_.winner());
-      tel_->kernel = kernel_race_.winner();
-    }
-    tel_->kernel_race = kernel_race_.state();
   }
   return false;
 }

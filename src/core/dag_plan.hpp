@@ -24,9 +24,8 @@
 //                      pool region)
 //   the races          heuristic opening bid, the {serial, doacross,
 //                      level-barrier} calibration race, the TuningCache,
-//                      the {source, wavefront} order race of single-RHS
-//                      serial walks, and the scalar-vs-vector kernel race
-//                      (DESIGN.md §13/§14)
+//                      and the {source, wavefront} order race of
+//                      single-RHS serial walks (DESIGN.md §13)
 //
 // A row body is called as `body(pos, wait)` for execution position `pos`.
 // It calls `wait(dep)` before reading row `dep`'s result: the flag walk
@@ -63,18 +62,15 @@
 #include "runtime/failure.hpp"
 #include "runtime/schedule.hpp"
 #include "runtime/thread_pool.hpp"
-#include "sparse/kernels.hpp"
 
 namespace pdx::core {
-
-namespace kernels = sparse::kernels;
 
 /// Record of the {source, wavefront} race of a serial plan's single-RHS
 /// walks (DESIGN.md §13): source explores first and keeps a tie.
 using OrderRaceState = RaceState<WalkOrder>;
 
-/// The decision, race and kernel record every plan reports; DagPlan
-/// writes it (PlanTelemetry and FactorTelemetry extend it).
+/// The decision and race record every plan reports; DagPlan writes it
+/// (PlanTelemetry and FactorTelemetry extend it).
 struct ExecTelemetry {
   ExecStrategy requested = ExecStrategy::kAuto;
   /// The resolved strategy (never kAuto). Under a calibration race this
@@ -94,15 +90,6 @@ struct ExecTelemetry {
   TrisolveStructure structure;
   /// Processor count the decision assumed (the plan's region width).
   unsigned procs = 0;
-  /// The process-wide dispatched ISA (CPUID + PDX_KERNEL; DESIGN.md §14).
-  kernels::KernelIsa isa = kernels::KernelIsa::kScalar;
-  /// The resolved kernel choice the lane kernels run (never kAuto after
-  /// construction; the current race candidate while a kernel race is
-  /// exploring, the measured winner once locked in).
-  kernels::KernelChoice kernel = kernels::KernelChoice::kScalar;
-  /// The scalar-vs-vector kernel race record (armed only for kAuto
-  /// kernels on machines with a vector ISA).
-  kernels::KernelRaceState kernel_race;
   /// The order serial single-RHS walks follow: the current candidate
   /// while the order race explores, the measured winner once locked in.
   WalkOrder order = WalkOrder::kSource;
@@ -123,7 +110,6 @@ struct DagPlanConfig {
   int calibration_epochs = 2;
   bool use_tuning_cache = true;
   std::uint64_t stall_budget = 0;
-  kernels::KernelChoice kernel = kernels::KernelChoice::kAuto;
   /// Factorization races key the TuningCache apart from solve races.
   bool factor = false;
   /// Serial single-RHS bodies may walk the doconsider order: once the
@@ -152,16 +138,6 @@ struct Dag {
   const index_t* order_data() const noexcept {
     return order ? order->order.data() : nullptr;
   }
-};
-
-/// What a successful run may feed besides the strategy race, which every
-/// run feeds while it explores.
-enum class EpochKind : std::uint8_t {
-  kPlain,   ///< nothing else
-  kKernel,  ///< the kernel race (begin_kernel_epoch said so)
-  kOrder,   ///< the order race: a fused single-RHS run dispatched on
-            ///< the calling thread (ignored unless the order race
-            ///< explores)
 };
 
 /// The wait the level and serial walks pass: every dependence is final.
@@ -290,18 +266,14 @@ class DagPlan {
   DoacrossStats run_inline(F&& f);
   void throw_if_poisoned() const;
 
-  /// Before a run that may feed the kernel race: installs the current
-  /// kernel candidate and returns kKernel when the strategy race is over,
-  /// a kernel race is exploring, and the run is `eligible` (actually
-  /// executes lane kernels); kPlain otherwise.
-  EpochKind begin_kernel_epoch(bool eligible) noexcept;
   /// After a SUCCESSFUL run (a faulted one threw out of dispatch before
-  /// this): feeds the strategy race while it explores, else the race
-  /// `kind` names while it explores — each with the time normalized per
-  /// `columns`, so runs of different batch widths compare. Returns
-  /// true exactly when the strategy race locked in its winner — the
-  /// caller then resolves whatever it deferred to lock-in.
-  bool end_epoch(double seconds, EpochKind kind, index_t columns = 1);
+  /// this): feeds the strategy race while it explores, else — when
+  /// `order` marks a fused single-RHS run dispatched on the calling
+  /// thread — the order race while it explores; each with the time
+  /// normalized per `columns`, so runs of different batch widths
+  /// compare. Returns true exactly when the strategy race locked in its
+  /// winner — the caller then resolves whatever it deferred to lock-in.
+  bool end_epoch(double seconds, bool order, index_t columns = 1);
 
   // --- accessors
 
@@ -320,16 +292,11 @@ class DagPlan {
   bool poisoned() const noexcept {
     return poisoned_.load(std::memory_order_acquire);
   }
-  /// Nothing left to decide: no strategy race exploring, no kernel race
-  /// armed, not poisoned. The strategy, layout and kernel table stay
-  /// fixed from here on.
-  bool settled() const noexcept {
-    return !calibrating() && !kernel_race_.active() && !poisoned();
-  }
+  /// Nothing left to decide: no strategy race exploring, not poisoned.
+  /// The strategy and layout stay fixed from here on.
+  bool settled() const noexcept { return !calibrating() && !poisoned(); }
   Dag& dag(unsigned i) noexcept { return dags_[i]; }
   const Dag& dag(unsigned i) const noexcept { return dags_[i]; }
-  /// The active lane-kernel table.
-  const kernels::LaneOps* lanes() const noexcept { return lanes_; }
   rt::FaultInjector* injector() const noexcept { return injector_; }
   void set_fault_injector(rt::FaultInjector* injector) noexcept {
     injector_ = injector;
@@ -349,12 +316,6 @@ class DagPlan {
   /// Walk the order race's winner from here on, drop the orders nothing
   /// walks any more, and append the verdict to the rationale.
   void lock_in_order();
-  void resolve_kernel() noexcept;
-  /// The lane-kernel table a kernel choice runs.
-  static const kernels::LaneOps* lanes_for(kernels::KernelChoice c) noexcept {
-    return c == kernels::KernelChoice::kScalar ? &kernels::scalar_ops()
-                                               : &kernels::dispatched_ops();
-  }
   index_t natural_row(const Dag& d, index_t pos) const noexcept {
     return d.reverse ? n_ - 1 - pos : pos;
   }
@@ -384,10 +345,6 @@ class DagPlan {
   Race<WalkOrder> order_race_{{WalkOrder::kSource, WalkOrder::kWavefront}};
   TuningKey order_key_{};
   bool have_order_key_ = false;
-
-  // Lane-kernel state (DESIGN.md §14).
-  const kernels::LaneOps* lanes_ = nullptr;
-  kernels::Race kernel_race_;
 };
 
 /// Level-walk lookahead: the body's optional look(pos, end) hook.

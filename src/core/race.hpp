@@ -1,13 +1,13 @@
 // race.hpp — the bookkeeping of a race between bitwise-identical choices.
 //
-// Three of a plan's choices are raced on its live runs rather than decided
-// up front: the execution strategy (DESIGN.md §13), the walk order of a
-// serial plan's single-RHS solves (§13) and the scalar-vs-vector
-// lane-kernel table (§14). The candidates of each are bitwise identical,
-// so exploring is invisible to callers. Each candidate runs `budget`
-// timed epochs in turn; the best epoch is its time (best-of is robust to
-// one-off scheduler noise), and the fastest candidate wins, the earliest
-// keeping a tie.
+// Two of a plan's choices are raced on its live runs rather than decided
+// up front: the execution strategy and the walk order of a serial plan's
+// single-RHS solves (DESIGN.md §13). The lane-kernel table is not raced:
+// it is fixed per process (§14). The candidates of each race are bitwise
+// identical, so exploring is invisible to callers. Each candidate runs
+// `budget` timed epochs in turn; the best epoch is its time (best-of is
+// robust to one-off scheduler noise), and the fastest candidate wins, the
+// earliest keeping a tie.
 #pragma once
 
 #include <cstddef>

@@ -4,12 +4,27 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "solve/gmres.hpp"
 #include "solve/vec.hpp"
 #include "sparse/spmv.hpp"
 
 namespace pdx::solve {
+
+void validate(const BatchDriverOptions& opts) {
+  const std::pair<const char*, int> counts[] = {
+      {"max_iterations", opts.max_iterations},
+      {"max_attempts", opts.max_attempts},
+      {"retry_iteration_factor", opts.retry_iteration_factor},
+      {"gmres_restart", opts.gmres_restart}};
+  for (const auto& [name, value] : counts) {
+    if (value < 1) {
+      throw std::invalid_argument(std::string("BatchDriverOptions: ") + name +
+                                  " must be >= 1");
+    }
+  }
+}
 
 BatchDriver::BatchDriver(rt::ThreadPool& pool, const sparse::Csr& a,
                          const BatchDriverOptions& opts)
@@ -23,26 +38,15 @@ BatchDriver::BatchDriver(rt::ThreadPool& pool, const sparse::Csr& a,
                              .layout = opts.layout,
                              .calibration_epochs = opts.calibration_epochs,
                              .use_tuning_cache = opts.use_tuning_cache,
-                             .stall_budget = opts.stall_budget,
-                             .kernel = opts.kernel},
+                             .stall_budget = opts.stall_budget},
          sparse::FactorPlanOptions{
              .nthreads = opts.nthreads,
              .strategy = opts.factor_strategy,
              .calibration_epochs = opts.calibration_epochs,
              .use_tuning_cache = opts.use_tuning_cache,
              .stall_budget = opts.stall_budget,
-             .pivot = {},
-             .kernel = opts.kernel}) {
-  if (opts.max_iterations < 1) {
-    throw std::invalid_argument("BatchDriver: max_iterations must be >= 1");
-  }
-  if (opts.max_attempts < 1) {
-    throw std::invalid_argument("BatchDriver: max_attempts must be >= 1");
-  }
-  if (opts.retry_iteration_factor < 1) {
-    throw std::invalid_argument(
-        "BatchDriver: retry_iteration_factor must be >= 1");
-  }
+             .pivot = {}}) {
+  validate(opts);
 }
 
 void BatchDriver::enqueue(std::span<const double> b, std::span<double> x) {

@@ -14,13 +14,14 @@
 //     and a system leaves the strip when it converges, breaks down or
 //     runs out of iterations. BiCGSTAB and GMRES run job by job on the
 //     same plan;
-//   * lane groups: when the plan is settled serial (both races over, not
-//     poisoned) and its region is wider than one thread, the live systems
-//     split into G = min(width, live / kLaneMin) contiguous groups, and
-//     when G >= 2 each group runs its own pcg_lockstep — its own strip
-//     and apply_strip calls — on one member of ONE pool region. Lanes
-//     never read each other, so across lanes the loop is a doall: no
-//     thread waits on another until the region joins (DESIGN.md §8);
+//   * lane groups: when the plan is settled serial (strategy race over,
+//     not poisoned) and its region is wider than one thread, the live
+//     systems split into G = min(width, live / kLaneMin) contiguous
+//     groups, and when G >= 2 each group runs its own pcg_lockstep — its
+//     own strip and apply_strip calls — on one member of ONE pool
+//     region. Lanes never read each other, so across lanes the loop is a
+//     doall: no thread waits on another until the region joins
+//     (DESIGN.md §8);
 //   * jobs the first attempt leaves unconverged climb the per-job retry
 //     ladder (max_attempts), warm-started from the first attempt's x.
 //
@@ -93,11 +94,6 @@ struct BatchDriverOptions {
   int retry_iteration_factor = 4;
   /// Restart length used when the ladder (or method) reaches kGmres.
   int gmres_restart = 30;
-  /// Kernel selection for the shared plans (PlanOptions::kernel /
-  /// FactorPlanOptions::kernel; DESIGN.md §14): kAuto races
-  /// scalar-vs-vector on the lane-kernel dispatches after the strategy
-  /// race locks in; kScalar/kVector pin a table.
-  sparse::kernels::KernelChoice kernel = sparse::kernels::KernelChoice::kAuto;
   /// Stall watchdog budget in spin rounds per in-region wait, for BOTH
   /// shared plans (PlanOptions::stall_budget /
   /// FactorPlanOptions::stall_budget; DESIGN.md §12). 0 (default)
@@ -110,6 +106,11 @@ struct BatchDriverOptions {
   /// enqueue.
   bool screen_nonfinite = false;
 };
+
+/// Throws std::invalid_argument unless max_iterations, max_attempts,
+/// retry_iteration_factor and gmres_restart are all >= 1. The BatchDriver
+/// and Service constructors both check their options through it.
+void validate(const BatchDriverOptions& opts);
 
 /// What one drain() did, plus per-job reports in enqueue order. The
 /// shared plan's strategy, race, layout, kernel and refactor telemetry

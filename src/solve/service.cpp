@@ -95,6 +95,7 @@ Service::Service(rt::ThreadPool& pool, const ServiceOptions& opts)
   if (opts_.breaker_threshold < 1) {
     throw std::invalid_argument("Service: breaker_threshold must be >= 1");
   }
+  validate(opts_.solver);
   if (opts_.latency_window < 1) opts_.latency_window = 1;
   latencies_.reserve(std::min<std::size_t>(opts_.latency_window, 4096));
   scheduler_ = std::thread([this] { scheduler_main(); });
@@ -117,12 +118,6 @@ Service::~Service() {
     }
     tenants_.clear();
   }
-}
-
-BatchDriverOptions Service::planned_driver_opts() const {
-  BatchDriverOptions o = opts_.solver;
-  if (opts_.stall_budget != 0) o.stall_budget = opts_.stall_budget;
-  return o;
 }
 
 MatrixId Service::register_matrix(const sparse::Csr& a) {
@@ -658,7 +653,7 @@ void Service::ensure_driver(Tenant& t) {
     // build path — a pattern change that drop_driver()ed inside
     // apply_pending_update — freed its own slot, so no eviction is
     // needed here either.
-    auto d = std::make_unique<BatchDriver>(*pool_, t.a, planned_driver_opts());
+    auto d = std::make_unique<BatchDriver>(*pool_, t.a, opts_.solver);
     if (t.injector) d->set_fault_injector(t.injector);
     t.driver = std::move(d);
     std::lock_guard<std::mutex> lk(tenants_mu_);
@@ -675,16 +670,12 @@ void Service::ensure_fallback(Tenant& t) {
   // Krylov configuration (method, tolerance, retry ladder) is kept so
   // degraded answers meet the same convergence contract, and so is the
   // calibration budget: the serial plan still races its walk order,
-  // which is bitwise invisible (DESIGN.md §13). That is its only race:
-  // the kernel table is pinned to the one an unraced plan uses, and the
-  // degraded path neither reads nor writes the process-wide TuningCache.
+  // which is bitwise invisible (DESIGN.md §13). The degraded path neither
+  // reads nor writes the process-wide TuningCache.
   BatchDriverOptions o = opts_.solver;
   o.strategy = sparse::ExecutionStrategy::kSerial;
   o.layout = sparse::PlanLayout::kCsrView;
   o.nthreads = 1;
-  if (o.kernel == sparse::kernels::KernelChoice::kAuto) {
-    o.kernel = sparse::kernels::KernelChoice::kVector;
-  }
   o.use_tuning_cache = false;
   o.stall_budget = 0;
   t.fallback = std::make_unique<BatchDriver>(*pool_, t.a, o);

@@ -15,8 +15,9 @@
 //                 queue; a job whose deadline passes while queued is
 //                 expired at dequeue, never solved. Hangs *during*
 //                 execution are bounded by the §12 stall watchdog
-//                 (ServiceOptions::stall_budget), whose rt::StallError is
-//                 annotated with the tenant and strategy context.
+//                 (ServiceOptions::solver.stall_budget), whose
+//                 rt::StallError is annotated with the tenant and
+//                 strategy context.
 //   isolation     one scheduler thread packs same-matrix jobs into
 //                 lockstep CG strips through per-tenant BatchDrivers over
 //                 ONE shared pool; a fault inside tenant A's plan drains
@@ -160,11 +161,6 @@ struct ServiceOptions {
   /// failed probe up to breaker_backoff_max_ms.
   double breaker_backoff_ms = 50.0;
   double breaker_backoff_max_ms = 5000.0;
-  /// Stall watchdog budget (spin rounds per in-region wait) armed on
-  /// every tenant's plans; 0 disarms. With a wedged producer this is
-  /// what turns "service hangs" into "job fails with an annotated
-  /// rt::StallError and the breaker counts it".
-  std::uint64_t stall_budget = 0;
   /// After the drain timeout forces a hard stop, how long shutdown()
   /// waits for the scheduler to finish its current strip before breaking
   /// a wedged pool region via rt::ThreadPool::shutdown (which kills the
@@ -174,8 +170,11 @@ struct ServiceOptions {
   /// Completed-job latency samples kept for the p50/p99 report (ring).
   std::size_t latency_window = 1 << 16;
   /// Per-tenant solver configuration (method, tolerance, strategy,
-  /// calibration, retry ladder). stall_budget above overrides the
-  /// solver's when non-zero.
+  /// calibration, retry ladder), checked by validate() at construction.
+  /// Its stall_budget (spin rounds per in-region wait; 0 disarms) arms
+  /// every tenant's planned path: with a wedged producer it is what turns
+  /// "service hangs" into "job fails with an annotated rt::StallError and
+  /// the breaker counts it".
   BatchDriverOptions solver;
 };
 
@@ -437,7 +436,6 @@ class Service {
   /// may still be touching them — freeing would be use-after-free).
   /// Caller holds t.mu.
   void quarantine(Tenant& t, const std::vector<JobHandle>& live);
-  BatchDriverOptions planned_driver_opts() const;
 
   bool breaker_allows_planned(Tenant& t, Clock::time_point now);
   void breaker_note_failure(Tenant& t, Clock::time_point now);

@@ -172,7 +172,7 @@ pdx_status pdx_service_create(const pdx_service_options* opts,
       if (opts->breaker_backoff_ms > 0) {
         so.breaker_backoff_ms = opts->breaker_backoff_ms;
       }
-      so.stall_budget = opts->stall_budget;
+      so.solver.stall_budget = opts->stall_budget;
       width = opts->nthreads;
       if (opts->rel_tolerance > 0) so.solver.rel_tolerance = opts->rel_tolerance;
       if (opts->max_iterations) so.solver.max_iterations = opts->max_iterations;

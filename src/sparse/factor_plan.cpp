@@ -115,7 +115,6 @@ core::DagPlanConfig core_config(const FactorPlanOptions& o) noexcept {
           .calibration_epochs = o.calibration_epochs,
           .use_tuning_cache = o.use_tuning_cache,
           .stall_budget = o.stall_budget,
-          .kernel = o.kernel,
           .factor = true,
           .name = "FactorPlan",
           .epoch = "factorization"};
@@ -203,8 +202,8 @@ void FactorPlan::factor_row(index_t i, WaitFn&& wait) {
     if (cnt >= kernels::kLaneMin) {
       // Targets are positions in row i (distinct), sources in the
       // retired pivot row — disjoint, as the gather kernels require.
-      core_.lanes()->gather_axpy(w, upd_tgt_.data() + t_begin,
-                                 upd_src_.data() + t_begin, cnt, lik);
+      lanes_->gather_axpy(w, upd_tgt_.data() + t_begin,
+                          upd_src_.data() + t_begin, cnt, lik);
     } else {
       for (index_t t = t_begin; t < t_end; ++t) {
         w[upd_tgt_[static_cast<std::size_t>(t)]] -=
@@ -318,12 +317,6 @@ FactorStats FactorPlan::factorize(const Csr& a, IluFactors& f) {
   lval_ = f.l.val.data();
   uval_ = f.u.val.data();
 
-  // The kernel race feeds only on factorizations after the strategy race
-  // locked in, so strategy exploration noise never pollutes the
-  // scalar-vs-vector timings (both candidates are bitwise identical).
-  const core::EpochKind kernel_epoch =
-      core_.begin_kernel_epoch(/*eligible=*/true);
-
   using clock = std::chrono::steady_clock;
   const clock::time_point t0 = clock::now();
   // kShift escalation mirrors ilu0(a, pivot): rerun the whole numeric
@@ -380,7 +373,7 @@ FactorStats FactorPlan::factorize(const Csr& a, IluFactors& f) {
   // Race bookkeeping only after a fully successful numeric phase: a
   // fault poisons the plan above without touching the race, and a pivot
   // throw returns before this point — neither feeds the cache.
-  core_.end_epoch(stats.factor_seconds, kernel_epoch);
+  core_.end_epoch(stats.factor_seconds, /*order=*/false);
   stats.pivot_shifts = shifts;
   stats.pivot_shift =
       shifts != 0 ? (opts_.pivot.policy == PivotPolicy::kReplace

@@ -49,6 +49,7 @@
 #include "runtime/thread_pool.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/ilu0.hpp"
+#include "sparse/kernels.hpp"
 #include "sparse/trisolve_plan.hpp"
 
 namespace pdx::sparse {
@@ -85,14 +86,6 @@ struct FactorPlanOptions {
   /// execution strategy produces factors bitwise identical to
   /// ilu0(a, pivot).
   PivotOptions pivot;
-  /// Lane-kernel selection for the scatter updates (DESIGN.md §14).
-  /// kAuto runs the dispatched vector table and — when a vector ISA is
-  /// present and calibration_epochs > 0 — races it against scalar on the
-  /// factorizations after the strategy race locks in; kScalar pins the
-  /// reference table; kVector pins the vector table. The bitwise
-  /// gather_axpy kernel is used in every case, so factors stay bitwise
-  /// identical to ilu0().
-  kernels::KernelChoice kernel = kernels::KernelChoice::kAuto;
 };
 
 /// What one numeric factorization cost.
@@ -109,10 +102,9 @@ struct FactorStats {
 };
 
 /// What the plan decided and owns — reported by benches and forwarded
-/// (as PlanTelemetry::factor_*) by the solve layer. The decision, race
-/// and kernel fields come from core::ExecTelemetry, which the plan's
-/// executor core writes (the kernel race feeds on the factorizations
-/// after the strategy race locks in).
+/// (as PlanTelemetry::factor_*) by the solve layer. The decision and
+/// race fields come from core::ExecTelemetry, which the plan's executor
+/// core writes.
 struct FactorTelemetry : core::ExecTelemetry {
   /// Bytes of the symbolic products (scatter maps, step tables, pattern
   /// copy, working array) the plan owns.
@@ -197,6 +189,8 @@ class FactorPlan {
   index_t n_ = 0;
   FactorTelemetry telemetry_;
   core::DagPlan core_;  // writes telemetry_'s decision fields
+  // The scatter updates run the dispatched table (DESIGN.md §14).
+  const kernels::LaneOps* lanes_ = &kernels::dispatched_ops();
 
   // --- symbolic products (pattern-derived, built once) ---
   std::vector<index_t> ptr_, idx_;     // pattern copy (validation + kernel)

@@ -31,9 +31,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
-#include "core/race.hpp"
 #include "runtime/types.hpp"
 
 namespace pdx::sparse::kernels {
@@ -50,20 +48,19 @@ inline const char* to_string(KernelIsa isa) noexcept {
   return "?";
 }
 
-/// Per-plan kernel selection (PlanOptions/FactorPlanOptions::kernel).
-///   kAuto   — vector table when the dispatched ISA has one; when the
-///             plan also runs a calibration race, scalar-vs-vector is
-///             raced on the first lane-kernel dispatches and the
-///             measured winner locks in (DESIGN.md §14).
-///   kScalar — pin the scalar table (the reference everything is
-///             bitwise-tested against).
-///   kVector — pin the dispatched vector table (falls back to scalar
-///             when the machine has none).
-enum class KernelChoice : std::uint8_t { kAuto, kScalar, kVector };
+/// Lane-kernel table of a solve plan (PlanOptions::kernel). The table is
+/// a per-process fact — the CPU fixes it — so it is chosen once, not
+/// raced (DESIGN.md §14).
+///   kVector — (default) the dispatched table, dispatched_ops(): the
+///             vector table when the machine has one (and PDX_KERNEL
+///             does not pin scalar), the scalar table otherwise.
+///   kScalar — pin the scalar table: the reference everything is
+///             bitwise-tested against, and what bench/kernel_micro
+///             times the vector table against.
+enum class KernelChoice : std::uint8_t { kVector, kScalar };
 
 inline const char* to_string(KernelChoice c) noexcept {
   switch (c) {
-    case KernelChoice::kAuto: return "auto";
     case KernelChoice::kScalar: return "scalar";
     case KernelChoice::kVector: return "vector";
   }
@@ -141,14 +138,16 @@ const LaneOps& scalar_ops() noexcept;
 /// it — e.g. requesting kNeon on x86).
 const LaneOps& ops_for(KernelIsa isa) noexcept;
 
-/// ops_for(dispatched_isa()) — what a kAuto/kVector plan starts from.
+/// ops_for(dispatched_isa()) — the table every plan runs unless pinned
+/// to scalar_ops().
 const LaneOps& dispatched_ops() noexcept;
 
 /// Below this column count the lane kernels cannot fill one vector.
 /// Strip rows still call row_solve at every width (its scalar tail keeps
 /// the 2-3 lanes in registers, which beat inline loops), but narrower
-/// strips neither feed the kernel race nor take the lookahead prefetch,
-/// and FactorPlan inlines shorter scatter lists (bitwise either way).
+/// strips skip the lookahead prefetch, lane groups give each group at
+/// least this many lanes, and FactorPlan inlines shorter scatter lists
+/// (bitwise either way).
 inline constexpr index_t kLaneMin = 4;
 
 /// Software prefetch of the line holding `p` into all cache levels.
@@ -161,19 +160,5 @@ inline void prefetch_read(const void* p) noexcept {
   (void)p;
 #endif
 }
-
-/// The kernel race's record (DESIGN.md §14).
-using KernelRaceState = core::RaceState<KernelChoice>;
-
-/// Scalar-vs-vector race bookkeeping shared by TrisolvePlan and
-/// FactorPlan. The strategy race (DESIGN.md §13) stays a pure strategy
-/// race — its budget and winner assertions are contractual — so the
-/// kernel dimension races separately, on the dispatches that actually
-/// execute lane kernels, after the strategy race has locked in. Vector
-/// explores first, and is the table whenever nothing feeds the race.
-struct Race : core::Race<KernelChoice> {
-  Race() : core::Race<KernelChoice>({KernelChoice::kVector,
-                                     KernelChoice::kScalar}) {}
-};
 
 }  // namespace pdx::sparse::kernels

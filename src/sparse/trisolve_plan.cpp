@@ -81,12 +81,12 @@ struct PackedSeekSrc {
 // element never mixes with column c''s, the vector forms are bitwise
 // identical to the scalar per-column arithmetic (DESIGN.md §14). Every
 // strip width runs one row_solve per row; kLaneMin only gates what needs
-// a full vector to pay: the kernel race and the lookahead prefetch.
+// a full vector to pay: the lookahead prefetch.
 
 /// Every cache line of one k-wide strip row (k=16 spans two), gated on
 /// the vector table: the scalar table is the pre-kernel-layer reference
-/// and the kernel race times it as exactly that — SIMD and the prefetch
-/// schedule win or lose together (DESIGN.md §14).
+/// and bench/kernel_micro times the vector table against exactly that —
+/// SIMD and the prefetch schedule win or lose together (DESIGN.md §14).
 inline void prefetch_strip_row(const kernels::LaneOps* lanes,
                                const double* tp, index_t col,
                                index_t k) noexcept {
@@ -113,8 +113,7 @@ inline void prefetch_row_deps(const PackedRow& r, const double* tp,
 /// prefetch its strip rows, then compute the current one) only pays when
 /// the lane kernels are actually in play: wide batches on a vector
 /// table. Narrow batches and the scalar table keep the plain walk — the
-/// scalar candidate the kernel race times IS the pre-kernel-layer
-/// executor, prefetch-free.
+/// scalar reference IS the pre-kernel-layer executor, prefetch-free.
 inline bool want_lookahead(const kernels::LaneOps* lanes,
                            index_t k) noexcept {
   return lanes->isa != kernels::KernelIsa::kScalar && k >= kernels::kLaneMin;
@@ -247,7 +246,6 @@ core::DagPlanConfig core_config(const PlanOptions& o, bool fused) noexcept {
           .calibration_epochs = o.calibration_epochs,
           .use_tuning_cache = o.use_tuning_cache,
           .stall_budget = o.stall_budget,
-          .kernel = o.kernel,
           .factor = false,
           // Only the fused L+U solve feeds the order race, so a
           // lower-only plan has nothing to time; a pinned packed layout
@@ -328,8 +326,15 @@ TrisolvePlan::TrisolvePlan(rt::ThreadPool& pool, const Csr& l, const Csr* u,
       opts_(opts),
       n_(l.rows),
       core_(pool, l.rows, u ? 2 : 1, core_config(opts, u != nullptr),
-            telemetry_) {
+            telemetry_),
+      lanes_(opts.kernel == kernels::KernelChoice::kScalar
+                 ? &kernels::scalar_ops()
+                 : &kernels::dispatched_ops()) {
   check_factor(l, "lower");
+  telemetry_.isa = kernels::dispatched_isa();
+  telemetry_.kernel = lanes_->isa == kernels::KernelIsa::kScalar
+                          ? kernels::KernelChoice::kScalar
+                          : kernels::KernelChoice::kVector;
   if (u) {
     check_factor(*u, "upper");
     if (u->rows != l.rows) {
@@ -401,7 +406,7 @@ TrisolvePlan::TrisolvePlan(rt::ThreadPool& pool, const Csr& l, const Csr* u,
     const auto strip = [this](bool upper) {
       return [this, upper](auto src) {
         return StripRow<decltype(src)>{src, upper ? nullptr : strip_in_,
-                                       strip_, strip_k_, core_.lanes()};
+                                       strip_, strip_k_, lanes_};
       };
     };
     const auto both = [&](auto look) {
@@ -411,7 +416,7 @@ TrisolvePlan::TrisolvePlan(rt::ThreadPool& pool, const Csr& l, const Csr* u,
       walk<decltype(look)::value>(true, tid, nth, strip(true), strip_,
                                   strip_k_);
     };
-    if (want_lookahead(core_.lanes(), strip_k_)) {
+    if (want_lookahead(lanes_, strip_k_)) {
       both(std::true_type{});
     } else {
       both(std::false_type{});
@@ -566,14 +571,14 @@ void TrisolvePlan::refresh_values(const IluFactors& f) {
 }
 
 core::DoacrossStats TrisolvePlan::run(const rt::ThreadPool::RegionFn& region,
-                                      core::EpochKind kind, index_t columns) {
+                                      bool order, index_t columns) {
   const core::DoacrossStats stats = core_.dispatch(region);
   solves_.fetch_add(1, std::memory_order_relaxed);
   // Race bookkeeping only after a SUCCESSFUL run: a fault threw out of
   // dispatch() after poisoning the plan, without feeding any race or
   // the cache. When the strategy race locks in, resolve the deferred
   // layout: pack the winner's execution order.
-  if (core_.end_epoch(stats.execute_seconds, kind, columns)) {
+  if (core_.end_epoch(stats.execute_seconds, order, columns)) {
     build_packed();
   }
   return stats;
@@ -589,7 +594,7 @@ core::DoacrossStats TrisolvePlan::solve_lower(std::span<const double> rhs,
   core_.reset(core_.dag(kLower));
   lo_rhs_ = rhs.data();
   lo_y_ = y.data();
-  return run(lower_region_, core::EpochKind::kPlain);
+  return run(lower_region_, false);
 }
 
 core::DoacrossStats TrisolvePlan::solve_upper(std::span<const double> rhs,
@@ -605,7 +610,7 @@ core::DoacrossStats TrisolvePlan::solve_upper(std::span<const double> rhs,
   core_.reset(core_.dag(kUpper));
   up_rhs_ = rhs.data();
   up_y_ = z.data();
-  return run(upper_region_, core::EpochKind::kPlain);
+  return run(upper_region_, false);
 }
 
 core::DoacrossStats TrisolvePlan::run_fused(const double* rhs, double* z) {
@@ -616,7 +621,7 @@ core::DoacrossStats TrisolvePlan::run_fused(const double* rhs, double* z) {
   lo_y_ = tmp_.data();
   up_rhs_ = tmp_.data();
   up_y_ = z;
-  return run(fused_region_, core::EpochKind::kOrder);
+  return run(fused_region_, true);
 }
 
 core::DoacrossStats TrisolvePlan::solve(std::span<const double> rhs,
@@ -651,11 +656,6 @@ core::DoacrossStats TrisolvePlan::run_column(const double* b, double* x) {
 core::DoacrossStats TrisolvePlan::run_strip(index_t k) {
   if (n_ == 0) return {};
   strip_k_ = k;
-  // Scalar-vs-vector kernel race (DESIGN.md §14): fed only by dispatches
-  // that actually execute lane kernels — strips at least one vector
-  // wide.
-  const core::EpochKind kernel_epoch =
-      core_.begin_kernel_epoch(k >= kernels::kLaneMin);
   core_.reset(core_.dag(kLower));
   core_.reset(core_.dag(kUpper));
 #ifndef NDEBUG
@@ -666,7 +666,7 @@ core::DoacrossStats TrisolvePlan::run_strip(index_t k) {
   const bool was_calibrating = core_.calibrating();
   const rt::DispatchProbe probe(core_.pool());
 #endif
-  const core::DoacrossStats stats = run(strip_region_, kernel_epoch, k);
+  const core::DoacrossStats stats = run(strip_region_, false, k);
 #ifndef NDEBUG
   assert((was_calibrating ||
           probe.delta() ==
@@ -699,7 +699,7 @@ void TrisolvePlan::serial_strip(const double* in, double* x, index_t k,
   const auto strip = [this, in, x, k](bool upper) {
     return [this, in, x, k, upper](auto src) {
       return StripRow<decltype(src)>{src, upper ? nullptr : in, x, k,
-                                     core_.lanes()};
+                                     lanes_};
     };
   };
   walk<false>(false, tid, 1, strip(false));
@@ -767,12 +767,11 @@ core::DoacrossStats TrisolvePlan::solve_batch(std::span<const double> b,
   if (k == 1) return run_column(b.data(), x.data());
   reserve_batch(k);
   // Column-major n-by-k is row-major k-by-n: the strip is its transpose.
-  const kernels::LaneOps* lanes = core_.lanes();
-  lanes->transpose(b.data(), k, n_, batch_tmp_.data());
+  lanes_->transpose(b.data(), k, n_, batch_tmp_.data());
   strip_in_ = nullptr;
   strip_ = batch_tmp_.data();
   const core::DoacrossStats stats = run_strip(k);
-  lanes->transpose(batch_tmp_.data(), n_, k, x.data());
+  lanes_->transpose(batch_tmp_.data(), n_, k, x.data());
   return stats;
 }
 

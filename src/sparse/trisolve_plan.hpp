@@ -108,9 +108,14 @@ inline const char* to_string(PlanLayout l) noexcept {
 }
 
 /// What the plan decided and why — reported by benches and BatchDriver.
-/// The decision, race and kernel fields come from core::ExecTelemetry,
-/// which the plan's executor core writes.
+/// The decision and race fields come from core::ExecTelemetry, which the
+/// plan's executor core writes.
 struct PlanTelemetry : core::ExecTelemetry {
+  /// The process-wide dispatched ISA (CPUID + PDX_KERNEL; DESIGN.md §14).
+  kernels::KernelIsa isa = kernels::KernelIsa::kScalar;
+  /// The table the lane kernels run: kScalar when pinned or when the
+  /// machine has no vector table, kVector otherwise.
+  kernels::KernelChoice kernel = kernels::KernelChoice::kScalar;
   /// Resolved factor layout (kCsrView for empty plans even when packing
   /// was requested — there is nothing to pack).
   PlanLayout layout = PlanLayout::kCsrView;
@@ -176,13 +181,11 @@ struct PlanOptions {
   /// diagnostics (row, awaited offset, epoch, rounds, site), the fault is
   /// contained like any other worker exception, and the plan is poisoned.
   std::uint64_t stall_budget = 0;
-  /// Lane-kernel selection (DESIGN.md §14). kAuto runs the dispatched
-  /// vector table and — when calibration_epochs > 0 and the machine has
-  /// a vector ISA — races it against scalar on the first lane-kernel
-  /// dispatches; kScalar pins the reference table (what the forced-
-  /// scalar CI job exercises); kVector pins the vector table. Every
-  /// choice is bitwise identical on the lane paths (multi-RHS batches).
-  kernels::KernelChoice kernel = kernels::KernelChoice::kAuto;
+  /// Lane-kernel table (DESIGN.md §14). kVector (default) runs the
+  /// process-wide dispatched table; kScalar pins the reference table,
+  /// which bench/kernel_micro times the vector table against. Both are
+  /// bitwise identical on the lane paths (multi-RHS strips).
+  kernels::KernelChoice kernel = kernels::KernelChoice::kVector;
 };
 
 /// Persistent execution plan for L y = rhs / U z = y triangular solves.
@@ -299,8 +302,8 @@ class TrisolvePlan {
   /// single-RHS solves on the calling thread time source order against
   /// the wavefront walk (DESIGN.md §13). It does not hold back settled().
   bool order_racing() const noexcept { return core_.order_racing(); }
-  /// No race left to run and not poisoned: strategy, layout and kernel
-  /// table are final (core::DagPlan::settled).
+  /// No strategy race left to run and not poisoned: strategy and layout
+  /// are final (core::DagPlan::settled).
   bool settled() const noexcept { return core_.settled(); }
   /// Chosen strategy, rationale and the measured structure behind it.
   const PlanTelemetry& telemetry() const noexcept { return telemetry_; }
@@ -360,8 +363,10 @@ class TrisolvePlan {
   void build_packed();
   /// One core dispatch plus the per-run bookkeeping: solve count and the
   /// races (packing the winner when the strategy race locks in).
-  core::DoacrossStats run(const rt::ThreadPool::RegionFn& region,
-                          core::EpochKind kind, index_t columns = 1);
+  /// `order` marks the fused single-RHS solve, the one run that feeds
+  /// the order race.
+  core::DoacrossStats run(const rt::ThreadPool::RegionFn& region, bool order,
+                          index_t columns = 1);
   /// The fused single-RHS solve z = U⁻¹ L⁻¹ rhs through tmp_ (solve()).
   core::DoacrossStats run_fused(const double* rhs, double* z);
   /// A one-lane strip: run_fused, counted as a batch column.
@@ -380,6 +385,7 @@ class TrisolvePlan {
   index_t n_;
   PlanTelemetry telemetry_;
   core::DagPlan core_;  // writes telemetry_'s decision fields
+  const kernels::LaneOps* lanes_;  // the lane-kernel table opts_ picked
 
   PackedFactorStream packed_l_, packed_u_;
   std::vector<double, rt::CacheAlignedAllocator<double>> tmp_;

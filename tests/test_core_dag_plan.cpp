@@ -143,7 +143,7 @@ class LoopPlan {
     std::fill(v_.begin(), v_.end(), 0.0);
     core_.reset(core_.dag(0));
     const core::DoacrossStats st = core_.dispatch(region_);
-    core_.end_epoch(st.execute_seconds, core::EpochKind::kPlain);
+    core_.end_epoch(st.execute_seconds, /*order=*/false);
     return v_;
   }
 
@@ -256,7 +256,7 @@ TEST(DagPlan, RaceComparesTimesPerColumn) {
   for (int c = 0; c < 3; ++c) {
     for (int e = 0; e < cfg.calibration_epochs; ++e) {
       ASSERT_FALSE(locked);
-      locked = plan.core().end_epoch(seconds[c], core::EpochKind::kPlain,
+      locked = plan.core().end_epoch(seconds[c], /*order=*/false,
                                      columns[c]);
     }
   }

@@ -862,7 +862,7 @@ solve::BatchDriverOptions settled_serial_opts(unsigned width,
   opts.record_history = copts.record_history;
   opts.nthreads = width;
   opts.strategy = sp::ExecutionStrategy::kSerial;
-  opts.calibration_epochs = 0;  // neither race is armed: settled at once
+  opts.calibration_epochs = 0;  // no order race: source order throughout
   opts.use_tuning_cache = false;
   return opts;
 }
@@ -870,9 +870,9 @@ solve::BatchDriverOptions settled_serial_opts(unsigned width,
 }  // namespace
 
 TEST(BatchDriver, LaneGroupsSplitASettledSerialDrainAndMatchTheReferenceBitwise) {
-  // A serial plan with both races off is settled from the start, so every
-  // drain of at least 2 * kLaneMin systems on a wider region splits into
-  // lane groups, all of them in ONE pool dispatch (the serial strip
+  // A pinned serial plan is settled from the start, so every drain of at
+  // least 2 * kLaneMin systems on a wider region splits into lane
+  // groups, all of them in ONE pool dispatch (the serial strip
   // solves cost none). Lanes leave first, middle and last within each
   // group at different iterations, the rest run out of budget, and one
   // NaN right-hand side in group 1 breaks down alone — every lane bitwise
@@ -928,12 +928,12 @@ TEST(BatchDriver, LaneGroupsSplitASettledSerialDrainAndMatchTheReferenceBitwise)
   }
 }
 
-TEST(BatchDriver, LaneGroupsWaitForTheKernelRaceToSettle) {
-  // A pinned serial plan whose kernel race is armed (kAuto kernels on a
-  // machine with a vector table) is not settled: its first drain runs as
-  // one strip and feeds the race; once the race is over, the next drain
-  // splits. Under a forced-scalar table no race is armed and the first
-  // drain splits already. Either way every lane is bitwise the reference.
+TEST(BatchDriver, LaneGroupsSplitTheFirstDrainOfACalibratingSerialPlan) {
+  // The lane-kernel table is fixed per process, so only a strategy race
+  // holds back settled(). A pinned serial plan with a calibration budget
+  // is settled from construction: its first drain of 16 systems splits
+  // into 2 lane groups, every lane bitwise the reference. A kAuto plan
+  // is settled on the very run its strategy race locks in.
   const sp::Csr a = gen::five_point(24, 24);
   solve::CgOptions copts;
   copts.max_iterations = 30;
@@ -942,20 +942,29 @@ TEST(BatchDriver, LaneGroupsWaitForTheKernelRaceToSettle) {
   solve::BatchDriverOptions opts = settled_serial_opts(2, copts);
   opts.calibration_epochs = 2;
   solve::BatchDriver driver(pool(), a, opts);
-  const sp::TrisolvePlan& plan = driver.preconditioner().plan();
-  EXPECT_EQ(plan.settled(),
-            plan.telemetry().isa == sp::kernels::KernelIsa::kScalar);
+  ASSERT_TRUE(driver.preconditioner().plan().settled());
 
-  const index_t k = 16;
-  for (int drain = 0; drain < 2; ++drain) {
-    const std::string cfg = "drain " + std::to_string(drain);
-    const bool settled = plan.settled();
-    const Strip s = make_group_strip(a, k, 2, -1, 5000 + 7 * drain);
-    const solve::BatchReport rep = drain_and_compare(driver, a, s, copts, cfg);
-    EXPECT_EQ(rep.lane_groups, settled ? 2u : 1u) << cfg;
-    EXPECT_EQ(rep.precond_solves, expected_solves(rep)) << cfg;
-    EXPECT_TRUE(plan.settled()) << cfg << ": one wide drain ends the race";
+  const Strip s = make_group_strip(a, 16, 2, -1, 5000);
+  const solve::BatchReport rep =
+      drain_and_compare(driver, a, s, copts, "first drain");
+  EXPECT_EQ(rep.lane_groups, 2u);
+  EXPECT_EQ(rep.precond_solves, expected_solves(rep));
+
+  const sp::IluFactors f = sp::ilu0(a);
+  sp::PlanOptions popts;
+  popts.nthreads = 2;
+  popts.strategy = sp::ExecutionStrategy::kAuto;
+  popts.calibration_epochs = 2;
+  popts.use_tuning_cache = false;
+  sp::TrisolvePlan plan(pool(), f.l, f.u, popts);
+  ASSERT_TRUE(plan.calibrating());
+  const std::vector<double> b(static_cast<std::size_t>(a.rows) * 8, 1.0);
+  std::vector<double> x(b.size());
+  for (int run = 0; plan.calibrating(); ++run) {
+    ASSERT_LT(run, 64) << "the strategy race must lock in";
+    plan.solve_strip(b, x, 8);
   }
+  EXPECT_TRUE(plan.settled());
 }
 
 TEST(BatchDriver, LaneGroupsDoNotWaitForTheOrderRace) {
@@ -971,7 +980,6 @@ TEST(BatchDriver, LaneGroupsDoNotWaitForTheOrderRace) {
   copts.record_history = true;
   solve::BatchDriverOptions opts = settled_serial_opts(2, copts);
   opts.calibration_epochs = 2;
-  opts.kernel = sp::kernels::KernelChoice::kScalar;  // no kernel race
   solve::BatchDriver driver(pool(), a, opts);
   const sp::TrisolvePlan& plan = driver.preconditioner().plan();
   ASSERT_TRUE(plan.order_racing());

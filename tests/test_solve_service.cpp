@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -688,7 +689,7 @@ TEST(Service, DegradedFallbackRacesItsWalkOrderWithoutTheTuningCache) {
 
 TEST(Service, StallErrorCarriesStrategyAndMatrixContext) {
   solve::ServiceOptions opts = chaos_options();
-  opts.stall_budget = 8000;  // well past any healthy in-region wait
+  opts.solver.stall_budget = 8000;  // well past any healthy in-region wait
   // The refresh stall below must hit a PARALLEL numeric refactor — the
   // serial factor path has no peers to wedge, only the sleep valve.
   opts.solver.factor_strategy = sp::ExecutionStrategy::kDoacross;
@@ -900,6 +901,39 @@ TEST(Service, SchedulerSurvivesDeadPoolAndDegradesToSerialFallback) {
 }
 
 // ------------------------------------------------------------------- C ABI
+
+TEST(ServiceCAbi, BadSolverOptionsFailCreateNotTheFirstSolves) {
+  // Solver options are checked when the service is built: a caller's
+  // typo is an invalid argument there, not a plan-build failure charged
+  // to the first strip's jobs and to the tenant's breaker.
+  const auto expect_rejected = [](void (*set)(solve::BatchDriverOptions&),
+                                  const char* field) {
+    solve::ServiceOptions opts;
+    set(opts.solver);
+    EXPECT_THROW({ solve::Service svc(pool(), opts); }, std::invalid_argument)
+        << field;
+  };
+  expect_rejected([](solve::BatchDriverOptions& o) { o.max_iterations = -1; },
+                  "max_iterations");
+  expect_rejected([](solve::BatchDriverOptions& o) { o.max_attempts = 0; },
+                  "max_attempts");
+  expect_rejected(
+      [](solve::BatchDriverOptions& o) { o.retry_iteration_factor = 0; },
+      "retry_iteration_factor");
+  expect_rejected([](solve::BatchDriverOptions& o) { o.gmres_restart = 0; },
+                  "gmres_restart");
+
+  pdx_service* svc = nullptr;
+  pdx_service_options o;
+  pdx_service_options_init(&o);
+  o.max_iterations = -1;
+  EXPECT_EQ(pdx_service_create(&o, &svc), PDX_ERR_INVALID_ARGUMENT);
+  EXPECT_EQ(svc, nullptr);
+  pdx_service_options_init(&o);
+  o.max_attempts = -1;
+  EXPECT_EQ(pdx_service_create(&o, &svc), PDX_ERR_INVALID_ARGUMENT);
+  EXPECT_EQ(svc, nullptr);
+}
 
 TEST(ServiceCAbi, MalformedCsrIsRejectedBeforeAnyCopy) {
   // Regression: make_csr used to trust ptr[n] as the element count

@@ -2,10 +2,9 @@
 // ISA resolution and the PDX_KERNEL override contract, bitwise identity
 // of every lane kernel against the scalar reference (the strip-lane
 // kernels of the lockstep CG also against the single-vector loops they
-// stand for), plan-level bitwise identity of forced-scalar vs
-// forced-vector vs auto-dispatched plans across strategies, thread counts
-// and layouts, FactorPlan's kernel-dispatched scatter updates, and the
-// scalar-vs-vector kernel race telemetry.
+// stand for), plan-level bitwise identity of scalar-pinned vs dispatched
+// plans across strategies, thread counts and layouts, and FactorPlan's
+// kernel-dispatched scatter updates.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +20,6 @@
 #include "gen/rng.hpp"
 #include "gen/stencil.hpp"
 #include "runtime/thread_pool.hpp"
-#include "solve/batch_driver.hpp"
 #include "solve/vec.hpp"
 #include "sparse/ilu0.hpp"
 #include "sparse/kernels.hpp"
@@ -354,6 +352,12 @@ TEST(KernelPlans, BatchSolvesBitwiseAcrossKernelChoices) {
         sp::TrisolvePlan vector(pool(), f.l, f.u,
                                 plan_opts(s, nth, layout,
                                           kn::KernelChoice::kVector));
+        EXPECT_EQ(scalar.telemetry().kernel, kn::KernelChoice::kScalar);
+        EXPECT_EQ(vector.telemetry().kernel,
+                  kn::dispatched_isa() == kn::KernelIsa::kScalar
+                      ? kn::KernelChoice::kScalar
+                      : kn::KernelChoice::kVector);
+        EXPECT_EQ(vector.telemetry().isa, kn::dispatched_isa());
         std::vector<double> x_s(b.size(), 0.0), x_v(b.size(), 0.0);
         scalar.solve_batch(b, x_s, k);
         vector.solve_batch(b, x_v, k);
@@ -435,187 +439,28 @@ TEST(KernelPlans, SerialStripBitwiseAtEveryWidth) {
   }
 }
 
-TEST(KernelPlans, AutoDispatchBitwiseMatchesForcedScalarAcrossEpochs) {
-  // kAuto may race scalar-vs-vector across the first lane-kernel
-  // dispatches; every exploration epoch must still be bitwise identical
-  // to the pinned-scalar plan (the race is invisible to answers).
-  const sp::IluFactors f = sp::ilu0(gen::five_point(15, 13));
-  const index_t n = f.l.rows;
-  const index_t k = 8;
-  const auto b = random_vec(static_cast<std::size_t>(n * k), 77);
-
-  for (sp::ExecutionStrategy s :
-       {sp::ExecutionStrategy::kSerial, sp::ExecutionStrategy::kDoacross}) {
-    sp::TrisolvePlan fixed(pool(), f.l, f.u,
-                           plan_opts(s, 4, sp::PlanLayout::kPacked,
-                                     kn::KernelChoice::kScalar));
-    sp::TrisolvePlan autod(pool(), f.l, f.u,
-                           plan_opts(s, 4, sp::PlanLayout::kPacked,
-                                     kn::KernelChoice::kAuto));
-    std::vector<double> x_f(b.size()), x_a(b.size());
-    for (int epoch = 0; epoch < 8; ++epoch) {  // spans the whole race
-      fixed.solve_batch(b, x_f, k);
-      autod.solve_batch(b, x_a, k);
-      for (index_t i = 0; i < n * k; ++i) {
-        ASSERT_EQ(x_f[static_cast<std::size_t>(i)],
-                  x_a[static_cast<std::size_t>(i)])
-            << core::to_string(s) << " epoch=" << epoch << " at " << i;
-      }
-    }
-  }
-}
-
-TEST(KernelFactor, ScatterKernelsBitwiseAcrossChoicesAndStrategies) {
+TEST(KernelFactor, ScatterKernelsBitwiseAcrossStrategies) {
+  // FactorPlan's scatter updates run the dispatched table (the scalar one
+  // under PDX_KERNEL=scalar); the factors must equal ilu0() bitwise.
   const sp::Csr a = gen::nine_point(13, 13);
   const sp::IluFactors ref = sp::ilu0(a);
 
   for (sp::ExecutionStrategy s : kStrategies) {
-    for (kn::KernelChoice kc :
-         {kn::KernelChoice::kScalar, kn::KernelChoice::kVector,
-          kn::KernelChoice::kAuto}) {
-      sp::FactorPlanOptions o;
-      o.nthreads = 4;
-      o.strategy = s;
-      o.kernel = kc;
-      sp::FactorPlan plan(pool(), a, o);
-      sp::IluFactors f = plan.allocate_factors();
-      for (int epoch = 0; epoch < 6; ++epoch) {  // spans any kernel race
-        plan.factorize(a, f);
-        for (std::size_t i = 0; i < ref.l.val.size(); ++i) {
-          ASSERT_EQ(ref.l.val[i], f.l.val[i])
-              << core::to_string(s) << " kernel=" << kn::to_string(kc)
-              << " epoch=" << epoch << " L value " << i;
-        }
-        for (std::size_t i = 0; i < ref.u.val.size(); ++i) {
-          ASSERT_EQ(ref.u.val[i], f.u.val[i])
-              << core::to_string(s) << " kernel=" << kn::to_string(kc)
-              << " epoch=" << epoch << " U value " << i;
-        }
+    sp::FactorPlanOptions o;
+    o.nthreads = 4;
+    o.strategy = s;
+    sp::FactorPlan plan(pool(), a, o);
+    sp::IluFactors f = plan.allocate_factors();
+    for (int epoch = 0; epoch < 6; ++epoch) {
+      plan.factorize(a, f);
+      for (std::size_t i = 0; i < ref.l.val.size(); ++i) {
+        ASSERT_EQ(ref.l.val[i], f.l.val[i])
+            << core::to_string(s) << " epoch=" << epoch << " L value " << i;
+      }
+      for (std::size_t i = 0; i < ref.u.val.size(); ++i) {
+        ASSERT_EQ(ref.u.val[i], f.u.val[i])
+            << core::to_string(s) << " epoch=" << epoch << " U value " << i;
       }
     }
   }
-}
-
-// --- kernel race telemetry ---------------------------------------------
-
-TEST(KernelRace, RaceUnitLocksInArgminWinner) {
-  kn::Race race;
-  EXPECT_FALSE(race.active());
-  EXPECT_EQ(race.winner(), kn::KernelChoice::kVector);  // default
-  race.arm(2);
-  ASSERT_TRUE(race.active());
-  // Vector explores first.
-  EXPECT_EQ(race.candidate(), kn::KernelChoice::kVector);
-  EXPECT_FALSE(race.note_epoch(10.0));
-  EXPECT_FALSE(race.note_epoch(12.0));
-  EXPECT_EQ(race.candidate(), kn::KernelChoice::kScalar);
-  EXPECT_FALSE(race.note_epoch(5.0));
-  EXPECT_TRUE(race.note_epoch(6.0));  // lock-in, exactly once
-  EXPECT_FALSE(race.active());
-  EXPECT_EQ(race.winner(), kn::KernelChoice::kScalar);  // argmin best_us
-  const kn::KernelRaceState& st = race.state();
-  EXPECT_TRUE(st.calibrated);
-  EXPECT_EQ(st.exploration_epochs, 4);
-  ASSERT_EQ(st.timings.size(), 2u);
-  EXPECT_EQ(st.timings[0].best_us, 10.0);
-  EXPECT_EQ(st.timings[1].best_us, 5.0);
-  // Disarmed races ignore feeds.
-  EXPECT_FALSE(race.note_epoch(1.0));
-}
-
-TEST(KernelRace, PlanTelemetryRecordsDispatchAndRace) {
-  const sp::IluFactors f = sp::ilu0(gen::five_point(14, 12));
-  const index_t n = f.l.rows;
-  const index_t k = 8;
-  const auto b = random_vec(static_cast<std::size_t>(n * k), 3);
-  std::vector<double> x(b.size());
-
-  // Pinned strategy + kAuto kernel: nothing to calibrate strategy-wise,
-  // so lane-kernel dispatches feed the kernel race immediately.
-  sp::TrisolvePlan plan(pool(), f.l, f.u,
-                        plan_opts(sp::ExecutionStrategy::kDoacross, 4,
-                                  sp::PlanLayout::kPacked,
-                                  kn::KernelChoice::kAuto));
-  EXPECT_EQ(plan.telemetry().isa, kn::dispatched_isa());
-  if (kn::dispatched_isa() == kn::KernelIsa::kScalar) {
-    // Scalar machine (or PDX_KERNEL=scalar): no race to run, the choice
-    // is scalar from construction.
-    EXPECT_EQ(plan.telemetry().kernel, kn::KernelChoice::kScalar);
-    for (int e = 0; e < 6; ++e) {
-      plan.solve_batch(b, x, k);
-    }
-    EXPECT_FALSE(plan.telemetry().kernel_race.calibrated);
-    return;
-  }
-  // Vector machine: the race explores scalar and vector on interleaved
-  // batches and locks in a measured winner (2 epochs per choice by
-  // default).
-  for (int e = 0; e < 6; ++e) {
-    plan.solve_batch(b, x, k);
-  }
-  const sp::PlanTelemetry& t = plan.telemetry();
-  EXPECT_TRUE(t.kernel_race.calibrated);
-  ASSERT_EQ(t.kernel_race.timings.size(), 2u);
-  EXPECT_GT(t.kernel_race.timings[0].epochs, 0);
-  EXPECT_GT(t.kernel_race.timings[1].epochs, 0);
-  EXPECT_EQ(t.kernel_race.exploration_epochs, 4);
-  EXPECT_TRUE(t.kernel == kn::KernelChoice::kScalar ||
-              t.kernel == kn::KernelChoice::kVector);
-
-  // Forced choices never race.
-  sp::TrisolvePlan pinned(pool(), f.l, f.u,
-                          plan_opts(sp::ExecutionStrategy::kDoacross, 4,
-                                    sp::PlanLayout::kPacked,
-                                    kn::KernelChoice::kVector));
-  for (int e = 0; e < 6; ++e) {
-    pinned.solve_batch(b, x, k);
-  }
-  EXPECT_FALSE(pinned.telemetry().kernel_race.calibrated);
-  EXPECT_EQ(pinned.telemetry().kernel, kn::KernelChoice::kVector);
-}
-
-TEST(KernelRace, SingleRhsAndNarrowBatchesNeverFeedTheRace) {
-  // Only batches with k >= kLaneMin execute lane kernels; single-RHS
-  // solves and narrow (including one-column) batches must leave the race
-  // untouched (their timings would be meaningless for it).
-  const sp::IluFactors f = sp::ilu0(gen::five_point(12, 12));
-  const index_t n = f.l.rows;
-  const auto b1 = random_vec(static_cast<std::size_t>(n), 4);
-  const auto b2 = random_vec(static_cast<std::size_t>(n * 2), 6);
-  std::vector<double> x1(b1.size()), x2(b2.size());
-  sp::TrisolvePlan plan(pool(), f.l, f.u,
-                        plan_opts(sp::ExecutionStrategy::kDoacross, 4,
-                                  sp::PlanLayout::kPacked,
-                                  kn::KernelChoice::kAuto));
-  for (int e = 0; e < 8; ++e) {
-    plan.solve(b1, x1);
-    plan.solve_batch(b2, x2, 2);
-    plan.solve_batch(b2, x2, 1);
-  }
-  EXPECT_FALSE(plan.telemetry().kernel_race.calibrated);
-  EXPECT_EQ(plan.telemetry().kernel_race.exploration_epochs, 0);
-}
-
-TEST(KernelRace, BatchDriverForwardsKnobsAndReportsDispatch) {
-  const sp::Csr a = gen::five_point(13, 13);
-  const auto b = random_vec(static_cast<std::size_t>(a.rows), 12);
-
-  solve::BatchDriverOptions opts;
-  opts.kernel = kn::KernelChoice::kScalar;
-  solve::BatchDriver driver(pool(), a, opts);
-  std::vector<double> x(b.size(), 0.0);
-  driver.enqueue(b, x);
-  const solve::BatchReport rep = driver.drain();
-  const sp::PlanTelemetry& t = driver.preconditioner().plan().telemetry();
-  EXPECT_EQ(t.isa, kn::dispatched_isa());
-  EXPECT_EQ(t.kernel, kn::KernelChoice::kScalar);
-  EXPECT_FALSE(t.kernel_race.calibrated);
-
-  // And the scalar-pinned drain answers bitwise like the default drain.
-  solve::BatchDriver driver2(pool(), a, solve::BatchDriverOptions{});
-  std::vector<double> x2(b.size(), 0.0);
-  driver2.enqueue(b, x2);
-  const solve::BatchReport rep2 = driver2.drain();
-  EXPECT_EQ(rep.converged, rep2.converged);
-  for (std::size_t i = 0; i < x.size(); ++i) ASSERT_EQ(x[i], x2[i]) << i;
 }

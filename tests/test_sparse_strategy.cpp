@@ -612,7 +612,7 @@ TEST(OrderRace, EveryEpochBitwiseOnGeneratedInputsAtEveryWidth) {
       for (ExecutionStrategy s :
            {ExecutionStrategy::kSerial, ExecutionStrategy::kAuto}) {
         for (sp::kernels::KernelChoice kernel :
-             {sp::kernels::KernelChoice::kAuto,
+             {sp::kernels::KernelChoice::kVector,
               sp::kernels::KernelChoice::kScalar}) {
           const std::string cfg =
               name + " nth=" + std::to_string(nth) + " " +
@@ -662,7 +662,6 @@ TEST(OrderRace, AdvancesOnlyOnSingleRhsRunsOnTheCallingThread) {
   sp::PlanOptions opts;
   opts.nthreads = 2;
   opts.strategy = ExecutionStrategy::kSerial;
-  opts.kernel = sp::kernels::KernelChoice::kScalar;  // no kernel race
   opts.calibration_epochs = 3;
   opts.use_tuning_cache = false;
   sp::TrisolvePlan plan(pool(), f.l, f.u, opts);
