@@ -222,6 +222,9 @@ class DagPlan {
   /// names it to the fault injector. `ord` is the order the body's row
   /// source follows — the DAG's doconsider order for the wavefront walk,
   /// nullptr for source order — so the injector names the row that runs.
+  /// A body with a run(first, last) member solves runs of positions in
+  /// one call: the whole range, or — with an injector attached — single
+  /// positions, each after its on_row.
   template <class Body>
   [[gnu::noinline]] void walk_serial(Dag& d, unsigned tid, Body body,
                                      const index_t* ord = nullptr);
@@ -409,10 +412,23 @@ void DagPlan::walk_serial(Dag& d, unsigned tid, Body body,
   // order, where consecutive rows are independent and one core's
   // out-of-order window overlaps them.
   rt::FaultInjector* const inj = injector_;
-  NoWait wait;
-  for (index_t pos = 0; pos < n_; ++pos) {
-    if (inj) inj->on_row(tid, ord ? ord[pos] : natural_row(d, pos), &latch_);
-    body(pos, wait);
+  if constexpr (requires { body.run(index_t{0}, index_t{0}); }) {
+    if (!inj) {
+      body.run(0, n_);
+      return;
+    }
+    for (index_t pos = 0; pos < n_; ++pos) {
+      inj->on_row(tid, ord ? ord[pos] : natural_row(d, pos), &latch_);
+      body.run(pos, pos + 1);
+    }
+  } else {
+    NoWait wait;
+    for (index_t pos = 0; pos < n_; ++pos) {
+      if (inj) {
+        inj->on_row(tid, ord ? ord[pos] : natural_row(d, pos), &latch_);
+      }
+      body(pos, wait);
+    }
   }
 }
 

@@ -30,7 +30,8 @@ BatchDriver::BatchDriver(rt::ThreadPool& pool, const sparse::Csr& a,
                          const BatchDriverOptions& opts)
     : pool_(&pool),
       a_(&a),
-      opts_(opts),
+      // Checked before m_ factors `a` and builds its plans.
+      opts_((validate(opts), opts)),
       m_(pool, a,
          sparse::PlanOptions{.nthreads = opts.nthreads,
                              .reorder = opts.reorder,
@@ -45,9 +46,7 @@ BatchDriver::BatchDriver(rt::ThreadPool& pool, const sparse::Csr& a,
              .calibration_epochs = opts.calibration_epochs,
              .use_tuning_cache = opts.use_tuning_cache,
              .stall_budget = opts.stall_budget,
-             .pivot = {}}) {
-  validate(opts);
-}
+             .pivot = {}}) {}
 
 void BatchDriver::enqueue(std::span<const double> b, std::span<double> x) {
   const std::string job = "job " + std::to_string(queue_.size());

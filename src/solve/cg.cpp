@@ -6,6 +6,7 @@
 #include <string>
 
 #include "solve/vec.hpp"
+#include "sparse/kernels.hpp"
 #include "sparse/spmv.hpp"
 
 namespace pdx::solve {
@@ -15,57 +16,6 @@ namespace {
 double relative(double rnorm, double bnorm) {
   return bnorm > 0 ? rnorm / bnorm : rnorm;
 }
-
-/// The vector stages of one lockstep iteration over n-by-k strips. Lane
-/// by lane they are the solve/vec.hpp loops and sparse::spmv; a one-lane
-/// strip is a plain vector and runs exactly those, with no lane-kernel
-/// call on the path pcg alone takes.
-struct Strips {
-  const sparse::kernels::LaneOps& ops;
-  std::size_t n, k;
-
-  index_t rows() const { return static_cast<index_t>(n); }
-  index_t lanes() const { return static_cast<index_t>(k); }
-  std::span<const double> in(const std::vector<double>& v) const {
-    return {v.data(), n};
-  }
-  std::span<double> out(std::vector<double>& v) const {
-    return {v.data(), n};
-  }
-
-  /// out[c] = lane c of a · lane c of b
-  void dot(const std::vector<double>& a, const std::vector<double>& b,
-           double* res) const {
-    if (k == 1) {
-      res[0] = solve::dot(in(a), in(b));
-    } else {
-      ops.lane_dot(res, a.data(), b.data(), rows(), lanes());
-    }
-  }
-  /// y += alpha x, lane by lane
-  void axpy(const double* alpha, const std::vector<double>& x,
-            std::vector<double>& y) const {
-    if (k == 1) {
-      solve::axpy(alpha[0], in(x), out(y));
-    } else {
-      ops.lane_axpy(y.data(), alpha, x.data(), rows(), lanes());
-    }
-  }
-  /// y = x + beta y, lane by lane
-  void xpby(const std::vector<double>& x, const double* beta,
-            std::vector<double>& y) const {
-    if (k == 1) {
-      solve::xpby(in(x), beta[0], out(y));
-    } else {
-      ops.lane_xpby(y.data(), beta, x.data(), rows(), lanes());
-    }
-  }
-  /// y = A x (a one-lane strip runs spmv itself)
-  void spmv(const sparse::Csr& a, const std::vector<double>& x,
-            std::vector<double>& y) const {
-    sparse::spmv_strip(a, x.data(), y.data(), lanes(), ops);
-  }
-};
 
 /// Move lane keep[j] of an n-by-k strip to lane j of an n-by-keep.size()
 /// strip, in place. No element moves past its source (j <= keep[j] and
@@ -133,7 +83,7 @@ void pcg_lockstep(const sparse::Csr& a, std::span<const CgSystem> systems,
     for (auto* v : {&s.x, &s.r, &s.z, &s.p, &s.ap}) v->resize(n * k);
   }
   if (s.dots.size() < k) {
-    for (auto* v : {&s.alpha, &s.neg_alpha, &s.beta, &s.dots}) v->resize(k);
+    for (auto* v : {&s.alpha, &s.beta, &s.dots}) v->resize(k);
   }
   for (std::size_t l = 0; l < k; ++l) {
     const CgSystem& sys = systems[s.lanes[l].system];
@@ -147,18 +97,23 @@ void pcg_lockstep(const sparse::Csr& a, std::span<const CgSystem> systems,
     for (std::size_t i = 0; i < n; ++i) x[i] = s.x[i * k + l];
   };
 
-  Strips st{sparse::kernels::dispatched_ops(), n, k};
+  // Every strip pass is one lane-kernel call, at every width down to one
+  // lane: each lane runs exactly sparse::spmv and the solve/vec.hpp loops
+  // (DESIGN.md §8).
+  const sparse::kernels::LaneOps& ops = sparse::kernels::dispatched_ops();
+  const sparse::kernels::CsrRef csr{a.ptr.data(), a.idx.data(), a.val.data(),
+                                    a.rows};
+  const auto width = [&k] { return static_cast<index_t>(k); };
   // z = M⁻¹ r, p = z, rho = r·z
-  m.apply_strip(a.rows, s.r.data(), s.z.data(), static_cast<index_t>(k));
+  m.apply_strip(a.rows, s.r.data(), s.z.data(), width());
   std::copy_n(s.z.begin(), n * k, s.p.begin());
-  st.dot(s.r, s.z, s.dots.data());
+  ops.lane_dot(s.dots.data(), s.r.data(), s.z.data(), a.rows, width());
   for (std::size_t l = 0; l < k; ++l) s.lanes[l].rho = s.dots[l];
 
   std::vector<std::size_t>& keep = s.keep;
   for (int it = 0;; ++it) {
-    // ap = A p; alpha = rho / p·ap
-    st.spmv(a, s.p, s.ap);
-    st.dot(s.p, s.ap, s.dots.data());
+    // ap = A p and p·ap in one pass; alpha = rho / p·ap
+    ops.spmv_dot(csr, s.p.data(), s.ap.data(), s.dots.data(), width());
     for (std::size_t l = 0; l < k; ++l) {
       CgScratch::Lane& ln = s.lanes[l];
       const double denom = s.dots[l];
@@ -169,17 +124,14 @@ void pcg_lockstep(const sparse::Csr& a, std::span<const CgSystem> systems,
         rep.breakdown_reason = "p·Ap denominator zero or non-finite";
         write_x(l);
         ln.done = true;
-        s.alpha[l] = s.neg_alpha[l] = 0.0;
+        s.alpha[l] = 0.0;
         continue;
       }
       s.alpha[l] = ln.rho / denom;
-      s.neg_alpha[l] = -s.alpha[l];
     }
-    // x += alpha p; r -= alpha ap
-    st.axpy(s.alpha.data(), s.p, s.x);
-    st.axpy(s.neg_alpha.data(), s.ap, s.r);
-
-    st.dot(s.r, s.r, s.dots.data());
+    // x += alpha p, r -= alpha ap and r·r in one pass
+    ops.cg_update(s.x.data(), s.r.data(), s.alpha.data(), s.p.data(),
+                  s.ap.data(), s.dots.data(), a.rows, width());
     keep.clear();
     for (std::size_t l = 0; l < k; ++l) {
       CgScratch::Lane& ln = s.lanes[l];
@@ -208,17 +160,16 @@ void pcg_lockstep(const sparse::Csr& a, std::span<const CgSystem> systems,
       }
       k = keep.size();
       s.lanes.resize(k);
-      st.k = k;
     }
 
     // z = M⁻¹ r; beta = r·z / rho; p = z + beta p
-    m.apply_strip(a.rows, s.r.data(), s.z.data(), static_cast<index_t>(k));
-    st.dot(s.r, s.z, s.dots.data());
+    m.apply_strip(a.rows, s.r.data(), s.z.data(), width());
+    ops.lane_dot(s.dots.data(), s.r.data(), s.z.data(), a.rows, width());
     for (std::size_t l = 0; l < k; ++l) {
       s.beta[l] = s.dots[l] / s.lanes[l].rho;
       s.lanes[l].rho = s.dots[l];
     }
-    st.xpby(s.z, s.beta.data(), s.p);
+    ops.lane_xpby(s.p.data(), s.beta.data(), s.z.data(), a.rows, width());
   }
 }
 

@@ -7,10 +7,10 @@
 //
 // The recurrence is written once, k systems wide (pcg_lockstep): the
 // vectors of the systems still running are the lanes of n-by-k row-major
-// strips, and every iteration makes one strip SpMV, one
-// Preconditioner::apply_strip call and per-lane dot/axpy/xpby passes,
-// with rho/alpha/beta and the norms kept per lane. pcg() is its k = 1
-// case (DESIGN.md §8).
+// strips, and every iteration makes one fused SpMV·p·Ap pass, one fused
+// update·r·r pass, one Preconditioner::apply_strip call and per-lane
+// r·z and xpby passes, with rho/alpha/beta and the norms kept per lane.
+// pcg() is its k = 1 case (DESIGN.md §8).
 #pragma once
 
 #include <span>
@@ -66,7 +66,7 @@ struct CgScratch {
   // system per lane.
   std::vector<double> x, r, z, p, ap;
   // Per-lane coefficients and reduction results, k wide.
-  std::vector<double> alpha, neg_alpha, beta, dots;
+  std::vector<double> alpha, beta, dots;
   struct Lane {
     std::size_t system = 0;  ///< index into the caller's systems
     double bnorm = 0.0, stop = 0.0, rnorm = 0.0, rho = 0.0;

@@ -9,6 +9,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 #if defined(__aarch64__) && defined(__ARM_NEON)
 #include <arm_neon.h>
@@ -25,21 +26,61 @@ namespace pdx::sparse::kernels {
 namespace {
 
 // --- scalar reference ---------------------------------------------------
-// These loops ARE the plans' historical inner arithmetic. The strip
-// rows call row_solve at every width; the strip-lane entries below serve
-// every strip of two or more lanes, and a one-lane strip runs the plain
-// single-vector loops instead.
+// These loops ARE the plans' historical inner arithmetic, one lane after
+// another; every vector body below is bitwise equal to them.
 
-void row_solve_scalar(double* t, const double* src, const double* vals,
-                      const index_t* cols, index_t cnt, double diag,
-                      const double* xs, index_t k) {
+/// row_solve's row; `divide` false skips the final divide (sweep's
+/// unit-diagonal rows, where it changes no bit).
+inline void solve_row_scalar(double* t, const double* src,
+                             const double* vals, const index_t* cols,
+                             index_t cnt, double diag, const double* xs,
+                             index_t k, bool divide) {
   for (index_t c = 0; c < k; ++c) t[c] = src[c];
   for (index_t j = 0; j < cnt; ++j) {
     const double a = vals[j];
     const double* x = xs + cols[j] * k;
     for (index_t c = 0; c < k; ++c) t[c] -= a * x[c];
   }
-  for (index_t c = 0; c < k; ++c) t[c] /= diag;
+  if (divide) {
+    for (index_t c = 0; c < k; ++c) t[c] /= diag;
+  }
+}
+
+void row_solve_scalar(double* t, const double* src, const double* vals,
+                      const index_t* cols, index_t cnt, double diag,
+                      const double* xs, index_t k) {
+  solve_row_scalar(t, src, vals, cols, cnt, diag, xs, k, true);
+}
+
+/// One factor row as sweep reads it: lower rows keep the diagonal last,
+/// upper rows first. `divide` is false exactly for the rows whose divide
+/// changes no bit — a unit diagonal after at least one dependence.
+struct SweepRow {
+  index_t row, cnt;
+  const index_t* cols;
+  const double* vals;
+  double diag;
+  bool divide;
+};
+
+inline SweepRow sweep_row(const CsrRef& f, bool upper,
+                          index_t pos) noexcept {
+  const index_t row = upper ? f.rows - 1 - pos : pos;
+  const index_t b = f.ptr[row];
+  const index_t cnt = f.ptr[row + 1] - b - 1;
+  const index_t lo = upper ? b + 1 : b;
+  const double diag = f.val[upper ? b : b + cnt];
+  return {row, cnt, f.idx + lo, f.val + lo, diag, diag != 1.0 || cnt == 0};
+}
+
+void sweep_scalar(const CsrRef& f, bool upper, const double* in, double* xs,
+                  index_t first, index_t last, index_t k) {
+  for (index_t pos = first; pos < last; ++pos) {
+    const SweepRow r = sweep_row(f, upper, pos);
+    double* t = xs + r.row * k;
+    solve_row_scalar(t, in ? in + r.row * k : t, r.vals, r.cols, r.cnt,
+                     r.diag, xs, k, r.divide);
+  }
 }
 
 void gather_axpy_scalar(double* w, const index_t* tgt, const index_t* src,
@@ -47,13 +88,36 @@ void gather_axpy_scalar(double* w, const index_t* tgt, const index_t* src,
   for (index_t t = 0; t < cnt; ++t) w[tgt[t]] -= a * w[src[t]];
 }
 
-void spmv_row_scalar(double* y, const double* vals, const index_t* cols,
-                     index_t cnt, const double* xs, index_t k) {
-  for (index_t c = 0; c < k; ++c) y[c] = 0.0;
-  for (index_t j = 0; j < cnt; ++j) {
-    const double v = vals[j];
-    const double* x = xs + cols[j] * k;
-    for (index_t c = 0; c < k; ++c) y[c] += v * x[c];
+void spmv_dot_scalar(const CsrRef& a, const double* xs, double* ys,
+                     double* dots, index_t k) {
+  for (index_t c = 0; c < k; ++c) dots[c] = 0.0;
+  for (index_t i = 0; i < a.rows; ++i) {
+    double* y = ys + i * k;
+    for (index_t c = 0; c < k; ++c) y[c] = 0.0;
+    for (index_t j = a.ptr[i]; j < a.ptr[i + 1]; ++j) {
+      const double v = a.val[j];
+      const double* x = xs + a.idx[j] * k;
+      for (index_t c = 0; c < k; ++c) y[c] += v * x[c];
+    }
+    const double* p = xs + i * k;
+    for (index_t c = 0; c < k; ++c) dots[c] += p[c] * y[c];
+  }
+}
+
+void cg_update_scalar(double* x, double* r, const double* alpha,
+                      const double* p, const double* ap, double* dots,
+                      index_t n, index_t k) {
+  for (index_t c = 0; c < k; ++c) dots[c] = 0.0;
+  for (index_t i = 0; i < n; ++i) {
+    double* xi = x + i * k;
+    double* ri = r + i * k;
+    const double* pi = p + i * k;
+    const double* api = ap + i * k;
+    for (index_t c = 0; c < k; ++c) {
+      xi[c] += alpha[c] * pi[c];
+      ri[c] += -alpha[c] * api[c];
+      dots[c] += ri[c] * ri[c];
+    }
   }
 }
 
@@ -64,15 +128,6 @@ void lane_dot_scalar(double* out, const double* a, const double* b,
     const double* ai = a + i * k;
     const double* bi = b + i * k;
     for (index_t c = 0; c < k; ++c) out[c] += ai[c] * bi[c];
-  }
-}
-
-void lane_axpy_scalar(double* y, const double* alpha, const double* x,
-                      index_t n, index_t k) {
-  for (index_t i = 0; i < n; ++i) {
-    double* yi = y + i * k;
-    const double* xi = x + i * k;
-    for (index_t c = 0; c < k; ++c) yi[c] += alpha[c] * xi[c];
   }
 }
 
@@ -97,100 +152,308 @@ void transpose_scalar(const double* src, index_t rows, index_t cols,
   }
 }
 
-constexpr LaneOps kScalarOps = {KernelIsa::kScalar, row_solve_scalar,
-                                gather_axpy_scalar, spmv_row_scalar,
-                                lane_dot_scalar,    lane_axpy_scalar,
-                                lane_xpby_scalar,   transpose_scalar};
+constexpr LaneOps kScalarOps = {
+    .isa = KernelIsa::kScalar,
+    .row_solve = row_solve_scalar,
+    .sweep = sweep_scalar,
+    .gather_axpy = gather_axpy_scalar,
+    .spmv_dot = spmv_dot_scalar,
+    .cg_update = cg_update_scalar,
+    .lane_dot = lane_dot_scalar,
+    .lane_xpby = lane_xpby_scalar,
+    .transpose = transpose_scalar};
+
+#if defined(PDX_HAVE_AVX2_BODIES) || defined(PDX_HAVE_NEON)
+
+// --- register-block lane kernels ------------------------------------------
+// Written once over a register type S: S::V holds S::kW consecutive
+// lanes, and a block of N registers covers N·kW lanes with its
+// accumulators in registers for the whole reduction — a row's dependence
+// list, or every strip row. lane_blocks runs blocks of 4, then one of 3,
+// 2 or 1 registers of the table's vector type, and the last lanes (fewer
+// than one vector) as a block of scalar registers (Lane1). Each lane's
+// operation sequence is the scalar reference's whatever the block, so
+// neither the block split nor the register accumulation changes a bit.
+// Every lane loop is unrolled by pragma: left to -O2, GCC keeps a
+// 4-register block rolled with its accumulators on the stack (2x slower
+// at k = 16). A masked vector tail measured ~1.7x slower than the scalar
+// one (store forwarding).
+
+#if defined(PDX_HAVE_AVX2_BODIES)
+#define PDX_LANES __attribute__((target("avx2"), always_inline)) inline
+#else
+#define PDX_LANES __attribute__((always_inline)) inline
+#endif
+
+/// One lane per register: the tails.
+struct Lane1 {
+  using V = double;
+  static constexpr index_t kW = 1;
+  PDX_LANES static V zero() { return 0.0; }
+  PDX_LANES static V set1(double a) { return a; }
+  PDX_LANES static V load(const double* p) { return *p; }
+  PDX_LANES static void store(double* p, V v) { *p = v; }
+  PDX_LANES static V add(V a, V b) { return a + b; }
+  PDX_LANES static V sub(V a, V b) { return a - b; }
+  PDX_LANES static V mul(V a, V b) { return a * b; }
+  PDX_LANES static V div(V a, V b) { return a / b; }
+  PDX_LANES static V neg(V a) { return -a; }
+};
+
+/// Run K over lanes [0, k) of k-wide strips in register blocks of S (see
+/// above): K::run<S, N>(c, k, args...) for the block starting at lane c.
+/// A one-lane strip passes k as a compile-time 1, so its index
+/// arithmetic is the plain vector loop's.
+template <class S, class K, class... A>
+PDX_LANES void lane_blocks(index_t k, A... args) {
+  if (k == 1) {
+    K::template run<Lane1, 1>(0, std::integral_constant<index_t, 1>{},
+                              args...);
+    return;
+  }
+  constexpr index_t w = S::kW;
+  index_t c = 0;
+  for (; c + 4 * w <= k; c += 4 * w) K::template run<S, 4>(c, k, args...);
+  if (c + 3 * w <= k) {
+    K::template run<S, 3>(c, k, args...);
+    c += 3 * w;
+  } else if (c + 2 * w <= k) {
+    K::template run<S, 2>(c, k, args...);
+    c += 2 * w;
+  } else if (c + w <= k) {
+    K::template run<S, 1>(c, k, args...);
+    c += w;
+  }
+  switch (k - c) {
+    case 1: K::template run<Lane1, 1>(c, k, args...); break;
+    case 2: K::template run<Lane1, 2>(c, k, args...); break;
+    case 3: K::template run<Lane1, 3>(c, k, args...); break;
+    default: break;
+  }
+}
+
+/// row_solve's row over one block: load src, subtract the dependence
+/// list in j order (mul, then sub), divide when asked, store once.
+struct RowSolve {
+  template <class S, int N, class Kw>
+  PDX_LANES static void run(index_t c, Kw k, double* t, const double* src,
+                            const double* vals, const index_t* cols,
+                            index_t cnt, double diag, const double* xs,
+                            bool divide) {
+    constexpr index_t w = S::kW;
+    typename S::V acc[N];
+    #pragma GCC unroll 4
+    for (int v = 0; v < N; ++v) acc[v] = S::load(src + c + w * v);
+    for (index_t j = 0; j < cnt; ++j) {
+      const typename S::V av = S::set1(vals[j]);
+      const double* x = xs + cols[j] * k + c;
+      #pragma GCC unroll 4
+      for (int v = 0; v < N; ++v) {
+        acc[v] = S::sub(acc[v], S::mul(av, S::load(x + w * v)));
+      }
+    }
+    if (divide) {
+      const typename S::V dv = S::set1(diag);
+      #pragma GCC unroll 4
+      for (int v = 0; v < N; ++v) acc[v] = S::div(acc[v], dv);
+    }
+    #pragma GCC unroll 4
+    for (int v = 0; v < N; ++v) S::store(t + c + w * v, acc[v]);
+  }
+};
+
+/// Row after row, every block of a row before the next row: the blocks
+/// of one row are independent, so they overlap on the row-to-row
+/// dependence chain that bounds a serial sweep.
+template <class S, bool kUpper>
+PDX_LANES void sweep_dir(const CsrRef& m, const double* in, double* xs,
+                         index_t first, index_t last, index_t k) {
+  // A local copy: the stores below (through may_alias vector types)
+  // would otherwise force a reload of the arrays' pointers every row.
+  const CsrRef f = m;
+  for (index_t pos = first; pos < last; ++pos) {
+    const SweepRow r = sweep_row(f, kUpper, pos);
+    double* t = xs + r.row * k;
+    lane_blocks<S, RowSolve>(k, t, in ? in + r.row * k : t, r.vals, r.cols,
+                             r.cnt, r.diag, xs, r.divide);
+  }
+}
+
+template <class S>
+PDX_LANES void sweep_lanes(const CsrRef& f, bool upper, const double* in,
+                           double* xs, index_t first, index_t last,
+                           index_t k) {
+  if (upper) {
+    sweep_dir<S, true>(f, in, xs, first, last, k);
+  } else {
+    sweep_dir<S, false>(f, in, xs, first, last, k);
+  }
+}
+
+/// spmv_dot over one block: every row's product and its dot term while
+/// the row's sums are still in registers.
+struct SpmvDot {
+  template <class S, int N, class Kw>
+  PDX_LANES static void run(index_t c, Kw k, const CsrRef* m,
+                            const double* xs, double* ys, double* dots) {
+    constexpr index_t w = S::kW;
+    const CsrRef a = *m;  // local: see sweep_dir
+    typename S::V dot[N];
+    #pragma GCC unroll 4
+    for (int v = 0; v < N; ++v) dot[v] = S::zero();
+    for (index_t i = 0; i < a.rows; ++i) {
+      typename S::V acc[N];
+      #pragma GCC unroll 4
+      for (int v = 0; v < N; ++v) acc[v] = S::zero();
+      for (index_t j = a.ptr[i]; j < a.ptr[i + 1]; ++j) {
+        const typename S::V av = S::set1(a.val[j]);
+        const double* x = xs + a.idx[j] * k + c;
+        #pragma GCC unroll 4
+        for (int v = 0; v < N; ++v) {
+          acc[v] = S::add(acc[v], S::mul(av, S::load(x + w * v)));
+        }
+      }
+      const double* p = xs + i * k + c;
+      double* y = ys + i * k + c;
+      #pragma GCC unroll 4
+      for (int v = 0; v < N; ++v) {
+        S::store(y + w * v, acc[v]);
+        dot[v] = S::add(dot[v], S::mul(S::load(p + w * v), acc[v]));
+      }
+    }
+    #pragma GCC unroll 4
+    for (int v = 0; v < N; ++v) S::store(dots + c + w * v, dot[v]);
+  }
+};
+
+/// cg_update over one block: both updates of a row, then its r² term
+/// from the r just computed.
+struct CgUpdate {
+  template <class S, int N, class Kw>
+  PDX_LANES static void run(index_t c, Kw k, double* x, double* r,
+                            const double* alpha, const double* p,
+                            const double* ap, double* dots, index_t n) {
+    constexpr index_t w = S::kW;
+    typename S::V al[N], na[N], dot[N];
+    #pragma GCC unroll 4
+    for (int v = 0; v < N; ++v) {
+      al[v] = S::load(alpha + c + w * v);
+      na[v] = S::neg(al[v]);
+      dot[v] = S::zero();
+    }
+    for (index_t i = 0; i < n; ++i) {
+      const index_t o = i * k + c;
+      #pragma GCC unroll 4
+      for (int v = 0; v < N; ++v) {
+        const index_t e = o + w * v;
+        S::store(x + e, S::add(S::load(x + e), S::mul(al[v], S::load(p + e))));
+        const typename S::V rv =
+            S::add(S::load(r + e), S::mul(na[v], S::load(ap + e)));
+        S::store(r + e, rv);
+        dot[v] = S::add(dot[v], S::mul(rv, rv));
+      }
+    }
+    #pragma GCC unroll 4
+    for (int v = 0; v < N; ++v) S::store(dots + c + w * v, dot[v]);
+  }
+};
+
+/// lane_dot over one block.
+struct LaneDot {
+  template <class S, int N, class Kw>
+  PDX_LANES static void run(index_t c, Kw k, double* out, const double* a,
+                            const double* b, index_t n) {
+    constexpr index_t w = S::kW;
+    typename S::V acc[N];
+    #pragma GCC unroll 4
+    for (int v = 0; v < N; ++v) acc[v] = S::zero();
+    for (index_t i = 0; i < n; ++i) {
+      const index_t o = i * k + c;
+      #pragma GCC unroll 4
+      for (int v = 0; v < N; ++v) {
+        acc[v] = S::add(acc[v], S::mul(S::load(a + o + w * v),
+                                       S::load(b + o + w * v)));
+      }
+    }
+    #pragma GCC unroll 4
+    for (int v = 0; v < N; ++v) S::store(out + c + w * v, acc[v]);
+  }
+};
+
+/// lane_xpby over one block, the block's betas in registers.
+struct LaneXpby {
+  template <class S, int N, class Kw>
+  PDX_LANES static void run(index_t c, Kw k, double* y, const double* beta,
+                            const double* x, index_t n) {
+    constexpr index_t w = S::kW;
+    typename S::V b[N];
+    #pragma GCC unroll 4
+    for (int v = 0; v < N; ++v) b[v] = S::load(beta + c + w * v);
+    for (index_t i = 0; i < n; ++i) {
+      const index_t o = i * k + c;
+      #pragma GCC unroll 4
+      for (int v = 0; v < N; ++v) {
+        const index_t e = o + w * v;
+        S::store(y + e, S::add(S::load(x + e), S::mul(b[v], S::load(y + e))));
+      }
+    }
+  }
+};
+
+#endif  // PDX_HAVE_AVX2_BODIES || PDX_HAVE_NEON
 
 #if defined(PDX_HAVE_AVX2_BODIES)
 
 // --- AVX2 ----------------------------------------------------------------
 // Every body uses mul+sub (two roundings, like the scalar reference).
 
-/// One row_solve register block: V ymm accumulators cover 4V consecutive
-/// lanes from the load of `src` to the one store of `t`. The lane loops
-/// are unrolled by pragma: left to -O2, GCC keeps the V = 4 block rolled
-/// with its accumulators on the stack (2x slower at k = 16).
-template <int V>
-__attribute__((target("avx2"))) inline void row_solve_block(
-    double* t, const double* src, const double* vals, const index_t* cols,
-    index_t cnt, double diag, const double* xs, index_t k) {
-  __m256d acc[V];
-  #pragma GCC unroll 4
-  for (int v = 0; v < V; ++v) acc[v] = _mm256_loadu_pd(src + 4 * v);
-  for (index_t j = 0; j < cnt; ++j) {
-    const __m256d av = _mm256_set1_pd(vals[j]);
-    const double* x = xs + cols[j] * k;
-    #pragma GCC unroll 4
-    for (int v = 0; v < V; ++v) {
-      acc[v] = _mm256_sub_pd(acc[v],
-                             _mm256_mul_pd(av, _mm256_loadu_pd(x + 4 * v)));
-    }
+struct Avx2 {
+  using V = __m256d;
+  static constexpr index_t kW = 4;
+  PDX_LANES static V zero() { return _mm256_setzero_pd(); }
+  PDX_LANES static V set1(double a) { return _mm256_set1_pd(a); }
+  PDX_LANES static V load(const double* p) { return _mm256_loadu_pd(p); }
+  PDX_LANES static void store(double* p, V v) { _mm256_storeu_pd(p, v); }
+  PDX_LANES static V add(V a, V b) { return _mm256_add_pd(a, b); }
+  PDX_LANES static V sub(V a, V b) { return _mm256_sub_pd(a, b); }
+  PDX_LANES static V mul(V a, V b) { return _mm256_mul_pd(a, b); }
+  PDX_LANES static V div(V a, V b) { return _mm256_div_pd(a, b); }
+  PDX_LANES static V neg(V a) {
+    return _mm256_xor_pd(a, _mm256_set1_pd(-0.0));
   }
-  const __m256d dv = _mm256_set1_pd(diag);
-  #pragma GCC unroll 4
-  for (int v = 0; v < V; ++v) {
-    _mm256_storeu_pd(t + 4 * v, _mm256_div_pd(acc[v], dv));
-  }
-}
-
-/// The 1-3 lanes past the last 4-lane block: R scalar accumulators, one
-/// pass over the dependence list. Against one pass per lane (the NEON
-/// body's form for its single tail lane) this measured 1.3-1.6x faster
-/// with 2-3 tail lanes and 1.04-1.10x with one, on forward+backward
-/// ILU(0) sweeps of a 48² stencil at k = 1-15 (interleaved, median of
-/// 400, 4-vCPU AVX2 VM).
-template <int R>
-__attribute__((target("avx2"))) inline void row_solve_tail(
-    double* t, const double* src, const double* vals, const index_t* cols,
-    index_t cnt, double diag, const double* xs, index_t k) {
-  double acc[R];
-  #pragma GCC unroll 4
-  for (int c = 0; c < R; ++c) acc[c] = src[c];
-  for (index_t j = 0; j < cnt; ++j) {
-    const double a = vals[j];
-    const double* x = xs + cols[j] * k;
-    #pragma GCC unroll 4
-    for (int c = 0; c < R; ++c) acc[c] -= a * x[c];
-  }
-  #pragma GCC unroll 4
-  for (int c = 0; c < R; ++c) t[c] = acc[c] / diag;
-}
+};
 
 __attribute__((target("avx2"))) void row_solve_avx2(
     double* t, const double* src, const double* vals, const index_t* cols,
     index_t cnt, double diag, const double* xs, index_t k) {
-  // One pass over the dependence list per register block, the strip row
-  // streaming once per block. Per lane the j-ordered mul+sub sequence and
-  // the final division are exactly the scalar loop's, so neither the
-  // nest swap nor the register accumulation changes any rounding. The
-  // tail is scalar: a masked 4-lane tail measured ~1.7x slower (store
-  // forwarding).
-  index_t c = 0;
-  for (; c + 16 <= k; c += 16) {
-    row_solve_block<4>(t + c, src + c, vals, cols, cnt, diag, xs + c, k);
-  }
-  if (c + 8 <= k) {
-    row_solve_block<2>(t + c, src + c, vals, cols, cnt, diag, xs + c, k);
-    c += 8;
-  }
-  if (c + 4 <= k) {
-    row_solve_block<1>(t + c, src + c, vals, cols, cnt, diag, xs + c, k);
-    c += 4;
-  }
-  switch (k - c) {
-    case 1:
-      row_solve_tail<1>(t + c, src + c, vals, cols, cnt, diag, xs + c, k);
-      break;
-    case 2:
-      row_solve_tail<2>(t + c, src + c, vals, cols, cnt, diag, xs + c, k);
-      break;
-    case 3:
-      row_solve_tail<3>(t + c, src + c, vals, cols, cnt, diag, xs + c, k);
-      break;
-    default:
-      break;
-  }
+  lane_blocks<Avx2, RowSolve>(k, t, src, vals, cols, cnt, diag, xs, true);
+}
+
+__attribute__((target("avx2"))) void sweep_avx2(const CsrRef& f, bool upper,
+                                                const double* in, double* xs,
+                                                index_t first, index_t last,
+                                                index_t k) {
+  sweep_lanes<Avx2>(f, upper, in, xs, first, last, k);
+}
+
+__attribute__((target("avx2"))) void spmv_dot_avx2(const CsrRef& a,
+                                                   const double* xs,
+                                                   double* ys, double* dots,
+                                                   index_t k) {
+  lane_blocks<Avx2, SpmvDot>(k, &a, xs, ys, dots);
+}
+
+__attribute__((target("avx2"))) void cg_update_avx2(
+    double* x, double* r, const double* alpha, const double* p,
+    const double* ap, double* dots, index_t n, index_t k) {
+  lane_blocks<Avx2, CgUpdate>(k, x, r, alpha, p, ap, dots, n);
+}
+
+__attribute__((target("avx2"))) void lane_dot_avx2(double* out,
+                                                   const double* a,
+                                                   const double* b,
+                                                   index_t n, index_t k) {
+  lane_blocks<Avx2, LaneDot>(k, out, a, b, n);
 }
 
 static_assert(sizeof(index_t) == 8,
@@ -222,135 +485,11 @@ __attribute__((target("avx2"))) void gather_axpy_avx2(double* w,
   for (; t < cnt; ++t) w[tgt[t]] -= a * w[src[t]];
 }
 
-// --- AVX2 strip lanes ------------------------------------------------------
-// V ymm accumulators cover 4V consecutive lanes and stay in registers for
-// the whole reduction (a row's dependence list, or every strip row); the
-// 1-3 lanes past the last 4-lane block run the scalar loop. Each lane's
-// operation sequence is the scalar reference's either way.
-
-template <int V>
-__attribute__((target("avx2"))) inline void spmv_row_block(
-    double* y, const double* vals, const index_t* cols, index_t cnt,
-    const double* xs, index_t k) {
-  __m256d acc[V];
-  for (int v = 0; v < V; ++v) acc[v] = _mm256_setzero_pd();
-  for (index_t j = 0; j < cnt; ++j) {
-    const __m256d av = _mm256_set1_pd(vals[j]);
-    const double* x = xs + cols[j] * k;
-    for (int v = 0; v < V; ++v) {
-      acc[v] = _mm256_add_pd(acc[v],
-                             _mm256_mul_pd(av, _mm256_loadu_pd(x + 4 * v)));
-    }
-  }
-  for (int v = 0; v < V; ++v) _mm256_storeu_pd(y + 4 * v, acc[v]);
-}
-
-__attribute__((target("avx2"))) void spmv_row_avx2(double* y,
-                                                   const double* vals,
-                                                   const index_t* cols,
-                                                   index_t cnt,
-                                                   const double* xs,
-                                                   index_t k) {
-  index_t c = 0;
-  for (; c + 16 <= k; c += 16) {
-    spmv_row_block<4>(y + c, vals, cols, cnt, xs + c, k);
-  }
-  if (c + 8 <= k) {
-    spmv_row_block<2>(y + c, vals, cols, cnt, xs + c, k);
-    c += 8;
-  }
-  if (c + 4 <= k) {
-    spmv_row_block<1>(y + c, vals, cols, cnt, xs + c, k);
-    c += 4;
-  }
-  for (; c < k; ++c) {
-    double acc = 0.0;
-    for (index_t j = 0; j < cnt; ++j) acc += vals[j] * xs[cols[j] * k + c];
-    y[c] = acc;
-  }
-}
-
-template <int V>
-__attribute__((target("avx2"))) inline void lane_dot_block(
-    double* out, const double* a, const double* b, index_t n, index_t k) {
-  __m256d acc[V];
-  for (int v = 0; v < V; ++v) acc[v] = _mm256_setzero_pd();
-  for (index_t i = 0; i < n; ++i) {
-    const double* ai = a + i * k;
-    const double* bi = b + i * k;
-    for (int v = 0; v < V; ++v) {
-      acc[v] = _mm256_add_pd(
-          acc[v], _mm256_mul_pd(_mm256_loadu_pd(ai + 4 * v),
-                                _mm256_loadu_pd(bi + 4 * v)));
-    }
-  }
-  for (int v = 0; v < V; ++v) _mm256_storeu_pd(out + 4 * v, acc[v]);
-}
-
-__attribute__((target("avx2"))) void lane_dot_avx2(double* out,
-                                                   const double* a,
-                                                   const double* b,
-                                                   index_t n, index_t k) {
-  index_t c = 0;
-  for (; c + 16 <= k; c += 16) {
-    lane_dot_block<4>(out + c, a + c, b + c, n, k);
-  }
-  if (c + 8 <= k) {
-    lane_dot_block<2>(out + c, a + c, b + c, n, k);
-    c += 8;
-  }
-  if (c + 4 <= k) {
-    lane_dot_block<1>(out + c, a + c, b + c, n, k);
-    c += 4;
-  }
-  // The 1-3 tail lanes share one pass, each in its own register.
-  const index_t rem = k - c;
-  if (rem == 0) return;
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0;
-  for (index_t i = 0; i < n; ++i) {
-    const double* ai = a + i * k + c;
-    const double* bi = b + i * k + c;
-    s0 += ai[0] * bi[0];
-    if (rem > 1) s1 += ai[1] * bi[1];
-    if (rem > 2) s2 += ai[2] * bi[2];
-  }
-  out[c] = s0;
-  if (rem > 1) out[c + 1] = s1;
-  if (rem > 2) out[c + 2] = s2;
-}
-
-__attribute__((target("avx2"))) void lane_axpy_avx2(double* y,
-                                                    const double* alpha,
-                                                    const double* x,
-                                                    index_t n, index_t k) {
-  for (index_t i = 0; i < n; ++i) {
-    double* yi = y + i * k;
-    const double* xi = x + i * k;
-    index_t c = 0;
-    for (; c + 4 <= k; c += 4) {
-      const __m256d prod =
-          _mm256_mul_pd(_mm256_loadu_pd(alpha + c), _mm256_loadu_pd(xi + c));
-      _mm256_storeu_pd(yi + c, _mm256_add_pd(_mm256_loadu_pd(yi + c), prod));
-    }
-    for (; c < k; ++c) yi[c] += alpha[c] * xi[c];
-  }
-}
-
 __attribute__((target("avx2"))) void lane_xpby_avx2(double* y,
                                                     const double* beta,
                                                     const double* x,
                                                     index_t n, index_t k) {
-  for (index_t i = 0; i < n; ++i) {
-    double* yi = y + i * k;
-    const double* xi = x + i * k;
-    index_t c = 0;
-    for (; c + 4 <= k; c += 4) {
-      const __m256d prod =
-          _mm256_mul_pd(_mm256_loadu_pd(beta + c), _mm256_loadu_pd(yi + c));
-      _mm256_storeu_pd(yi + c, _mm256_add_pd(_mm256_loadu_pd(xi + c), prod));
-    }
-    for (; c < k; ++c) yi[c] = xi[c] + beta[c] * yi[c];
-  }
+  lane_blocks<Avx2, LaneXpby>(k, y, beta, x, n);
 }
 
 /// One 4x4 register tile of transpose_avx2: src rows i..i+3, columns
@@ -405,10 +544,16 @@ __attribute__((target("avx2"))) void transpose_avx2(const double* src,
   }
 }
 
-constexpr LaneOps kAvx2Ops = {KernelIsa::kAvx2, row_solve_avx2,
-                              gather_axpy_avx2, spmv_row_avx2,
-                              lane_dot_avx2,    lane_axpy_avx2,
-                              lane_xpby_avx2,   transpose_avx2};
+constexpr LaneOps kAvx2Ops = {
+    .isa = KernelIsa::kAvx2,
+    .row_solve = row_solve_avx2,
+    .sweep = sweep_avx2,
+    .gather_axpy = gather_axpy_avx2,
+    .spmv_dot = spmv_dot_avx2,
+    .cg_update = cg_update_avx2,
+    .lane_dot = lane_dot_avx2,
+    .lane_xpby = lane_xpby_avx2,
+    .transpose = transpose_avx2};
 
 #endif  // PDX_HAVE_AVX2_BODIES
 
@@ -418,60 +563,65 @@ constexpr LaneOps kAvx2Ops = {KernelIsa::kAvx2, row_solve_avx2,
 // Baseline on aarch64 — no target attributes or CPUID probe needed. The
 // kernels keep mul+sub separate (vmlsq_f64 may emit a fused FMLS, which
 // rounds once where the reference rounds twice); there is no hardware
-// gather, so gather_axpy stays scalar and only the streaming lane kernels
-// vectorize.
+// gather, so gather_axpy stays scalar, and transpose runs the scalar
+// reference too.
 
-/// One row_solve register block: V q-registers cover 2V lanes.
-template <int V>
-inline void row_solve_block_neon(double* t, const double* src,
-                                 const double* vals, const index_t* cols,
-                                 index_t cnt, double diag, const double* xs,
-                                 index_t k) {
-  float64x2_t acc[V];
-  #pragma GCC unroll 4
-  for (int v = 0; v < V; ++v) acc[v] = vld1q_f64(src + 2 * v);
-  for (index_t j = 0; j < cnt; ++j) {
-    const float64x2_t av = vdupq_n_f64(vals[j]);
-    const double* x = xs + cols[j] * k;
-    #pragma GCC unroll 4
-    for (int v = 0; v < V; ++v) {
-      acc[v] = vsubq_f64(acc[v], vmulq_f64(av, vld1q_f64(x + 2 * v)));
-    }
-  }
-  const float64x2_t dv = vdupq_n_f64(diag);
-  #pragma GCC unroll 4
-  for (int v = 0; v < V; ++v) vst1q_f64(t + 2 * v, vdivq_f64(acc[v], dv));
-}
+struct Neon {
+  using V = float64x2_t;
+  static constexpr index_t kW = 2;
+  PDX_LANES static V zero() { return vdupq_n_f64(0.0); }
+  PDX_LANES static V set1(double a) { return vdupq_n_f64(a); }
+  PDX_LANES static V load(const double* p) { return vld1q_f64(p); }
+  PDX_LANES static void store(double* p, V v) { vst1q_f64(p, v); }
+  PDX_LANES static V add(V a, V b) { return vaddq_f64(a, b); }
+  PDX_LANES static V sub(V a, V b) { return vsubq_f64(a, b); }
+  PDX_LANES static V mul(V a, V b) { return vmulq_f64(a, b); }
+  PDX_LANES static V div(V a, V b) { return vdivq_f64(a, b); }
+  PDX_LANES static V neg(V a) { return vnegq_f64(a); }
+};
 
 void row_solve_neon(double* t, const double* src, const double* vals,
                     const index_t* cols, index_t cnt, double diag,
                     const double* xs, index_t k) {
-  // The AVX2 body's shape with 2-lane registers: 8/4/2-lane blocks, then
-  // one scalar lane.
-  index_t c = 0;
-  for (; c + 8 <= k; c += 8) {
-    row_solve_block_neon<4>(t + c, src + c, vals, cols, cnt, diag, xs + c, k);
-  }
-  if (c + 4 <= k) {
-    row_solve_block_neon<2>(t + c, src + c, vals, cols, cnt, diag, xs + c, k);
-    c += 4;
-  }
-  if (c + 2 <= k) {
-    row_solve_block_neon<1>(t + c, src + c, vals, cols, cnt, diag, xs + c, k);
-    c += 2;
-  }
-  if (c < k) {
-    double acc = src[c];
-    for (index_t j = 0; j < cnt; ++j) acc -= vals[j] * xs[cols[j] * k + c];
-    t[c] = acc / diag;
-  }
+  lane_blocks<Neon, RowSolve>(k, t, src, vals, cols, cnt, diag, xs, true);
 }
 
-// The strip-lane kernels run the scalar reference on NEON.
-constexpr LaneOps kNeonOps = {KernelIsa::kNeon,   row_solve_neon,
-                              gather_axpy_scalar, spmv_row_scalar,
-                              lane_dot_scalar,    lane_axpy_scalar,
-                              lane_xpby_scalar,   transpose_scalar};
+void sweep_neon(const CsrRef& f, bool upper, const double* in, double* xs,
+                index_t first, index_t last, index_t k) {
+  sweep_lanes<Neon>(f, upper, in, xs, first, last, k);
+}
+
+void spmv_dot_neon(const CsrRef& a, const double* xs, double* ys,
+                   double* dots, index_t k) {
+  lane_blocks<Neon, SpmvDot>(k, &a, xs, ys, dots);
+}
+
+void cg_update_neon(double* x, double* r, const double* alpha,
+                    const double* p, const double* ap, double* dots,
+                    index_t n, index_t k) {
+  lane_blocks<Neon, CgUpdate>(k, x, r, alpha, p, ap, dots, n);
+}
+
+void lane_dot_neon(double* out, const double* a, const double* b, index_t n,
+                   index_t k) {
+  lane_blocks<Neon, LaneDot>(k, out, a, b, n);
+}
+
+void lane_xpby_neon(double* y, const double* beta, const double* x,
+                    index_t n, index_t k) {
+  lane_blocks<Neon, LaneXpby>(k, y, beta, x, n);
+}
+
+constexpr LaneOps kNeonOps = {
+    .isa = KernelIsa::kNeon,
+    .row_solve = row_solve_neon,
+    .sweep = sweep_neon,
+    .gather_axpy = gather_axpy_scalar,
+    .spmv_dot = spmv_dot_neon,
+    .cg_update = cg_update_neon,
+    .lane_dot = lane_dot_neon,
+    .lane_xpby = lane_xpby_neon,
+    .transpose = transpose_scalar};
 
 #endif  // PDX_HAVE_NEON
 

@@ -16,14 +16,23 @@
 // term, then one correctly-rounded division), and SIMD only changes how
 // many independent elements retire per instruction, so the vector forms
 // are bitwise identical to the scalar forms. row_solve backs the
-// multi-RHS strip rows (the k columns of the wavefront-interleaved strip
-// are the SIMD lanes) and gather_axpy FactorPlan's scatter updates. The
-// strip-lane kernels of the lockstep Krylov solve (spmv_row, lane_dot,
-// lane_axpy, lane_xpby) reduce each lane over rows in order, so only the
-// lanes — never the terms — are computed in parallel. No kernel
+// multi-RHS strip rows of the parallel walks (the k columns of the
+// wavefront-interleaved strip are the SIMD lanes), sweep a whole serial
+// strip sweep of one factor, and gather_axpy FactorPlan's scatter
+// updates. The strip-lane kernels of the lockstep Krylov solve
+// (spmv_dot, cg_update, lane_dot, lane_xpby) each make one pass over the
+// strips per call and reduce each lane over rows in order, so only the
+// lanes — never the terms — are computed in parallel. One lockstep CG
+// iteration is six table calls: spmv_dot, cg_update, the two sweeps of
+// the preconditioner, lane_dot and lane_xpby (DESIGN.md §8). No kernel
 // reassociates, and none uses FMA: the build compiles with
 // -ffp-contract=off, and a fused multiply-add rounds once where the
 // reference rounds twice.
+//
+// The vector tables run the lanes in register blocks — 16, then one of
+// 12, 8 or 4 lanes on AVX2 (8, 6, 4 or 2 on NEON) — and a scalar tail of
+// the last 1-3 lanes (1 on NEON), each block's accumulators held in
+// registers across its whole reduction.
 //
 // Every function tolerates unaligned pointers (the CSR-view sources are
 // not 32B-aligned; the packed streams are, by the record padding).
@@ -78,6 +87,15 @@ KernelIsa resolve_isa(const char* override_value) noexcept;
 /// process intentionally keep the first answer).
 KernelIsa dispatched_isa() noexcept;
 
+/// The arrays of a square CSR matrix, as the whole-strip kernels read
+/// them: row i's entries at [ptr[i], ptr[i+1]) of idx and val.
+struct CsrRef {
+  const index_t* ptr;
+  const index_t* idx;
+  const double* val;
+  index_t rows;
+};
+
 /// The innermost arithmetic of the packed executors as a dispatch table.
 /// `k`/`cnt` are element counts; all pointers may be unaligned.
 struct LaneOps {
@@ -90,11 +108,24 @@ struct LaneOps {
   /// input strip row) or `t` itself when solving in place; the
   /// dependence rows xs[cols[j]*k ..] never overlap `t`. The vector forms
   /// keep the k accumulators in registers from the load of `src` to the
-  /// one store of `t`. One indirect call per row — the strip executors'
-  /// hot path.
+  /// one store of `t`. One indirect call per row — the parallel strip
+  /// walks' hot path.
   void (*row_solve)(double* t, const double* src, const double* vals,
                     const index_t* cols, index_t cnt, double diag,
                     const double* xs, index_t k);
+  /// BITWISE: a whole triangular sweep of the CSR factor `f` over the
+  /// row-major strip xs, positions [first, last) in source order: lower
+  /// (upper = false) position p is row p, diagonal stored last; upper
+  /// position p is row f.rows-1-p, diagonal stored first. Each row runs
+  /// row_solve's arithmetic from in[row*k ..] (nullptr: in place) into
+  /// xs[row*k ..] — except that a row whose stored diagonal is exactly
+  /// 1.0 and which has at least one dependence skips the divide. That is
+  /// bitwise the same: in the default floating-point environment
+  /// x / 1.0 == x for every non-signalling x, and such a row divides the
+  /// result of a subtraction, never a signalling NaN (DESIGN.md §14).
+  /// One call per factor — the serial strip solve's hot path.
+  void (*sweep)(const CsrRef& f, bool upper, const double* in, double* xs,
+                index_t first, index_t last, index_t k);
   /// BITWISE: w[tgt[t]] -= a * w[src[t]] for t in [0, cnt). Requires the
   /// tgt and src position sets to be disjoint and the tgt positions
   /// distinct (FactorPlan's scatter steps satisfy both: targets lie in
@@ -104,22 +135,30 @@ struct LaneOps {
 
   // --- strip lanes (DESIGN.md §8) ----------------------------------------
   // Row-major n-by-k strips: lane c of row i at i*k + c. Each lane runs
-  // exactly the single-vector loop of sparse::spmv / solve/vec.hpp on its
+  // exactly the single-vector loops of sparse::spmv / solve/vec.hpp on its
   // own values (mul, then add; rows in ascending order), so every lane is
-  // bitwise equal to that loop whatever the table.
+  // bitwise equal to those loops whatever the table.
 
-  /// BITWISE: one CSR row against the strip — y[c] = 0.0 + sum_j
-  /// vals[j] * xs[cols[j]*k + c], j in stored order. Per lane exactly
-  /// sparse::spmv's row.
-  void (*spmv_row)(double* y, const double* vals, const index_t* cols,
-                   index_t cnt, const double* xs, index_t k);
+  /// BITWISE: ys = A xs and dots = the lane-wise xs · ys, in one pass:
+  /// ys[i*k + c] = 0.0 + sum_j val[j] * xs[idx[j]*k + c] over row i's
+  /// entries in stored order (per lane sparse::spmv's row), and dots[c] =
+  /// 0.0 + sum_i xs[i*k + c] * ys[i*k + c] over rows in order (per lane
+  /// solve::dot(xs, ys)), without reading ys back. `a` is square; xs and
+  /// ys must not alias.
+  void (*spmv_dot)(const CsrRef& a, const double* xs, double* ys,
+                   double* dots, index_t k);
+  /// BITWISE: the CG update and the new residual norms, in one pass:
+  /// x[i*k + c] += alpha[c] * p[i*k + c], r[i*k + c] += (-alpha[c]) *
+  /// ap[i*k + c], and dots[c] = 0.0 + sum_i r[i*k + c]² over rows in
+  /// order — per lane solve::axpy(alpha, p, x), solve::axpy(-alpha, ap,
+  /// r) and solve::dot(r, r).
+  void (*cg_update)(double* x, double* r, const double* alpha,
+                    const double* p, const double* ap, double* dots,
+                    index_t n, index_t k);
   /// BITWISE: out[c] = 0.0 + sum_i a[i*k + c] * b[i*k + c] over rows
   /// i = 0 .. n-1 in order — per lane exactly solve::dot.
   void (*lane_dot)(double* out, const double* a, const double* b, index_t n,
                    index_t k);
-  /// BITWISE: y[i*k + c] += alpha[c] * x[i*k + c] — per lane solve::axpy.
-  void (*lane_axpy)(double* y, const double* alpha, const double* x,
-                    index_t n, index_t k);
   /// BITWISE: y[i*k + c] = x[i*k + c] + beta[c] * y[i*k + c] — per lane
   /// solve::xpby.
   void (*lane_xpby)(double* y, const double* beta, const double* x,
@@ -143,8 +182,8 @@ const LaneOps& ops_for(KernelIsa isa) noexcept;
 const LaneOps& dispatched_ops() noexcept;
 
 /// Below this column count the lane kernels cannot fill one vector.
-/// Strip rows still call row_solve at every width (its scalar tail keeps
-/// the 2-3 lanes in registers, which beat inline loops), but narrower
+/// Strips still run the lane kernels at every width (their scalar tails
+/// keep the 1-3 lanes in registers, which beat inline loops), but narrower
 /// strips skip the lookahead prefetch, lane groups give each group at
 /// least this many lanes, and FactorPlan inlines shorter scatter lists
 /// (bitwise either way).

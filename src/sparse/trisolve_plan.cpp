@@ -80,8 +80,9 @@ struct PackedSeekSrc {
 // op retires k right-hand sides per nonzero, and because column c's
 // element never mixes with column c''s, the vector forms are bitwise
 // identical to the scalar per-column arithmetic (DESIGN.md §14). Every
-// strip width runs one row_solve per row; kLaneMin only gates what needs
-// a full vector to pay: the lookahead prefetch.
+// strip width runs one row_solve per row — a serial CSR-view strip one
+// sweep per factor instead; kLaneMin only gates what needs a full vector
+// to pay: the lookahead prefetch.
 
 /// Every cache line of one k-wide strip row (k=16 spans two), gated on
 /// the vector table: the scalar table is the pre-kernel-layer reference
@@ -203,6 +204,22 @@ struct StripRow {
     requires requires(Src s) { s.look(pos, end); }
   {
     src.look(pos, end);
+  }
+};
+
+/// A whole serial strip sweep of one CSR-view factor: the serial walk
+/// hands run(first, last) its runs of positions, and each run is one
+/// LaneOps::sweep call — source order, row_solve's arithmetic per row.
+struct StripSweep {
+  kernels::CsrRef f;
+  bool upper;
+  const double* in;
+  double* tp;
+  index_t k;
+  const kernels::LaneOps* lanes;
+
+  void run(index_t first, index_t last) const {
+    lanes->sweep(f, upper, in, tp, first, last, k);
   }
 };
 
@@ -694,8 +711,19 @@ void TrisolvePlan::serial_strip(const double* in, double* x, index_t k,
     walk<false>(true, tid, 1, vec(x));
     return;
   }
-  // Even the serial walk retires k right-hand sides per nonzero through
-  // one lane-kernel call per row.
+  if (!packed_l_.packed()) {
+    // The CSR views: one lane-kernel call per factor sweep.
+    const auto sweep = [&](unsigned dag, const Csr& m, const double* src) {
+      const kernels::CsrRef f{m.ptr.data(), m.idx.data(), m.val.data(),
+                              m.rows};
+      core_.walk_serial(core_.dag(dag), tid,
+                        StripSweep{f, dag == kUpper, src, x, k, lanes_});
+    };
+    sweep(kLower, *l_, in);
+    sweep(kUpper, *u_, nullptr);
+    return;
+  }
+  // The caller-pinned packed slabs: one lane-kernel call per row.
   const auto strip = [this, in, x, k](bool upper) {
     return [this, in, x, k, upper](auto src) {
       return StripRow<decltype(src)>{src, upper ? nullptr : in, x, k,

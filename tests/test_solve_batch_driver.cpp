@@ -315,6 +315,23 @@ TEST(BatchDriver, EmptyDrainAndGuards) {
   EXPECT_THROW(solve::BatchDriver(pool(), a, bad), std::invalid_argument);
 }
 
+TEST(BatchDriver, ChecksItsOptionsBeforeBuildingItsPlans) {
+  // A non-square matrix would fail ILU(0) in the plan build; the options
+  // error must come first, before any factor or plan exists.
+  sp::CsrBuilder bld(4, 5);
+  for (index_t i = 0; i < 4; ++i) bld.add(i, i, 2.0);
+  const sp::Csr a = bld.build();
+  solve::BatchDriverOptions bad;
+  bad.max_iterations = 0;
+  try {
+    solve::BatchDriver driver(pool(), a, bad);
+    FAIL() << "a non-square matrix with max_iterations = 0 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("max_iterations"), std::string::npos)
+        << e.what();
+  }
+}
+
 namespace {
 
 /// One strip of the property test: column c's (b, x0), cycling through
@@ -744,6 +761,68 @@ TEST(BatchDriver, LockstepLanesLeaveAnywhereAndMatchTheReferenceBitwise) {
           EXPECT_EQ(rough.iterations, copts.max_iterations) << cfg;
         }
       }
+    }
+  }
+}
+
+TEST(BatchDriver, LockstepCompactsThroughEveryWidthAndMatchesPcgBitwise) {
+  // pcg_lockstep at every k in 1..33 on a settled serial plan (whole-strip
+  // sweeps). Every lane solves the same system from the guess x + eps_c·e
+  // with eps_c = 10^(-9 + 8c/(k-1)): CG's iterates scale with eps_c, so
+  // the lanes converge at staggered iterations in lane order and
+  // compaction walks the strip down through the block shapes (16, 12, 8,
+  // 4 and the 1-3 lane tails) to one lane. Each column must equal pcg on
+  // that system alone — the k = 1 path — bit for bit, x and report.
+  const sp::Csr a = gen::five_point(24, 24);
+  const index_t n = a.rows;
+  const std::size_t nn = static_cast<std::size_t>(n);
+  const solve::DoacrossIlu0Preconditioner m(pool(), a, /*reorder=*/true, 1,
+                                            sp::ExecutionStrategy::kSerial);
+  solve::CgOptions copts;
+  copts.max_iterations = 60;
+  copts.rel_tolerance = 1e-10;
+  solve::CgScratch scratch;
+  for (index_t k = 1; k <= 33; ++k) {
+    const std::size_t kk = static_cast<std::size_t>(k);
+    std::vector<std::vector<double>> b(kk), x0(kk), r(kk);
+    const auto x_true = random_vec(n, 50);
+    const auto noise = random_vec(n, 90);
+    for (std::size_t c = 0; c < kk; ++c) {
+      const double eps =
+          std::pow(10.0, -9.0 + 8.0 * static_cast<double>(c) /
+                                    static_cast<double>(k > 1 ? k - 1 : 1));
+      b[c].resize(nn);
+      sp::spmv(a, x_true, b[c]);
+      x0[c] = x_true;
+      for (std::size_t i = 0; i < nn; ++i) x0[c][i] += eps * noise[i];
+      r[c].resize(nn);
+      sp::spmv(a, x0[c], r[c]);
+      for (std::size_t i = 0; i < nn; ++i) r[c][i] = b[c][i] - r[c][i];
+    }
+    std::vector<std::vector<double>> x = x0;
+    std::vector<solve::SolveReport> got(kk);
+    std::vector<solve::CgSystem> systems;
+    for (std::size_t c = 0; c < kk; ++c) {
+      systems.push_back({b[c], x[c], r[c].data(), &got[c]});
+    }
+    solve::pcg_lockstep(a, systems, m, copts, scratch);
+
+    for (std::size_t c = 0; c < kk; ++c) {
+      const std::string where =
+          "k " + std::to_string(k) + " lane " + std::to_string(c);
+      std::vector<double> y = x0[c];
+      const solve::SolveReport want = solve::pcg(a, b[c], y, m, copts);
+      expect_same_report(got[c], want, where);
+      EXPECT_TRUE(got[c].converged) << where;
+      if (c > 0) {
+        EXPECT_LE(got[c - 1].iterations, got[c].iterations) << where;
+      }
+      for (std::size_t i = 0; i < nn; ++i) {
+        ASSERT_TRUE(same_bits(x[c][i], y[i])) << where << " row " << i;
+      }
+    }
+    if (k >= 2) {
+      EXPECT_LT(got[0].iterations, got[kk - 1].iterations) << "k " << k;
     }
   }
 }

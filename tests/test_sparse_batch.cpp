@@ -3,8 +3,8 @@
 // thread counts, schedules and k; a whole batch costs exactly ONE pool
 // dispatch (zero serial; asserted with rt::DispatchProbe); a k == 1 batch
 // allocates nothing; solve_strip and apply_strip match per-lane solves on
-// row-major strips, in and out of place; and spmv_strip matches
-// per-column spmv.
+// row-major strips, in and out of place; and LaneOps::spmv_dot matches
+// per-column spmv and dot.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +18,9 @@
 #include "gen/stencil.hpp"
 #include "runtime/thread_pool.hpp"
 #include "solve/precond.hpp"
+#include "solve/vec.hpp"
 #include "sparse/ilu0.hpp"
+#include "sparse/kernels.hpp"
 #include "sparse/spmv.hpp"
 #include "sparse/trisolve.hpp"
 #include "sparse/trisolve_plan.hpp"
@@ -364,24 +366,34 @@ TEST(SolveStrip, PreconditionerApplyStripMatchesSequentialApplications) {
                std::invalid_argument);
 }
 
-TEST(SpmvStrip, MatchesPerColumnSpmv) {
+TEST(SpmvDot, MatchesPerColumnSpmvAndDot) {
   const sp::Csr a = gen::nine_point(11, 13);
   const index_t n = a.rows;
-  for (index_t k : {1, 2, 3, 4, 5, 8, 17, 33}) {  // every vector-width tail
-    const auto x = random_columns(n, k, 200 + static_cast<unsigned>(k));
-    std::vector<double> y(static_cast<std::size_t>(n * k), 0.0);
-    sp::spmv_strip(a, x.data(), y.data(), k);
-    for (index_t c = 0; c < k; ++c) {
-      std::vector<double> want(static_cast<std::size_t>(n));
-      sp::spmv(a, lane(x, n, k, c), want);
-      const auto got = lane(y, n, k, c);
-      for (index_t i = 0; i < n; ++i) {
-        ASSERT_EQ(want[static_cast<std::size_t>(i)],
-                  got[static_cast<std::size_t>(i)])
-            << "k=" << k << " lane " << c << " row " << i;
+  const sp::kernels::CsrRef csr{a.ptr.data(), a.idx.data(), a.val.data(),
+                                a.rows};
+  for (const sp::kernels::LaneOps* ops :
+       {&sp::kernels::scalar_ops(), &sp::kernels::dispatched_ops()}) {
+    for (index_t k : {1, 2, 3, 4, 5, 8, 12, 17, 33}) {  // every block shape
+      const auto x = random_columns(n, k, 200 + static_cast<unsigned>(k));
+      std::vector<double> y(static_cast<std::size_t>(n * k), 0.0),
+          dots(static_cast<std::size_t>(k));
+      ops->spmv_dot(csr, x.data(), y.data(), dots.data(), k);
+      for (index_t c = 0; c < k; ++c) {
+        std::vector<double> want(static_cast<std::size_t>(n));
+        const auto xc = lane(x, n, k, c);
+        sp::spmv(a, xc, want);
+        const auto got = lane(y, n, k, c);
+        for (index_t i = 0; i < n; ++i) {
+          ASSERT_EQ(want[static_cast<std::size_t>(i)],
+                    got[static_cast<std::size_t>(i)])
+              << sp::kernels::to_string(ops->isa) << " k=" << k << " lane "
+              << c << " row " << i;
+        }
+        ASSERT_EQ(solve::dot(xc, want), dots[static_cast<std::size_t>(c)])
+            << sp::kernels::to_string(ops->isa) << " k=" << k << " lane "
+            << c;
       }
     }
   }
-  EXPECT_THROW(sp::spmv_strip(a, nullptr, nullptr, 0), std::invalid_argument);
 }
 
