@@ -34,7 +34,6 @@ BatchDriver::BatchDriver(rt::ThreadPool& pool, const sparse::Csr& a,
       opts_((validate(opts), opts)),
       m_(pool, a,
          sparse::PlanOptions{.nthreads = opts.nthreads,
-                             .reorder = opts.reorder,
                              .strategy = opts.strategy,
                              .layout = opts.layout,
                              .calibration_epochs = opts.calibration_epochs,

@@ -55,8 +55,6 @@ struct BatchDriverOptions {
   int max_iterations = 1000;
   double rel_tolerance = 1e-10;
   bool record_history = false;
-  /// Doconsider orderings for the shared plan (PlanOptions::reorder).
-  bool reorder = true;
   /// Width of the plan's strip region; 0 = pool width.
   unsigned nthreads = 0;
   /// Trisolve strategy of the shared plan. Auto calibrates: the

@@ -61,7 +61,7 @@ DoacrossIlu0Preconditioner::DoacrossIlu0Preconditioner(
                               .reorder = reorder,
                               .strategy = strategy,
                               .layout = layout},
-          sparse::FactorPlanOptions{.nthreads = nthreads}) {}
+          sparse::FactorPlanOptions{.nthreads = nthreads, .pivot = {}}) {}
 
 DoacrossIlu0Preconditioner::DoacrossIlu0Preconditioner(
     rt::ThreadPool& pool, const sparse::Csr& a,

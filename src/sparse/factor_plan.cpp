@@ -110,8 +110,6 @@ namespace {
 core::DagPlanConfig core_config(const FactorPlanOptions& o) noexcept {
   return {.nthreads = o.nthreads,
           .strategy = o.strategy,
-          .schedule = o.schedule,
-          .reorder = o.reorder,
           .calibration_epochs = o.calibration_epochs,
           .use_tuning_cache = o.use_tuning_cache,
           .stall_budget = o.stall_budget,

@@ -57,11 +57,6 @@ namespace pdx::sparse {
 struct FactorPlanOptions {
   /// Region width; 0 → the pool's full width (fixed at build time).
   unsigned nthreads = 0;
-  /// Executor schedule for the flag-based doacross strategy.
-  rt::Schedule schedule = rt::Schedule::dynamic();
-  /// Run the doacross strategy in doconsider (level) order. Under kAuto
-  /// the advisor owns this knob, exactly like PlanOptions::reorder.
-  bool reorder = true;
   /// Execution scheme for the numeric phase. kAuto measures the lower
   /// pattern's dependence structure at build time and takes
   /// core::advise_factor_schedule's pick as the opening bid

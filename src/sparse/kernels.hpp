@@ -10,7 +10,7 @@
 // target: the AVX2 bodies carry per-function target attributes and the
 // translation unit builds with the portable baseline flags.
 //
-// Every kernel is in one class under the bitwise contract (DESIGN.md §4):
+// Every kernel is in one class under the bitwise contract (DESIGN.md §3):
 // element-independent. Each output element is produced by exactly the
 // sequential operation sequence (one mul rounding + one sub rounding per
 // term, then one correctly-rounded division), and SIMD only changes how

@@ -21,9 +21,13 @@
 //
 // All three produce bitwise-identical results to trisolve_lower_seq.
 // Beside them live trisolve_doacross_multi (the Table 1 harness) and
-// trisolve_upper_doacross (plan_reuse's "unplanned" row). These unplanned
-// executors serve the paper-reproduction benches; production solves run
-// through sparse::TrisolvePlan.
+// trisolve_upper_doacross (plan_reuse's "unplanned" row). The three
+// doacross entry points differ only in their row body: each validates its
+// arguments and hands that body to the one executor, doacross_rows. Like
+// the core paper engines, the rows are noexcept, so a throw terminates
+// the process instead of leaving peers spinning on a flag that is never
+// set. These unplanned executors serve the paper-reproduction benches;
+// production solves run through sparse::TrisolvePlan.
 #pragma once
 
 #include <atomic>
@@ -39,7 +43,6 @@
 #include "core/ready_table.hpp"
 #include "runtime/aligned.hpp"
 #include "runtime/barrier.hpp"
-#include "runtime/failure.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/trisolve.hpp"
@@ -50,17 +53,11 @@ struct TrisolveOptions {
   unsigned nthreads = 0;
   rt::Schedule schedule = rt::Schedule::dynamic();
   /// Optional doconsider execution order (order[k] = row solved at
-  /// position k); must be a valid schedule for L's dependence DAG.
+  /// position k); must be a valid schedule for the factor's dependence DAG.
   const index_t* order = nullptr;
   /// Machine-emulation knob (see sparse/trisolve.hpp): extra dependent
   /// flops per off-diagonal term, identical to the sequential baseline's.
   int work_reps = 0;
-  /// Stall watchdog budget in spin rounds per flag/barrier wait; 0
-  /// (default) disables the watchdog, keeping the hot path of the bitwise
-  /// and perf gates untouched. Past the budget the wait raises StallError.
-  std::uint64_t stall_budget = 0;
-  /// Test-only fault source (see rt::FaultInjector); nullptr = disarmed.
-  rt::FaultInjector* injector = nullptr;
 };
 
 /// Anything that provides the ready-flag protocol of core/ready_table.hpp.
@@ -73,20 +70,18 @@ concept ReadyTableLike = requires(R r, const R cr, index_t i) {
   r.clear(i);
 };
 
-/// Preprocessed-doacross lower solve. L must be lower triangular, sorted,
-/// diagonal stored last in each row.
-template <ReadyTableLike Ready = core::DenseReadyTable>
-core::DoacrossStats trisolve_doacross(rt::ThreadPool& pool, const Csr& l,
-                                      std::span<const double> rhs,
-                                      std::span<double> y,
-                                      Ready& ready,
-                                      const TrisolveOptions& opts = {}) {
-  if (l.rows != l.cols) throw std::invalid_argument("trisolve: not square");
-  if (static_cast<index_t>(rhs.size()) < l.rows ||
-      static_cast<index_t>(y.size()) < l.rows) {
-    throw std::invalid_argument("trisolve: vector size mismatch");
-  }
-  const index_t n = l.rows;
+/// The unplanned preprocessed-doacross executor behind every entry point
+/// below: one fork/join region that solves row i at each of n positions
+/// (`opts.order[k]`, else k, or n-1-k when `reverse`) under
+/// `opts.schedule`, then publishes it with `ready.mark_done(i)`.
+/// `row(i, wait)` computes row i; it calls `wait(c)` before reading the
+/// value of row c, which blocks until c is published and tallies the
+/// wait into the returned stats.
+template <ReadyTableLike Ready, class Row>
+core::DoacrossStats doacross_rows(rt::ThreadPool& pool, index_t n,
+                                  bool reverse, Ready& ready,
+                                  const TrisolveOptions& opts,
+                                  const Row& row) {
   core::DoacrossStats stats;
   if (n == 0) return stats;
 
@@ -95,42 +90,30 @@ core::DoacrossStats trisolve_doacross(rt::ThreadPool& pool, const Csr& l,
   ready.begin_epoch();
 
   rt::Barrier barrier(nth);
-  rt::FailureLatch latch;
-  barrier.watch(&latch, opts.stall_budget);
-  const rt::WaitGuard guard{&latch, opts.stall_budget, "doacross-flag"};
   std::atomic<index_t> cursor{0};
   std::vector<rt::Padded<std::uint64_t>> episodes(nth), rounds(nth);
 
   using clock = std::chrono::steady_clock;
   clock::time_point t0, t1, t2;
-
   const index_t* order = opts.order;
-  const double* rhs_p = rhs.data();
-  double* yp = y.data();
 
-  const auto body = [&](unsigned tid, unsigned nthreads) {
+  pool.parallel_region(nth, [&](unsigned tid, unsigned nthreads) {
     barrier.arrive_and_wait();  // rendezvous: exclude pool wake-up
     if (tid == 0) t0 = clock::now();
-    std::uint64_t my_episodes = 0, my_rounds = 0;
 
-    const int work_reps = opts.work_reps;
-    auto solve_row = [&](index_t k) {
-      const index_t i = order ? order[k] : k;
-      if (opts.injector) opts.injector->on_row(tid, i, &latch);
-      double acc = rhs_p[i];
-      const index_t k_end = l.row_end(i) - 1;  // diagonal last
-      for (index_t kk = l.row_begin(i); kk < k_end; ++kk) {
-        const index_t c = l.idx[static_cast<std::size_t>(kk)];
-        const std::uint64_t r = core::wait_done_guarded(ready, c, i, guard);
-        if (r != 0) {
-          ++my_episodes;
-          my_rounds += r;
-        }
-        acc -= l.val[static_cast<std::size_t>(kk)] * yp[c];
-        if (work_reps > 0) acc = machine_emulation_work(acc, work_reps);
+    std::uint64_t my_episodes = 0, my_rounds = 0;
+    const auto wait = [&](index_t c) noexcept {
+      const std::uint64_t r = ready.wait_done(c);
+      if (r != 0) {
+        ++my_episodes;
+        my_rounds += r;
       }
-      yp[i] = acc / l.val[static_cast<std::size_t>(k_end)];
-      ready.mark_done(i);  // release-publishes the y store
+    };
+    // noexcept: see DoacrossEngine::run — fail fast over deadlock.
+    auto solve_row = [&](index_t k) noexcept {
+      const index_t i = order ? order[k] : reverse ? n - 1 - k : k;
+      row(i, wait);
+      ready.mark_done(i);  // release-publishes the row's stores
     };
     rt::schedule_run(opts.schedule, n, tid, nthreads, &cursor, solve_row);
     episodes[tid].value = my_episodes;
@@ -147,20 +130,7 @@ core::DoacrossStats trisolve_doacross(rt::ThreadPool& pool, const Csr& l,
       barrier.arrive_and_wait();
     }
     if (tid == 0) t2 = clock::now();
-  };
-  // Fault containment: a worker that throws records its exception in the
-  // latch; every wait loop above polls the latch and unwinds via
-  // WorkerAbort, so peers drain and join instead of spinning forever. The
-  // first recorded fault is rethrown after the join.
-  pool.parallel_region(nth, [&](unsigned tid, unsigned nthreads) {
-    try {
-      body(tid, nthreads);
-    } catch (rt::WorkerAbort&) {
-    } catch (...) {
-      latch.raise(std::current_exception());
-    }
   });
-  if (latch.raised()) latch.rethrow_and_reset();
 
   stats.execute_seconds = std::chrono::duration<double>(t1 - t0).count();
   stats.post_seconds = std::chrono::duration<double>(t2 - t1).count();
@@ -169,6 +139,37 @@ core::DoacrossStats trisolve_doacross(rt::ThreadPool& pool, const Csr& l,
     stats.wait_rounds += rounds[t].value;
   }
   return stats;
+}
+
+/// Preprocessed-doacross lower solve. L must be lower triangular, sorted,
+/// diagonal stored last in each row.
+template <ReadyTableLike Ready = core::DenseReadyTable>
+core::DoacrossStats trisolve_doacross(rt::ThreadPool& pool, const Csr& l,
+                                      std::span<const double> rhs,
+                                      std::span<double> y,
+                                      Ready& ready,
+                                      const TrisolveOptions& opts = {}) {
+  if (l.rows != l.cols) throw std::invalid_argument("trisolve: not square");
+  if (static_cast<index_t>(rhs.size()) < l.rows ||
+      static_cast<index_t>(y.size()) < l.rows) {
+    throw std::invalid_argument("trisolve: vector size mismatch");
+  }
+  const double* rhs_p = rhs.data();
+  double* yp = y.data();
+  const int work_reps = opts.work_reps;
+  return doacross_rows(
+      pool, l.rows, false, ready, opts,
+      [&](index_t i, const auto& wait) noexcept {
+        double acc = rhs_p[i];
+        const index_t k_end = l.row_end(i) - 1;  // diagonal last
+        for (index_t kk = l.row_begin(i); kk < k_end; ++kk) {
+          const index_t c = l.idx[static_cast<std::size_t>(kk)];
+          wait(c);
+          acc -= l.val[static_cast<std::size_t>(kk)] * yp[c];
+          if (work_reps > 0) acc = machine_emulation_work(acc, work_reps);
+        }
+        yp[i] = acc / l.val[static_cast<std::size_t>(k_end)];
+      });
 }
 
 /// Convenience overload owning a throwaway flag table.
@@ -199,90 +200,25 @@ core::DoacrossStats trisolve_doacross_multi(rt::ThreadPool& pool,
       static_cast<index_t>(y.size()) < l.rows * nrhs) {
     throw std::invalid_argument("trisolve: vector size mismatch");
   }
-  const index_t n = l.rows;
-  core::DoacrossStats stats;
-  if (n == 0) return stats;
-
-  const unsigned nth = pool.clamp_threads(opts.nthreads);
-  ready.ensure_size(n);
-  ready.begin_epoch();
-
-  rt::Barrier barrier(nth);
-  rt::FailureLatch latch;
-  barrier.watch(&latch, opts.stall_budget);
-  const rt::WaitGuard guard{&latch, opts.stall_budget, "doacross-flag"};
-  std::atomic<index_t> cursor{0};
-  std::vector<rt::Padded<std::uint64_t>> episodes(nth), rounds(nth);
-
-  using clock = std::chrono::steady_clock;
-  clock::time_point t0, t1, t2;
-
-  const index_t* order = opts.order;
   const double* rhs_p = rhs.data();
   double* yp = y.data();
-
-  const auto body = [&](unsigned tid, unsigned nthreads) {
-    barrier.arrive_and_wait();  // rendezvous: exclude pool wake-up
-    if (tid == 0) t0 = clock::now();
-    std::uint64_t my_episodes = 0, my_rounds = 0;
-
-    auto solve_row = [&](index_t k) {
-      const index_t i = order ? order[k] : k;
-      if (opts.injector) opts.injector->on_row(tid, i, &latch);
-      double* yi = yp + i * nrhs;
-      const double* bi = rhs_p + i * nrhs;
-      for (index_t r = 0; r < nrhs; ++r) yi[r] = bi[r];
-      const index_t k_end = l.row_end(i) - 1;
-      for (index_t kk = l.row_begin(i); kk < k_end; ++kk) {
-        const index_t c = l.idx[static_cast<std::size_t>(kk)];
-        const std::uint64_t w = core::wait_done_guarded(ready, c, i, guard);
-        if (w != 0) {
-          ++my_episodes;
-          my_rounds += w;
+  return doacross_rows(
+      pool, l.rows, false, ready, opts,
+      [&](index_t i, const auto& wait) noexcept {
+        double* yi = yp + i * nrhs;
+        const double* bi = rhs_p + i * nrhs;
+        for (index_t r = 0; r < nrhs; ++r) yi[r] = bi[r];
+        const index_t k_end = l.row_end(i) - 1;
+        for (index_t kk = l.row_begin(i); kk < k_end; ++kk) {
+          const index_t c = l.idx[static_cast<std::size_t>(kk)];
+          wait(c);
+          const double a = l.val[static_cast<std::size_t>(kk)];
+          const double* yc = yp + c * nrhs;
+          for (index_t r = 0; r < nrhs; ++r) yi[r] -= a * yc[r];
         }
-        const double a = l.val[static_cast<std::size_t>(kk)];
-        const double* yc = yp + c * nrhs;
-        for (index_t r = 0; r < nrhs; ++r) yi[r] -= a * yc[r];
-      }
-      const double d = l.val[static_cast<std::size_t>(k_end)];
-      for (index_t r = 0; r < nrhs; ++r) yi[r] /= d;
-      ready.mark_done(i);
-    };
-    rt::schedule_run(opts.schedule, n, tid, nthreads, &cursor, solve_row);
-    episodes[tid].value = my_episodes;
-    rounds[tid].value = my_rounds;
-    barrier.arrive_and_wait();
-    if (tid == 0) t1 = clock::now();
-
-    // Postprocessing flag sweep — dead (and elided) for epoch-reset tables.
-    if constexpr (!core::kEpochResetV<Ready>) {
-      const rt::IterRange post = rt::static_block_range(n, tid, nthreads);
-      for (index_t i = post.begin; i < post.end; ++i) ready.clear(i);
-      barrier.arrive_and_wait();
-    }
-    if (tid == 0) t2 = clock::now();
-  };
-  // Fault containment: a worker that throws records its exception in the
-  // latch; every wait loop above polls the latch and unwinds via
-  // WorkerAbort, so peers drain and join instead of spinning forever. The
-  // first recorded fault is rethrown after the join.
-  pool.parallel_region(nth, [&](unsigned tid, unsigned nthreads) {
-    try {
-      body(tid, nthreads);
-    } catch (rt::WorkerAbort&) {
-    } catch (...) {
-      latch.raise(std::current_exception());
-    }
-  });
-  if (latch.raised()) latch.rethrow_and_reset();
-
-  stats.execute_seconds = std::chrono::duration<double>(t1 - t0).count();
-  stats.post_seconds = std::chrono::duration<double>(t2 - t1).count();
-  for (unsigned t = 0; t < nth; ++t) {
-    stats.wait_episodes += episodes[t].value;
-    stats.wait_rounds += rounds[t].value;
-  }
-  return stats;
+        const double d = l.val[static_cast<std::size_t>(k_end)];
+        for (index_t r = 0; r < nrhs; ++r) yi[r] /= d;
+      });
 }
 
 /// Preprocessed-doacross *upper* (backward) solve. U must be upper
@@ -302,85 +238,20 @@ core::DoacrossStats trisolve_upper_doacross(rt::ThreadPool& pool,
       static_cast<index_t>(y.size()) < u.rows) {
     throw std::invalid_argument("trisolve: vector size mismatch");
   }
-  const index_t n = u.rows;
-  core::DoacrossStats stats;
-  if (n == 0) return stats;
-
-  const unsigned nth = pool.clamp_threads(opts.nthreads);
-  ready.ensure_size(n);
-  ready.begin_epoch();
-
-  rt::Barrier barrier(nth);
-  rt::FailureLatch latch;
-  barrier.watch(&latch, opts.stall_budget);
-  const rt::WaitGuard guard{&latch, opts.stall_budget, "doacross-flag"};
-  std::atomic<index_t> cursor{0};
-  std::vector<rt::Padded<std::uint64_t>> episodes(nth), rounds(nth);
-
-  using clock = std::chrono::steady_clock;
-  clock::time_point t0, t1, t2;
-
-  const index_t* order = opts.order;
   const double* rhs_p = rhs.data();
   double* yp = y.data();
-
-  const auto body = [&](unsigned tid, unsigned nthreads) {
-    barrier.arrive_and_wait();  // rendezvous: exclude pool wake-up
-    if (tid == 0) t0 = clock::now();
-    std::uint64_t my_episodes = 0, my_rounds = 0;
-
-    auto solve_row = [&](index_t k) {
-      const index_t i = order ? order[k] : n - 1 - k;
-      if (opts.injector) opts.injector->on_row(tid, i, &latch);
-      double acc = rhs_p[i];
-      const index_t k_diag = u.row_begin(i);  // diagonal first
-      for (index_t kk = k_diag + 1; kk < u.row_end(i); ++kk) {
-        const index_t c = u.idx[static_cast<std::size_t>(kk)];
-        const std::uint64_t r = core::wait_done_guarded(ready, c, i, guard);
-        if (r != 0) {
-          ++my_episodes;
-          my_rounds += r;
+  return doacross_rows(
+      pool, u.rows, true, ready, opts,
+      [&](index_t i, const auto& wait) noexcept {
+        double acc = rhs_p[i];
+        const index_t k_diag = u.row_begin(i);  // diagonal first
+        for (index_t kk = k_diag + 1; kk < u.row_end(i); ++kk) {
+          const index_t c = u.idx[static_cast<std::size_t>(kk)];
+          wait(c);
+          acc -= u.val[static_cast<std::size_t>(kk)] * yp[c];
         }
-        acc -= u.val[static_cast<std::size_t>(kk)] * yp[c];
-      }
-      yp[i] = acc / u.val[static_cast<std::size_t>(k_diag)];
-      ready.mark_done(i);
-    };
-    rt::schedule_run(opts.schedule, n, tid, nthreads, &cursor, solve_row);
-    episodes[tid].value = my_episodes;
-    rounds[tid].value = my_rounds;
-    barrier.arrive_and_wait();
-    if (tid == 0) t1 = clock::now();
-
-    // Postprocessing flag sweep — dead (and elided) for epoch-reset tables.
-    if constexpr (!core::kEpochResetV<Ready>) {
-      const rt::IterRange post = rt::static_block_range(n, tid, nthreads);
-      for (index_t i = post.begin; i < post.end; ++i) ready.clear(i);
-      barrier.arrive_and_wait();
-    }
-    if (tid == 0) t2 = clock::now();
-  };
-  // Fault containment: a worker that throws records its exception in the
-  // latch; every wait loop above polls the latch and unwinds via
-  // WorkerAbort, so peers drain and join instead of spinning forever. The
-  // first recorded fault is rethrown after the join.
-  pool.parallel_region(nth, [&](unsigned tid, unsigned nthreads) {
-    try {
-      body(tid, nthreads);
-    } catch (rt::WorkerAbort&) {
-    } catch (...) {
-      latch.raise(std::current_exception());
-    }
-  });
-  if (latch.raised()) latch.rethrow_and_reset();
-
-  stats.execute_seconds = std::chrono::duration<double>(t1 - t0).count();
-  stats.post_seconds = std::chrono::duration<double>(t2 - t1).count();
-  for (unsigned t = 0; t < nth; ++t) {
-    stats.wait_episodes += episodes[t].value;
-    stats.wait_rounds += rounds[t].value;
-  }
-  return stats;
+        yp[i] = acc / u.val[static_cast<std::size_t>(k_diag)];
+      });
 }
 
 /// Convenience overload owning a throwaway flag table.

@@ -374,3 +374,96 @@ TEST(ParTrisolve, WaitStatsShrinkWithDoconsider) {
   EXPECT_LT(static_cast<double>(s_ord.wait_rounds),
             0.9 * static_cast<double>(s_src.wait_rounds) + 10000.0);
 }
+
+// Every ready table through every unplanned doacross entry: one table is
+// reused across calls that alternate the lower and upper solves, under
+// every schedule, source and doconsider order, and 1/2/4 threads.
+template <class Ready>
+class UnplannedTrisolveTables : public ::testing::Test {};
+
+using ReadyTables =
+    ::testing::Types<core::DenseReadyTable, core::PaddedReadyTable,
+                     core::LinearEpochReadyTable, core::EpochReadyTable>;
+TYPED_TEST_SUITE(UnplannedTrisolveTables, ReadyTables);
+
+TYPED_TEST(UnplannedTrisolveTables, EveryEntryMatchesSequentialBitwise) {
+  const sp::IluFactors f = sp::ilu0(gen::seven_point(6, 6, 6));
+  const index_t n = f.l.rows;
+  const core::Reordering lower_order = sp::lower_solve_reordering(f.l);
+  const core::Reordering upper_order = sp::upper_solve_reordering(f.u);
+  const index_t widths[] = {1, 3, 8};
+  const auto rhs = random_rhs(n * 8, 41);
+
+  std::vector<double> want_l(static_cast<std::size_t>(n)),
+      want_u(static_cast<std::size_t>(n));
+  sp::trisolve_lower_seq(f.l, rhs, want_l);
+  sp::trisolve_upper_seq(f.u, rhs, want_u);
+  std::vector<std::vector<double>> want_multi;
+  for (const index_t nrhs : widths) {
+    want_multi.emplace_back(static_cast<std::size_t>(n * nrhs));
+    sp::trisolve_lower_seq_multi(f.l, rhs, want_multi.back(), nrhs);
+  }
+
+  // Unwritten rows stay NaN and fail the comparison.
+  const auto fresh = [](const std::vector<double>& like) {
+    return std::vector<double>(like.size(), std::nan(""));
+  };
+  TypeParam ready(n);
+  // Non-epoch tables must come back swept by the postprocessing phase;
+  // epoch tables skip the sweep, so every row is still DONE in the
+  // current epoch until the next call's begin_epoch().
+  const auto check_table = [&]() -> ::testing::AssertionResult {
+    if constexpr (!core::kEpochResetV<TypeParam>) {
+      if (!ready.pristine()) {
+        return ::testing::AssertionFailure() << "flags not swept";
+      }
+    } else {
+      for (index_t i = 0; i < n; ++i) {
+        if (!ready.is_done(i)) {
+          return ::testing::AssertionFailure() << "row " << i << " unpublished";
+        }
+      }
+    }
+    return ::testing::AssertionSuccess();
+  };
+
+  for (const bool reordered : {false, true}) {
+    for (const auto& sched :
+         {rt::Schedule::static_block(), rt::Schedule::static_cyclic(1),
+          rt::Schedule::dynamic(1), rt::Schedule::dynamic()}) {
+      for (const unsigned nth : {1u, 2u, 4u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << (reordered ? "doconsider" : "source") << " "
+                     << rt::to_string(sched) << " threads " << nth);
+        sp::TrisolveOptions lo;
+        lo.nthreads = nth;
+        lo.schedule = sched;
+        sp::TrisolveOptions up = lo;
+        if (reordered) {
+          lo.order = lower_order.order.data();
+          up.order = upper_order.order.data();
+        }
+        // Four lower solves (single RHS, then multi-RHS at each width),
+        // each followed by an upper solve, all through the same table.
+        for (std::size_t call = 0; call <= std::size(widths); ++call) {
+          if (call == 0) {
+            auto y = fresh(want_l);
+            sp::trisolve_doacross(pool(), f.l, rhs, y, ready, lo);
+            ASSERT_EQ(want_l, y) << "lower";
+          } else {
+            const index_t nrhs = widths[call - 1];
+            auto y = fresh(want_multi[call - 1]);
+            sp::trisolve_doacross_multi(pool(), f.l, rhs, y, nrhs, ready, lo);
+            ASSERT_EQ(want_multi[call - 1], y) << "multi nrhs " << nrhs;
+          }
+          ASSERT_TRUE(check_table()) << "after lower call " << call;
+
+          auto yu = fresh(want_u);
+          sp::trisolve_upper_doacross(pool(), f.u, rhs, yu, ready, up);
+          ASSERT_EQ(want_u, yu) << "upper";
+          ASSERT_TRUE(check_table()) << "after upper call " << call;
+        }
+      }
+    }
+  }
+}
