@@ -61,7 +61,7 @@ int main() {
 
       // Compare phase-level totals (dispatch excluded) on both sides.
       core::LinearDoacross<double> lin(pool);
-      core::LinearOptions lopts;
+      core::SimpleDoacrossOptions lopts;
       lopts.nthreads = procs;
       double t_lin = 1e300;
       for (int r = 0; r < reps + 1; ++r) {

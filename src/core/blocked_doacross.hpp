@@ -35,6 +35,7 @@
 #include "core/hash_iter_table.hpp"
 #include "core/iter_table.hpp"
 #include "core/ready_table.hpp"
+#include "core/walk.hpp"
 #include "runtime/aligned.hpp"
 #include "runtime/barrier.hpp"
 #include "runtime/thread_pool.hpp"
@@ -44,23 +45,20 @@ namespace pdx::core {
 /// Dependence-resolving accessor for the strip-mined executor. Same
 /// interface as core::Iteration, but ready/ynew are strip-local. `Iter`
 /// is either the dense IterTable or the O(strip)-memory HashIterTable.
-template <class T, class Ready, class Iter = IterTable>
+template <class T, class Wait, class Iter = IterTable>
 class StripIteration {
  public:
   StripIteration(index_t i, index_t strip_begin, index_t lhs_off,
-                 const Iter* iter, const Ready* ready, const T* yold,
-                 const T* ynew_strip, std::uint64_t* wait_episodes,
-                 std::uint64_t* wait_rounds) noexcept
+                 const Iter* iter, Wait& wait, const T* yold,
+                 const T* ynew_strip) noexcept
       : i_(i),
         strip_begin_(strip_begin),
         lhs_off_(lhs_off),
         acc_(yold[lhs_off]),
         iter_(iter),
-        ready_(ready),
+        wait_(&wait),
         yold_(yold),
-        ynew_(ynew_strip),
-        wait_episodes_(wait_episodes),
-        wait_rounds_(wait_rounds) {}
+        ynew_(ynew_strip) {}
 
   index_t index() const noexcept { return i_; }
   index_t lhs_index() const noexcept { return lhs_off_; }
@@ -73,11 +71,7 @@ class StripIteration {
       // Within the current strip by construction (iter holds only this
       // strip's writers), so the strip-local slot is w - strip_begin.
       const index_t slot = w - strip_begin_;
-      const std::uint64_t rounds = ready_->wait_done(slot);
-      if (rounds != 0) {
-        ++*wait_episodes_;
-        *wait_rounds_ += rounds;
-      }
+      (*wait_)(slot);
       return ynew_[slot];
     }
     return yold_[offset];  // antidep, later strip, or never written
@@ -89,11 +83,9 @@ class StripIteration {
   const index_t lhs_off_;
   T acc_;
   const Iter* iter_;
-  const Ready* ready_;
+  Wait* wait_;
   const T* yold_;
   const T* ynew_;
-  std::uint64_t* wait_episodes_;
-  std::uint64_t* wait_rounds_;
 };
 
 /// Options for the strip-mined variant (no reordering: the sequential
@@ -171,7 +163,7 @@ class BlockedDoacross {
     double t_ins = 0.0, t_exe = 0.0, t_post = 0.0;
 
     pool_->parallel_region(nth, [&](unsigned tid, unsigned nthreads) {
-      std::uint64_t my_episodes = 0, my_rounds = 0;
+      TallyWait<Ready> wait{&ready_};
       clock::time_point p0, p1, p2, p3;
       barrier.arrive_and_wait();  // rendezvous: exclude pool wake-up
       for (index_t b = 0; b < n; b += strip) {
@@ -187,18 +179,17 @@ class BlockedDoacross {
         barrier.arrive_and_wait();
         if (tid == 0) p1 = clock::now();
 
-        // Executor over this strip (positions k, iterations b + k).
-        // noexcept: see DoacrossEngine::run — a throwing body would
-        // deadlock the phase barriers, so fail fast instead.
-        auto run_one = [&](index_t k) noexcept {
-          const index_t i = b + k;
-          StripIteration<T, Ready, Iter> it(i, b, wr[i], &iter_, &ready_, yp,
-                                            ynp, &my_episodes, &my_rounds);
-          body(it);
-          ynp[k] = it.lhs();
-          ready_.mark_done(k);
-        };
-        rt::schedule_run(opts.schedule, len, tid, nthreads, &cursor, run_one);
+        // Executor over this strip: flags and ynew by position k,
+        // iterations b + k. noexcept: see DoacrossEngine::run — a throwing
+        // body would deadlock the phase barriers, so fail fast instead.
+        flag_walk(opts.schedule, len, tid, nthreads, &cursor, nullptr, false,
+                  ready_, [&](index_t k, index_t) noexcept {
+                    const index_t i = b + k;
+                    StripIteration<T, TallyWait<Ready>, Iter> it(
+                        i, b, wr[i], &iter_, wait, yp, ynp);
+                    body(it);
+                    ynp[k] = it.lhs();
+                  });
         barrier.arrive_and_wait();
         if (tid == 0) p2 = clock::now();
 
@@ -224,8 +215,8 @@ class BlockedDoacross {
           t_post += std::chrono::duration<double>(p3 - p2).count();
         }
       }
-      episodes[tid].value = my_episodes;
-      rounds[tid].value = my_rounds;
+      episodes[tid].value = wait.episodes;
+      rounds[tid].value = wait.rounds;
     });
 
     stats.inspect_seconds = t_ins;

@@ -10,11 +10,13 @@
 //
 // A DagPlan owns, for one plan:
 //
-//   the walks          flags + rt::schedule_run (kDoacross), level slices
-//                      + barrier (kLevelBarrier), the inline walk on the
-//                      calling thread (kSerial) in source order or, for
-//                      single-RHS bodies, the inspector's level order —
-//                      each written once, here
+//   the walks          core::flag_walk (kDoacross) and core::level_walk
+//                      (kLevelBarrier) — written once in core/walk.hpp and
+//                      shared with the paper engines — plus the inline
+//                      walk on the calling thread (kSerial) in source
+//                      order or, for single-RHS bodies, the inspector's
+//                      level order; DagPlan adds the injector hook, the
+//                      guarded FlagWait and the lookahead hook
 //   per-DAG state      an EpochReadyTable, a claim cursor and the optional
 //                      doconsider Reordering per dependence DAG (a solve
 //                      plan walks two: L and U)
@@ -57,6 +59,7 @@
 #include "core/doconsider.hpp"
 #include "core/race.hpp"
 #include "core/ready_table.hpp"
+#include "core/walk.hpp"
 #include "runtime/aligned.hpp"
 #include "runtime/barrier.hpp"
 #include "runtime/failure.hpp"
@@ -138,12 +141,6 @@ struct Dag {
   const index_t* order_data() const noexcept {
     return order ? order->order.data() : nullptr;
   }
-};
-
-/// The wait the level and serial walks pass: every dependence is final.
-struct NoWait {
-  static constexpr bool kWaits = false;
-  void operator()(index_t) const noexcept {}
 };
 
 /// The flag walk's wait: the latch-aware busy wait on a producer's flag,
@@ -361,19 +358,15 @@ void DagPlan::walk_flags(Dag& d, unsigned tid, unsigned nthreads,
                          Body body) {
   // The paper's executor: the ready flags only sequence the reads, so a
   // row's arithmetic is whatever the body does — identical to the
-  // sequential loop's. mark_done release-publishes everything the body
-  // stored for the row.
+  // sequential loop's.
   rt::FaultInjector* const inj = injector_;
-  const index_t* ord = d.order_data();
   FlagWait wait{&d.ready, &guard_};
-  rt::schedule_run(cfg_.schedule, n_, tid, nthreads, &d.cursor,
-                   [&](index_t pos) {
-                     const index_t row = ord ? ord[pos] : natural_row(d, pos);
-                     wait.row = row;
-                     if (inj) inj->on_row(tid, row, &latch_);
-                     body(pos, wait);
-                     d.ready.mark_done(row);
-                   });
+  flag_walk(cfg_.schedule, n_, tid, nthreads, &d.cursor, d.order_data(),
+            d.reverse, d.ready, [&](index_t pos, index_t row) {
+              wait.row = row;
+              if (inj) inj->on_row(tid, row, &latch_);
+              body(pos, wait);
+            });
   episodes_[tid].value += wait.episodes;
   rounds_[tid].value += wait.rounds;
 }
@@ -381,27 +374,18 @@ void DagPlan::walk_flags(Dag& d, unsigned tid, unsigned nthreads,
 template <class Body>
 void DagPlan::walk_levels(Dag& d, unsigned tid, unsigned nthreads,
                           Body body) {
-  // Bulk-synchronous wavefronts: every producer of level l finished
-  // before the barrier that opens level l+1, so no flag is consulted or
-  // published.
+  // Bulk-synchronous wavefronts: no flag is consulted or published. The
+  // trailing barrier doubles as the handoff to a second DAG.
   rt::FaultInjector* const inj = injector_;
   const Reordering& ord = *d.order;
   NoWait wait;
-  for (index_t lvl = 0; lvl < ord.num_levels(); ++lvl) {
-    const index_t lo = ord.level_ptr[static_cast<std::size_t>(lvl)];
-    const index_t hi = ord.level_ptr[static_cast<std::size_t>(lvl) + 1];
-    const rt::IterRange r = rt::static_block_range(hi - lo, tid, nthreads);
-    const index_t end = lo + r.end;
-    for (index_t pos = lo + r.begin; pos < end; ++pos) {
-      if (inj) {
-        inj->on_row(tid, ord.order[static_cast<std::size_t>(pos)], &latch_);
-      }
-      look_ahead(body, pos, end);
-      body(pos, wait);
+  level_walk(ord, tid, nthreads, barrier_, [&](index_t pos, index_t end) {
+    if (inj) {
+      inj->on_row(tid, ord.order[static_cast<std::size_t>(pos)], &latch_);
     }
-    // The trailing episode doubles as the handoff to a second DAG.
-    barrier_.arrive_and_wait();
-  }
+    look_ahead(body, pos, end);
+    body(pos, wait);
+  });
 }
 
 template <class Body>

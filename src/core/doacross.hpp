@@ -39,6 +39,7 @@
 #include "core/iter_table.hpp"
 #include "core/iteration.hpp"
 #include "core/ready_table.hpp"
+#include "core/walk.hpp"
 #include "runtime/aligned.hpp"
 #include "runtime/barrier.hpp"
 #include "runtime/thread_pool.hpp"
@@ -89,8 +90,9 @@ class DoacrossEngine {
   /// `y`       — the data array, length >= value_space. On return the
   ///             written elements hold their new values (postprocessing
   ///             copied ynew back, paper Fig. 3).
-  /// `body`    — callable `void(Iteration<T, Ready>&)`; reads through
-  ///             Iteration::read and accumulates into Iteration::lhs.
+  /// `body`    — callable `void(Iteration<T, TallyWait<Ready>>&)`; reads
+  ///             through Iteration::read (waiting on ready(offset) for a
+  ///             true dependence) and accumulates into Iteration::lhs.
   template <class Body>
   DoacrossStats run(std::span<const index_t> writer, std::span<T> y,
                     Body&& body, const DoacrossOptions& opts = {}) {
@@ -153,18 +155,20 @@ class DoacrossEngine {
       // leave the others blocked at the next barrier; failing fast
       // (std::terminate) is the only safe behaviour. Bodies that can
       // fail should record the failure and return normally.
-      std::uint64_t my_episodes = 0, my_rounds = 0;
+      // Not a core::flag_walk: the flag published is ready(a(i)), by
+      // offset, not by iteration.
+      TallyWait<Ready> wait{&ready_};
       auto run_one = [&](index_t k) noexcept {
         const index_t i = order ? order[k] : k;
-        Iteration<T, Ready> it(i, wr[i], iter_.data(), &ready_, yp, ynp,
-                               &my_episodes, &my_rounds);
+        Iteration<T, TallyWait<Ready>> it(i, wr[i], iter_.data(), wait, yp,
+                                          ynp);
         body(it);
         ynp[wr[i]] = it.lhs();
         ready_.mark_done(wr[i]);  // release: publishes the ynew store
       };
       rt::schedule_run(opts.schedule, n, tid, nthreads, &cursor_, run_one);
-      episodes_[tid].value = my_episodes;
-      rounds_[tid].value = my_rounds;
+      episodes_[tid].value = wait.episodes;
+      rounds_[tid].value = wait.rounds;
       barrier_.arrive_and_wait();
       if (tid == 0) t2 = clock::now();
 

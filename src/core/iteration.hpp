@@ -12,31 +12,28 @@
 // and the transformed write semantics: the left-hand side accumulates in
 // `lhs()` (initialized from the old value, Fig. 5 statement S2) and is
 // committed to ynew + ready by the executor after the body returns.
+//
+// `Wait` is the executor's flag wait (core::TallyWait, core/walk.hpp),
+// which blocks on ready(offset) and tallies the wait.
 #pragma once
 
-#include <cstdint>
-
 #include "core/iter_table.hpp"
-#include "core/ready_table.hpp"
 #include "runtime/types.hpp"
 
 namespace pdx::core {
 
-template <class T, class Ready>
+template <class T, class Wait>
 class Iteration {
  public:
-  Iteration(index_t i, index_t lhs_off, const index_t* iter, const Ready* ready,
-            const T* yold, const T* ynew, std::uint64_t* wait_episodes,
-            std::uint64_t* wait_rounds) noexcept
+  Iteration(index_t i, index_t lhs_off, const index_t* iter, Wait& wait,
+            const T* yold, const T* ynew) noexcept
       : i_(i),
         lhs_off_(lhs_off),
         acc_(yold[lhs_off]),
         iter_(iter),
-        ready_(ready),
+        wait_(&wait),
         yold_(yold),
-        ynew_(ynew),
-        wait_episodes_(wait_episodes),
-        wait_rounds_(wait_rounds) {}
+        ynew_(ynew) {}
 
   Iteration(const Iteration&) = delete;
   Iteration& operator=(const Iteration&) = delete;
@@ -59,11 +56,7 @@ class Iteration {
     }
     if (w < i_) {
       // check < 0: true dependence — busy-wait for the producer.
-      const std::uint64_t rounds = ready_->wait_done(offset);
-      if (rounds != 0) {
-        ++*wait_episodes_;
-        *wait_rounds_ += rounds;
-      }
+      (*wait_)(offset);
       return ynew_[offset];
     }
     // check > 0: antidependence (a later iteration writes it) or the
@@ -84,11 +77,9 @@ class Iteration {
   const index_t lhs_off_;
   T acc_;
   const index_t* iter_;
-  const Ready* ready_;
+  Wait* wait_;
   const T* yold_;
   const T* ynew_;
-  std::uint64_t* wait_episodes_;
-  std::uint64_t* wait_rounds_;
 };
 
 }  // namespace pdx::core

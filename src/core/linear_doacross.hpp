@@ -13,13 +13,12 @@
 //   * no iter table — the writer of an offset is computed arithmetically;
 //   * ready flags and the ynew shadow are indexed by *iteration* (the
 //     writer map is a bijection onto its image), so arena memory is O(N)
-//     regardless of the value space.
+//     regardless of the value space;
+//   * the executor is the Figure 2 one (core::doacross_rows): the body
+//     commits to ynew(i), and the postprocessing sweep's `post` hook
+//     copies ynew(i) back to y(c*i + d).
 #pragma once
 
-#include <atomic>
-#include <cassert>
-#include <chrono>
-#include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -27,8 +26,9 @@
 #include "core/doacross_stats.hpp"
 #include "core/iter_table.hpp"
 #include "core/ready_table.hpp"
+#include "core/simple_doacross.hpp"
+#include "core/walk.hpp"
 #include "runtime/aligned.hpp"
-#include "runtime/barrier.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace pdx::core {
@@ -37,8 +37,8 @@ namespace pdx::core {
 /// closed-form inverse.
 struct LinearWriter {
   index_t c = 1;  ///< stride; must be >= 1 (injectivity)
-  index_t d = 0;  ///< base offset
-  index_t n = 0;  ///< iteration count
+  index_t d = 0;  ///< base offset; must be >= 0 (writes stay inside y)
+  index_t n = 0;  ///< iteration count; must be >= 0
 
   index_t operator()(index_t i) const noexcept { return c * i + d; }
 
@@ -64,20 +64,17 @@ struct LinearWriter {
 /// a constant divisor the compiler strength-reduces it to shifts/masks and
 /// the §2.3 elimination pays off. LinearDoacross dispatches to common
 /// strides automatically.
-template <class T, class Ready, index_t StaticC = 0>
+template <class T, class Wait, index_t StaticC = 0>
 class LinearIteration {
  public:
-  LinearIteration(index_t i, LinearWriter w, const Ready* ready, const T* yold,
-                  const T* ynew_by_iter, std::uint64_t* wait_episodes,
-                  std::uint64_t* wait_rounds) noexcept
+  LinearIteration(index_t i, LinearWriter w, Wait& wait, const T* yold,
+                  const T* ynew_by_iter) noexcept
       : i_(i),
         w_(w),
         acc_(yold[w(i)]),
-        ready_(ready),
+        wait_(&wait),
         yold_(yold),
-        ynew_(ynew_by_iter),
-        wait_episodes_(wait_episodes),
-        wait_rounds_(wait_rounds) {}
+        ynew_(ynew_by_iter) {}
 
   index_t index() const noexcept { return i_; }
   index_t lhs_index() const noexcept { return w_(i_); }
@@ -91,11 +88,7 @@ class LinearIteration {
       if (w < w_.n) {
         if (w == i_) return acc_;
         if (w < i_) {
-          const std::uint64_t rounds = ready_->wait_done(w);
-          if (rounds != 0) {
-            ++*wait_episodes_;
-            *wait_rounds_ += rounds;
-          }
+          (*wait_)(w);
           return ynew_[w];
         }
         return yold_[offset];  // antidependence
@@ -108,21 +101,15 @@ class LinearIteration {
   const index_t i_;
   const LinearWriter w_;
   T acc_;
-  const Ready* ready_;
+  Wait* wait_;
   const T* yold_;
   const T* ynew_;
-  std::uint64_t* wait_episodes_;
-  std::uint64_t* wait_rounds_;
 };
 
-struct LinearOptions {
-  unsigned nthreads = 0;
-  rt::Schedule schedule = rt::Schedule::static_block();
-  /// Optional valid execution order over [0, n), as in DoacrossOptions.
-  const index_t* order = nullptr;
-};
-
-template <class T, class Ready = DenseReadyTable>
+/// The §2.3 loop on the Figure 2 executor (core::doacross_rows): rows
+/// commit to the iteration-indexed ynew shadow, and the postprocessing
+/// sweep copies it back to y(c*i + d).
+template <class T, ReadyTableLike Ready = DenseReadyTable>
 class LinearDoacross {
  public:
   explicit LinearDoacross(rt::ThreadPool& pool) : pool_(&pool) {}
@@ -133,8 +120,10 @@ class LinearDoacross {
   /// per-read division strength-reduces to shifts).
   template <class Body>
   DoacrossStats run(LinearWriter w, std::span<T> y, Body&& body,
-                    const LinearOptions& opts = {}) {
+                    const SimpleDoacrossOptions& opts = {}) {
     if (w.c < 1) throw std::invalid_argument("LinearWriter: c must be >= 1");
+    if (w.d < 0) throw std::invalid_argument("LinearWriter: d must be >= 0");
+    if (w.n < 0) throw std::invalid_argument("LinearWriter: n must be >= 0");
     if (w.n > 0 && static_cast<index_t>(y.size()) < w.written_extent()) {
       throw std::invalid_argument("LinearDoacross::run: y too small");
     }
@@ -152,70 +141,28 @@ class LinearDoacross {
     }
   }
 
+  /// The iteration-indexed flags, exposed for tests that verify the
+  /// reuse invariant.
+  const Ready& ready_table() const noexcept { return ready_; }
+
  private:
   template <index_t StaticC, class Body>
   DoacrossStats run_impl(LinearWriter w, std::span<T> y, Body&& body,
-                         const LinearOptions& opts) {
-    DoacrossStats stats;
-    const index_t n = w.n;
-    if (n == 0) return stats;
-
-    const unsigned nth = pool_->clamp_threads(opts.nthreads);
-    ready_.ensure_size(n);
-    ready_.begin_epoch();
-    if (static_cast<index_t>(ynew_.size()) < n) {
-      ynew_.resize(static_cast<std::size_t>(n));
+                         const SimpleDoacrossOptions& opts) {
+    if (static_cast<index_t>(ynew_.size()) < w.n) {
+      ynew_.resize(static_cast<std::size_t>(w.n));
     }
-
-    rt::Barrier barrier(nth);
-    std::atomic<index_t> cursor{0};
-    std::vector<rt::Padded<std::uint64_t>> episodes(nth), rounds(nth);
-
-    using clock = std::chrono::steady_clock;
-    clock::time_point t0, t1, t2;
-    const index_t* order = opts.order;
     T* yp = y.data();
     T* ynp = ynew_.data();
-
-    pool_->parallel_region(nth, [&](unsigned tid, unsigned nthreads) {
-      barrier.arrive_and_wait();  // rendezvous: exclude pool wake-up
-      if (tid == 0) t0 = clock::now();
-
-      // No inspector phase — that is the point of this variant.
-      std::uint64_t my_episodes = 0, my_rounds = 0;
-      // noexcept: see DoacrossEngine::run — fail fast over deadlock.
-      auto run_one = [&](index_t k) noexcept {
-        const index_t i = order ? order[k] : k;
-        LinearIteration<T, Ready, StaticC> it(i, w, &ready_, yp, ynp,
-                                              &my_episodes, &my_rounds);
-        body(it);
-        ynp[i] = it.lhs();
-        ready_.mark_done(i);
-      };
-      rt::schedule_run(opts.schedule, n, tid, nthreads, &cursor, run_one);
-      episodes[tid].value = my_episodes;
-      rounds[tid].value = my_rounds;
-      barrier.arrive_and_wait();
-      if (tid == 0) t1 = clock::now();
-
-      // Postprocessing: copy back and reset flags (iteration-indexed).
-      const rt::IterRange post = rt::static_block_range(n, tid, nthreads);
-      for (index_t i = post.begin; i < post.end; ++i) {
-        yp[w(i)] = ynp[i];
-        ready_.clear(i);
-      }
-      barrier.arrive_and_wait();
-      if (tid == 0) t2 = clock::now();
-    });
-
-    stats.inspect_seconds = 0.0;
-    stats.execute_seconds = std::chrono::duration<double>(t1 - t0).count();
-    stats.post_seconds = std::chrono::duration<double>(t2 - t1).count();
-    for (unsigned t = 0; t < nth; ++t) {
-      stats.wait_episodes += episodes[t].value;
-      stats.wait_rounds += rounds[t].value;
-    }
-    return stats;
+    // No inspector phase — that is the point of this variant.
+    return doacross_rows(
+        *pool_, w.n, false, ready_, opts,
+        [&](index_t i, TallyWait<Ready>& wait) noexcept {
+          LinearIteration<T, TallyWait<Ready>, StaticC> it(i, w, wait, yp, ynp);
+          body(it);
+          ynp[i] = it.lhs();
+        },
+        [&](index_t i) noexcept { yp[w(i)] = ynp[i]; });
   }
 
   rt::ThreadPool* pool_;

@@ -1,5 +1,5 @@
 // simple_doacross.hpp — the paper's Figure 2: doacross with true
-// dependences only.
+// dependences only, and the one executor that runs it.
 //
 // Before introducing the full preprocessed machinery, the paper presents
 // the restricted case a(i) = i and b(i) < i — every reference to another
@@ -13,70 +13,44 @@
 //   S3:  ready(i) = DONE
 //     end parallel do
 //
-// This executor generalizes that figure to any body that writes y(i) and
-// reads only offsets j < i (checked in debug builds). It is both the
-// pedagogical entry point of the library and the fast path the sparse
-// triangular solves specialize further.
+// doacross_rows is that loop with the body left open: one fork/join
+// region of a core::flag_walk, whose rows wait through a TallyWait, and
+// the postprocessing sweep that resets the flags. Three callers run on
+// it, each passing only a row body: simple_doacross (below — any body
+// that writes y(i) and reads only offsets j < i, checked in debug
+// builds), LinearDoacross (whose rows commit to a ynew shadow and whose
+// `post` hook copies it back) and the unplanned sparse trisolves
+// (sparse/par_trisolve.hpp).
 #pragma once
 
 #include <atomic>
 #include <cassert>
 #include <chrono>
+#include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "core/doacross_stats.hpp"
 #include "core/ready_table.hpp"
+#include "core/walk.hpp"
 #include "runtime/aligned.hpp"
 #include "runtime/barrier.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace pdx::core {
 
-/// Accessor for the Figure 2 executor: reads wait on the producer's flag
-/// and then load y directly (writes are published by the release flag).
-template <class T, class Ready>
-class SimpleIteration {
- public:
-  SimpleIteration(index_t i, const Ready* ready, T* y,
-                  std::uint64_t* wait_episodes,
-                  std::uint64_t* wait_rounds) noexcept
-      : i_(i),
-        acc_(),
-        ready_(ready),
-        y_(y),
-        wait_episodes_(wait_episodes),
-        wait_rounds_(wait_rounds) {}
-
-  index_t index() const noexcept { return i_; }
-  index_t lhs_index() const noexcept { return i_; }
-
-  /// The value being computed for y(i); committed by the executor.
-  T& lhs() noexcept { return acc_; }
-
-  /// Read y(j) for j < i: wait until iteration j is DONE (paper S1).
-  T read(index_t j) noexcept {
-    assert(j < i_ && "Figure 2 form requires b(i) < i (true dependences)");
-    const std::uint64_t rounds = ready_->wait_done(j);
-    if (rounds != 0) {
-      ++*wait_episodes_;
-      *wait_rounds_ += rounds;
-    }
-    return y_[j];
-  }
-
-  /// Read y(i)'s old value (no wait; the writer is this iteration).
-  T read_own() const noexcept { return y_[i_]; }
-
- private:
-  const index_t i_;
-  T acc_;
-  const Ready* ready_;
-  const T* y_;
-  std::uint64_t* wait_episodes_;
-  std::uint64_t* wait_rounds_;
+/// Anything that provides the ready-flag protocol of core/ready_table.hpp.
+template <class R>
+concept ReadyTableLike = requires(R r, const R cr, index_t i) {
+  r.ensure_size(i);
+  r.begin_epoch();
+  r.mark_done(i);
+  { cr.wait_done(i) } -> std::convertible_to<std::uint64_t>;
+  r.clear(i);
 };
 
 struct SimpleDoacrossOptions {
@@ -86,17 +60,20 @@ struct SimpleDoacrossOptions {
   const index_t* order = nullptr;
 };
 
-/// Execute `for i in [0, n): y[i] = body(i, reads of y[j<i])` in parallel
-/// (paper Fig. 2). `ready` is reused across calls (reset during the
-/// postprocessing sweep). Results are bitwise equal to sequential
-/// execution.
-template <class T, class Ready = DenseReadyTable, class Body>
-DoacrossStats simple_doacross(rt::ThreadPool& pool, index_t n,
-                              std::span<T> y, Ready& ready, Body&& body,
-                              const SimpleDoacrossOptions& opts = {}) {
-  if (static_cast<index_t>(y.size()) < n) {
-    throw std::invalid_argument("simple_doacross: y too small");
-  }
+/// The Figure 2 executor: one fork/join region that runs row i at each of
+/// n positions (`opts.order[k]`, else k, or n-1-k when `reverse`) under
+/// `opts.schedule`, then publishes it with `ready.mark_done(i)`.
+/// `row(i, wait)` computes row i; it calls `wait(j)` before reading the
+/// value of row j, which blocks until j is published and tallies the wait
+/// into the returned stats. The postprocessing sweep (paper Fig. 3) then
+/// calls `post(i)`, when given, and resets each flag. An epoch-reset table
+/// already invalidated every flag in begin_epoch(), so without a `post`
+/// the sweep and the barrier fencing it are elided at compile time.
+template <ReadyTableLike Ready, class Row, class Post = std::nullptr_t>
+DoacrossStats doacross_rows(rt::ThreadPool& pool, index_t n, bool reverse,
+                            Ready& ready, const SimpleDoacrossOptions& opts,
+                            const Row& row, const Post& post = nullptr) {
+  constexpr bool kPost = !std::is_null_pointer_v<Post>;
   DoacrossStats stats;
   if (n == 0) return stats;
 
@@ -110,31 +87,28 @@ DoacrossStats simple_doacross(rt::ThreadPool& pool, index_t n,
 
   using clock = std::chrono::steady_clock;
   clock::time_point t0, t1, t2;
-  const index_t* order = opts.order;
-  T* yp = y.data();
 
   pool.parallel_region(nth, [&](unsigned tid, unsigned nthreads) {
     barrier.arrive_and_wait();  // rendezvous: exclude pool wake-up
     if (tid == 0) t0 = clock::now();
 
-    std::uint64_t my_episodes = 0, my_rounds = 0;
+    TallyWait<Ready> wait{&ready};
     // noexcept: see DoacrossEngine::run — fail fast over deadlock.
-    auto run_one = [&](index_t k) noexcept {
-      const index_t i = order ? order[k] : k;
-      SimpleIteration<T, Ready> it(i, &ready, yp, &my_episodes, &my_rounds);
-      body(it);
-      yp[i] = it.lhs();
-      ready.mark_done(i);  // paper S3; release-publishes the y store
-    };
-    rt::schedule_run(opts.schedule, n, tid, nthreads, &cursor, run_one);
-    episodes[tid].value = my_episodes;
-    rounds[tid].value = my_rounds;
+    flag_walk(opts.schedule, n, tid, nthreads, &cursor, opts.order, reverse,
+              ready, [&](index_t, index_t i) noexcept { row(i, wait); });
+    episodes[tid].value = wait.episodes;
+    rounds[tid].value = wait.rounds;
     barrier.arrive_and_wait();
     if (tid == 0) t1 = clock::now();
 
-    const rt::IterRange post = rt::static_block_range(n, tid, nthreads);
-    for (index_t i = post.begin; i < post.end; ++i) ready.clear(i);
-    barrier.arrive_and_wait();
+    if constexpr (kPost || !kEpochResetV<Ready>) {
+      const rt::IterRange part = rt::static_block_range(n, tid, nthreads);
+      for (index_t i = part.begin; i < part.end; ++i) {
+        if constexpr (kPost) post(i);
+        ready.clear(i);
+      }
+      barrier.arrive_and_wait();
+    }
     if (tid == 0) t2 = clock::now();
   });
 
@@ -145,6 +119,58 @@ DoacrossStats simple_doacross(rt::ThreadPool& pool, index_t n,
     stats.wait_rounds += rounds[t].value;
   }
   return stats;
+}
+
+/// Accessor for the Figure 2 executor: reads wait on the producer's flag
+/// and then load y directly (writes are published by the release flag).
+template <class T, class Wait>
+class SimpleIteration {
+ public:
+  SimpleIteration(index_t i, Wait& wait, const T* y) noexcept
+      : i_(i), acc_(), wait_(&wait), y_(y) {}
+
+  index_t index() const noexcept { return i_; }
+  index_t lhs_index() const noexcept { return i_; }
+
+  /// The value being computed for y(i); committed by the executor.
+  T& lhs() noexcept { return acc_; }
+
+  /// Read y(j) for j < i: wait until iteration j is DONE (paper S1).
+  T read(index_t j) noexcept {
+    assert(j < i_ && "Figure 2 form requires b(i) < i (true dependences)");
+    (*wait_)(j);
+    return y_[j];
+  }
+
+  /// Read y(i)'s old value (no wait; the writer is this iteration).
+  T read_own() const noexcept { return y_[i_]; }
+
+ private:
+  const index_t i_;
+  T acc_;
+  Wait* wait_;
+  const T* y_;
+};
+
+/// Execute `for i in [0, n): y[i] = body(i, reads of y[j<i])` in parallel
+/// (paper Fig. 2). `ready` is reused across calls (reset during the
+/// postprocessing sweep, or by the next call's begin_epoch). Results are
+/// bitwise equal to sequential execution.
+template <class T, ReadyTableLike Ready = DenseReadyTable, class Body>
+DoacrossStats simple_doacross(rt::ThreadPool& pool, index_t n,
+                              std::span<T> y, Ready& ready, Body&& body,
+                              const SimpleDoacrossOptions& opts = {}) {
+  if (n < 0) throw std::invalid_argument("simple_doacross: negative n");
+  if (static_cast<index_t>(y.size()) < n) {
+    throw std::invalid_argument("simple_doacross: y too small");
+  }
+  T* yp = y.data();
+  return doacross_rows(pool, n, false, ready, opts,
+                       [&](index_t i, TallyWait<Ready>& wait) noexcept {
+                         SimpleIteration<T, TallyWait<Ready>> it(i, wait, yp);
+                         body(it);
+                         yp[i] = it.lhs();
+                       });
 }
 
 /// Sequential reference for the Figure 2 form.

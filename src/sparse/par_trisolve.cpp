@@ -2,6 +2,9 @@
 
 #include <chrono>
 
+#include "core/walk.hpp"
+#include "runtime/barrier.hpp"
+
 namespace pdx::sparse {
 
 core::DoacrossStats trisolve_levelsched(rt::ThreadPool& pool, const Csr& l,
@@ -30,24 +33,13 @@ core::DoacrossStats trisolve_levelsched(rt::ThreadPool& pool, const Csr& l,
   pool.parallel_region(nth, [&](unsigned tid, unsigned nthreads_in) {
     barrier.arrive_and_wait();  // rendezvous: exclude pool wake-up
     if (tid == 0) t0 = clock::now();
-    for (index_t lvl = 0; lvl < reorder.num_levels(); ++lvl) {
-      const index_t lo = reorder.level_ptr[static_cast<std::size_t>(lvl)];
-      const index_t hi = reorder.level_ptr[static_cast<std::size_t>(lvl) + 1];
-      const rt::IterRange r =
-          rt::static_block_range(hi - lo, tid, nthreads_in);
-      for (index_t k = lo + r.begin; k < lo + r.end; ++k) {
-        const index_t i = reorder.order[static_cast<std::size_t>(k)];
-        double acc = rhs_p[i];
-        const index_t k_end = l.row_end(i) - 1;
-        for (index_t kk = l.row_begin(i); kk < k_end; ++kk) {
-          acc -= l.val[static_cast<std::size_t>(kk)] *
-                 yp[l.idx[static_cast<std::size_t>(kk)]];
-          if (work_reps > 0) acc = machine_emulation_work(acc, work_reps);
-        }
-        yp[i] = acc / l.val[static_cast<std::size_t>(k_end)];
-      }
-      barrier.arrive_and_wait();  // wavefront boundary
-    }
+    core::NoWait wait;
+    core::level_walk(reorder, tid, nthreads_in, barrier,
+                     [&](index_t pos, index_t) noexcept {
+                       lower_row(l, rhs_p, yp, work_reps,
+                                 reorder.order[static_cast<std::size_t>(pos)],
+                                 wait);
+                     });
     if (tid == 0) t1 = clock::now();
   });
 

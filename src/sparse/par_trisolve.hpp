@@ -21,28 +21,25 @@
 //
 // All three produce bitwise-identical results to trisolve_lower_seq.
 // Beside them live trisolve_doacross_multi (the Table 1 harness) and
-// trisolve_upper_doacross (plan_reuse's "unplanned" row). The three
-// doacross entry points differ only in their row body: each validates its
-// arguments and hands that body to the one executor, doacross_rows. Like
-// the core paper engines, the rows are noexcept, so a throw terminates
-// the process instead of leaving peers spinning on a flag that is never
-// set. These unplanned executors serve the paper-reproduction benches;
-// production solves run through sparse::TrisolvePlan.
+// trisolve_upper_doacross (plan_reuse's "unplanned" row). This file holds
+// only validation and row bodies: the doacross entry points run on the
+// Figure 2 executor, core::doacross_rows (core/simple_doacross.hpp), and
+// trisolve_levelsched on core::level_walk — the walks DagPlan runs too.
+// Both lower solves share one row body, lower_row. Like the core paper
+// engines, the rows are noexcept, so a throw terminates the process
+// instead of leaving peers spinning on a flag that is never set. These
+// unplanned executors serve the paper-reproduction benches; production
+// solves run through sparse::TrisolvePlan.
 #pragma once
 
-#include <atomic>
-#include <chrono>
-#include <concepts>
-#include <cstdint>
+#include <cstddef>
 #include <span>
 #include <stdexcept>
-#include <vector>
 
 #include "core/doacross_stats.hpp"
 #include "core/doconsider.hpp"
 #include "core/ready_table.hpp"
-#include "runtime/aligned.hpp"
-#include "runtime/barrier.hpp"
+#include "core/simple_doacross.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/trisolve.hpp"
@@ -60,90 +57,33 @@ struct TrisolveOptions {
   int work_reps = 0;
 };
 
-/// Anything that provides the ready-flag protocol of core/ready_table.hpp.
-template <class R>
-concept ReadyTableLike = requires(R r, const R cr, index_t i) {
-  r.ensure_size(i);
-  r.begin_epoch();
-  r.mark_done(i);
-  { cr.wait_done(i) } -> std::convertible_to<std::uint64_t>;
-  r.clear(i);
-};
-
-/// The unplanned preprocessed-doacross executor behind every entry point
-/// below: one fork/join region that solves row i at each of n positions
-/// (`opts.order[k]`, else k, or n-1-k when `reverse`) under
-/// `opts.schedule`, then publishes it with `ready.mark_done(i)`.
-/// `row(i, wait)` computes row i; it calls `wait(c)` before reading the
-/// value of row c, which blocks until c is published and tallies the
-/// wait into the returned stats.
-template <ReadyTableLike Ready, class Row>
-core::DoacrossStats doacross_rows(rt::ThreadPool& pool, index_t n,
-                                  bool reverse, Ready& ready,
-                                  const TrisolveOptions& opts,
-                                  const Row& row) {
-  core::DoacrossStats stats;
-  if (n == 0) return stats;
-
-  const unsigned nth = pool.clamp_threads(opts.nthreads);
-  ready.ensure_size(n);
-  ready.begin_epoch();
-
-  rt::Barrier barrier(nth);
-  std::atomic<index_t> cursor{0};
-  std::vector<rt::Padded<std::uint64_t>> episodes(nth), rounds(nth);
-
-  using clock = std::chrono::steady_clock;
-  clock::time_point t0, t1, t2;
-  const index_t* order = opts.order;
-
-  pool.parallel_region(nth, [&](unsigned tid, unsigned nthreads) {
-    barrier.arrive_and_wait();  // rendezvous: exclude pool wake-up
-    if (tid == 0) t0 = clock::now();
-
-    std::uint64_t my_episodes = 0, my_rounds = 0;
-    const auto wait = [&](index_t c) noexcept {
-      const std::uint64_t r = ready.wait_done(c);
-      if (r != 0) {
-        ++my_episodes;
-        my_rounds += r;
-      }
-    };
-    // noexcept: see DoacrossEngine::run — fail fast over deadlock.
-    auto solve_row = [&](index_t k) noexcept {
-      const index_t i = order ? order[k] : reverse ? n - 1 - k : k;
-      row(i, wait);
-      ready.mark_done(i);  // release-publishes the row's stores
-    };
-    rt::schedule_run(opts.schedule, n, tid, nthreads, &cursor, solve_row);
-    episodes[tid].value = my_episodes;
-    rounds[tid].value = my_rounds;
-    barrier.arrive_and_wait();
-    if (tid == 0) t1 = clock::now();
-
-    // Postprocessing (paper Fig. 3): reset the flags for reuse. An
-    // epoch-reset table already invalidated everything in begin_epoch(),
-    // so the sweep and the barrier fencing it are elided at compile time.
-    if constexpr (!core::kEpochResetV<Ready>) {
-      const rt::IterRange post = rt::static_block_range(n, tid, nthreads);
-      for (index_t i = post.begin; i < post.end; ++i) ready.clear(i);
-      barrier.arrive_and_wait();
-    }
-    if (tid == 0) t2 = clock::now();
-  });
-
-  stats.execute_seconds = std::chrono::duration<double>(t1 - t0).count();
-  stats.post_seconds = std::chrono::duration<double>(t2 - t1).count();
-  for (unsigned t = 0; t < nth; ++t) {
-    stats.wait_episodes += episodes[t].value;
-    stats.wait_rounds += rounds[t].value;
+/// Row i of the lower solve: `wait(c)` before each read of y[c], the
+/// off-diagonal terms in stored order, then the divide by the diagonal
+/// (stored last). trisolve_doacross passes a flag wait and
+/// trisolve_levelsched core::NoWait; both equal trisolve_lower_seq's row.
+template <class Wait>
+inline void lower_row(const Csr& l, const double* rhs, double* y,
+                      int work_reps, index_t i, Wait& wait) noexcept {
+  double acc = rhs[i];
+  const index_t k_end = l.row_end(i) - 1;  // diagonal last
+  for (index_t kk = l.row_begin(i); kk < k_end; ++kk) {
+    const index_t c = l.idx[static_cast<std::size_t>(kk)];
+    wait(c);
+    acc -= l.val[static_cast<std::size_t>(kk)] * y[c];
+    if (work_reps > 0) acc = machine_emulation_work(acc, work_reps);
   }
-  return stats;
+  y[i] = acc / l.val[static_cast<std::size_t>(k_end)];
+}
+
+/// The Figure 2 executor's view of the options (work_reps is the rows').
+inline core::SimpleDoacrossOptions executor_options(
+    const TrisolveOptions& o) noexcept {
+  return {.nthreads = o.nthreads, .schedule = o.schedule, .order = o.order};
 }
 
 /// Preprocessed-doacross lower solve. L must be lower triangular, sorted,
 /// diagonal stored last in each row.
-template <ReadyTableLike Ready = core::DenseReadyTable>
+template <core::ReadyTableLike Ready = core::DenseReadyTable>
 core::DoacrossStats trisolve_doacross(rt::ThreadPool& pool, const Csr& l,
                                       std::span<const double> rhs,
                                       std::span<double> y,
@@ -157,18 +97,10 @@ core::DoacrossStats trisolve_doacross(rt::ThreadPool& pool, const Csr& l,
   const double* rhs_p = rhs.data();
   double* yp = y.data();
   const int work_reps = opts.work_reps;
-  return doacross_rows(
-      pool, l.rows, false, ready, opts,
-      [&](index_t i, const auto& wait) noexcept {
-        double acc = rhs_p[i];
-        const index_t k_end = l.row_end(i) - 1;  // diagonal last
-        for (index_t kk = l.row_begin(i); kk < k_end; ++kk) {
-          const index_t c = l.idx[static_cast<std::size_t>(kk)];
-          wait(c);
-          acc -= l.val[static_cast<std::size_t>(kk)] * yp[c];
-          if (work_reps > 0) acc = machine_emulation_work(acc, work_reps);
-        }
-        yp[i] = acc / l.val[static_cast<std::size_t>(k_end)];
+  return core::doacross_rows(
+      pool, l.rows, false, ready, executor_options(opts),
+      [&](index_t i, auto& wait) noexcept {
+        lower_row(l, rhs_p, yp, work_reps, i, wait);
       });
 }
 
@@ -187,7 +119,7 @@ inline core::DoacrossStats trisolve_doacross(rt::ThreadPool& pool,
 /// all nrhs values of that row; per-row work scales by nrhs while the
 /// synchronization cost stays fixed — the work/overhead knob used by the
 /// Table 1 harness. Bitwise equal to trisolve_lower_seq_multi.
-template <ReadyTableLike Ready = core::DenseReadyTable>
+template <core::ReadyTableLike Ready = core::DenseReadyTable>
 core::DoacrossStats trisolve_doacross_multi(rt::ThreadPool& pool,
                                             const Csr& l,
                                             std::span<const double> rhs,
@@ -202,9 +134,9 @@ core::DoacrossStats trisolve_doacross_multi(rt::ThreadPool& pool,
   }
   const double* rhs_p = rhs.data();
   double* yp = y.data();
-  return doacross_rows(
-      pool, l.rows, false, ready, opts,
-      [&](index_t i, const auto& wait) noexcept {
+  return core::doacross_rows(
+      pool, l.rows, false, ready, executor_options(opts),
+      [&](index_t i, auto& wait) noexcept {
         double* yi = yp + i * nrhs;
         const double* bi = rhs_p + i * nrhs;
         for (index_t r = 0; r < nrhs; ++r) yi[r] = bi[r];
@@ -227,7 +159,7 @@ core::DoacrossStats trisolve_doacross_multi(rt::ThreadPool& pool,
 /// first); `opts.order` may supply an upper_solve_reordering. Off-diagonal
 /// accumulation runs in ascending column order, exactly like
 /// trisolve_upper_seq, so results are bitwise identical.
-template <ReadyTableLike Ready = core::DenseReadyTable>
+template <core::ReadyTableLike Ready = core::DenseReadyTable>
 core::DoacrossStats trisolve_upper_doacross(rt::ThreadPool& pool,
                                             const Csr& u,
                                             std::span<const double> rhs,
@@ -240,9 +172,9 @@ core::DoacrossStats trisolve_upper_doacross(rt::ThreadPool& pool,
   }
   const double* rhs_p = rhs.data();
   double* yp = y.data();
-  return doacross_rows(
-      pool, u.rows, true, ready, opts,
-      [&](index_t i, const auto& wait) noexcept {
+  return core::doacross_rows(
+      pool, u.rows, true, ready, executor_options(opts),
+      [&](index_t i, auto& wait) noexcept {
         double acc = rhs_p[i];
         const index_t k_diag = u.row_begin(i);  // diagonal first
         for (index_t kk = k_diag + 1; kk < u.row_end(i); ++kk) {

@@ -120,7 +120,7 @@ TEST(LinearDoacross, AllSchedulesAgree) {
         rt::Schedule::dynamic(32)}) {
     std::vector<double> y_lin = gen::make_initial_y(tl);
     core::LinearDoacross<double> eng(pool());
-    core::LinearOptions opts;
+    core::SimpleDoacrossOptions opts;
     opts.schedule = sched;
     eng.run({.c = 2, .d = tl.base, .n = tl.params.n}, std::span<double>(y_lin),
             [&tl](auto& it) { gen::test_loop_body(tl, it); }, opts);
@@ -139,6 +139,13 @@ TEST(LinearDoacross, RejectsBadArguments) {
   EXPECT_THROW(eng.run({.c = 4, .d = 0, .n = 5}, std::span<double>(y),
                        [](auto&) {}),
                std::invalid_argument);  // written extent 17 > y.size()
+  std::vector<double> y6(6);
+  EXPECT_THROW(eng.run({.c = 2, .d = -1, .n = 4}, std::span<double>(y6),
+                       [](auto&) {}),
+               std::invalid_argument);  // iteration 0 would write y[-1]
+  EXPECT_THROW(eng.run({.c = 1, .d = 0, .n = -1}, std::span<double>(y),
+                       [](auto&) {}),
+               std::invalid_argument);
 }
 
 TEST(LinearDoacross, EpochReadyVariantReusable) {
