@@ -110,8 +110,10 @@ std::vector<CgRow> cg_lockstep_rows(rt::ThreadPool& pool, const sp::Csr& a,
                                     index_t max_k, int reps, bool& exact) {
   const index_t n = a.rows;
   const std::size_t nn = static_cast<std::size_t>(n);
-  const solve::DoacrossIlu0Preconditioner m(pool, a, /*reorder=*/true,
-                                            /*nthreads=*/1);
+  const solve::DoacrossIlu0Preconditioner m(
+      pool, a,
+      sp::PlanOptions{.nthreads = 1, .strategy = sp::ExecutionStrategy::kAuto},
+      sp::FactorPlanOptions{.nthreads = 1});
   solve::CgOptions opts;
   opts.record_history = false;
 

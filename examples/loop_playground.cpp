@@ -2,7 +2,8 @@
 //
 // Runs the Fig. 4 test loop for user-chosen N, M, L, and thread count and
 // prints the dependence profile and parallel efficiency, so you can watch
-// the odd/even-L dichotomy and the distance effect by hand.
+// the odd/even-L dichotomy and the distance effect by hand. Exits 1 when
+// the parallel result differs from the sequential loop in any bit.
 //
 // Usage:  ./examples/loop_playground [N] [M] [L] [threads] [work_reps]
 #include <cstdio>
@@ -56,6 +57,7 @@ int main(int argc, char** argv) {
                          y = tl.y0;
                          gen::run_test_loop_seq(tl, y);
                        })).min;
+  const std::vector<double> y_seq = y;
 
   pdx::rt::ThreadPool pool(threads);
   core::DoacrossEngine<double> eng(pool, tl.value_space);
@@ -86,5 +88,14 @@ int main(int argc, char** argv) {
   std::printf("  speedup          %10.2f\n", bench::speedup(t_seq, t_par));
   std::printf("  efficiency       %10.3f   (paper metric T_seq/(p*T_par))\n",
               bench::parallel_efficiency(t_seq, t_par, threads));
-  return 0;
+
+  std::size_t mismatch = 0;
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    if (y[i] != y_seq[i]) ++mismatch;
+  }
+  std::printf("\nresults %s\n", mismatch == 0
+                                    ? "match the sequential loop exactly "
+                                      "(bitwise)"
+                                    : "MISMATCH");
+  return mismatch == 0 ? 0 : 1;
 }

@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   run(solve::IdentityPreconditioner{}, "none");
   run(solve::JacobiPreconditioner{a}, "jacobi");
   run(solve::Ilu0Preconditioner{a}, "ilu0 (sequential)");
-  run(solve::DoacrossIlu0Preconditioner{pool, a, /*reorder=*/true},
+  run(solve::DoacrossIlu0Preconditioner{pool, a},
       "ilu0 (doacross)");
 
   std::printf(

@@ -87,7 +87,9 @@ ScheduleAdvice advise_schedule(const DepGraph& g, unsigned procs) {
 namespace {
 
 /// One decision ladder serves both the solve and the factorization
-/// advisors; only the thresholds and the rationale wording differ.
+/// advisors; only the thresholds and the rationale wording differ. It
+/// names a strategy only: the plan's executor core fixes the flag walk's
+/// schedule and order itself (core::DagPlan).
 /// The factorization's looser thresholds encode its heavier rows —
 /// every elimination row does ~nnz/row of a solve row's work, so
 /// synchronization amortizes sooner (serial cutoff 1.2 vs 1.5, a
@@ -112,7 +114,6 @@ ScheduleAdvice advise_trisolve_shaped(const TrisolveStructure& s,
   a.max_distance = s.max_distance;
 
   if (s.n == 0) {
-    a.schedule = rt::Schedule::static_block();
     a.worth_parallelizing = false;
     a.strategy = ExecStrategy::kSerial;
     a.rationale = l.empty_rationale;
@@ -120,7 +121,6 @@ ScheduleAdvice advise_trisolve_shaped(const TrisolveStructure& s,
   }
 
   if (procs == 1) {
-    a.schedule = rt::Schedule::static_block();
     a.worth_parallelizing = false;
     a.strategy = ExecStrategy::kSerial;
     a.rationale = l.one_proc_rationale;
@@ -131,7 +131,6 @@ ScheduleAdvice advise_trisolve_shaped(const TrisolveStructure& s,
   // the critical path is the whole loop; flags or barriers only slow
   // the one thread doing real work.
   if (s.avg_level_width < l.serial_width) {
-    a.schedule = rt::Schedule::static_block();
     a.worth_parallelizing = false;
     a.strategy = ExecStrategy::kSerial;
     a.rationale = l.serial_rationale;
@@ -145,8 +144,6 @@ ScheduleAdvice advise_trisolve_shaped(const TrisolveStructure& s,
   const double wide =
       std::max(4.0, l.wide_per_proc * static_cast<double>(procs));
   if (s.avg_level_width >= wide) {
-    a.schedule = rt::Schedule::static_block();  // within each wavefront
-    a.use_reordering = true;                    // level order IS the order
     a.strategy = ExecStrategy::kLevelBarrier;
     a.rationale = l.level_rationale;
     return a;
@@ -155,8 +152,6 @@ ScheduleAdvice advise_trisolve_shaped(const TrisolveStructure& s,
   // Moderate level widths: the flag-based doacross in doconsider order
   // pipelines across wavefronts where barriers would serialize on the
   // narrow levels (Table 1).
-  a.schedule = rt::Schedule::dynamic(1);
-  a.use_reordering = true;
   a.strategy = ExecStrategy::kDoacross;
   a.rationale = l.doacross_rationale;
   return a;

@@ -78,8 +78,10 @@ struct TrisolveStructure {
 };
 
 struct ScheduleAdvice {
+  /// Recommended executor schedule and doconsider (level) order use —
+  /// the DepGraph advice only; the TrisolveStructure advice names a
+  /// strategy and leaves them at their defaults.
   rt::Schedule schedule;
-  /// Recommend executing in doconsider (level) order.
   bool use_reordering = false;
   /// Whether parallel execution is expected to beat sequential at all.
   bool worth_parallelizing = true;

@@ -12,6 +12,11 @@ DagPlan::DagPlan(rt::ThreadPool& pool, index_t n, unsigned dags,
                  const DagPlanConfig& cfg, ExecTelemetry& tel)
     : pool_(&pool),
       cfg_(cfg),
+      // Auto keeps the advisor's canonical flag-walk issue — dynamic
+      // single-iteration, the same for raced epochs and cache hits; a
+      // pinned doacross plan claims dynamic chunks of the default size.
+      schedule_(cfg.strategy == ExecStrategy::kAuto ? rt::Schedule::dynamic(1)
+                                                     : rt::Schedule::dynamic()),
       tel_(&tel),
       n_(n),
       nth_(pool.clamp_threads(cfg.nthreads)),
@@ -39,10 +44,6 @@ void DagPlan::decide(const TrisolveStructure& s, const ScheduleAdvice& advice) {
   // only decides which strategy explores first.
   tel_->strategy = advice.strategy;
   tel_->rationale = advice.rationale;
-  if (advice.strategy == ExecStrategy::kDoacross) {
-    cfg_.schedule = advice.schedule;
-    cfg_.reorder = advice.use_reordering;
-  }
   set_guard();
   // Empirical calibration (DESIGN.md §13). The heuristic ladder sees DAG
   // shape, never synchronization cost on the actual machine, and the
@@ -139,15 +140,14 @@ void DagPlan::lock_in_order() {
 }
 
 bool DagPlan::needs_order() const noexcept {
-  // Level-barrier executes the levels themselves; doacross uses the order
-  // only when asked to; the wavefront walk is a serial walk over them. A
-  // running race keeps the orders alive — the level-barrier and doacross
-  // candidates and the wavefront candidate need them; the winner drops
-  // what it does not use at lock-in.
+  // Level-barrier executes the levels themselves, doacross claims
+  // positions in doconsider order, and the wavefront walk is a serial
+  // walk over them. A running race keeps the orders alive — the
+  // level-barrier and doacross candidates and the wavefront candidate
+  // need them; the winner drops what it does not use at lock-in.
   return calibrating() || order_race_.active() ||
          tel_->order == WalkOrder::kWavefront ||
-         tel_->strategy == ExecStrategy::kLevelBarrier ||
-         (tel_->strategy == ExecStrategy::kDoacross && cfg_.reorder);
+         tel_->strategy != ExecStrategy::kSerial;
 }
 
 void DagPlan::set_guard() noexcept {
@@ -156,13 +156,6 @@ void DagPlan::set_guard() noexcept {
 
 void DagPlan::set_strategy_state(ExecStrategy s) {
   tel_->strategy = s;
-  if (s == ExecStrategy::kDoacross && cfg_.strategy == ExecStrategy::kAuto) {
-    // The advisor's canonical flag-based configuration: dynamic
-    // single-iteration issue in doconsider order. Fixing it here keeps
-    // raced doacross epochs and cache-hit plans configured identically.
-    cfg_.schedule = rt::Schedule::dynamic(1);
-    cfg_.reorder = true;
-  }
   set_guard();
 }
 

@@ -106,10 +106,6 @@ struct DagPlanConfig {
   /// Region width; 0 → the pool's full width.
   unsigned nthreads = 0;
   ExecStrategy strategy = ExecStrategy::kAuto;
-  /// Flag-walk schedule and doconsider use (kDoacross; the advisor owns
-  /// both under kAuto).
-  rt::Schedule schedule = rt::Schedule::dynamic();
-  bool reorder = true;
   int calibration_epochs = 2;
   bool use_tuning_cache = true;
   std::uint64_t stall_budget = 0;
@@ -126,9 +122,10 @@ struct DagPlanConfig {
 };
 
 /// One dependence DAG a plan walks: ready flags, the dynamic-claim
-/// cursor, and the optional doconsider order. Without an order the flag
-/// walk visits rows in natural order — rows 0..n-1, or n-1..0 for a
-/// `reverse` DAG (a backward solve); the serial walk always does.
+/// cursor, and the doconsider order. The flag and level walks always run
+/// the order; the serial walk runs natural order — rows 0..n-1, or
+/// n-1..0 for a `reverse` DAG (a backward solve) — unless a single-RHS
+/// body takes the wavefront walk over the order.
 struct Dag {
   EpochReadyTable ready;
   std::unique_ptr<Reordering> order;
@@ -194,19 +191,22 @@ class DagPlan {
   void arm_order_race(const TrisolveStructure& s);
 
   /// Whether the current strategy (or a running race) executes through
-  /// the DAGs' doconsider orders.
+  /// the DAGs' doconsider orders: every parallel walk does.
   bool needs_order() const noexcept;
 
   // --- the walks (called inside a region on every participating thread)
   //
   // Each walk instantiation is its own function, and takes its body by
-  // value, so the row body, its source and any lookahead state inline
-  // into the loop and live in registers. A plan instantiates a dozen
-  // walks from one call site; inlined there they exhaust the inliner's
-  // budget and leave per-row calls behind.
+  // value. A plan instantiates a dozen walks from one call site; inlined
+  // there they exhaust the inliner's budget and leave per-row calls
+  // behind. The level and serial walks inline the row body, its source
+  // and any lookahead state into their loop. The flag walk inlines them
+  // into flag_walk's position lambda, which GCC keeps out of line:
+  // rt::schedule_run calls it from one loop per schedule kind, so each
+  // claimed position costs one call.
 
-  /// Flag walk: positions claimed by the schedule, each row waiting on
-  /// its producers' flags and marked done after its body.
+  /// Flag walk: doconsider positions claimed by schedule(), each row
+  /// waiting on its producers' flags and marked done after its body.
   template <class Body>
   [[gnu::noinline]] void walk_flags(Dag& d, unsigned tid, unsigned nthreads,
                                     Body body);
@@ -228,8 +228,8 @@ class DagPlan {
   /// Run `d` under the current strategy with a body addressed by ROW —
   /// `body(row, wait)` — for bodies that need no per-walk row source
   /// (FactorPlan's elimination row): each walk maps its positions to rows
-  /// (flag and level walks through the order when present, the serial
-  /// walk in source order — the order race is a single-RHS solve's).
+  /// (flag and level walks through the order, the serial walk in source
+  /// order — the order race is a single-RHS solve's).
   template <class RowBody>
   void walk_rows(Dag& d, unsigned tid, unsigned nthreads, RowBody body);
   /// Between two DAG walks of one region: the flag walk ends without a
@@ -280,6 +280,9 @@ class DagPlan {
   rt::ThreadPool& pool() const noexcept { return *pool_; }
   unsigned nthreads() const noexcept { return nth_; }
   ExecStrategy strategy() const noexcept { return tel_->strategy; }
+  /// The flag walk's schedule, fixed at construction: dynamic/1 for an
+  /// Auto plan, dynamic with the default chunk for a pinned one.
+  const rt::Schedule& schedule() const noexcept { return schedule_; }
   bool calibrating() const noexcept { return strategy_race_.active(); }
   /// True while the order race explores. It never holds back settled():
   /// only single-RHS runs on the calling thread feed it, and run_inline
@@ -303,9 +306,8 @@ class DagPlan {
   }
 
  private:
-  /// Point the core at strategy `s`: telemetry, the doacross executor
-  /// configuration (the advisor's canonical dynamic/1 + doconsider order
-  /// under kAuto), and the wait-guard site name.
+  /// Point the core at strategy `s`: telemetry and the wait-guard site
+  /// name.
   void set_strategy_state(ExecStrategy s);
   void set_guard() noexcept;
   /// Lock in the strategy race's winner: rationale, TuningCache, the
@@ -322,6 +324,7 @@ class DagPlan {
 
   rt::ThreadPool* pool_;
   DagPlanConfig cfg_;
+  rt::Schedule schedule_;
   ExecTelemetry* tel_;
   index_t n_;
   unsigned nth_;
@@ -361,8 +364,8 @@ void DagPlan::walk_flags(Dag& d, unsigned tid, unsigned nthreads,
   // sequential loop's.
   rt::FaultInjector* const inj = injector_;
   FlagWait wait{&d.ready, &guard_};
-  flag_walk(cfg_.schedule, n_, tid, nthreads, &d.cursor, d.order_data(),
-            d.reverse, d.ready, [&](index_t pos, index_t row) {
+  flag_walk(schedule_, n_, tid, nthreads, &d.cursor, d.order_data(),
+            /*reverse=*/false, d.ready, [&](index_t pos, index_t row) {
               wait.row = row;
               if (inj) inj->on_row(tid, row, &latch_);
               body(pos, wait);
@@ -422,16 +425,15 @@ void DagPlan::walk_rows(Dag& d, unsigned tid, unsigned nthreads,
   const index_t* ord = d.order_data();
   const index_t last = n_ - 1;
   const bool reverse = d.reverse;
+  const auto by_order = [=](index_t pos, auto& wait) mutable {
+    body(ord[pos], wait);
+  };
   switch (tel_->strategy) {
     case ExecStrategy::kDoacross:
-      walk_flags(d, tid, nthreads, [=](index_t pos, FlagWait& wait) mutable {
-        body(ord ? ord[pos] : (reverse ? last - pos : pos), wait);
-      });
+      walk_flags(d, tid, nthreads, by_order);
       return;
     case ExecStrategy::kLevelBarrier:
-      walk_levels(d, tid, nthreads, [=](index_t pos, NoWait& wait) mutable {
-        body(ord[pos], wait);
-      });
+      walk_levels(d, tid, nthreads, by_order);
       return;
     case ExecStrategy::kSerial:
       walk_serial(d, tid, [=](index_t pos, NoWait& wait) mutable {

@@ -15,9 +15,11 @@
 //   TallyWait    the unguarded flag wait (paper Fig. 2 S1) with its
 //                episode/round tally
 //
-// The walks are always inlined: inside DagPlan's noinline walk_* members
-// they must stay one loop with the row body, whose state lives in
-// registers, not a call per row.
+// The walks are always inlined into their callers (DagPlan's noinline
+// walk_* members among them). level_walk's body inlines into its loop;
+// flag_walk's position lambda is called from rt::schedule_run's three
+// loops (one per schedule kind), so GCC keeps that lambda — the row body
+// inlined in it — out of line: one call per position.
 #pragma once
 
 #include <atomic>

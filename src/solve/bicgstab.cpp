@@ -124,8 +124,8 @@ SolveReport bicgstab(const sparse::Csr& a, std::span<const double> b,
 SolveReport bicgstab(rt::ThreadPool& pool, const sparse::Csr& a,
                      std::span<const double> b, std::span<double> x,
                      const BicgstabOptions& opts) {
-  const DoacrossIlu0Preconditioner m(pool, a, /*reorder=*/true,
-                                     /*nthreads=*/0, opts.strategy);
+  const DoacrossIlu0Preconditioner m(
+      pool, a, sparse::PlanOptions{.strategy = opts.strategy});
   return bicgstab(a, b, x, m, opts);
 }
 

@@ -197,8 +197,8 @@ SolveReport pcg(const sparse::Csr& a, std::span<const double> b,
 SolveReport pcg(rt::ThreadPool& pool, const sparse::Csr& a,
                 std::span<const double> b, std::span<double> x,
                 const CgOptions& opts) {
-  const DoacrossIlu0Preconditioner m(pool, a, /*reorder=*/true,
-                                     /*nthreads=*/0, opts.strategy);
+  const DoacrossIlu0Preconditioner m(
+      pool, a, sparse::PlanOptions{.strategy = opts.strategy});
   return pcg(a, b, x, m, opts);
 }
 

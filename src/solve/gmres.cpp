@@ -145,8 +145,8 @@ SolveReport gmres(const sparse::Csr& a, std::span<const double> b,
 SolveReport gmres(rt::ThreadPool& pool, const sparse::Csr& a,
                   std::span<const double> b, std::span<double> x,
                   const GmresOptions& opts) {
-  const DoacrossIlu0Preconditioner m(pool, a, /*reorder=*/true,
-                                     /*nthreads=*/0, opts.strategy);
+  const DoacrossIlu0Preconditioner m(
+      pool, a, sparse::PlanOptions{.strategy = opts.strategy});
   return gmres(a, b, x, m, opts);
 }
 

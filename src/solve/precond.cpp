@@ -52,23 +52,10 @@ void Ilu0Preconditioner::apply(std::span<const double> r,
 }
 
 DoacrossIlu0Preconditioner::DoacrossIlu0Preconditioner(
-    rt::ThreadPool& pool, const sparse::Csr& a, bool reorder,
-    unsigned nthreads, sparse::ExecutionStrategy strategy,
-    sparse::PlanLayout layout)
-    : DoacrossIlu0Preconditioner(
-          pool, a,
-          sparse::PlanOptions{.nthreads = nthreads,
-                              .reorder = reorder,
-                              .strategy = strategy,
-                              .layout = layout},
-          sparse::FactorPlanOptions{.nthreads = nthreads, .pivot = {}}) {}
-
-DoacrossIlu0Preconditioner::DoacrossIlu0Preconditioner(
     rt::ThreadPool& pool, const sparse::Csr& a,
     const sparse::PlanOptions& plan_opts,
     const sparse::FactorPlanOptions& factor_opts)
     : pool_(&pool),
-      nthreads_(plan_opts.nthreads),
       factor_opts_(factor_opts),
       f_(sparse::ilu0(a)),
       plan_(pool, f_.l, f_.u, plan_opts) {}
@@ -88,7 +75,7 @@ void DoacrossIlu0Preconditioner::refactor(const sparse::Csr& a) {
   }
   const sparse::FactorStats fs = fp->factorize(a, f_);
   if (fresh) factor_plan_ = std::move(fresh);
-  plan_.record_factorization(fs.factor_seconds * 1e3, fp->strategy());
+  plan_.record_factorization(fs.factor_seconds * 1e3);
   plan_.refresh_values(f_);
 }
 

@@ -84,29 +84,21 @@ class Ilu0Preconditioner final : public Preconditioner {
 /// strategy.
 class DoacrossIlu0Preconditioner final : public Preconditioner {
  public:
-  /// `reorder` steers the flag-based doacross executor only; under the
-  /// default kAuto the plan calibrates (races every strategy on the
-  /// first applications, locks in the measured winner, and consults the
-  /// process-wide tuning cache — DESIGN.md §13), so pass an explicit
-  /// strategy (e.g. kDoacross) when the reorder knob must be honored
-  /// literally. `layout` is the plan's factor layout: the default
-  /// follows the resolved strategy (kCsrView for serial plans, packed
-  /// execution-ordered first-touched slabs otherwise); pin kPacked or
-  /// kCsrView to override (DESIGN.md §10).
+  /// `plan_opts` configures the solve plan verbatim (width, strategy,
+  /// layout, calibration budget, tuning cache, stall watchdog);
+  /// `factor_opts` configures the persistent FactorPlan the first
+  /// refactor() builds. The default solve plan is Auto: it calibrates —
+  /// races every strategy on the first applications, locks in the
+  /// measured winner, and consults the process-wide tuning cache
+  /// (DESIGN.md §13) — and its layout follows the resolved strategy
+  /// (kCsrView for serial plans, packed execution-ordered first-touched
+  /// slabs otherwise; DESIGN.md §10). The solve layer's calibration
+  /// knobs (BatchDriverOptions) plumb through here.
   DoacrossIlu0Preconditioner(
-      rt::ThreadPool& pool, const sparse::Csr& a, bool reorder = true,
-      unsigned nthreads = 0,
-      sparse::ExecutionStrategy strategy = sparse::ExecutionStrategy::kAuto,
-      sparse::PlanLayout layout = sparse::PlanLayout::kAuto);
-
-  /// Full-options constructor: `plan_opts` configures the solve plan
-  /// verbatim (strategy, layout, calibration budget, tuning cache,
-  /// stall watchdog); `factor_opts` configures the persistent
-  /// FactorPlan the first refactor() builds. The solve layer's
-  /// calibration knobs (BatchDriverOptions) plumb through here.
-  DoacrossIlu0Preconditioner(rt::ThreadPool& pool, const sparse::Csr& a,
-                             const sparse::PlanOptions& plan_opts,
-                             const sparse::FactorPlanOptions& factor_opts);
+      rt::ThreadPool& pool, const sparse::Csr& a,
+      const sparse::PlanOptions& plan_opts =
+          {.strategy = sparse::ExecutionStrategy::kAuto},
+      const sparse::FactorPlanOptions& factor_opts = {});
   void apply(std::span<const double> r, std::span<double> z) const override;
   const char* name() const override { return "ilu0-doacross"; }
 
@@ -156,7 +148,6 @@ class DoacrossIlu0Preconditioner final : public Preconditioner {
   void apply_seq(std::span<const double> r, std::span<double> z) const;
 
   rt::ThreadPool* pool_;
-  unsigned nthreads_;
   sparse::FactorPlanOptions factor_opts_;  // for the lazy FactorPlan
   sparse::IluFactors f_;        // must outlive plan_ (declared first)
   mutable sparse::TrisolvePlan plan_;

@@ -9,10 +9,18 @@ namespace pdx::solve {
 
 namespace {
 
+/// `ms` milliseconds as a clock duration: NaN and values <= 0 map to
+/// zero, and large values — infinity included — saturate at a century,
+/// so `now() + d` stays far inside the clock's 64-bit nanosecond range
+/// (~292 years) instead of wrapping into the past.
 std::chrono::steady_clock::duration ms_duration(double ms) {
-  if (ms < 0.0) ms = 0.0;
-  return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-      std::chrono::duration<double, std::milli>(ms));
+  using Duration = std::chrono::steady_clock::duration;
+  constexpr Duration kMax =
+      std::chrono::duration_cast<Duration>(std::chrono::hours(24 * 365 * 100));
+  if (!(ms > 0.0)) return Duration::zero();
+  const std::chrono::duration<double, std::milli> d(ms);
+  if (d >= kMax) return kMax;
+  return std::chrono::duration_cast<Duration>(d);
 }
 
 double elapsed_ms(std::chrono::steady_clock::time_point from,

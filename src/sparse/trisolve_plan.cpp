@@ -30,7 +30,7 @@ void check_factor(const Csr& m, const char* what) {
 // execution-ordered record streams of DESIGN.md §10.
 
 /// kCsrView, lower factor: diagonal last in the sorted row. A null
-/// order means position == row (source order).
+/// order (the serial walk's source order) means position == row.
 struct CsrLowerSrc {
   const Csr* m;
   const index_t* order;
@@ -43,8 +43,9 @@ struct CsrLowerSrc {
   }
 };
 
-/// kCsrView, upper factor: diagonal first. A null order means the
-/// backward solve's natural order, position k == row n-1-k.
+/// kCsrView, upper factor: diagonal first. A null order (the serial
+/// walk's source order) means the backward solve's natural order,
+/// position k == row n-1-k.
 struct CsrUpperSrc {
   const Csr* m;
   const index_t* order;
@@ -65,7 +66,7 @@ struct PackedWalkSrc {
   PackedRow at(index_t) noexcept { return c.next(); }
 };
 
-/// kPacked, dynamically claimed positions (the doacross schedules): one
+/// kPacked, dynamically claimed positions (the doacross schedule): one
 /// predictable pointer load into the position index, then the record is
 /// a single contiguous read. Consecutive positions of a claimed chunk
 /// are adjacent records, so the walk stays linear per chunk.
@@ -255,20 +256,16 @@ constexpr bool kVecRow = false;
 template <class Src>
 constexpr bool kVecRow<VecRow<Src>> = true;
 
-core::DagPlanConfig core_config(const PlanOptions& o, bool fused) noexcept {
+core::DagPlanConfig core_config(const PlanOptions& o) noexcept {
   return {.nthreads = o.nthreads,
           .strategy = o.strategy,
-          .schedule = o.schedule,
-          .reorder = o.reorder,
           .calibration_epochs = o.calibration_epochs,
           .use_tuning_cache = o.use_tuning_cache,
           .stall_budget = o.stall_budget,
           .factor = false,
-          // Only the fused L+U solve feeds the order race, so a
-          // lower-only plan has nothing to time; a pinned packed layout
-          // streams the serial slabs in source order, so only CSR views
-          // can walk the level order.
-          .order_race = fused && o.layout != PlanLayout::kPacked,
+          // A pinned packed layout streams the serial slabs in source
+          // order, so only CSR views can walk the level order.
+          .order_race = o.layout != PlanLayout::kPacked,
           .name = "TrisolvePlan",
           .epoch = "solve"};
 }
@@ -288,45 +285,39 @@ void TrisolvePlan::walk(bool upper, unsigned tid, unsigned nthreads,
     }
   };
   // Packed slabs are read linearly by the walk-order walks and through
-  // the position index by the flag walk (any schedule may claim any
+  // the position index by the flag walk (the schedule may claim any
   // position). CSR views read rows through the DAG's order — except the
   // serial walk, which runs in source order unless single-RHS rows take
   // the wavefront walk the order race picked.
   auto go = [&](core::Dag& d, const PackedFactorStream& packed, auto csr) {
-    switch (core_.strategy()) {
-      case ExecutionStrategy::kDoacross:
-        csr.order = d.order_data();
-        if (packed.packed()) {
-          core_.walk_flags(d, tid, nthreads, row(PackedSeekSrc{&packed}));
-        } else {
-          core_.walk_flags(d, tid, nthreads, row(csr));
-        }
+    const ExecutionStrategy s = core_.strategy();
+    if (s == ExecutionStrategy::kSerial) {
+      // No lookahead: one thread's strip stays cache resident, so the
+      // parse-and-prefetch pipeline would only add work per row.
+      if (packed.packed()) {
+        core_.walk_serial(d, tid, row(PackedWalkSrc{packed.cursor(0)}));
         return;
-      case ExecutionStrategy::kLevelBarrier:
-        csr.order = d.order_data();
-        if (packed.packed()) {
-          core_.walk_levels(d, tid, nthreads,
-                            in_order(PackedWalkSrc{packed.cursor(tid)}));
-        } else {
-          core_.walk_levels(d, tid, nthreads, in_order(csr));
-        }
-        return;
-      case ExecutionStrategy::kSerial:
-        // No lookahead: one thread's strip stays cache resident, so the
-        // parse-and-prefetch pipeline would only add work per row.
-        if (packed.packed()) {
-          core_.walk_serial(d, tid, row(PackedWalkSrc{packed.cursor(0)}));
-          return;
-        }
-        // Single-RHS rows take the wavefront walk once the order race
-        // picked it; strips keep source order (DESIGN.md §9).
-        if constexpr (kVecRow<decltype(row(csr))>) {
-          if (core_.wavefront()) csr.order = d.order_data();
-        }
-        core_.walk_serial(d, tid, row(csr), csr.order);
-        return;
-      case ExecutionStrategy::kAuto:
-        return;  // unreachable: the core never leaves kAuto
+      }
+      // Single-RHS rows take the wavefront walk once the order race
+      // picked it; strips keep source order (DESIGN.md §9).
+      if constexpr (kVecRow<decltype(row(csr))>) {
+        if (core_.wavefront()) csr.order = d.order_data();
+      }
+      core_.walk_serial(d, tid, row(csr), csr.order);
+      return;
+    }
+    csr.order = d.order_data();
+    if (s == ExecutionStrategy::kDoacross) {
+      if (packed.packed()) {
+        core_.walk_flags(d, tid, nthreads, row(PackedSeekSrc{&packed}));
+      } else {
+        core_.walk_flags(d, tid, nthreads, row(csr));
+      }
+    } else if (packed.packed()) {
+      core_.walk_levels(d, tid, nthreads,
+                        in_order(PackedWalkSrc{packed.cursor(tid)}));
+    } else {
+      core_.walk_levels(d, tid, nthreads, in_order(csr));
     }
   };
   if (upper) {
@@ -336,30 +327,27 @@ void TrisolvePlan::walk(bool upper, unsigned tid, unsigned nthreads,
   }
 }
 
-TrisolvePlan::TrisolvePlan(rt::ThreadPool& pool, const Csr& l, const Csr* u,
+TrisolvePlan::TrisolvePlan(rt::ThreadPool& pool, const Csr& l, const Csr& u,
                            const PlanOptions& opts)
     : l_(&l),
-      u_(u),
+      u_(&u),
       opts_(opts),
       n_(l.rows),
-      core_(pool, l.rows, u ? 2 : 1, core_config(opts, u != nullptr),
-            telemetry_),
+      core_(pool, l.rows, 2, core_config(opts), telemetry_),
       lanes_(opts.kernel == kernels::KernelChoice::kScalar
                  ? &kernels::scalar_ops()
                  : &kernels::dispatched_ops()) {
   check_factor(l, "lower");
+  check_factor(u, "upper");
+  if (u.rows != l.rows) {
+    throw std::invalid_argument("TrisolvePlan: L/U dimension mismatch");
+  }
+  core_.dag(kUpper).reverse = true;  // the backward solve
+  tmp_.resize(static_cast<std::size_t>(n_));
   telemetry_.isa = kernels::dispatched_isa();
   telemetry_.kernel = lanes_->isa == kernels::KernelIsa::kScalar
                           ? kernels::KernelChoice::kScalar
                           : kernels::KernelChoice::kVector;
-  if (u) {
-    check_factor(*u, "upper");
-    if (u->rows != l.rows) {
-      throw std::invalid_argument("TrisolvePlan: L/U dimension mismatch");
-    }
-    core_.dag(kUpper).reverse = true;  // the backward solve
-    tmp_.resize(static_cast<std::size_t>(n_));
-  }
   core::Dag& dl = core_.dag(kLower);
   if (opts_.strategy == ExecutionStrategy::kAuto) {
     // The inspector pass of the strategy decision: the doconsider
@@ -380,18 +368,16 @@ TrisolvePlan::TrisolvePlan(rt::ThreadPool& pool, const Csr& l, const Csr* u,
     if (!dl.order) {
       dl.order = std::make_unique<core::Reordering>(lower_solve_reordering(l));
     }
-    if (u) {
-      core_.dag(kUpper).order =
-          std::make_unique<core::Reordering>(upper_solve_reordering(*u));
-    }
+    core_.dag(kUpper).order =
+        std::make_unique<core::Reordering>(upper_solve_reordering(u));
   } else {
     dl.order.reset();  // kSerial runs in source order
   }
   build_packed();
 
   // Regions are bound once, here: the core reads the strategy when a
-  // region runs, and per-call inputs travel through the lo_/up_/batch_
-  // members. This is what makes solve_* allocation free: a fresh
+  // region runs, and per-call inputs travel through the vec_/strip_
+  // members. This is what makes every solve allocation free: a fresh
   // capturing lambda would not fit std::function's small buffer and
   // would heap-allocate on every call.
   const auto vec = [](const double* rhs, double* y) {
@@ -399,20 +385,13 @@ TrisolvePlan::TrisolvePlan(rt::ThreadPool& pool, const Csr& l, const Csr* u,
       return VecRow<decltype(src)>{src, rhs, y};
     };
   };
-  lower_region_ = core_.contained([this, vec](unsigned tid, unsigned nth) {
-    walk<false>(false, tid, nth, vec(lo_rhs_, lo_y_));
-  });
-  if (!u) return;
-  upper_region_ = core_.contained([this, vec](unsigned tid, unsigned nth) {
-    walk<false>(true, tid, nth, vec(up_rhs_, up_y_));
-  });
   fused_region_ = core_.contained([this, vec](unsigned tid, unsigned nth) {
     // The forward solve flows into the backward solve without returning
     // to the pool; the handoff publishes every tmp_ element before any
     // thread consumes it.
-    walk<false>(false, tid, nth, vec(lo_rhs_, lo_y_));
+    walk<false>(false, tid, nth, vec(vec_rhs_, tmp_.data()));
     core_.handoff();
-    walk<false>(true, tid, nth, vec(up_rhs_, up_y_));
+    walk<false>(true, tid, nth, vec(tmp_.data(), vec_z_));
   });
   strip_region_ = core_.contained([this](unsigned tid, unsigned nth) {
     // One pass per factor with all k lanes in the strip.
@@ -441,14 +420,6 @@ TrisolvePlan::TrisolvePlan(rt::ThreadPool& pool, const Csr& l, const Csr* u,
   });
 }
 
-TrisolvePlan::TrisolvePlan(rt::ThreadPool& pool, const Csr& l,
-                           const PlanOptions& opts)
-    : TrisolvePlan(pool, l, nullptr, opts) {}
-
-TrisolvePlan::TrisolvePlan(rt::ThreadPool& pool, const Csr& l, const Csr& u,
-                           const PlanOptions& opts)
-    : TrisolvePlan(pool, l, &u, opts) {}
-
 void TrisolvePlan::build_packed() {
   // Packed slab sequences are strategy-specific, so a calibrating plan
   // defers packing to lock-in and explores through CSR-view sources.
@@ -468,10 +439,8 @@ void TrisolvePlan::build_packed() {
   const unsigned width = nth == 0 ? 1 : nth;
   const unsigned slabs =
       telemetry_.strategy == ExecutionStrategy::kSerial ? 1 : width;
-  const core::Reordering* lorder = core_.dag(kLower).order.get();
-  const core::Reordering* uorder = u_ ? core_.dag(kUpper).order.get() : nullptr;
-  const index_t* lord = lorder ? lorder->order.data() : nullptr;
-  const index_t* uord = uorder ? uorder->order.data() : nullptr;
+  const core::Dag& dl = core_.dag(kLower);
+  const core::Dag& du = core_.dag(kUpper);
 
   // Per-slab row sequences: the exact order each thread's kernel walks.
   std::vector<std::vector<index_t>> lseq, useq;
@@ -481,34 +450,26 @@ void TrisolvePlan::build_packed() {
       lseq.resize(1);
       lseq[0].resize(static_cast<std::size_t>(n_));
       std::iota(lseq[0].begin(), lseq[0].end(), index_t{0});
-      if (u_) {
-        useq.resize(1);
-        useq[0].reserve(static_cast<std::size_t>(n_));
-        for (index_t i = n_ - 1; i >= 0; --i) useq[0].push_back(i);
-      }
+      useq.assign(1, std::vector<index_t>(lseq[0].rbegin(), lseq[0].rend()));
       break;
     }
     case ExecutionStrategy::kLevelBarrier: {
-      lseq = level_schedule_sequences(*lorder, slabs);
-      if (u_) useq = level_schedule_sequences(*uorder, slabs);
+      lseq = level_schedule_sequences(*dl.order, slabs);
+      useq = level_schedule_sequences(*du.order, slabs);
       break;
     }
     case ExecutionStrategy::kDoacross: {
-      // Any schedule may claim any position at run time, so the stream
+      // The schedule may claim any position at run time, so the stream
       // carries a position index; the slab split mirrors the static-
       // block assignment, which is also where dynamic chunks of a
       // steady-state solve tend to land.
       position_index = true;
       lseq.resize(slabs);
-      if (u_) useq.resize(slabs);
+      useq.resize(slabs);
       for (unsigned t = 0; t < slabs; ++t) {
         const rt::IterRange r = rt::static_block_range(n_, t, slabs);
-        lseq[t].reserve(static_cast<std::size_t>(r.size()));
-        if (u_) useq[t].reserve(static_cast<std::size_t>(r.size()));
-        for (index_t pos = r.begin; pos < r.end; ++pos) {
-          lseq[t].push_back(lord ? lord[pos] : pos);
-          if (u_) useq[t].push_back(uord ? uord[pos] : n_ - 1 - pos);
-        }
+        lseq[t].assign(dl.order_data() + r.begin, dl.order_data() + r.end);
+        useq[t].assign(du.order_data() + r.begin, du.order_data() + r.end);
       }
       break;
     }
@@ -518,25 +479,23 @@ void TrisolvePlan::build_packed() {
 
   packed_l_.prepare(*l_, /*diag_first=*/false, std::move(lseq),
                     position_index);
-  if (u_) {
-    packed_u_.prepare(*u_, /*diag_first=*/true, std::move(useq),
-                      position_index);
-  }
+  packed_u_.prepare(*u_, /*diag_first=*/true, std::move(useq),
+                    position_index);
   // First-touch packing: every slab is written — page-placed — by the
   // thread that will execute it, in ONE pool dispatch covering both
   // factors. Serial plans pack inline: the calling thread IS the
   // executor, and waking the pool would first-touch nothing useful.
   if (slabs <= 1) {
     packed_l_.pack(0);
-    if (u_) packed_u_.pack(0);
+    packed_u_.pack(0);
   } else {
     core_.pool().parallel_region(nth, [this](unsigned tid, unsigned) {
       packed_l_.pack(tid);
-      if (u_) packed_u_.pack(tid);
+      packed_u_.pack(tid);
     });
   }
   packed_l_.finish_build();
-  if (u_) packed_u_.finish_build();
+  packed_u_.finish_build();
   telemetry_.layout = PlanLayout::kPacked;
   telemetry_.packed_bytes = packed_l_.bytes() + packed_u_.bytes();
   // The value-refresh region (refresh_values) is bound once, like the
@@ -545,16 +504,13 @@ void TrisolvePlan::build_packed() {
   if (slabs > 1) {
     refresh_region_ = [this](unsigned tid, unsigned) {
       packed_l_.repack_values(*l_, tid);
-      if (u_) packed_u_.repack_values(*u_, tid);
+      packed_u_.repack_values(*u_, tid);
     };
   }
 }
 
 void TrisolvePlan::refresh_values(const IluFactors& f) {
   core_.throw_if_poisoned();
-  if (!u_) {
-    throw std::logic_error("TrisolvePlan::refresh_values: lower-only plan");
-  }
   using clock = std::chrono::steady_clock;
   const clock::time_point t0 = clock::now();
   // Same-object refreshes (the factorization re-filled the values of the
@@ -601,51 +557,17 @@ core::DoacrossStats TrisolvePlan::run(const rt::ThreadPool::RegionFn& region,
   return stats;
 }
 
-core::DoacrossStats TrisolvePlan::solve_lower(std::span<const double> rhs,
-                                              std::span<double> y) {
-  if (static_cast<index_t>(rhs.size()) < n_ ||
-      static_cast<index_t>(y.size()) < n_) {
-    throw std::invalid_argument("TrisolvePlan::solve_lower: size mismatch");
-  }
-  if (n_ == 0) return {};
-  core_.reset(core_.dag(kLower));
-  lo_rhs_ = rhs.data();
-  lo_y_ = y.data();
-  return run(lower_region_, false);
-}
-
-core::DoacrossStats TrisolvePlan::solve_upper(std::span<const double> rhs,
-                                              std::span<double> z) {
-  if (!u_) {
-    throw std::logic_error("TrisolvePlan::solve_upper: lower-only plan");
-  }
-  if (static_cast<index_t>(rhs.size()) < n_ ||
-      static_cast<index_t>(z.size()) < n_) {
-    throw std::invalid_argument("TrisolvePlan::solve_upper: size mismatch");
-  }
-  if (n_ == 0) return {};
-  core_.reset(core_.dag(kUpper));
-  up_rhs_ = rhs.data();
-  up_y_ = z.data();
-  return run(upper_region_, false);
-}
-
 core::DoacrossStats TrisolvePlan::run_fused(const double* rhs, double* z) {
   if (n_ == 0) return {};
   core_.reset(core_.dag(kLower));
   core_.reset(core_.dag(kUpper));
-  lo_rhs_ = rhs;
-  lo_y_ = tmp_.data();
-  up_rhs_ = tmp_.data();
-  up_y_ = z;
+  vec_rhs_ = rhs;
+  vec_z_ = z;
   return run(fused_region_, true);
 }
 
 core::DoacrossStats TrisolvePlan::solve(std::span<const double> rhs,
                                         std::span<double> z) {
-  if (!u_) {
-    throw std::logic_error("TrisolvePlan::solve: lower-only plan");
-  }
   if (static_cast<index_t>(rhs.size()) < n_ ||
       static_cast<index_t>(z.size()) < n_) {
     throw std::invalid_argument("TrisolvePlan::solve: size mismatch");
@@ -736,12 +658,8 @@ void TrisolvePlan::serial_strip(const double* in, double* x, index_t k,
 
 namespace {
 
-void check_strip_args(const char* what, bool has_upper, index_t n,
-                      std::size_t b_size, std::size_t x_size, index_t k) {
-  if (!has_upper) {
-    throw std::logic_error(std::string("TrisolvePlan::") + what +
-                           ": lower-only plan");
-  }
+void check_strip_args(const char* what, index_t n, std::size_t b_size,
+                      std::size_t x_size, index_t k) {
   if (k < 1) {
     throw std::invalid_argument(std::string("TrisolvePlan::") + what +
                                 ": k must be >= 1");
@@ -761,7 +679,7 @@ void check_strip_args(const char* what, bool has_upper, index_t n,
 core::DoacrossStats TrisolvePlan::solve_strip(std::span<const double> b,
                                               std::span<double> x,
                                               index_t k) {
-  check_strip_args("solve_strip", u_ != nullptr, n_, b.size(), x.size(), k);
+  check_strip_args("solve_strip", n_, b.size(), x.size(), k);
   const double* in = b.data() == x.data() ? nullptr : b.data();
   // The reentrant entry (see the header): a settled serial plan runs the
   // serial strip walk straight from the arguments. Poison is monotonic,
@@ -791,7 +709,7 @@ core::DoacrossStats TrisolvePlan::solve_strip(std::span<const double> b,
 core::DoacrossStats TrisolvePlan::solve_batch(std::span<const double> b,
                                               std::span<double> x,
                                               index_t k) {
-  check_strip_args("solve_batch", u_ != nullptr, n_, b.size(), x.size(), k);
+  check_strip_args("solve_batch", n_, b.size(), x.size(), k);
   if (k == 1) return run_column(b.data(), x.data());
   reserve_batch(k);
   // Column-major n-by-k is row-major k-by-n: the strip is its transpose.

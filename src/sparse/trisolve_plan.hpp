@@ -65,8 +65,8 @@ namespace pdx::sparse {
 /// names a strategy from measured structure); the sparse layer implements
 /// it:
 ///
-///   kDoacross      — busy-wait ready flags, optional doconsider order,
-///                    any rt::Schedule (the paper's executor).
+///   kDoacross      — busy-wait ready flags over the doconsider order,
+///                    dynamic issue (the paper's executor).
 ///   kLevelBarrier  — bulk-synchronous wavefronts: rows of one level run
 ///                    as a doall, a barrier separates levels, NO per-row
 ///                    flags at all (the level order already proves every
@@ -121,11 +121,10 @@ struct PlanTelemetry : core::ExecTelemetry {
   PlanLayout layout = PlanLayout::kCsrView;
   /// Plan-owned packed stream bytes across both factors (0 for kCsrView).
   std::size_t packed_bytes = 0;
-  /// Last numeric refactorization feeding this plan, in milliseconds, and
-  /// the FactorPlan strategy that ran it — recorded by the solve layer
-  /// via record_factorization() (0 / kAuto until the first refactor).
+  /// Last numeric refactorization feeding this plan, in milliseconds —
+  /// recorded by the solve layer via record_factorization() (0 until the
+  /// first refactor).
   double factor_ms = 0.0;
-  ExecutionStrategy factor_strategy = ExecutionStrategy::kAuto;
   /// Last refresh_values() sweep, in milliseconds (0 until the first).
   double refresh_ms = 0.0;
 };
@@ -134,13 +133,6 @@ struct PlanOptions {
   /// Region width; 0 → the pool's full width. Fixed at build time (the
   /// plan's barrier and wait-stat slots are sized once).
   unsigned nthreads = 0;
-  /// Executor schedule for both solves (kDoacross only; kLevelBarrier is
-  /// static-block by construction).
-  rt::Schedule schedule = rt::Schedule::dynamic();
-  /// Build doconsider (level-order) reorderings for both factors
-  /// (kDoacross; kLevelBarrier builds them regardless — the levels ARE
-  /// its schedule).
-  bool reorder = true;
   /// Execution scheme. kAuto measures the LOWER factor's dependence
   /// structure at build time, takes core::advise_schedule's heuristic
   /// pick as the opening bid, then — when a race is viable (parallel
@@ -150,7 +142,9 @@ struct PlanOptions {
   /// decision covers both solves, which is right for ILU-style pairs
   /// whose U mirrors L's structure; callers pairing structurally
   /// unrelated factors should pick a strategy explicitly. The default
-  /// preserves the historical flag-based plan behavior.
+  /// preserves the historical flag-based plan behavior. A doacross plan
+  /// always walks the doconsider order; its schedule is fixed by the
+  /// executor core (core::DagPlan::schedule).
   ExecutionStrategy strategy = ExecutionStrategy::kDoacross;
   /// Factor memory layout. kAuto (default) resolves from the strategy —
   /// kCsrView for serial plans, kPacked otherwise; kPacked re-streams
@@ -188,38 +182,27 @@ struct PlanOptions {
   kernels::KernelChoice kernel = kernels::KernelChoice::kVector;
 };
 
-/// Persistent execution plan for L y = rhs / U z = y triangular solves.
-/// Every solve_* call runs with zero per-call heap allocation and resets
-/// synchronization state in O(1); results are bitwise identical to
-/// trisolve_lower_seq / trisolve_upper_seq under every strategy.
+/// Persistent execution plan for the preconditioner solve z = U⁻¹ (L⁻¹
+/// rhs) over an L/U factor pair. Every solve call runs with zero per-call
+/// heap allocation and resets synchronization state in O(1); results are
+/// bitwise identical to trisolve_lower_seq then trisolve_upper_seq under
+/// every strategy.
 class TrisolvePlan {
  public:
-  /// Full plan over an L/U factor pair (e.g. IluFactors::l / ::u). L must
+  /// A plan over an L/U factor pair (e.g. IluFactors::l / ::u). L must
   /// be lower triangular with the diagonal last in each sorted row, U
   /// upper triangular with the diagonal first.
   TrisolvePlan(rt::ThreadPool& pool, const Csr& l, const Csr& u,
-               const PlanOptions& opts = {});
-
-  /// Lower-only plan: solve() and solve_upper() are unavailable.
-  TrisolvePlan(rt::ThreadPool& pool, const Csr& l,
                const PlanOptions& opts = {});
 
   // The pre-bound region functors capture `this`.
   TrisolvePlan(const TrisolvePlan&) = delete;
   TrisolvePlan& operator=(const TrisolvePlan&) = delete;
 
-  /// y = L⁻¹ rhs. At most one pool fork/join (zero for kSerial), no
-  /// allocation.
-  core::DoacrossStats solve_lower(std::span<const double> rhs,
-                                  std::span<double> y);
-
-  /// z = U⁻¹ rhs. Same budget as solve_lower.
-  core::DoacrossStats solve_upper(std::span<const double> rhs,
-                                  std::span<double> z);
-
   /// z = U⁻¹ (L⁻¹ rhs): one fused preconditioner application in a single
   /// parallel region — the forward solve flows into the backward solve
-  /// without returning to the pool.
+  /// without returning to the pool. At most one pool fork/join (zero for
+  /// kSerial), no allocation.
   core::DoacrossStats solve(std::span<const double> rhs,
                             std::span<double> z);
 
@@ -269,24 +252,21 @@ class TrisolvePlan {
   /// serial plans repack inline), allocates nothing, and leaves every
   /// subsequent solve bitwise identical to a full plan rebuild over `f`.
   /// Throws std::invalid_argument if `f`'s pattern differs from the
-  /// plan's and std::logic_error on a lower-only plan.
+  /// plan's.
   void refresh_values(const IluFactors& f);
 
   /// Completed refresh_values() calls.
   std::uint64_t refreshes() const noexcept { return refreshes_; }
 
   /// Record the numeric refactorization that produced the plan's current
-  /// values (telemetry only — shows up as PlanTelemetry::factor_ms /
-  /// factor_strategy in BatchReport and the serving examples).
-  void record_factorization(double factor_ms,
-                            ExecutionStrategy strategy) noexcept {
+  /// values (telemetry only — shows up as PlanTelemetry::factor_ms in
+  /// BatchReport and the serving examples).
+  void record_factorization(double factor_ms) noexcept {
     telemetry_.factor_ms = factor_ms;
-    telemetry_.factor_strategy = strategy;
   }
 
   index_t rows() const noexcept { return n_; }
   unsigned nthreads() const noexcept { return core_.nthreads(); }
-  bool has_upper() const noexcept { return u_ != nullptr; }
   /// The resolved factor layout (kCsrView when nothing was packed).
   PlanLayout layout() const noexcept { return telemetry_.layout; }
   /// Plan-owned packed stream bytes (0 under kCsrView).
@@ -307,7 +287,7 @@ class TrisolvePlan {
   bool settled() const noexcept { return core_.settled(); }
   /// Chosen strategy, rationale and the measured structure behind it.
   const PlanTelemetry& telemetry() const noexcept { return telemetry_; }
-  /// Completed solve_* calls (one per pool dispatch; a whole strip counts
+  /// Completed solve calls (one per pool dispatch; a whole strip counts
   /// once). Exact under concurrent solve_strip callers.
   std::uint64_t solves() const noexcept {
     return solves_.load(std::memory_order_relaxed);
@@ -322,7 +302,7 @@ class TrisolvePlan {
 
   /// True once a fault escaped a worker inside this plan's parallel
   /// region. A poisoned plan's flag tables, cursors and barrier may be
-  /// mid-episode, so every subsequent solve_*/refresh_values call throws
+  /// mid-episode, so every subsequent solve or refresh_values call throws
   /// rt::PlanPoisonedError — rebuild the plan (or let the solve layer
   /// degrade to the sequential trisolves, see solve/precond.hpp).
   bool poisoned() const noexcept { return core_.poisoned(); }
@@ -338,16 +318,13 @@ class TrisolvePlan {
     return core_.dag(kLower).order.get();
   }
   const core::Reordering* upper_reordering() const noexcept {
-    return u_ ? core_.dag(kUpper).order.get() : nullptr;
+    return core_.dag(kUpper).order.get();
   }
 
  private:
-  // The core's DAG instances: L, then U on a full plan.
+  // The core's DAG instances: L, then U.
   static constexpr unsigned kLower = 0;
   static constexpr unsigned kUpper = 1;
-
-  TrisolvePlan(rt::ThreadPool& pool, const Csr& l, const Csr* u,
-               const PlanOptions& opts);
 
   /// Run one factor's solve (L, or U when `upper`) under the plan's
   /// current strategy: pick the row source the strategy and layout read
@@ -363,8 +340,8 @@ class TrisolvePlan {
   void build_packed();
   /// One core dispatch plus the per-run bookkeeping: solve count and the
   /// races (packing the winner when the strategy race locks in).
-  /// `order` marks the fused single-RHS solve, the one run that feeds
-  /// the order race.
+  /// `order` marks the fused single-RHS solve, the run that feeds the
+  /// order race.
   core::DoacrossStats run(const rt::ThreadPool::RegionFn& region, bool order,
                           index_t columns = 1);
   /// The fused single-RHS solve z = U⁻¹ L⁻¹ rhs through tmp_ (solve()).
@@ -380,7 +357,7 @@ class TrisolvePlan {
   void serial_strip(const double* in, double* x, index_t k, unsigned tid);
 
   const Csr* l_;
-  const Csr* u_;  // nullptr for a lower-only plan
+  const Csr* u_;
   PlanOptions opts_;
   index_t n_;
   PlanTelemetry telemetry_;
@@ -390,14 +367,13 @@ class TrisolvePlan {
   PackedFactorStream packed_l_, packed_u_;
   std::vector<double, rt::CacheAlignedAllocator<double>> tmp_;
 
-  // Per-call vector endpoints, published to the pre-bound region functors
-  // through members so the std::function is constructed exactly once (a
-  // capturing lambda wider than the small-buffer would otherwise allocate
-  // on every call).
-  const double* lo_rhs_ = nullptr;
-  double* lo_y_ = nullptr;
-  const double* up_rhs_ = nullptr;
-  double* up_y_ = nullptr;
+  // Per-call vector endpoints of the fused solve (rhs in, z out; the
+  // forward solve lands in tmp_), published to the pre-bound region
+  // functor through members so the std::function is constructed exactly
+  // once (a capturing lambda wider than the small-buffer would otherwise
+  // allocate on every call).
+  const double* vec_rhs_ = nullptr;
+  double* vec_z_ = nullptr;
 
   // Strip state, published to the pre-bound strip region through members
   // like the single-RHS endpoints: the input strip (nullptr when solving
@@ -408,8 +384,7 @@ class TrisolvePlan {
   double* strip_ = nullptr;
   std::vector<double, rt::CacheAlignedAllocator<double>> batch_tmp_;
 
-  rt::ThreadPool::RegionFn lower_region_, upper_region_, fused_region_,
-      strip_region_, refresh_region_;
+  rt::ThreadPool::RegionFn fused_region_, strip_region_, refresh_region_;
   std::atomic<std::uint64_t> solves_{0};
   std::atomic<std::uint64_t> batch_columns_{0};
   std::uint64_t refreshes_ = 0;

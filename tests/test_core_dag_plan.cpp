@@ -269,6 +269,43 @@ TEST(DagPlan, RaceComparesTimesPerColumn) {
   expect_bitwise(sequential(l), plan.run(), "locked-in run");
 }
 
+TEST(DagPlan, FlagWalkScheduleIsFixedAtConstruction) {
+  // A pinned doacross plan claims dynamic chunks of the default size, an
+  // Auto plan dynamic single iterations — before, during and after its
+  // race — and every flag walk runs the doconsider order.
+  core::tuning_cache().clear();
+  const Loop l = random_dag(51);
+  const std::vector<double> ref = sequential(l);
+
+  LoopPlan pinned_plan(l, pinned(core::ExecStrategy::kDoacross, 2));
+  EXPECT_EQ(pinned_plan.core().schedule().kind, rt::SchedKind::Dynamic);
+  EXPECT_EQ(pinned_plan.core().schedule().chunk, 0);
+  EXPECT_TRUE(pinned_plan.core().needs_order());
+  ASSERT_NE(pinned_plan.core().dag(0).order, nullptr);
+  expect_bitwise(ref, pinned_plan.run(), "pinned doacross");
+
+  core::DagPlanConfig cfg = pinned(core::ExecStrategy::kAuto, 2);
+  cfg.use_tuning_cache = false;
+  LoopPlan racing(l, cfg);
+  ASSERT_TRUE(racing.core().calibrating());
+  for (int run = 0; racing.core().calibrating(); ++run) {
+    ASSERT_LT(run, 64);
+    EXPECT_EQ(racing.core().schedule().kind, rt::SchedKind::Dynamic);
+    EXPECT_EQ(racing.core().schedule().chunk, 1);
+    EXPECT_TRUE(racing.core().needs_order());
+    expect_bitwise(ref, racing.run(), "raced run");
+  }
+  EXPECT_EQ(racing.core().schedule().chunk, 1);
+  EXPECT_EQ(racing.core().needs_order(),
+            racing.core().strategy() != core::ExecStrategy::kSerial);
+
+  cfg.calibration_epochs = 0;  // the heuristic pick, no race
+  LoopPlan heuristic(l, cfg);
+  EXPECT_EQ(heuristic.core().schedule().kind, rt::SchedKind::Dynamic);
+  EXPECT_EQ(heuristic.core().schedule().chunk, 1);
+  expect_bitwise(ref, heuristic.run(), "heuristic pick");
+}
+
 TEST(DagPlan, InjectedFaultPoisons) {
   const Loop l = random_dag(31);
   const std::vector<double> ref = sequential(l);

@@ -540,8 +540,11 @@ TEST(BatchDriver, LockstepStragglersFollowThePerJobLadder) {
   opts.calibration_epochs = 0;
   opts.use_tuning_cache = false;
   solve::BatchDriver driver(pool(), a, opts);
-  const solve::DoacrossIlu0Preconditioner m(pool(), a, /*reorder=*/true, 2,
-                                            sp::ExecutionStrategy::kDoacross);
+  const solve::DoacrossIlu0Preconditioner m(
+      pool(), a,
+      sp::PlanOptions{.nthreads = 2,
+                      .strategy = sp::ExecutionStrategy::kDoacross},
+      sp::FactorPlanOptions{.nthreads = 2});
 
   const index_t k = 12;
   const Strip s = make_strip(a, k, 4242);
@@ -639,8 +642,11 @@ TEST(BatchDriver, WideFirstStripRacesThreeCandidateBudgets) {
   EXPECT_EQ(driver.preconditioner().plan().strategy(),
             race.timings[best].choice);
 
-  const solve::DoacrossIlu0Preconditioner m(pool(), a, /*reorder=*/true, 1,
-                                            sp::ExecutionStrategy::kSerial);
+  const solve::DoacrossIlu0Preconditioner m(
+      pool(), a,
+      sp::PlanOptions{.nthreads = 1,
+                      .strategy = sp::ExecutionStrategy::kSerial},
+      sp::FactorPlanOptions{.nthreads = 1});
   solve::CgOptions copts;
   copts.max_iterations = max_iterations;
   copts.rel_tolerance = tol;
@@ -679,8 +685,9 @@ TEST(BatchDriver, LockstepLanesLeaveAnywhereAndMatchTheReferenceBitwise) {
 
   for (unsigned threads : {1u, 2u, 4u}) {
     for (sp::ExecutionStrategy strategy : strategies) {
-      const solve::DoacrossIlu0Preconditioner m(pool(), a, /*reorder=*/true,
-                                                threads, strategy);
+      const solve::DoacrossIlu0Preconditioner m(
+          pool(), a, sp::PlanOptions{.nthreads = threads, .strategy = strategy},
+          sp::FactorPlanOptions{.nthreads = threads});
       solve::CgScratch scratch;  // reused across k: grows, never shrinks
       for (index_t k : {1, 2, 3, 5, 8, 17, 33}) {
         const std::string cfg = std::string(pdx::core::to_string(strategy)) +
@@ -776,8 +783,11 @@ TEST(BatchDriver, LockstepCompactsThroughEveryWidthAndMatchesPcgBitwise) {
   const sp::Csr a = gen::five_point(24, 24);
   const index_t n = a.rows;
   const std::size_t nn = static_cast<std::size_t>(n);
-  const solve::DoacrossIlu0Preconditioner m(pool(), a, /*reorder=*/true, 1,
-                                            sp::ExecutionStrategy::kSerial);
+  const solve::DoacrossIlu0Preconditioner m(
+      pool(), a,
+      sp::PlanOptions{.nthreads = 1,
+                      .strategy = sp::ExecutionStrategy::kSerial},
+      sp::FactorPlanOptions{.nthreads = 1});
   solve::CgOptions copts;
   copts.max_iterations = 60;
   copts.rel_tolerance = 1e-10;

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -46,6 +47,8 @@ rt::ThreadPool& pool() {
   static rt::ThreadPool p(8);
   return p;
 }
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Tridiagonal SPD chain: every row depends on the previous one, so
 /// injected faults and stalls always have downstream waiters under the
@@ -202,6 +205,37 @@ TEST(Service, DeadlineExpiresWhileQueued) {
   EXPECT_EQ(res.outcome, JobOutcome::kExpired);
   EXPECT_NE(res.error.find("while queued"), std::string::npos);
   expect_exact_accounting(svc.report());
+}
+
+TEST(Service, HugeAndInfiniteTimeoutsNeverExpire) {
+  // A timeout past the clock's range saturates instead of wrapping the
+  // deadline into the past: the job and the drain simply never time out.
+  const sp::Csr a = gen::five_point(8, 8);
+  solve::Service svc(pool(), {});
+  const solve::MatrixId id = svc.register_matrix(a);
+
+  std::vector<double> x(static_cast<std::size_t>(a.rows));
+  for (double timeout_ms : {kInf, 1e13, 1e300, std::nan("")}) {
+    const auto b = random_vec(a.rows, 9);
+    const solve::JobResult res = svc.solve(id, b, x, timeout_ms);
+    EXPECT_EQ(res.outcome, JobOutcome::kSolved)
+        << "timeout " << timeout_ms << ": " << res.error;
+  }
+
+  svc.pause();  // queued when the drain starts
+  std::vector<solve::JobHandle> jobs;
+  for (int k = 0; k < 4; ++k) {
+    jobs.push_back(svc.submit(id, random_vec(a.rows, 50 + k), kInf));
+  }
+  EXPECT_TRUE(svc.shutdown(/*drain_timeout_ms=*/kInf));
+  for (const auto& job : jobs) {
+    const solve::JobResult res = job->wait();
+    EXPECT_EQ(res.outcome, JobOutcome::kSolved) << res.error;
+  }
+  const solve::ServiceReport rep = svc.report();
+  EXPECT_EQ(rep.solved, 8u);
+  EXPECT_EQ(rep.expired, 0u);
+  expect_exact_accounting(rep);
 }
 
 // ------------------------------------------------------------ backpressure
@@ -1013,5 +1047,32 @@ TEST(ServiceCAbi, NegativeXLenIsInvalidNotABufferOverflow) {
   EXPECT_NEAR(x[1], 2.0, 1e-8);
 
   pdx_job_free(job);
+  pdx_service_free(svc);
+}
+
+TEST(ServiceCAbi, HugeAndInfiniteTimeoutsNeverExpire) {
+  pdx_service* svc = nullptr;
+  pdx_service_options o;
+  pdx_service_options_init(&o);
+  ASSERT_EQ(pdx_service_create(&o, &svc), PDX_OK);
+
+  int64_t ptr[3] = {0, 1, 2};
+  int64_t idx[2] = {0, 1};
+  double val[2] = {4.0, 4.0};
+  uint64_t id = 0;
+  ASSERT_EQ(pdx_service_register_matrix(svc, 2, ptr, idx, val, &id), PDX_OK);
+
+  double b[2] = {4.0, 8.0};
+  for (double timeout_ms : {kInf, 1e13}) {
+    pdx_job* job = nullptr;
+    ASSERT_EQ(pdx_service_submit(svc, id, b, 2, timeout_ms, &job), PDX_OK);
+    char err[128] = {0};
+    double x[2] = {0.0, 0.0};
+    EXPECT_EQ(pdx_job_wait(job, x, 2, err, sizeof err), PDX_OK)
+        << "timeout " << timeout_ms << ": " << err;
+    EXPECT_NEAR(x[1], 2.0, 1e-8);
+    pdx_job_free(job);
+  }
+  EXPECT_EQ(pdx_service_shutdown(svc, kInf), PDX_OK);
   pdx_service_free(svc);
 }

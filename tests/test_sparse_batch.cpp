@@ -108,52 +108,42 @@ TEST(SolveBatch, BitwiseIdentityAcrossStrategiesLayoutsThreadsAndK) {
   for (sp::ExecutionStrategy strategy : kStrategies) {
     for (sp::PlanLayout layout : kLayouts) {
       for (unsigned nth : {1u, 2u, 4u}) {
-        // Only the flag-based executor takes a schedule.
-        std::vector<rt::Schedule> scheds{rt::Schedule::static_block()};
-        if (strategy == sp::ExecutionStrategy::kDoacross) {
-          scheds.push_back(rt::Schedule::dynamic(8));
-        }
-        for (const auto& sched : scheds) {
-          sp::PlanOptions opts;
-          opts.nthreads = nth;
-          opts.schedule = sched;
-          opts.strategy = strategy;
-          opts.layout = layout;
-          sp::TrisolvePlan plan(pool(), f.l, f.u, opts);
-          const std::uint64_t budget = dispatch_budget(plan);
-          for (index_t k : {1, 3, 8, 33}) {
-            const auto b =
-                random_columns(n, k, 1000 + static_cast<unsigned>(k));
-            // Reference: the sequential Fig. 7 solves per column — what
-            // solve() is itself bitwise equal to.
-            std::vector<double> x_seq(static_cast<std::size_t>(n * k)),
-                t(static_cast<std::size_t>(n));
-            for (index_t c = 0; c < k; ++c) {
-              sp::trisolve_lower_seq(
-                  f.l,
-                  std::span<const double>(b.data() + c * n,
-                                          static_cast<std::size_t>(n)),
-                  t);
-              sp::trisolve_upper_seq(
-                  f.u, t,
-                  std::span<double>(x_seq.data() + c * n,
-                                    static_cast<std::size_t>(n)));
-            }
+        sp::PlanOptions opts;
+        opts.nthreads = nth;
+        opts.strategy = strategy;
+        opts.layout = layout;
+        sp::TrisolvePlan plan(pool(), f.l, f.u, opts);
+        const std::uint64_t budget = dispatch_budget(plan);
+        for (index_t k : {1, 3, 8, 33}) {
+          const auto b = random_columns(n, k, 1000 + static_cast<unsigned>(k));
+          // Reference: the sequential Fig. 7 solves per column — what
+          // solve() is itself bitwise equal to.
+          std::vector<double> x_seq(static_cast<std::size_t>(n * k)),
+              t(static_cast<std::size_t>(n));
+          for (index_t c = 0; c < k; ++c) {
+            sp::trisolve_lower_seq(
+                f.l,
+                std::span<const double>(b.data() + c * n,
+                                        static_cast<std::size_t>(n)),
+                t);
+            sp::trisolve_upper_seq(
+                f.u, t,
+                std::span<double>(x_seq.data() + c * n,
+                                  static_cast<std::size_t>(n)));
+          }
 
-            std::vector<double> x(static_cast<std::size_t>(n * k), 0.0);
-            rt::DispatchProbe probe(pool());
-            plan.solve_batch(b, x, k);
-            EXPECT_EQ(probe.delta(), budget)
-                << core::to_string(strategy) << " batch of " << k
-                << " must cost exactly one pool dispatch (zero serial)";
-            for (index_t i = 0; i < n * k; ++i) {
-              ASSERT_EQ(x_seq[static_cast<std::size_t>(i)],
-                        x[static_cast<std::size_t>(i)])
-                  << core::to_string(strategy) << " "
-                  << sp::to_string(layout) << " nth=" << nth << " "
-                  << rt::to_string(sched) << " k=" << k << " col " << i / n
-                  << " row " << i % n;
-            }
+          std::vector<double> x(static_cast<std::size_t>(n * k), 0.0);
+          rt::DispatchProbe probe(pool());
+          plan.solve_batch(b, x, k);
+          EXPECT_EQ(probe.delta(), budget)
+              << core::to_string(strategy) << " batch of " << k
+              << " must cost exactly one pool dispatch (zero serial)";
+          for (index_t i = 0; i < n * k; ++i) {
+            ASSERT_EQ(x_seq[static_cast<std::size_t>(i)],
+                      x[static_cast<std::size_t>(i)])
+                << core::to_string(strategy) << " "
+                << sp::to_string(layout) << " nth=" << nth << " k=" << k
+                << " col " << i / n << " row " << i % n;
           }
         }
       }
@@ -319,10 +309,7 @@ TEST(SolveBatch, ReserveBatchMakesSolvesAllocationFreeAndIdentical) {
 TEST(SolveBatch, GuardsRejectMisuse) {
   const sp::IluFactors f = sp::ilu0(gen::five_point(6, 6));
   const index_t n = f.l.rows;
-  sp::TrisolvePlan lower_only(pool(), f.l, sp::PlanOptions{});
   std::vector<double> b(static_cast<std::size_t>(n)), x = b;
-  EXPECT_THROW(lower_only.solve_batch(b, x, 1), std::logic_error);
-
   sp::TrisolvePlan plan(pool(), f.l, f.u, {});
   EXPECT_THROW(plan.solve_batch(b, x, 0), std::invalid_argument);
   EXPECT_THROW(plan.solve_batch(b, x, -3), std::invalid_argument);

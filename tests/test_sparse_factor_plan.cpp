@@ -522,9 +522,8 @@ TEST(Refactor, PreconditionerRefactorMatchesFreshBitwise) {
   ASSERT_NE(stepped.factor_plan(), nullptr);
   EXPECT_EQ(stepped.factor_plan()->factorizations(), 3u);
   EXPECT_EQ(stepped.plan().refreshes(), 3u);
-  // Telemetry carries the refactor decision and costs.
-  EXPECT_NE(stepped.plan().telemetry().factor_strategy,
-            sp::ExecutionStrategy::kAuto);
+  // The FactorPlan carries the refactor decision, the telemetry its cost.
+  EXPECT_NE(stepped.factor_plan()->strategy(), sp::ExecutionStrategy::kAuto);
   EXPECT_GE(stepped.plan().telemetry().factor_ms, 0.0);
   EXPECT_THROW(stepped.refactor(gen::five_point(14, 15)),
                std::invalid_argument);
@@ -550,7 +549,9 @@ TEST(Refactor, BatchDriverHookForwardsTelemetryAndStaysBitwise) {
   const solve::BatchReport rep = driver.drain();
   EXPECT_EQ(rep.converged, rep.jobs);
   const sp::PlanTelemetry& t = driver.preconditioner().plan().telemetry();
-  EXPECT_NE(t.factor_strategy, sp::ExecutionStrategy::kAuto);
+  ASSERT_NE(driver.preconditioner().factor_plan(), nullptr);
+  EXPECT_NE(driver.preconditioner().factor_plan()->strategy(),
+            sp::ExecutionStrategy::kAuto);
   EXPECT_GE(t.factor_ms, 0.0);
   EXPECT_GE(t.refresh_ms, 0.0);
 

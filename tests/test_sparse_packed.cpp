@@ -137,30 +137,29 @@ TEST(PackedLayout, FusedSolveBitwiseMatchesCsrViewAndSequential) {
   }
 }
 
-TEST(PackedLayout, LowerAndUpperSolvesBitwise) {
+TEST(PackedLayout, FusedAndInPlaceColumnSolvesBitwise) {
   const sp::IluFactors f = sp::ilu0(gen::seven_point(6, 7, 5));
   const index_t n = f.l.rows;
   const auto rhs = random_columns(n, 1, 32);
   std::vector<double> y_seq(static_cast<std::size_t>(n)),
       z_seq(static_cast<std::size_t>(n));
   sp::trisolve_lower_seq(f.l, rhs, y_seq);
-  sp::trisolve_upper_seq(f.u, rhs, z_seq);
+  sp::trisolve_upper_seq(f.u, y_seq, z_seq);
 
   for (sp::ExecutionStrategy s : kStrategies) {
     for (unsigned nth : {1u, 2u, 4u}) {
       sp::TrisolvePlan plan(pool(), f.l, f.u,
                             plan_opts(s, nth, sp::PlanLayout::kPacked));
-      std::vector<double> y(static_cast<std::size_t>(n)),
-          z(static_cast<std::size_t>(n));
-      plan.solve_lower(rhs, y);
-      plan.solve_upper(rhs, z);
+      std::vector<double> z(static_cast<std::size_t>(n)), x = rhs;
+      plan.solve(rhs, z);
+      plan.solve_strip(x, x, 1);  // one lane, solved in place
       for (index_t i = 0; i < n; ++i) {
-        ASSERT_EQ(y_seq[static_cast<std::size_t>(i)],
-                  y[static_cast<std::size_t>(i)])
-            << core::to_string(s) << " nth=" << nth << " lower row " << i;
         ASSERT_EQ(z_seq[static_cast<std::size_t>(i)],
                   z[static_cast<std::size_t>(i)])
-            << core::to_string(s) << " nth=" << nth << " upper row " << i;
+            << core::to_string(s) << " nth=" << nth << " fused row " << i;
+        ASSERT_EQ(z_seq[static_cast<std::size_t>(i)],
+                  x[static_cast<std::size_t>(i)])
+            << core::to_string(s) << " nth=" << nth << " in-place row " << i;
       }
     }
   }
@@ -341,14 +340,16 @@ TEST(PackedLayout, LayoutKnobThreadsThroughPreconditionerAndDriver) {
   std::vector<double> x_p(b.size(), 0.0), x_c(b.size(), 0.0);
   const auto rep_p = solve::pcg(
       a, b, x_p,
-      solve::DoacrossIlu0Preconditioner{pool(), a, true, 0,
-                                        sp::ExecutionStrategy::kAuto,
-                                        sp::PlanLayout::kPacked});
+      solve::DoacrossIlu0Preconditioner{
+          pool(), a,
+          sp::PlanOptions{.strategy = sp::ExecutionStrategy::kAuto,
+                          .layout = sp::PlanLayout::kPacked}});
   const auto rep_c = solve::pcg(
       a, b, x_c,
-      solve::DoacrossIlu0Preconditioner{pool(), a, true, 0,
-                                        sp::ExecutionStrategy::kAuto,
-                                        sp::PlanLayout::kCsrView});
+      solve::DoacrossIlu0Preconditioner{
+          pool(), a,
+          sp::PlanOptions{.strategy = sp::ExecutionStrategy::kAuto,
+                          .layout = sp::PlanLayout::kCsrView}});
   EXPECT_TRUE(rep_p.converged);
   EXPECT_EQ(rep_p.iterations, rep_c.iterations);
   for (std::size_t i = 0; i < x_p.size(); ++i) ASSERT_EQ(x_p[i], x_c[i]) << i;

@@ -1,6 +1,6 @@
 // Tests for TrisolvePlan: repeated solves across epochs stay bitwise
-// identical to the sequential Fig. 7 loops under every schedule and
-// thread count, the fused L+U application costs exactly one pool
+// identical to the sequential Fig. 7 loops under every strategy, layout
+// and thread count, the fused L+U application costs exactly one pool
 // fork/join, and the O(1) epoch reset really replaces the flag sweep.
 #include <gtest/gtest.h>
 
@@ -36,35 +36,45 @@ std::vector<double> random_rhs(index_t n, std::uint64_t seed) {
   return rhs;
 }
 
+/// z = U⁻¹ L⁻¹ rhs through the sequential Fig. 7 loops.
+std::vector<double> seq_solve(const sp::IluFactors& f,
+                              std::span<const double> rhs) {
+  std::vector<double> t(rhs.size()), z(rhs.size());
+  sp::trisolve_lower_seq(f.l, rhs, t);
+  sp::trisolve_upper_seq(f.u, t, z);
+  return z;
+}
+
+constexpr sp::ExecutionStrategy kPinned[] = {
+    sp::ExecutionStrategy::kDoacross, sp::ExecutionStrategy::kLevelBarrier,
+    sp::ExecutionStrategy::kSerial};
+
 }  // namespace
 
-TEST(TrisolvePlan, RepeatedLowerSolvesBitwiseAcrossEpochs) {
-  const sp::Csr l = sp::ilu0(gen::five_point(18, 18)).l;
+TEST(TrisolvePlan, RepeatedSolvesBitwiseAcrossEpochs) {
+  const sp::IluFactors f = sp::ilu0(gen::five_point(18, 18));
+  const index_t n = f.l.rows;
 
-  // Thread counts {1, 2, hardware-width pool}; static and dynamic
-  // schedules; reordered and source order. Every combination must stay
-  // bitwise equal to the sequential solve on every reuse epoch.
+  // Thread counts {1, 2, hardware-width pool}; both layouts. Every
+  // combination must stay bitwise equal to the sequential solves on
+  // every reuse epoch.
   for (unsigned nth : {1u, 2u, 0u}) {
-    for (bool reorder : {false, true}) {
-      for (const auto& sched :
-           {rt::Schedule::static_block(), rt::Schedule::dynamic(8)}) {
-        sp::PlanOptions opts;
-        opts.nthreads = nth;
-        opts.schedule = sched;
-        opts.reorder = reorder;
-        sp::TrisolvePlan plan(pool(), l, opts);
-        for (int epoch = 0; epoch < 4; ++epoch) {
-          const auto rhs = random_rhs(l.rows, 100 + epoch);
-          std::vector<double> y_seq(static_cast<std::size_t>(l.rows));
-          sp::trisolve_lower_seq(l, rhs, y_seq);
-          std::vector<double> y(static_cast<std::size_t>(l.rows));
-          plan.solve_lower(rhs, y);
-          for (index_t i = 0; i < l.rows; ++i) {
-            ASSERT_EQ(y_seq[static_cast<std::size_t>(i)],
-                      y[static_cast<std::size_t>(i)])
-                << "nth=" << nth << " reorder=" << reorder << " "
-                << rt::to_string(sched) << " epoch " << epoch << " row " << i;
-          }
+    for (sp::PlanLayout layout :
+         {sp::PlanLayout::kCsrView, sp::PlanLayout::kPacked}) {
+      sp::PlanOptions opts;
+      opts.nthreads = nth;
+      opts.layout = layout;
+      sp::TrisolvePlan plan(pool(), f.l, f.u, opts);
+      for (int epoch = 0; epoch < 4; ++epoch) {
+        const auto rhs = random_rhs(n, 100 + epoch);
+        const std::vector<double> z_seq = seq_solve(f, rhs);
+        std::vector<double> z(static_cast<std::size_t>(n));
+        plan.solve(rhs, z);
+        for (index_t i = 0; i < n; ++i) {
+          ASSERT_EQ(z_seq[static_cast<std::size_t>(i)],
+                    z[static_cast<std::size_t>(i)])
+              << "nth=" << nth << " " << sp::to_string(layout) << " epoch "
+              << epoch << " row " << i;
         }
       }
     }
@@ -75,45 +85,53 @@ TEST(TrisolvePlan, FusedSolveBitwiseAcrossEpochs) {
   const sp::IluFactors f = sp::ilu0(gen::seven_point(7, 7, 7));
 
   for (unsigned nth : {1u, 2u, 0u}) {
-    for (const auto& sched :
-         {rt::Schedule::static_block(), rt::Schedule::dynamic(8)}) {
+    for (sp::ExecutionStrategy s : kPinned) {
       sp::PlanOptions opts;
       opts.nthreads = nth;
-      opts.schedule = sched;
+      opts.strategy = s;
       sp::TrisolvePlan plan(pool(), f.l, f.u, opts);
       for (int epoch = 0; epoch < 4; ++epoch) {
         const auto rhs = random_rhs(f.l.rows, 200 + epoch);
-        std::vector<double> t(static_cast<std::size_t>(f.l.rows)),
-            z_seq(static_cast<std::size_t>(f.l.rows));
-        sp::trisolve_lower_seq(f.l, rhs, t);
-        sp::trisolve_upper_seq(f.u, t, z_seq);
-
+        const std::vector<double> z_seq = seq_solve(f, rhs);
         std::vector<double> z(static_cast<std::size_t>(f.l.rows));
         plan.solve(rhs, z);
         for (index_t i = 0; i < f.l.rows; ++i) {
           ASSERT_EQ(z_seq[static_cast<std::size_t>(i)],
                     z[static_cast<std::size_t>(i)])
-              << "nth=" << nth << " " << rt::to_string(sched) << " epoch "
-              << epoch << " row " << i;
+              << "nth=" << nth << " " << pdx::core::to_string(s)
+              << " epoch " << epoch << " row " << i;
         }
       }
     }
   }
 }
 
-TEST(TrisolvePlan, UpperSolveBitwiseAcrossEpochs) {
+TEST(TrisolvePlan, StripSolveBitwiseAcrossEpochs) {
+  // Every lane of a strip solved in place equals the sequential solves on
+  // that lane, epoch after epoch.
   const sp::IluFactors f = sp::ilu0(gen::nine_point(14, 14));
+  const index_t n = f.l.rows;
+  const index_t k = 3;
   sp::TrisolvePlan plan(pool(), f.l, f.u, {});
   for (int epoch = 0; epoch < 3; ++epoch) {
-    const auto rhs = random_rhs(f.u.rows, 300 + epoch);
-    std::vector<double> z_seq(static_cast<std::size_t>(f.u.rows));
-    sp::trisolve_upper_seq(f.u, rhs, z_seq);
-    std::vector<double> z(static_cast<std::size_t>(f.u.rows));
-    plan.solve_upper(rhs, z);
-    for (index_t i = 0; i < f.u.rows; ++i) {
-      ASSERT_EQ(z_seq[static_cast<std::size_t>(i)],
-                z[static_cast<std::size_t>(i)])
-          << "epoch " << epoch << " row " << i;
+    std::vector<double> x = random_rhs(n * k, 300 + epoch);
+    std::vector<std::vector<double>> z_seq;
+    for (index_t c = 0; c < k; ++c) {
+      std::vector<double> col(static_cast<std::size_t>(n));
+      for (index_t i = 0; i < n; ++i) {
+        col[static_cast<std::size_t>(i)] =
+            x[static_cast<std::size_t>(i * k + c)];
+      }
+      z_seq.push_back(seq_solve(f, col));
+    }
+    plan.solve_strip(x, x, k);
+    for (index_t c = 0; c < k; ++c) {
+      const std::vector<double>& want = z_seq[static_cast<std::size_t>(c)];
+      for (index_t i = 0; i < n; ++i) {
+        ASSERT_EQ(want[static_cast<std::size_t>(i)],
+                  x[static_cast<std::size_t>(i * k + c)])
+            << "epoch " << epoch << " lane " << c << " row " << i;
+      }
     }
   }
 }
@@ -180,15 +198,16 @@ TEST(TrisolvePlan, PlanInsidePcgMatchesSequentialPath) {
   }
 }
 
-TEST(TrisolvePlan, RejectsBadArgumentsAndLowerOnlyMisuse) {
+TEST(TrisolvePlan, RejectsBadArguments) {
   const sp::IluFactors f = sp::ilu0(gen::five_point(6, 6));
-  sp::TrisolvePlan lower_only(pool(), f.l, sp::PlanOptions{});
-  std::vector<double> rhs(static_cast<std::size_t>(f.l.rows)), z = rhs;
-  EXPECT_THROW(lower_only.solve(rhs, z), std::logic_error);
-  EXPECT_THROW(lower_only.solve_upper(rhs, z), std::logic_error);
+  const sp::IluFactors g = sp::ilu0(gen::five_point(5, 6));
+  EXPECT_THROW(sp::TrisolvePlan(pool(), f.l, g.u, {}), std::invalid_argument)
+      << "L/U dimension mismatch";
 
   sp::TrisolvePlan plan(pool(), f.l, f.u, {});
+  std::vector<double> rhs(static_cast<std::size_t>(f.l.rows)), z = rhs;
   std::vector<double> small(3);
   EXPECT_THROW(plan.solve(small, z), std::invalid_argument);
-  EXPECT_THROW(plan.solve_lower(rhs, small), std::invalid_argument);
+  EXPECT_THROW(plan.solve(rhs, small), std::invalid_argument);
+  EXPECT_THROW(plan.solve_strip(rhs, small, 1), std::invalid_argument);
 }

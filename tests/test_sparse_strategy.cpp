@@ -291,29 +291,11 @@ TEST(StrategyExecution, EveryStrategyBitwiseAcrossThreadsAndBatchShapes) {
           plan.strategy() == ExecutionStrategy::kSerial ? 0u : 1u;
       const char* sname = core::to_string(plan.strategy());
 
-      // Fused single solve (also covers solve_lower/solve_upper paths).
+      // Fused single solve.
       rt::DispatchProbe probe(pool());
       expect_bitwise_fused(plan, f.l, f.u,
                            400 + nth + static_cast<unsigned>(req), sname);
       EXPECT_EQ(probe.delta(), per_solve) << sname << " nth=" << nth;
-
-      const auto rhs = random_rhs(n, 500 + nth);
-      std::vector<double> y_seq(static_cast<std::size_t>(n)),
-          y(static_cast<std::size_t>(n));
-      sp::trisolve_lower_seq(f.l, rhs, y_seq);
-      plan.solve_lower(rhs, y);
-      for (index_t i = 0; i < n; ++i) {
-        ASSERT_EQ(y_seq[static_cast<std::size_t>(i)],
-                  y[static_cast<std::size_t>(i)])
-            << sname << " lower row " << i;
-      }
-      sp::trisolve_upper_seq(f.u, rhs, y_seq);
-      plan.solve_upper(rhs, y);
-      for (index_t i = 0; i < n; ++i) {
-        ASSERT_EQ(y_seq[static_cast<std::size_t>(i)],
-                  y[static_cast<std::size_t>(i)])
-            << sname << " upper row " << i;
-      }
 
       // Batched solves, k in {1, 8}.
       for (index_t k : {1, 8}) {
@@ -569,8 +551,8 @@ std::vector<std::pair<std::string, sp::IluFactors>> order_race_inputs() {
   return in;
 }
 
-/// One single-RHS run through `api` (0 solve, 1 solve_lower then
-/// solve_upper, 2 solve_strip k = 1, 3 solve_batch k = 1), checked bitwise
+/// One single-RHS run through `api` (0 solve, 1 solve_strip k = 1 in
+/// place, 2 solve_strip k = 1, 3 solve_batch k = 1), checked bitwise
 /// against the sequential solves.
 void expect_bitwise_single(sp::TrisolvePlan& plan, const sp::IluFactors& f,
                            int api, std::uint64_t seed,
@@ -578,7 +560,7 @@ void expect_bitwise_single(sp::TrisolvePlan& plan, const sp::IluFactors& f,
   const index_t n = f.l.rows;
   const std::size_t nn = static_cast<std::size_t>(n);
   const auto rhs = random_rhs(n, seed);
-  std::vector<double> y_seq(nn), z_seq(nn), y(nn, -1.0), z(nn, -1.0);
+  std::vector<double> y_seq(nn), z_seq(nn), z(nn, -1.0);
   sp::trisolve_lower_seq(f.l, rhs, y_seq);
   sp::trisolve_upper_seq(f.u, y_seq, z_seq);
   switch (api) {
@@ -586,9 +568,8 @@ void expect_bitwise_single(sp::TrisolvePlan& plan, const sp::IluFactors& f,
       plan.solve(rhs, z);
       break;
     case 1:
-      plan.solve_lower(rhs, y);
-      ASSERT_EQ(y, y_seq) << what << ": solve_lower";
-      plan.solve_upper(y, z);
+      z = rhs;
+      plan.solve_strip(z, z, 1);
       break;
     case 2:
       plan.solve_strip(rhs, z, 1);
@@ -676,11 +657,6 @@ TEST(OrderRace, AdvancesOnlyOnSingleRhsRunsOnTheCallingThread) {
   plan.solve_strip(b, x, 8);
   plan.solve_batch(b, x, 4);
   EXPECT_EQ(epochs(), 0);
-  // Half solves walk the current order but are not timed against whole
-  // ones.
-  plan.solve_lower(std::span<const double>(b.data(), nn), x);
-  plan.solve_upper(std::span<const double>(b.data(), nn), x);
-  EXPECT_EQ(epochs(), 0) << "solve_lower / solve_upper must not feed it";
 
   std::vector<std::vector<double>> xs(2, std::vector<double>(nn));
   pool().parallel_region(2, [&](unsigned tid, unsigned) {
@@ -755,10 +731,4 @@ TEST(OrderRace, ZeroBudgetOrPackedLayoutKeepsSourceOrder) {
     EXPECT_EQ(plan.lower_reordering(), nullptr);
     expect_bitwise_fused(plan, f.l, f.u, 500, "source order only");
   }
-  // A lower-only plan has no fused solve to time, so it never arms.
-  sp::PlanOptions lower_only = off;
-  lower_only.calibration_epochs = 2;
-  const sp::TrisolvePlan plan(pool(), f.l, lower_only);
-  EXPECT_FALSE(plan.order_racing());
-  EXPECT_EQ(plan.lower_reordering(), nullptr);
 }
